@@ -232,16 +232,7 @@ impl SiteSelector {
         init: SelectorInit,
     ) -> Arc<Self> {
         let m = config.num_sites;
-        let stats = AccessStats::new(
-            StatsConfig {
-                sample_rate: config.sample_rate,
-                history_capacity: config.history_capacity,
-                inter_window: config.inter_txn_window,
-                max_partners: config.max_coaccess_partners,
-            },
-            m,
-            config.seed ^ 0x5E1E_C70A,
-        );
+        let stats = AccessStats::new(stats_config(&config), m, config.seed ^ 0x5E1E_C70A);
         let recorder = network.recorder();
         let replica_map = init.replica_map.clone().unwrap_or_else(|| {
             Arc::new(ReplicaMap::new(
@@ -1871,6 +1862,22 @@ fn with_thread_rng<T>(seed: u64, f: impl FnOnce(&mut SmallRng) -> T) -> T {
     })
 }
 
+/// The statistics a selector with this configuration keeps. Eq. 8 never
+/// reads Eq. 7's statistics when their weight is zero (`score_sites_detailed`
+/// skips the term), so then the Δt window is not tracked at all.
+fn stats_config(config: &SystemConfig) -> StatsConfig {
+    StatsConfig {
+        sample_rate: config.sample_rate,
+        history_capacity: config.history_capacity,
+        inter_window: if config.weights.inter_txn == 0.0 {
+            Duration::ZERO
+        } else {
+            config.inter_txn_window
+        },
+        max_partners: config.max_coaccess_partners,
+    }
+}
+
 fn sole_master(masters: &[Option<SiteId>]) -> Option<SiteId> {
     let first = masters.first().copied().flatten()?;
     masters.iter().all(|m| *m == Some(first)).then_some(first)
@@ -1888,5 +1895,104 @@ impl Drop for ProbeHandle {
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dynamast_common::config::NetworkConfig;
+    use dynamast_common::StrategyWeights;
+
+    const SITES: usize = 4;
+
+    fn selector(weights: StrategyWeights) -> Arc<SiteSelector> {
+        let mut catalog = Catalog::new();
+        catalog.add_table("t", 1, 100);
+        let config = SystemConfig::new(SITES)
+            .with_instant_network()
+            .with_weights(weights);
+        let net = Network::new(NetworkConfig::instant(), 1);
+        SiteSelector::new(config, catalog, SelectorMode::Adaptive, net)
+    }
+
+    fn pid(i: usize) -> PartitionId {
+        PartitionId::new(i)
+    }
+
+    /// One client alternating between overlapping write sets inside Δt, the
+    /// partitions mastered round-robin: every Eq. 8 feature has something
+    /// to say.
+    fn feed(selector: &SiteSelector) {
+        let t0 = Instant::now();
+        for i in 0..40 {
+            let partitions = [pid(i % 5), pid(5 + i % 3)];
+            let masters = partitions.map(|p| Some(SiteId::new(p.raw() as usize % SITES)));
+            selector.map().seed(
+                partitions
+                    .iter()
+                    .zip(&masters)
+                    .map(|(p, m)| (*p, m.expect("mastered"))),
+            );
+            selector.stats().record_write_set(
+                ClientId::new(1),
+                t0 + Duration::from_millis(i as u64),
+                &partitions,
+                &masters,
+            );
+        }
+    }
+
+    fn inter_partners(selector: &SiteSelector) -> usize {
+        let all: Vec<PartitionId> = (0..8).map(pid).collect();
+        let (snaps, _) = selector.stats().snapshot(&all);
+        snaps.iter().map(|s| s.inter.partners.len()).sum()
+    }
+
+    #[test]
+    fn zero_weight_inter_feature_is_untracked_and_invisible_to_eq8() {
+        let skipping = selector(StrategyWeights::ycsb());
+        // The same selector, but with the Δt window tracked regardless.
+        let mut tracking = selector(StrategyWeights::ycsb());
+        let config = &skipping.config;
+        Arc::get_mut(&mut tracking)
+            .expect("a fresh selector is uniquely owned")
+            .stats = AccessStats::new(
+            StatsConfig {
+                inter_window: config.inter_txn_window,
+                ..stats_config(config)
+            },
+            SITES,
+            config.seed,
+        );
+        feed(&skipping);
+        feed(&tracking);
+        assert_eq!(inter_partners(&skipping), 0);
+        assert!(inter_partners(&tracking) > 0);
+
+        let cvv = VersionVector::zero(SITES);
+        for partitions in [vec![pid(0), pid(5)], vec![pid(1), pid(2), pid(6)]] {
+            let masters: Vec<Option<SiteId>> = partitions
+                .iter()
+                .map(|p| Some(SiteId::new(p.raw() as usize % SITES)))
+                .collect();
+            let (dest_a, a) = skipping.score_candidates(&partitions, &masters, &cvv);
+            let (dest_b, b) = tracking.score_candidates(&partitions, &masters, &cvv);
+            assert_eq!(dest_a, dest_b);
+            let bits = |cands: &[CandidateScore]| -> Vec<[u64; 5]> {
+                cands
+                    .iter()
+                    .map(|c| [c.balance, c.delay, c.intra, c.inter, c.total].map(f64::to_bits))
+                    .collect()
+            };
+            assert_eq!(bits(&a), bits(&b));
+        }
+    }
+
+    #[test]
+    fn nonzero_weight_inter_feature_is_tracked() {
+        let tpcc = selector(StrategyWeights::tpcc());
+        feed(&tpcc);
+        assert!(inter_partners(&tpcc) > 0);
     }
 }

@@ -27,9 +27,19 @@
 //!   nest and the lock order is trivially acyclic.
 //! * **Per-site load counters** are plain atomics (`fetch_add` on record,
 //!   saturating CAS decrement on expiry/remaster).
-//! * **Client recency stripes.** The per-client Δt window map is striped by
-//!   client id, so concurrent clients rarely share a lock and one stripe
-//!   lock covers a single record's read-prune-push.
+//! * **Client Δt windows.** Each client's in-window write sets are kept as
+//!   a *multiset* (partition → occurrences), maintained incrementally as
+//!   sets are appended and expire, so Eq. 7's pairing costs one bump *by
+//!   that multiplicity* per distinct in-window partition instead of one
+//!   bump per earlier occurrence — count-for-count the same tables at
+//!   `O(distinct in-window partitions × |ws|)` rather than
+//!   `O(rate · Δt · |ws|²)`. The windows are striped by client id; one
+//!   stripe lock covers a record's prune-pair-append, and sets expire from
+//!   a stripe-wide FIFO so a client that never returns is forgotten by its
+//!   stripe neighbours' next record. A zero `inter_window` means the
+//!   inter-transaction feature is not tracked at all (the selector passes
+//!   it when Eq. 8's `inter_txn` weight is zero and the numbers would never
+//!   be read).
 //! * **Epoch-style history flush.** The hot path appends the sample to its
 //!   home shard's pending buffer; history-queue maintenance (FIFO ordering
 //!   and expiry decrements) runs in batched flushes — opportunistic
@@ -51,7 +61,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use dynamast_common::ids::{ClientId, PartitionId, SiteId};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -131,7 +141,9 @@ struct Sample {
     seq: u64,
     partitions: Vec<PartitionId>,
     intra_pairs: Vec<(PartitionId, PartitionId)>,
-    inter_pairs: Vec<(PartitionId, PartitionId)>,
+    /// `(from, to, weight)`: the pair was bumped by `weight`, the number of
+    /// times `from` occurred in the client's Δt window.
+    inter_pairs: Vec<(PartitionId, PartitionId, u64)>,
 }
 
 /// One lock-striped shard of partition state plus its pending sample buffer
@@ -142,12 +154,6 @@ struct Shard {
     pending: Vec<Sample>,
 }
 
-#[derive(Clone, Copy)]
-enum PartnerKind {
-    Intra,
-    Inter,
-}
-
 /// Configuration for [`AccessStats`].
 #[derive(Clone, Copy, Debug)]
 pub struct StatsConfig {
@@ -155,20 +161,106 @@ pub struct StatsConfig {
     pub sample_rate: f64,
     /// History queue capacity; overflow expires the oldest sample.
     pub history_capacity: usize,
-    /// Δt window for inter-transaction correlation.
+    /// Δt window for inter-transaction correlation. Zero: the
+    /// inter-transaction feature is not tracked.
     pub inter_window: Duration,
     /// Maximum distinct co-access partners tracked per partition.
     pub max_partners: usize,
 }
 
-type RecentSets = VecDeque<(Instant, Vec<PartitionId>)>;
+/// One stripe of the per-client Δt windows.
+#[derive(Default)]
+struct ClientStripe {
+    /// `(time, client, set length)` of every in-window write set in append
+    /// order. Stripe-wide rather than per client, so expiry needs no visit
+    /// from the set's own client.
+    sets: VecDeque<(Instant, ClientId, usize)>,
+    /// The partitions of those sets, flattened in the same order.
+    members: VecDeque<PartitionId>,
+    /// Per client: partition → occurrences among its in-window sets.
+    windows: HashMap<ClientId, HashMap<PartitionId, u64>>,
+}
+
+impl ClientStripe {
+    /// Expires sets older than `window`, pairs every distinct in-window
+    /// partition of `client` with the new write set — `(p_old, p_new,
+    /// occurrences of p_old)` — then appends the new set. The window edge is
+    /// exact for callers whose `now` never runs backwards.
+    fn advance(
+        &mut self,
+        client: ClientId,
+        now: Instant,
+        partitions: &[PartitionId],
+        window: Duration,
+    ) -> Vec<(PartitionId, PartitionId, u64)> {
+        while let Some(&(t, owner, len)) = self.sets.front() {
+            if now.duration_since(t) <= window {
+                break;
+            }
+            self.sets.pop_front();
+            let counts = self
+                .windows
+                .get_mut(&owner)
+                .expect("a queued set is counted in its client's window");
+            for p in self.members.drain(..len) {
+                let c = counts
+                    .get_mut(&p)
+                    .expect("a queued set's partitions are counted");
+                *c -= 1;
+                if *c == 0 {
+                    counts.remove(&p);
+                }
+            }
+            if counts.is_empty() {
+                self.windows.remove(&owner);
+            }
+        }
+        let counts = self.windows.entry(client).or_default();
+        let mut pairs = Vec::with_capacity(counts.len() * partitions.len());
+        for (&p_old, &occurrences) in counts.iter() {
+            for &p_new in partitions {
+                if p_old != p_new {
+                    pairs.push((p_old, p_new, occurrences));
+                }
+            }
+        }
+        self.sets.push_back((now, client, partitions.len()));
+        for &p in partitions {
+            self.members.push_back(p);
+            *counts.entry(p).or_insert(0) += 1;
+        }
+        pairs
+    }
+}
+
+/// Holds at most one shard lock while a record walks its partitions, so
+/// consecutive partitions of one shard share an acquisition and shard locks
+/// still never nest.
+struct ShardCursor<'a> {
+    shards: &'a [Mutex<Shard>],
+    held: Option<(usize, MutexGuard<'a, Shard>)>,
+}
+
+impl ShardCursor<'_> {
+    fn at(&mut self, index: usize) -> &mut Shard {
+        if self.held.as_ref().map(|(held, _)| *held) != Some(index) {
+            // Release before acquiring.
+            self.held = None;
+        }
+        let shards = self.shards;
+        &mut self
+            .held
+            .get_or_insert_with(|| (index, shards[index].lock()))
+            .1
+    }
+}
 
 /// The selector's statistics tracker.
 pub struct AccessStats {
     config: StatsConfig,
     shards: Vec<Mutex<Shard>>,
     site_load: Vec<AtomicU64>,
-    recent: Vec<Mutex<HashMap<ClientId, RecentSets>>>,
+    recent: Vec<Mutex<ClientStripe>>,
     history: Mutex<VecDeque<Sample>>,
     pending_total: AtomicUsize,
     next_seq: AtomicU64,
@@ -190,7 +282,7 @@ impl AccessStats {
                 .collect(),
             site_load: (0..num_sites).map(|_| AtomicU64::new(0)).collect(),
             recent: (0..CLIENT_STRIPES)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(ClientStripe::default()))
                 .collect(),
             history: Mutex::new(VecDeque::with_capacity(config.history_capacity + 1)),
             pending_total: AtomicUsize::new(0),
@@ -217,31 +309,16 @@ impl AccessStats {
             return;
         }
 
-        // The client's previous write sets within Δt predict this one; one
-        // stripe lock covers the read, the append, and the prune.
+        // The client's write sets within Δt predict this one; one stripe lock
+        // covers the prune, the pairing, and the append.
         let window = self.config.inter_window;
-        let previous: Vec<PartitionId> = {
-            let mut stripe = self.recent[stripe_of(client)].lock();
-            let sets = stripe.entry(client).or_default();
-            let previous: Vec<PartitionId> = sets
-                .iter()
-                .filter(|(t, _)| now.duration_since(*t) <= window)
-                .flat_map(|(_, set)| set.iter().copied())
-                .collect();
-            sets.push_back((now, partitions.to_vec()));
-            while let Some((t, _)) = sets.front() {
-                if now.duration_since(*t) > window && sets.len() > 1 {
-                    sets.pop_front();
-                } else {
-                    break;
-                }
-            }
-            previous
+        let mut inter_pairs = if window.is_zero() {
+            Vec::new()
+        } else {
+            self.recent[stripe_of(client)]
+                .lock()
+                .advance(client, now, partitions, window)
         };
-
-        let max_partners = self.config.max_partners;
-        let mut intra_pairs = Vec::new();
-        let mut inter_pairs = Vec::new();
 
         // Count the sample BEFORE parking it: a concurrent flusher subtracts
         // exactly the samples it drains, and every drained sample must
@@ -249,117 +326,47 @@ impl AccessStats {
         // threshold check at "always flush".
         self.pending_total.fetch_add(1, Ordering::Relaxed);
 
-        // Fast path: every touched partition hashes to the home shard —
-        // always true for single-partition write sets, the dominant case on
-        // the routing fast path. One lock acquisition covers the counts, the
-        // partner bumps, and parking the sample; no grouping allocation.
-        let all_home = partitions.iter().all(|p| shard_of(*p) == home)
-            && previous.iter().all(|p| shard_of(*p) == home);
-        if all_home {
-            // Allocate the sample's partition list before taking the lock;
-            // the critical section stays just counter bumps and the push.
-            let sample_partitions = partitions.to_vec();
-            let mut shard = self.shards[home].lock();
-            for (p, master) in partitions.iter().zip(masters) {
-                let stats = shard.parts.entry(*p).or_default();
-                stats.count += 1;
-                stats.master = *master;
-                if let Some(m) = master {
-                    self.site_load[m.as_usize()].fetch_add(1, Ordering::Relaxed);
+        let max_partners = self.config.max_partners;
+        // Allocate before any shard lock is taken; the critical sections
+        // stay counter bumps and pushes.
+        let n = partitions.len();
+        let sample_partitions = partitions.to_vec();
+        let mut intra_pairs = Vec::with_capacity(n * n.saturating_sub(1));
+        let mut cursor = ShardCursor {
+            shards: &self.shards,
+            held: None,
+        };
+        // Pairs are keyed by their `from` side; keep the admitted ones.
+        inter_pairs.retain(|&(from, to, weight)| {
+            let stats = cursor.at(shard_of(from)).parts.entry(from).or_default();
+            bump_partner(&mut stats.inter, to, weight, max_partners)
+        });
+        // Write-set partitions last and in reverse, so the walk ends on the
+        // home shard and the sample parks under the lock already held — one
+        // acquisition in all for a write set that stays within one shard.
+        for (&p1, master) in partitions.iter().zip(masters).rev() {
+            let stats = cursor.at(shard_of(p1)).parts.entry(p1).or_default();
+            stats.count += 1;
+            stats.master = *master;
+            if let Some(m) = master {
+                self.site_load[m.as_usize()].fetch_add(1, Ordering::Relaxed);
+            }
+            for &p2 in partitions {
+                if p1 != p2 && bump_partner(&mut stats.intra, p2, 1, max_partners) {
+                    intra_pairs.push((p1, p2));
                 }
             }
-            for &p1 in partitions {
-                for &p2 in partitions {
-                    if p1 != p2 && shard.bump_partner(p1, p2, PartnerKind::Intra, max_partners) {
-                        intra_pairs.push((p1, p2));
-                    }
-                }
-            }
-            for &p_old in &previous {
-                for &p_new in partitions {
-                    if p_old != p_new
-                        && shard.bump_partner(p_old, p_new, PartnerKind::Inter, max_partners)
-                    {
-                        inter_pairs.push((p_old, p_new));
-                    }
-                }
-            }
-            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-            shard.pending.push(Sample {
-                seq,
-                partitions: sample_partitions,
-                intra_pairs,
-                inter_pairs,
-            });
-        } else {
-            // General path: group all per-partition work by shard so each
-            // shard is locked at most once per record; pairs are keyed by
-            // their `from` side.
-            struct ShardOps {
-                counts: Vec<(PartitionId, Option<SiteId>)>,
-                partners: Vec<(PartitionId, PartitionId, PartnerKind)>,
-            }
-            fn ops_for(ops: &mut HashMap<usize, ShardOps>, shard: usize) -> &mut ShardOps {
-                ops.entry(shard).or_insert_with(|| ShardOps {
-                    counts: Vec::new(),
-                    partners: Vec::new(),
-                })
-            }
-            let mut ops: HashMap<usize, ShardOps> = HashMap::new();
-            for (p, master) in partitions.iter().zip(masters) {
-                ops_for(&mut ops, shard_of(*p)).counts.push((*p, *master));
-            }
-            for &p1 in partitions {
-                for &p2 in partitions {
-                    if p1 != p2 {
-                        ops_for(&mut ops, shard_of(p1))
-                            .partners
-                            .push((p1, p2, PartnerKind::Intra));
-                    }
-                }
-            }
-            for &p_old in &previous {
-                for &p_new in partitions {
-                    if p_old != p_new {
-                        ops_for(&mut ops, shard_of(p_old)).partners.push((
-                            p_old,
-                            p_new,
-                            PartnerKind::Inter,
-                        ));
-                    }
-                }
-            }
-
-            for (shard_idx, shard_ops) in ops {
-                let mut shard = self.shards[shard_idx].lock();
-                for (p, master) in &shard_ops.counts {
-                    let stats = shard.parts.entry(*p).or_default();
-                    stats.count += 1;
-                    stats.master = *master;
-                    if let Some(m) = master {
-                        self.site_load[m.as_usize()].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                for (from, to, kind) in &shard_ops.partners {
-                    if shard.bump_partner(*from, *to, *kind, max_partners) {
-                        match kind {
-                            PartnerKind::Intra => intra_pairs.push((*from, *to)),
-                            PartnerKind::Inter => inter_pairs.push((*from, *to)),
-                        }
-                    }
-                }
-            }
-
-            // Defer history maintenance: park the sample on the home shard
-            // and let a batched flush apply FIFO expiry.
-            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-            self.shards[home].lock().pending.push(Sample {
-                seq,
-                partitions: partitions.to_vec(),
-                intra_pairs,
-                inter_pairs,
-            });
         }
+        // Defer history maintenance: a batched flush applies FIFO expiry.
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        cursor.at(home).pending.push(Sample {
+            seq,
+            partitions: sample_partitions,
+            intra_pairs,
+            inter_pairs,
+        });
+        drop(cursor);
+
         let pending = self.pending_total.load(Ordering::Relaxed);
         if pending >= FLUSH_BACKPRESSURE_CAP {
             self.flush();
@@ -499,7 +506,7 @@ impl AccessStats {
         enum Dec {
             Count(PartitionId),
             Intra(PartitionId, PartitionId),
-            Inter(PartitionId, PartitionId),
+            Inter(PartitionId, PartitionId, u64),
         }
         let mut decs: Vec<(usize, Dec)> = Vec::new();
         for sample in expired {
@@ -509,8 +516,8 @@ impl AccessStats {
             for (from, to) in &sample.intra_pairs {
                 decs.push((shard_of(*from), Dec::Intra(*from, *to)));
             }
-            for (from, to) in &sample.inter_pairs {
-                decs.push((shard_of(*from), Dec::Inter(*from, *to)));
+            for (from, to, weight) in &sample.inter_pairs {
+                decs.push((shard_of(*from), Dec::Inter(*from, *to, *weight)));
             }
         }
         // Decrements commute, so ordering within a shard is irrelevant.
@@ -531,12 +538,12 @@ impl AccessStats {
                     }
                     Dec::Intra(from, to) => {
                         if let Some(stats) = shard.parts.get_mut(from) {
-                            decrement_partner(&mut stats.intra, to);
+                            decrement_partner(&mut stats.intra, to, 1);
                         }
                     }
-                    Dec::Inter(from, to) => {
+                    Dec::Inter(from, to, weight) => {
                         if let Some(stats) = shard.parts.get_mut(from) {
-                            decrement_partner(&mut stats.inter, to);
+                            decrement_partner(&mut stats.inter, to, *weight);
                         }
                     }
                 }
@@ -546,9 +553,9 @@ impl AccessStats {
     }
 }
 
-fn decrement_partner(table: &mut HashMap<PartitionId, u64>, to: &PartitionId) {
+fn decrement_partner(table: &mut HashMap<PartitionId, u64>, to: &PartitionId, by: u64) {
     if let Some(c) = table.get_mut(to) {
-        *c = c.saturating_sub(1);
+        *c = c.saturating_sub(by);
         if *c == 0 {
             table.remove(to);
         }
@@ -559,36 +566,30 @@ fn probs(counts: &HashMap<PartitionId, u64>, total: u64) -> PartnerProbs {
     if total == 0 {
         return PartnerProbs::default();
     }
-    PartnerProbs {
-        partners: counts
-            .iter()
-            .filter(|(_, &c)| c > 0)
-            .map(|(p, &c)| (*p, c as f64 / total as f64))
-            .collect(),
-    }
+    let mut partners: Vec<(PartitionId, f64)> = counts
+        .iter()
+        .filter(|(_, &c)| c > 0)
+        .map(|(p, &c)| (*p, c as f64 / total as f64))
+        .collect();
+    // Eqs. 6–7 sum over this list in order; hash order would make the last
+    // bit of a score depend on the table's hasher seed.
+    partners.sort_unstable_by_key(|(p, _)| *p);
+    PartnerProbs { partners }
 }
 
-impl Shard {
-    /// Increments a co-access partner count; returns whether it was counted
-    /// (partner-table capacity permitting).
-    fn bump_partner(
-        &mut self,
-        from: PartitionId,
-        to: PartitionId,
-        kind: PartnerKind,
-        max_partners: usize,
-    ) -> bool {
-        let stats = self.parts.entry(from).or_default();
-        let table = match kind {
-            PartnerKind::Intra => &mut stats.intra,
-            PartnerKind::Inter => &mut stats.inter,
-        };
-        if table.len() >= max_partners && !table.contains_key(&to) {
-            return false;
-        }
-        *table.entry(to).or_insert(0) += 1;
-        true
+/// Adds `by` to a co-access partner count; returns whether it was counted
+/// (partner-table capacity permitting).
+fn bump_partner(
+    table: &mut HashMap<PartitionId, u64>,
+    to: PartitionId,
+    by: u64,
+    max_partners: usize,
+) -> bool {
+    if table.len() >= max_partners && !table.contains_key(&to) {
+        return false;
     }
+    *table.entry(to).or_insert(0) += by;
+    true
 }
 
 #[cfg(test)]
@@ -722,6 +723,94 @@ mod tests {
             &[Some(SiteId::new(0))],
         );
         assert_eq!(stats.partition_count(pid(1)), 0);
+    }
+
+    #[test]
+    fn inter_pairs_bump_by_window_multiplicity_and_expire_by_it() {
+        let mut cfg = config();
+        cfg.history_capacity = 3;
+        let stats = AccessStats::new(cfg, 1, 1);
+        let m = Some(SiteId::new(0));
+        let t0 = Instant::now();
+        // pid(1) occurs twice in the client's window when pid(2) arrives.
+        stats.record_write_set(client(1), t0, &[pid(1)], &[m]);
+        stats.record_write_set(client(1), t0, &[pid(1)], &[m]);
+        stats.record_write_set(client(1), t0, &[pid(2)], &[m]);
+        let (snaps, _) = stats.snapshot(&[pid(1)]);
+        assert_eq!(snaps[0].load, 2.0);
+        assert_eq!(snaps[0].inter.partners, vec![(pid(2), 1.0)]); // 2 of 2
+                                                                  // Far outside Δt another client adds no pairs; capacity 3 expires the
+                                                                  // first sample, which never contributed to the (1 → 2) pair.
+        let later = t0 + Duration::from_secs(10);
+        stats.record_write_set(client(2), later, &[pid(1)], &[m]);
+        let (snaps, _) = stats.snapshot(&[pid(1)]);
+        assert_eq!(snaps[0].load, 2.0);
+        assert_eq!(snaps[0].inter.partners, vec![(pid(2), 1.0)]);
+        // Expiring the pid(2) sample takes its weight-2 bump back in one
+        // step while pid(1) itself is still counted.
+        stats.record_write_set(client(3), later, &[pid(3)], &[m]);
+        stats.record_write_set(client(4), later, &[pid(3)], &[m]);
+        let (snaps, _) = stats.snapshot(&[pid(1)]);
+        assert_eq!(snaps[0].load, 1.0);
+        assert!(snaps[0].inter.partners.is_empty());
+    }
+
+    #[test]
+    fn zero_window_tracks_no_inter_feature() {
+        let mut cfg = config();
+        cfg.inter_window = Duration::ZERO;
+        let stats = AccessStats::new(cfg, 1, 1);
+        let m = Some(SiteId::new(0));
+        let now = Instant::now();
+        stats.record_write_set(client(1), now, &[pid(1), pid(2)], &[m, m]);
+        stats.record_write_set(client(1), now, &[pid(3)], &[m]);
+        let (snaps, _) = stats.snapshot(&[pid(1)]);
+        assert_eq!(snaps[0].intra.partners, vec![(pid(2), 1.0)]);
+        assert!(snaps[0].inter.partners.is_empty());
+        assert!(stats.recent.iter().all(|s| s.lock().windows.is_empty()));
+    }
+
+    /// Regression: the per-client window map kept one stale set per client
+    /// id forever. Sets now expire from a stripe-wide FIFO, so clients that
+    /// never return are forgotten by the next record that lands on their
+    /// stripe after Δt.
+    #[test]
+    fn one_shot_clients_are_forgotten_after_the_window() {
+        let stats = AccessStats::new(config(), 1, 1);
+        let m = Some(SiteId::new(0));
+        let t0 = Instant::now();
+        for c in 0..10_000 {
+            stats.record_write_set(client(c), t0, &[pid(c % 7), pid(7)], &[m, m]);
+        }
+        let tracked = || -> usize { stats.recent.iter().map(|s| s.lock().windows.len()).sum() };
+        assert_eq!(tracked(), 10_000);
+        // One later record per stripe sweeps the stripe.
+        let later = t0 + Duration::from_millis(250);
+        let mut swept = [false; CLIENT_STRIPES];
+        let mut sweepers = 0;
+        for c in 10_000.. {
+            if swept.iter().all(|s| *s) {
+                break;
+            }
+            if !std::mem::replace(&mut swept[stripe_of(client(c))], true) {
+                stats.record_write_set(client(c), later, &[pid(1)], &[m]);
+                sweepers += 1;
+            }
+        }
+        assert_eq!(tracked(), sweepers);
+        for stripe in &stats.recent {
+            let stripe = stripe.lock();
+            assert_eq!(stripe.sets.len(), 1);
+            assert_eq!(stripe.members.len(), 1);
+        }
+        // And the sweepers go the same way once their own Δt has passed.
+        let much_later = later + Duration::from_millis(250);
+        for stripe in &stats.recent {
+            let mut stripe = stripe.lock();
+            stripe.advance(client(0), much_later, &[], Duration::from_millis(100));
+            assert_eq!(stripe.windows.len(), 1, "only the empty probe set remains");
+            assert!(stripe.members.is_empty());
+        }
     }
 
     /// Satellite #3: hammer `record_write_set` from 8 threads over

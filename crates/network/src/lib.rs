@@ -105,7 +105,11 @@ struct Envelope {
 }
 
 struct Registered {
-    tx: Sender<Envelope>,
+    /// The wire thread's queue: messages with transit time left.
+    wire: Sender<Envelope>,
+    /// The worker pool's queue, which the wire feeds; a message already due
+    /// when it is sent is enqueued here directly.
+    workers: Sender<Envelope>,
     /// Distinguishes successive registrations of the same endpoint so a
     /// stale [`ServerHandle`] cannot deregister its restarted replacement.
     generation: u64,
@@ -332,11 +336,16 @@ impl Network {
     ) -> ServerHandle {
         assert!(workers >= 1, "need at least one worker");
         let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
-        let (tx, wire_rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
-        let previous = self
-            .registry
-            .write()
-            .insert(endpoint, Registered { tx, generation });
+        let (wire, wire_rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
+        let (rx_tx, rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
+        let previous = self.registry.write().insert(
+            endpoint,
+            Registered {
+                wire,
+                workers: rx_tx.clone(),
+                generation,
+            },
+        );
         assert!(
             previous.is_none(),
             "endpoint {endpoint:?} already registered"
@@ -347,11 +356,13 @@ impl Network {
         let mut threads = Vec::with_capacity(workers + 1);
         // The "wire": delays each message until its delivery deadline, then
         // hands it to the worker pool. Transit time must not occupy workers
-        // — a site's capacity is its worker pool, not the network's. The
-        // delay sleep is interruptible so dropping the handle never blocks
-        // for a simulated transit time.
+        // — a site's capacity is its worker pool, not the network's. Only
+        // messages with transit time left come this way (see
+        // `rpc_async_from`). The delay sleep is interruptible so dropping
+        // the handle never blocks for a simulated transit time. Workers
+        // exit once the wire and the registry entry — the two holders of
+        // their queue's sender — are both gone.
         let (stop_tx, stop_rx) = bounded::<()>(1);
-        let (rx_tx, rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
         threads.push(
             thread::Builder::new()
                 .name(format!("{endpoint:?}-wire"))
@@ -472,11 +483,11 @@ impl Network {
         category: TrafficCategory,
         payload: Bytes,
     ) -> Result<PendingReply> {
-        let sender = self
+        let (wire, workers) = self
             .registry
             .read()
             .get(&to)
-            .map(|r| r.tx.clone())
+            .map(|r| (r.wire.clone(), r.workers.clone()))
             .ok_or(DynaError::Network("endpoint not registered"))?;
         let track = self
             .inflight
@@ -530,6 +541,14 @@ impl Network {
             }
         }
         self.trace_net(TraceKind::NetSend, from, Some(to), category, payload.len());
+        // A message that owes no transit time (no configured delay, jitter
+        // or spike) skips the wire thread's hand-off and does not queue
+        // behind another message's delay.
+        let queue = if deliver_at <= Instant::now() {
+            &workers
+        } else {
+            &wire
+        };
         let copies = if duplicate { 2 } else { 1 };
         for copy in 0..copies {
             self.stats.record(category, payload.len());
@@ -540,7 +559,7 @@ impl Network {
                 from,
                 reply: reply_tx.clone(),
             };
-            if sender.send(env).is_err() {
+            if queue.send(env).is_err() {
                 if copy == 0 {
                     return Err(DynaError::Network("endpoint shut down"));
                 }
@@ -1241,6 +1260,137 @@ mod tests {
             "resolved rpc still listed: {:?}",
             net.dump_inflight()
         );
+    }
+
+    /// A handler that reports each request's first payload byte and the
+    /// instant a worker started on it.
+    fn arrival_handler() -> (Arc<dyn RpcHandler>, Receiver<(u8, Instant)>) {
+        let (tx, rx) = unbounded();
+        let handler: Arc<dyn RpcHandler> = Arc::new(move |payload: Bytes| {
+            let _ = tx.send((payload.first().copied().unwrap_or(0), Instant::now()));
+            payload
+        });
+        (handler, rx)
+    }
+
+    /// A request that owes no transit time goes straight to the worker
+    /// queue: it must not wait behind an earlier message to the same
+    /// endpoint that the wire thread is still sleeping on.
+    #[test]
+    fn due_request_does_not_queue_behind_a_delayed_one() {
+        let spike = Duration::from_millis(400);
+        let net = Network::new(NetworkConfig::instant(), 1);
+        let (handler, arrivals) = arrival_handler();
+        let _server = net.serve(EndpointId::Site(0), handler, 1);
+        net.set_faults(Some(Arc::new(
+            FaultPlan::new(7).with_delay_spikes(1.0, spike),
+        )));
+        let sent = Instant::now();
+        let delayed = net
+            .rpc_async(
+                EndpointId::Site(0),
+                TrafficCategory::ClientSite,
+                Bytes::from_static(&[1]),
+            )
+            .unwrap();
+        net.set_faults(None);
+        let reply = net
+            .rpc_async(
+                EndpointId::Site(0),
+                TrafficCategory::ClientSite,
+                Bytes::from_static(&[2]),
+            )
+            .unwrap()
+            .wait_timeout(spike / 2)
+            .expect("the due request overtakes the parked one");
+        assert_eq!(&reply[..], &[2]);
+        assert_eq!(arrivals.recv().unwrap().0, 2);
+        // The delayed message still serves out its whole transit time.
+        delayed.wait().unwrap();
+        let (tag, at) = arrivals.recv().unwrap();
+        assert_eq!(tag, 1);
+        assert!(at.duration_since(sent) >= spike, "delivered early");
+    }
+
+    /// Anything with transit time left — a configured delay or an injected
+    /// spike — still reaches a worker no earlier than its deadline.
+    #[test]
+    fn requests_with_transit_time_are_not_delivered_early() {
+        let spike = Duration::from_millis(20);
+        let lan = Network::new(NetworkConfig::lan(), 1);
+        let spiked = Network::new(NetworkConfig::instant(), 1);
+        spiked.set_faults(Some(Arc::new(
+            FaultPlan::new(7).with_delay_spikes(1.0, spike),
+        )));
+        for (net, floor) in [(lan, NetworkConfig::lan().one_way_delay), (spiked, spike)] {
+            let (handler, arrivals) = arrival_handler();
+            let _server = net.serve(EndpointId::Site(0), handler, 2);
+            for _ in 0..20 {
+                let sent = Instant::now();
+                net.rpc(
+                    EndpointId::Site(0),
+                    TrafficCategory::ClientSite,
+                    Bytes::from_static(&[0]),
+                )
+                .unwrap();
+                let (_, at) = arrivals.recv().unwrap();
+                assert!(
+                    at.duration_since(sent) >= floor,
+                    "worker started {:?} after send, transit is {floor:?}",
+                    at.duration_since(sent)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn due_requests_from_one_sender_stay_fifo() {
+        let net = Network::new(NetworkConfig::instant(), 1);
+        let (handler, arrivals) = arrival_handler();
+        let _server = net.serve(EndpointId::Site(0), handler, 1);
+        let pending: Vec<PendingReply> = (0..200u8)
+            .map(|i| {
+                net.rpc_async(
+                    EndpointId::Site(0),
+                    TrafficCategory::ClientSite,
+                    Bytes::copy_from_slice(&[i]),
+                )
+                .unwrap()
+            })
+            .collect();
+        for p in pending {
+            p.wait().unwrap();
+        }
+        let order: Vec<u8> = (0..200).map(|_| arrivals.recv().unwrap().0).collect();
+        assert_eq!(order, (0..200u8).collect::<Vec<_>>());
+    }
+
+    /// The bypass changes which queue a request enters, not what is
+    /// recorded about it: one send event, one deliver event and two
+    /// accounted messages per RPC, with or without transit time.
+    #[test]
+    fn trace_events_and_traffic_per_rpc_do_not_depend_on_the_queue() {
+        for config in [NetworkConfig::instant(), NetworkConfig::lan()] {
+            let net = Network::new(config, 1);
+            let recorder = FlightRecorder::new(64);
+            net.set_recorder(Some(Arc::clone(&recorder)));
+            let _server = net.serve(EndpointId::Site(0), echo_handler(), 1);
+            for _ in 0..5 {
+                net.rpc(
+                    EndpointId::Site(0),
+                    TrafficCategory::Remaster,
+                    Bytes::from_static(&[0u8; 10]),
+                )
+                .unwrap();
+            }
+            let events = recorder.snapshot();
+            let count = |kind: TraceKind| events.iter().filter(|e| e.kind == kind).count();
+            assert_eq!(count(TraceKind::NetSend), 5);
+            assert_eq!(count(TraceKind::NetDeliver), 5);
+            assert_eq!(events.len(), 10);
+            let totals = net.stats().snapshot().get(TrafficCategory::Remaster);
+            assert_eq!((totals.messages, totals.bytes), (10, 100));
+        }
     }
 
     #[test]

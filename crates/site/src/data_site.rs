@@ -3,6 +3,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -194,6 +195,10 @@ impl RemasterLedger {
         self.per_partition.lock().values().map(VecDeque::len).sum()
     }
 }
+
+/// What [`DataSite::execute_at`] hands back: the snapshot finally used, the
+/// procedure's result and its buffered writes.
+type Executed = (VersionVector, Bytes, Vec<(Key, Row)>);
 
 /// One data site.
 pub struct DataSite {
@@ -574,6 +579,33 @@ impl DataSite {
     // Single-site execution (DynaMast, single-master, LEAP local path)
     // ------------------------------------------------------------------
 
+    /// Runs `proc` against the snapshot `begin`, and again on a fresher one
+    /// for as long as a read came back empty from a version chain at
+    /// capacity: chains are bounded (§V-A1), so a transaction that falls
+    /// `mvcc_versions` commits behind on a hot row finds its version evicted
+    /// — which must restart it, not hand it "no such row". Procedures only
+    /// buffer their writes, so re-execution is free of side effects.
+    fn execute_at(
+        &self,
+        mut begin: VersionVector,
+        mode: ReadMode,
+        proc: &ProcCall,
+        write_set: &[Key],
+    ) -> Result<Executed> {
+        loop {
+            let mut ctx = LocalCtx::new(&self.store, &begin, mode, write_set);
+            let result = self.executor.execute(&mut ctx, proc);
+            if ctx.snapshot_too_old() {
+                thread::yield_now();
+                begin = self.clock.wait_dominates(&begin)?;
+                continue;
+            }
+            self.service_sleep(ctx.ops());
+            let writes = ctx.into_writes();
+            return Ok((begin, result?, writes));
+        }
+    }
+
     /// Executes and locally commits an update transaction (§III-B step 3).
     pub fn run_update(
         self: &Arc<Self>,
@@ -597,7 +629,22 @@ impl DataSite {
         // consistent there.
         let t_locked = Instant::now();
         let (begin, mode) = if self.replicate {
-            (self.clock.wait_dominates(min_vv)?, ReadMode::Snapshot)
+            // First-committer-wins: a local commit releases its row locks
+            // when its log slot is filled, but its sequence publishes only
+            // once every earlier slot is filled too (`commit_local`), so the
+            // newest version of a row locked here may not be in the svv
+            // yet. The locks make that version stable; the snapshot must
+            // cover it, or this transaction would compute its write from
+            // the value underneath and silently undo the other one.
+            let mut floor = min_vv.clone();
+            for key in &proc.write_set {
+                if let Ok(Some(newest)) = self.store.with_latest(*key, |_, stamp| stamp) {
+                    if floor.get(newest.origin) < newest.sequence {
+                        floor.set(newest.origin, newest.sequence);
+                    }
+                }
+            }
+            (self.clock.wait_dominates(&floor)?, ReadMode::Snapshot)
         } else {
             (self.clock.current(), ReadMode::Latest)
         };
@@ -610,11 +657,8 @@ impl DataSite {
                 vv_wait_us: (t_begin - t_locked).as_micros() as u64,
             },
         );
-        let mut ctx = LocalCtx::new(&self.store, &begin, mode, &proc.write_set);
-        let result = self.executor.execute(&mut ctx, proc)?;
-        self.service_sleep(ctx.ops());
-        let writes = ctx
-            .into_writes()
+        let (begin, result, writes) = self.execute_at(begin, mode, proc, &proc.write_set)?;
+        let writes = writes
             .into_iter()
             .map(|(key, row)| WriteEntry::new(key, row))
             .collect();
@@ -783,9 +827,7 @@ impl DataSite {
                 vv_wait_us: (t_begin - t0).as_micros() as u64,
             },
         );
-        let mut ctx = LocalCtx::new(&self.store, &begin, mode, &[]);
-        let result = self.executor.execute(&mut ctx, proc)?;
-        self.service_sleep(ctx.ops());
+        let (begin, result, _) = self.execute_at(begin, mode, proc, &[])?;
         let t_exec = Instant::now();
         self.trace(
             txn_id,
@@ -1772,5 +1814,134 @@ impl SiteRpc {
                 })
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests_support::{write_call, TABLE};
+    use dynamast_common::config::NetworkConfig;
+    use dynamast_common::Value;
+    use std::time::Duration;
+
+    /// Adds one to the `u64` in every write-set row; returns the `u64` of
+    /// every read key (0 for a missing row).
+    struct Increment;
+
+    impl ProcExecutor for Increment {
+        fn execute(&self, ctx: &mut dyn crate::proc::TxnCtx, call: &ProcCall) -> Result<Bytes> {
+            fn value_of(ctx: &mut dyn crate::proc::TxnCtx, key: Key) -> Result<u64> {
+                match ctx.read(key)? {
+                    Some(row) => row.cell(0).as_u64(),
+                    None => Ok(0),
+                }
+            }
+            let mut out = Vec::new();
+            for key in &call.read_keys {
+                out.extend_from_slice(&value_of(ctx, *key)?.to_be_bytes());
+            }
+            for key in &call.write_set {
+                let old = value_of(ctx, *key)?;
+                ctx.write(*key, Row::new(vec![Value::U64(old + 1)]))?;
+            }
+            Ok(Bytes::from(out))
+        }
+    }
+
+    fn increment_site() -> Arc<DataSite> {
+        let mut catalog = Catalog::new();
+        catalog.add_table("t", 1, 100);
+        DataSite::new(
+            DataSiteConfig {
+                id: SiteId::new(0),
+                system: SystemConfig::new(1)
+                    .with_instant_network()
+                    .with_instant_service(),
+                replicate: true,
+                initial_partitions: Vec::new(),
+                static_owner: None,
+                replicated_tables: Vec::new(),
+                hosted: None,
+                refresh_skipped: None,
+            },
+            catalog,
+            LogSet::new(1),
+            Network::new(NetworkConfig::instant(), 1),
+            Arc::new(Increment),
+        )
+    }
+
+    /// Regression (torn / time-travelling reads): a transaction whose
+    /// snapshot has fallen `mvcc_versions` commits behind on a row used to
+    /// read "no such row" because the version it should see was evicted.
+    #[test]
+    fn stale_snapshot_is_retried_instead_of_reading_an_evicted_row_as_absent() {
+        let site = increment_site();
+        let key = Key::new(TABLE, 5);
+        site.load_row(key, Row::new(vec![Value::U64(0)])).unwrap();
+        let stale = site.clock.current();
+        let zero = VersionVector::zero(1);
+        let commits = site.config.mvcc_versions as u64 + 1;
+        let mut last = zero.clone();
+        for txn in 0..commits {
+            (_, last, _) = site
+                .run_update(txn, &zero, &write_call(&[5]), false)
+                .unwrap();
+        }
+        site.clock.wait_dominates(&last).unwrap();
+        let read = ProcCall {
+            read_keys: vec![key],
+            ..write_call(&[])
+        };
+        let (begin, result, _) = site
+            .execute_at(stale, ReadMode::Snapshot, &read, &[])
+            .unwrap();
+        assert!(begin.dominates(&last), "re-executed on a fresh snapshot");
+        assert_eq!(&result[..], &commits.to_be_bytes());
+    }
+
+    /// Regression (lost update): a commit unlocks its rows as soon as its
+    /// own log slot is filled, but its sequence stays unpublished while an
+    /// earlier slot is open. The next writer of the same row used to cut
+    /// its snapshot below that version, read the value underneath and
+    /// overwrite the increment. Here the earlier slot is held open by hand,
+    /// so the window is as wide as the test likes.
+    #[test]
+    fn update_waits_for_the_unpublished_version_it_overwrites() {
+        let site = increment_site();
+        let key = Key::new(TABLE, 5);
+        site.load_row(key, Row::new(vec![Value::U64(0)])).unwrap();
+        let zero = VersionVector::zero(1);
+        let call = write_call(&[5]);
+
+        let predecessor = site.pipeline.begin();
+        let (_, first_vv, _) = site.run_update(1, &zero, &call, false).unwrap();
+        assert!(
+            site.clock.current().get(site.id) < first_vv.get(site.id),
+            "the first increment is committed but not yet published"
+        );
+        let second = {
+            let site = Arc::clone(&site);
+            let call = call.clone();
+            thread::spawn(move || {
+                let zero = VersionVector::zero(1);
+                site.run_update(2, &zero, &call, false).unwrap()
+            })
+        };
+        // Let the second increment reach its begin; it must park there.
+        thread::sleep(Duration::from_millis(50));
+        assert!(
+            !second.is_finished(),
+            "began below the row's newest version"
+        );
+        site.pipeline.abort(predecessor);
+        let (_, second_vv, _) = second.join().unwrap();
+        let begin = site.clock.wait_dominates(&second_vv).unwrap();
+        assert_eq!(
+            site.store.read(key, &begin).unwrap(),
+            Some(Row::new(vec![Value::U64(2)])),
+            "both increments survive"
+        );
     }
 }

@@ -32,9 +32,9 @@
 //!
 //! The consume side lives here too: [`apply_refresh_batch`] applies a whole
 //! drained batch of one origin's records — admission-wait once per
-//! contiguous admissible run, installs batched (and sharded in parallel for
-//! large runs) outside the clock lock with rows moved out of the records,
-//! and one svv watermark publication per run.
+//! contiguous admissible run, installs batched outside the clock lock with
+//! rows moved out of the records, and one svv watermark publication per
+//! run.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

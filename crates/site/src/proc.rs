@@ -162,6 +162,7 @@ pub struct LocalCtx<'a> {
     writes: Vec<(Key, Row)>,
     write_index: HashMap<Key, usize>,
     ops: u64,
+    snapshot_too_old: bool,
 }
 
 impl<'a> LocalCtx<'a> {
@@ -181,6 +182,7 @@ impl<'a> LocalCtx<'a> {
             writes: Vec::with_capacity(write_set.len()),
             write_index: HashMap::new(),
             ops: 0,
+            snapshot_too_old: false,
         }
     }
 
@@ -196,9 +198,24 @@ impl<'a> LocalCtx<'a> {
         self.writes
     }
 
-    fn read_committed(&self, key: Key) -> Result<Option<Row>> {
+    /// `true` once a snapshot read came back empty from a version chain at
+    /// capacity: chains keep a bounded number of versions, so the version
+    /// this snapshot should have seen may have been evicted while the
+    /// transaction ran. Nothing it read or returned can be trusted; the
+    /// caller re-executes it on a fresh snapshot.
+    pub fn snapshot_too_old(&self) -> bool {
+        self.snapshot_too_old
+    }
+
+    fn read_committed(&mut self, key: Key) -> Result<Option<Row>> {
         match self.mode {
-            ReadMode::Snapshot => self.store.read(key, self.begin),
+            ReadMode::Snapshot => {
+                let row = self.store.read(key, self.begin)?;
+                if row.is_none() && self.store.evicted_at(key, self.begin)? {
+                    self.snapshot_too_old = true;
+                }
+                Ok(row)
+            }
             ReadMode::Latest => Ok(self.store.read_latest(key)?.map(|(row, _)| row)),
         }
     }

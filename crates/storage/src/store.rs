@@ -11,19 +11,6 @@ use crate::lock::{LockGuard, LockManager};
 use crate::schema::Catalog;
 use crate::table::{Table, VersionStamp};
 
-/// Batches below this stay on the calling thread: worker spawn cost exceeds
-/// the parallel win for small batches, and small batches are the common case
-/// (single-transaction commits).
-const PARALLEL_INSTALL_THRESHOLD: usize = 64;
-
-/// Worker-thread cap for one parallel batch install.
-const MAX_INSTALL_WORKERS: usize = 4;
-
-/// One record's entry in a shard-grouped batch install.
-type ShardEntry = (RecordId, VersionStamp, Row);
-/// A `(table, shard)` group of batch-install entries.
-type ShardGroup = ((usize, usize), Vec<ShardEntry>);
-
 /// One data site's storage engine (§V-A1): row-oriented in-memory tables with
 /// MVCC snapshot reads and per-record write locks.
 pub struct Store {
@@ -101,6 +88,12 @@ impl Store {
         begin: &VersionVector,
     ) -> Result<Option<(Row, VersionStamp)>> {
         Ok(self.table(key.table)?.read_versioned(key.record, begin))
+    }
+
+    /// Whether a `None` from [`Store::read`] at `begin` may mean "evicted"
+    /// rather than "absent" (see [`Table::evicted_at`]).
+    pub fn evicted_at(&self, key: Key, begin: &VersionVector) -> Result<bool> {
+        Ok(self.table(key.table)?.evicted_at(key.record, begin))
     }
 
     /// Latest version of `key` with its stamp, regardless of snapshot.
@@ -190,10 +183,7 @@ impl Store {
     /// Entries are validated against the catalog up front — the batch either
     /// installs completely or not at all, so a caller that has already
     /// published log slots for these writes cannot be left half-applied.
-    /// Large batches are grouped by `(table, shard)`: each group takes its
-    /// shard write lock once (instead of once per row), groups touch
-    /// disjoint locks, and groups run on parallel worker threads. Entry
-    /// order is preserved within a group, so repeated writes to one record
+    /// Entries install in vector order, so repeated writes to one record
     /// keep their version chain in commit order.
     pub fn install_batch(&self, entries: Vec<(Key, VersionStamp, Row)>) -> Result<()> {
         for (key, _, _) in &entries {
@@ -207,51 +197,9 @@ impl Store {
                 }
             }
         }
-        // Grouping and worker threads only pay off when they can actually
-        // overlap: on a single-CPU host the serial move-loop is strictly
-        // cheaper, whatever the batch size.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if entries.len() < PARALLEL_INSTALL_THRESHOLD || cores < 2 {
-            for (key, stamp, row) in entries {
-                self.tables[key.table.as_usize()].install(key.record, stamp, row);
-            }
-            return Ok(());
-        }
-        // Group by (table, shard) with direct indexing — shard count is
-        // fixed, so no hashing per entry.
-        let mut groups: Vec<Vec<ShardEntry>> = (0..self.tables.len() * Table::SHARDS)
-            .map(|_| Vec::new())
-            .collect();
         for (key, stamp, row) in entries {
-            groups[key.table.as_usize() * Table::SHARDS + Table::shard_index(key.record)]
-                .push((key.record, stamp, row));
+            self.tables[key.table.as_usize()].install(key.record, stamp, row);
         }
-        let groups: Vec<ShardGroup> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, items)| !items.is_empty())
-            .map(|(i, items)| ((i / Table::SHARDS, i % Table::SHARDS), items))
-            .collect();
-        let workers = MAX_INSTALL_WORKERS.min(cores).min(groups.len());
-        let mut buckets: Vec<Vec<ShardGroup>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, group) in groups.into_iter().enumerate() {
-            buckets[i % workers].push(group);
-        }
-        std::thread::scope(|scope| {
-            let mut buckets = buckets.into_iter();
-            // The calling thread takes the first bucket itself.
-            let own = buckets.next().unwrap_or_default();
-            for bucket in buckets {
-                scope.spawn(move || {
-                    for ((table, shard), items) in bucket {
-                        self.tables[table].install_shard_group(shard, items);
-                    }
-                });
-            }
-            for ((table, shard), items) in own {
-                self.tables[table].install_shard_group(shard, items);
-            }
-        });
         Ok(())
     }
 
@@ -357,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn install_batch_small_and_large_paths_agree() {
+    fn install_batch_installs_every_entry_at_any_size() {
         let s0 = SiteId::new(0);
         for n in [4usize, 500] {
             let store = Store::new(catalog(), 4);
@@ -387,7 +335,7 @@ mod tests {
     fn install_batch_keeps_same_record_versions_in_order() {
         let store = Store::new(catalog(), 4);
         let s0 = SiteId::new(0);
-        // Two versions of the same record inside one large batch: the later
+        // Two versions of the same record inside one batch: the later
         // entry must end up newest in the chain.
         let mut entries: Vec<_> = (0..200u64)
             .map(|i| {

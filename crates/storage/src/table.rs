@@ -113,19 +113,9 @@ impl Table {
         self.resident_bytes.load(Ordering::Relaxed)
     }
 
-    /// Number of shards (fixed; exposed for batch-install grouping).
-    pub const SHARDS: usize = SHARDS;
-
-    /// The shard a record hashes to. Writes to distinct shard indices take
-    /// distinct locks, so a batch installer can group entries by shard and
-    /// run the groups in parallel without lock contention.
-    pub fn shard_index(record: RecordId) -> usize {
-        let h = record.wrapping_mul(0xD1B5_4A32_D192_ED03).rotate_left(23);
-        (h as usize) % SHARDS
-    }
-
     fn shard(&self, record: RecordId) -> &Shard {
-        &self.shards[Self::shard_index(record)]
+        let h = record.wrapping_mul(0xD1B5_4A32_D192_ED03).rotate_left(23);
+        &self.shards[(h as usize) % SHARDS]
     }
 
     /// Installs a new version of `record`. Used both for local commits and
@@ -138,32 +128,6 @@ impl Table {
                 .entry(record)
                 .or_default()
                 .install(stamp, row, self.max_versions)
-        };
-        self.charge(delta);
-    }
-
-    /// Installs a group of versions that all hash to shard `shard_index`,
-    /// taking the shard write lock once for the whole group. Entries install
-    /// in vector order, so repeated writes to one record keep their chain in
-    /// commit order (chains assume newest-last; see [`Table::install`]).
-    pub fn install_shard_group(
-        &self,
-        shard_index: usize,
-        items: Vec<(RecordId, VersionStamp, Row)>,
-    ) {
-        debug_assert!(items
-            .iter()
-            .all(|(r, _, _)| Self::shard_index(*r) == shard_index));
-        let delta = {
-            let mut shard = self.shards[shard_index].write();
-            let mut delta = 0i64;
-            for (record, stamp, row) in items {
-                delta += shard
-                    .entry(record)
-                    .or_default()
-                    .install(stamp, row, self.max_versions);
-            }
-            delta
         };
         self.charge(delta);
     }
@@ -206,6 +170,16 @@ impl Table {
             .get(&record)
             .and_then(|c| c.read(begin))
             .map(|v| (v.row.clone(), v.stamp))
+    }
+
+    /// `true` iff `record` has no version visible to `begin` but its chain is
+    /// at capacity: the version `begin` should see may have been evicted by
+    /// newer installs, so "absent" cannot be told from "snapshot too old".
+    pub fn evicted_at(&self, record: RecordId, begin: &VersionVector) -> bool {
+        self.shard(record)
+            .read()
+            .get(&record)
+            .is_some_and(|c| c.versions.len() >= self.max_versions && c.read(begin).is_none())
     }
 
     /// The newest version regardless of snapshot, with its stamp. Used by
@@ -337,6 +311,20 @@ mod tests {
         // Saw site 0's commit but not site 1's: read the older version.
         assert_eq!(t.read(7, &vv(&[1, 0])).unwrap(), row(100));
         assert_eq!(t.read(7, &vv(&[1, 1])).unwrap(), row(200));
+    }
+
+    #[test]
+    fn evicted_at_flags_an_empty_read_from_a_full_chain_only() {
+        let table = Table::new(2);
+        let s0 = SiteId::new(0);
+        let at = |seq| VersionVector::from_counts(vec![seq]);
+        assert!(!table.evicted_at(1, &at(0)), "no chain: absent");
+        table.install(1, VersionStamp::new(s0, 1), row(1));
+        assert!(!table.evicted_at(1, &at(0)), "short chain: absent before 1");
+        table.install(1, VersionStamp::new(s0, 2), row(2));
+        table.install(1, VersionStamp::new(s0, 3), row(3));
+        assert!(table.evicted_at(1, &at(1)), "version 1 was evicted");
+        assert!(!table.evicted_at(1, &at(2)), "version 2 is still readable");
     }
 
     #[test]
