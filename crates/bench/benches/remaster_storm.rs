@@ -7,7 +7,7 @@
 //! the block — a *remaster storm*. Per-txn mode (epoch size 1) pays one
 //! Release + one Grant round trip synchronously on the routing path for
 //! every move; epoch mode queues the moves and the epoch flush coalesces
-//! them into one `BatchRelease` + `BatchGrant` per (src, dst) site pair,
+//! them into one `Release` + one `Grant` per (src, dst) site pair,
 //! off the routing path.
 //!
 //! A steady-state control runs uniform traffic (no imbalance, so the probe
@@ -282,7 +282,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"benchmark\": \"remaster_storm\",\n  \
-         \"description\": \"Epoch-batched group remastering vs per-transaction remastering under a flash crowd: the storm hammers one site's entire {BLOCK}-partition seeded block with single-partition SmallBank transfers from a latency-bound client, arming the imbalance probe for the whole block at once. per_txn = epoch size 1, zero wait budget: every queued move flushes synchronously on the routing path (one Release + one Grant round trip per move, the inline cost, each grant additionally waiting for the destination replica to dominate the release vector). batched = 64-move / 10 ms epochs flushed off the routing path by the probe thread as one BatchRelease + BatchGrant per (src, dst) site pair, paying the grant's replication-lag wait once per batch instead of once per move. Both modes share the identical probe, Eq. 8 scoring, and flush machinery; LAN network (100us one-way), instant service, pure-balance weights. steady = uniform traffic over all partitions (probe never queues), epoch batching on vs fully off, bounding the per-route epoch bookkeeping cost. All headline numbers are medians of {PAIRS} paired back-to-back run ratios.\",\n  \
+         \"description\": \"Epoch-batched group remastering vs per-transaction remastering under a flash crowd: the storm hammers one site's entire {BLOCK}-partition seeded block with single-partition SmallBank transfers from a latency-bound client, arming the imbalance probe for the whole block at once. per_txn = epoch size 1, zero wait budget: every queued move flushes synchronously on the routing path (one Release + one Grant round trip per move, each grant additionally waiting for the destination replica to dominate the release vector). batched = 64-move / 10 ms epochs flushed off the routing path by the probe thread as one Release + one Grant per (src, dst) site pair, paying the grant's replication-lag wait once per batch instead of once per move. Both modes share the identical probe, Eq. 8 scoring, and flush machinery; LAN network (100us one-way), instant service, pure-balance weights. steady = uniform traffic over all partitions (probe never queues), epoch batching on vs fully off, bounding the per-route epoch bookkeeping cost. All headline numbers are medians of {PAIRS} paired back-to-back run ratios.\",\n  \
          \"note\": \"The storm client is single-threaded (the claim is about routing-path stalls, not host parallelism), but timing ratios on a shared 1-CPU runner are still noisy; CI gates the RPC reduction everywhere and skips the two timing gates below 2 CPUs (see host.cpus for what this run had).\",\n  \
          \"host\": {{\"os\": \"{os}\", \"arch\": \"{arch}\", \"cpus\": {cpus}}},\n  \
          \"config\": {{\n    \"sites\": {SITES},\n    \"partitions\": {parts},\n    \"partitions_per_site\": {BLOCK},\n    \"client_threads\": {THREADS},\n    \"storm_txns_per_thread\": {WAVE_TXNS},\n    \"batched_epoch_max_moves\": 64,\n    \"batched_epoch_interval_ms\": 10,\n    \"paired_runs\": {PAIRS},\n    \"cpus\": {cpus}\n  }},\n  \

@@ -330,16 +330,16 @@ pub struct SystemConfig {
     /// partition (keeps the statistics tables bounded under adversarial
     /// workloads).
     pub max_coaccess_partners: usize,
-    /// Ablation switch: perform release/grant operations one partition at
+    /// Ablation switch: perform release/grant operations one source site at
     /// a time instead of in parallel. The paper's Algorithm 1 parallelizes
     /// them ("parallel execution of release and grant operations greatly
     /// speed up remastering"); enabling this quantifies that claim.
     pub sequential_remastering: bool,
-    /// Epoch-batched group remastering (off by default). Instead of an
-    /// inline release/grant pair per routed transaction, the selector
-    /// queues the move, routes the transaction to the current master, and
-    /// flushes the queue at the epoch boundary as coalesced per-site-pair
-    /// `BatchRelease`/`BatchGrant` RPCs.
+    /// The epoch policy (off by default): the sole-master fast path may
+    /// queue a rebalancing move, route the transaction to the current
+    /// master, and execute the queue at the epoch boundary — one `Release`
+    /// and one `Grant` per (source, destination) site pair. A write set
+    /// split across masters is co-located at once either way.
     pub remaster_batching: bool,
     /// Epoch boundary by count: the pending-move queue flushes once it
     /// holds this many distinct partitions.
@@ -352,7 +352,7 @@ pub struct SystemConfig {
     pub epoch_interval: Duration,
     /// No-stall guarantee: how many transactions may route to the *old*
     /// master of a queued partition before the selector gives up on the
-    /// epoch and moves that partition inline immediately.
+    /// epoch and flushes it on the routing path.
     pub remaster_wait_budget: u32,
     /// Fixed simulated CPU cost per stored-procedure execution (parsing,
     /// plan dispatch). Occupies an RPC worker, modelling the paper's

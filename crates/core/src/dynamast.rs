@@ -12,7 +12,7 @@
 //! master while reads spread over the replicas, exactly the paper's
 //! single-master comparator (§VI-A1).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -802,9 +802,10 @@ impl DynaMastSystem {
     /// 3. **Repairs half-completed remasters**: a partition whose
     ///    log-derived owner is live but does not claim it in its table was
     ///    caught in the release-without-grant window — the standby re-grants
-    ///    it to that owner at a fresh epoch (mirroring the live selector's
-    ///    back-grant self-healing), with `rel_vv` = the owner's own fenced
-    ///    svv so the dominance wait is trivially satisfied.
+    ///    it to that owner at a fresh epoch through the grant half of its
+    ///    own release/grant executor (the live selector's back-grant), with
+    ///    `rel_vv` = the owner's own fenced svv so the dominance wait is
+    ///    trivially satisfied.
     /// 4. **Rebuilds the freshness cache** from the fenced svvs and raises
     ///    the new selector's session floor to their element-wise max, so a
     ///    client whose session vector died with the old selector still
@@ -867,46 +868,7 @@ impl DynaMastSystem {
             }
         }
 
-        // 3. Repair release-without-grant windows: the map names a live
-        // owner whose table does not claim the partition. Sorted so the
-        // epoch assignment is deterministic.
-        let claims: HashMap<SiteId, HashSet<PartitionId>> = fenced
-            .iter()
-            .map(|(site, _, mastered)| (*site, mastered.iter().copied().collect()))
-            .collect();
-        let mut repairs: Vec<(PartitionId, SiteId)> = map
-            .iter()
-            .filter(|(p, owner)| claims.get(owner).is_some_and(|owned| !owned.contains(p)))
-            .map(|(p, owner)| (*p, *owner))
-            .collect();
-        repairs.sort_by_key(|(p, _)| *p);
-        for (partition, owner) in repairs {
-            next_epoch += 1;
-            let rel_vv = fenced
-                .iter()
-                .find(|(site, _, _)| *site == owner)
-                .map(|(_, svv, _)| svv.clone())
-                .expect("owner came from the fenced set");
-            let grant = SiteRequest::Grant {
-                partition,
-                epoch: next_epoch,
-                rel_vv,
-                generation: new_generation,
-            };
-            let reply = self.network.rpc_with_retry(
-                &retry,
-                None,
-                EndpointId::Site(owner.raw()),
-                TrafficCategory::Remaster,
-                Bytes::from(encode_to_vec(&grant)),
-            )?;
-            match expect_ok(&reply)? {
-                SiteResponse::Granted { .. } => {}
-                _ => return Err(DynaError::Internal("unexpected repair-grant response")),
-            }
-        }
-
-        // 4. Conservative session floor: element-wise max of the fenced
+        // 3. Conservative session floor: element-wise max of the fenced
         // svvs. Every version any client could have observed through the
         // old selector is ≤ some site's svv, so routing every post-failover
         // transaction at or above this floor preserves SSSI.
@@ -930,6 +892,31 @@ impl DynaMastSystem {
                 replica_map: Some(Arc::clone(self.selector.read().replica_map())),
             },
         );
+
+        // 4. Repair release-without-grant windows: the map names a live
+        // owner whose table does not claim the partition. The standby
+        // grants those back through its own executor, one RPC per owner, at
+        // fresh epochs, with `rel_vv` = the owner's own fenced svv. Sorted
+        // so the epoch assignment is deterministic.
+        for (owner, svv, mastered) in &fenced {
+            let claimed: HashSet<&PartitionId> = mastered.iter().collect();
+            let mut orphans: Vec<PartitionId> = map
+                .iter()
+                .filter(|(p, named)| *named == owner && !claimed.contains(p))
+                .map(|(p, _)| *p)
+                .collect();
+            if orphans.is_empty() {
+                continue;
+            }
+            orphans.sort_unstable();
+            let grants = orphans
+                .into_iter()
+                .map(|p| (p, standby.next_epoch(), svv.clone()))
+                .collect();
+            for repaired in standby.regrant(*owner, grants) {
+                repaired?;
+            }
+        }
         standby.map().seed(map);
         for (site, svv, _) in &fenced {
             standby.observe_site_vv(*site, svv);

@@ -16,7 +16,7 @@
 //! [`FreshnessCache`](crate::freshness::FreshnessCache) and the read-routing
 //! RNG is thread-local, so routing threads share no locks on this path.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -37,32 +37,17 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+#[path = "provision.rs"]
+mod provision;
+#[path = "remaster.rs"]
+mod remaster;
+
+use self::remaster::EpochQueue;
 use crate::freshness::FreshnessCache;
 use crate::partition_map::PartitionMap;
 use crate::replica_map::ReplicaMap;
 use crate::stats::{AccessStats, StatsConfig};
 use crate::strategy::{confirm_group_destination, CoAccess, ScoreInputs};
-
-/// Imbalance probe (epoch batching only): a sole-master fast-path group is
-/// considered for a deferred move when its master's tracked load exceeds
-/// `REBALANCE_FACTOR ×` the mean site load, once at least
-/// `REBALANCE_MIN_TOTAL` writes have been attributed overall. Both reads are
-/// relaxed-atomic approximations — the flush re-scores under exclusive locks
-/// before anything actually moves.
-const REBALANCE_FACTOR: f64 = 1.5;
-const REBALANCE_MIN_TOTAL: f64 = 64.0;
-
-/// Replica-provisioning planner thresholds (partial replication only): a
-/// partition hotter than `PROVISION_HOT_FACTOR ×` the mean partition load
-/// gains one copy per pass (widening toward all sites); one colder than
-/// `PROVISION_COLD_FACTOR ×` the mean sheds its most expensive copy
-/// (shrinking toward the floor). At most `PROVISION_MAX_OPS` installs/drops
-/// per pass bound the background data-shipping burst, and nothing moves until
-/// `PROVISION_MIN_TOTAL` accesses have been attributed overall.
-const PROVISION_HOT_FACTOR: f64 = 2.0;
-const PROVISION_COLD_FACTOR: f64 = 0.5;
-const PROVISION_MIN_TOTAL: f64 = 64.0;
-const PROVISION_MAX_OPS: usize = 4;
 
 /// Eq. 8 has-copy feature weight: a candidate already holding every write-set
 /// partition is credited this fraction of the score spread, because granting
@@ -132,28 +117,6 @@ pub struct RouteDecision {
     pub remastered: bool,
 }
 
-/// One queued ownership move: where the partition should go and how many
-/// transactions have been routed to its *current* master while it waited.
-struct PendingMove {
-    /// Destination decided at enqueue time (re-scored as a group at flush).
-    /// May equal the current master — such entries are sticky "scored,
-    /// stay put" markers that stop the imbalance probe from re-scoring the
-    /// same group on every route; the flush discards them.
-    dest: SiteId,
-    /// Fast-path routes that executed at the old master since enqueue.
-    deferrals: u32,
-}
-
-/// The epoch-batched pending-move queue (guarded by one mutex; touched only
-/// when `remaster_batching` is enabled, and never while partition-map locks
-/// are held — flushing acquires map locks *after* draining this).
-#[derive(Default)]
-struct EpochQueue {
-    moves: HashMap<PartitionId, PendingMove>,
-    /// When the first move of the open epoch was queued (time trigger).
-    started: Option<Instant>,
-}
-
 /// The site selector.
 pub struct SiteSelector {
     config: SystemConfig,
@@ -186,14 +149,15 @@ pub struct SiteSelector {
     pending: Mutex<EpochQueue>,
     /// Single-flight guard: one epoch flush at a time, late callers skip.
     flush_in_progress: AtomicBool,
-    /// Release/grant-class RPCs sent (inline, batched, and back-grants) —
-    /// the denominator of the batching round-trip-reduction claim.
+    /// Release/Grant RPCs sent, by every caller of the executor: routing,
+    /// epoch flush, back-grants, the standby's repair grants.
     pub remaster_rpcs: Arc<Counter>,
-    /// Round trips avoided by coalescing queued moves into batch RPCs:
-    /// `2 × moves − batch RPCs` accumulated per flush.
+    /// Round trips avoided by moves sharing an RPC, whoever sent it: every
+    /// move a Release or Grant carried beyond its first.
     pub remaster_rpcs_saved: Arc<Counter>,
-    /// Partitions carried per batch RPC (bucketed via the latency histogram
-    /// machinery; one "microsecond" = one partition).
+    /// Moves carried per Release/Grant RPC, vectors of one included
+    /// (bucketed via the latency histogram machinery; one "microsecond" =
+    /// one move).
     pub remaster_batch_size: Arc<LatencyHistogram>,
     /// Which sites hold a copy of each partition (a degenerate all-sites map
     /// under full replication).
@@ -328,28 +292,6 @@ impl SiteSelector {
         }
     }
 
-    /// Records a release/grant protocol step.
-    fn trace_remaster(
-        &self,
-        txn_id: u64,
-        kind: TraceKind,
-        partition: PartitionId,
-        from: SiteId,
-        to: SiteId,
-        epoch: u64,
-    ) {
-        self.trace(
-            txn_id,
-            kind,
-            TracePayload::Remaster {
-                partition: partition.raw(),
-                from: from.raw(),
-                to: to.raw(),
-                epoch,
-            },
-        );
-    }
-
     /// The statistics tracker.
     pub fn stats(&self) -> &AccessStats {
         &self.stats
@@ -453,8 +395,16 @@ impl SiteSelector {
             return Err(DynaError::Internal("update with empty write set"));
         }
         let entries = self.map.entries_for(&partitions);
+        let no_remaster = |site, lookup, routing| RouteDecision {
+            site,
+            min_vv: VersionVector::zero(self.config.num_sites),
+            lookup,
+            routing,
+            remastered: false,
+        };
 
         // Fast path: shared locks; one master for everything → route there.
+        let mut recorded = false;
         {
             let guards = self.map.lock_shared(&entries);
             let masters: Vec<Option<SiteId>> = guards.iter().map(|g| g.master).collect();
@@ -463,32 +413,20 @@ impl SiteSelector {
                 let lookup = t0.elapsed();
                 self.stats
                     .record_write_set(client, Instant::now(), &partitions, &masters);
+                recorded = true;
                 // Epoch batching: the group stays where it is for now; the
                 // tick may queue a move for the epoch boundary, and only a
                 // blown wait budget forces the flush (and a re-route) here.
                 let site = if self.config.remaster_batching {
                     self.epoch_tick(txn_id, cvv, &partitions, site)?
                 } else {
-                    site
+                    Some(site)
                 };
-                self.routed[site.as_usize()].inc();
-                self.trace(
-                    txn_id,
-                    TraceKind::Route,
-                    TracePayload::Route {
-                        dest: site.raw(),
-                        partitions: partitions.len() as u32,
-                        fast_path: true,
-                        remastered: false,
-                    },
-                );
-                return Ok(RouteDecision {
-                    site,
-                    min_vv: self.with_session_floor(VersionVector::zero(self.config.num_sites)),
-                    lookup,
-                    routing: Duration::ZERO,
-                    remastered: false,
-                });
+                if let Some(site) = site {
+                    let decision = no_remaster(site, lookup, Duration::ZERO);
+                    return Ok(self.reply(txn_id, partitions.len(), true, decision));
+                }
+                // The forced flush split the group: co-locate it below.
             }
         }
 
@@ -498,34 +436,16 @@ impl SiteSelector {
         let masters: Vec<Option<SiteId>> = guards.iter().map(|g| g.master).collect();
         let lookup = t0.elapsed();
         let t_route = Instant::now();
-        if let Some(site) = sole_master(&masters) {
-            drop(guards);
+        // Recorded before scoring, so frequencies include this transaction.
+        if !recorded {
             self.stats
                 .record_write_set(client, Instant::now(), &partitions, &masters);
-            self.routed[site.as_usize()].inc();
-            self.trace(
-                txn_id,
-                TraceKind::Route,
-                TracePayload::Route {
-                    dest: site.raw(),
-                    partitions: partitions.len() as u32,
-                    fast_path: false,
-                    remastered: false,
-                },
-            );
-            return Ok(RouteDecision {
-                site,
-                min_vv: self.with_session_floor(VersionVector::zero(self.config.num_sites)),
-                lookup,
-                routing: t_route.elapsed(),
-                remastered: false,
-            });
         }
-
-        // Record the access before scoring so frequencies include this
-        // transaction, then choose the destination.
-        self.stats
-            .record_write_set(client, Instant::now(), &partitions, &masters);
+        if let Some(site) = sole_master(&masters) {
+            drop(guards);
+            let decision = no_remaster(site, lookup, t_route.elapsed());
+            return Ok(self.reply(txn_id, partitions.len(), false, decision));
+        }
         let dest = match &self.mode {
             SelectorMode::Pinned(pin) => {
                 let dest = pin(partitions[0]);
@@ -538,1025 +458,70 @@ impl SiteSelector {
             }
             SelectorMode::Adaptive => self.decide_destination(txn_id, &partitions, &masters, cvv),
         };
-
+        let moves: Vec<(usize, Option<SiteId>)> = masters
+            .iter()
+            .enumerate()
+            .filter(|(_, master)| **master != Some(dest))
+            .map(|(i, master)| (i, *master))
+            .collect();
         // Create-then-grant (partial replication): a grant can only land on
         // a site that holds a copy, so ship any missing copies to `dest`
-        // before the release/grant protocol below. Runs inside the exclusive
-        // map window the remaster RPCs already occupy, so no concurrent
-        // route re-decides these partitions mid-install.
-        if self.replica_map.is_partial() {
-            for (i, master) in masters.iter().enumerate() {
-                if *master != Some(dest) {
-                    self.ensure_replica(dest, partitions[i])?;
-                }
-            }
+        // first. Runs inside the exclusive map window the remaster RPCs
+        // occupy, so no concurrent route re-decides these partitions
+        // mid-install.
+        for &(i, _) in &moves {
+            self.ensure_replica(dest, partitions[i])?;
         }
-
-        // Remaster every partition not already mastered at `dest`
-        // (Algorithm 1): parallel releases; each grant fires as soon as its
-        // release returns.
-        let mut out_vv = VersionVector::zero(self.config.num_sites);
-        let mut moved = 0u64;
-        let mut placed = 0u64;
-        // Create-then-grant moves whose releaser's copy should retire once
-        // mastership lands (frozen replica sets: the copy budget is pinned,
-        // so a copy *follows* the master instead of widening the set).
-        let mut follow: Vec<(PartitionId, SiteId)> = Vec::new();
-        let mut pending_releases = Vec::new();
-        // (write-set index, epoch, grant request, in-flight reply, releaser).
-        let mut pending_grants: Vec<(usize, u64, SiteRequest, Result<_>, Option<SiteId>)> =
-            Vec::new();
-        for (i, master) in masters.iter().enumerate() {
-            match master {
-                Some(m) if *m == dest => {}
-                Some(m) => {
-                    self.crash_check(CrashPoint::BeforeReleaseSend)?;
-                    let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-                    let req = SiteRequest::Release {
-                        partition: partitions[i],
-                        epoch,
-                        generation: self.generation,
-                    };
-                    self.remaster_rpcs.inc();
-                    let pending = self.network.rpc_async(
-                        EndpointId::Site(m.raw()),
-                        TrafficCategory::Remaster,
-                        Bytes::from(encode_to_vec(&req)),
-                    );
-                    self.trace_remaster(
-                        txn_id,
-                        TraceKind::ReleaseSend,
-                        partitions[i],
-                        *m,
-                        dest,
-                        epoch,
-                    );
-                    if self.config.sequential_remastering {
-                        // Ablation: complete this partition's release AND
-                        // grant before touching the next partition.
-                        let rel_vv = match expect_ok(&self.settle(*m, &req, pending)?)? {
-                            SiteResponse::Released { rel_vv } => rel_vv,
-                            _ => return Err(DynaError::Internal("unexpected release response")),
-                        };
-                        self.trace_remaster(
-                            txn_id,
-                            TraceKind::ReleaseAck,
-                            partitions[i],
-                            *m,
-                            dest,
-                            epoch,
-                        );
-                        self.crash_check(CrashPoint::AfterReleaseAck)?;
-                        self.observe_site_vv(*m, &rel_vv);
-                        self.crash_check(CrashPoint::BeforeGrantSend)?;
-                        let grant = SiteRequest::Grant {
-                            partition: partitions[i],
-                            epoch,
-                            rel_vv,
-                            generation: self.generation,
-                        };
-                        self.remaster_rpcs.inc();
-                        let sent = self.network.rpc_async(
-                            EndpointId::Site(dest.raw()),
-                            TrafficCategory::Remaster,
-                            Bytes::from(encode_to_vec(&grant)),
-                        );
-                        self.trace_remaster(
-                            txn_id,
-                            TraceKind::GrantSend,
-                            partitions[i],
-                            *m,
-                            dest,
-                            epoch,
-                        );
-                        self.crash_check(CrashPoint::AfterGrantSend)?;
-                        let reply = match self.settle(dest, &grant, sent) {
-                            Ok(reply) => reply,
-                            Err(e) => {
-                                self.back_grant(Some(*m), &grant);
-                                return Err(e);
-                            }
-                        };
-                        let grant_vv = match expect_ok(&reply)? {
-                            SiteResponse::Granted { grant_vv } => grant_vv,
-                            _ => return Err(DynaError::Internal("unexpected grant response")),
-                        };
-                        self.trace_remaster(
-                            txn_id,
-                            TraceKind::GrantAck,
-                            partitions[i],
-                            *m,
-                            dest,
-                            epoch,
-                        );
-                        out_vv.merge_max(&grant_vv);
-                        entries[i].set_master(&mut guards[i], dest);
-                        self.stats.on_remaster(partitions[i], dest);
-                        self.drop_pending(partitions[i]);
-                        follow.push((partitions[i], *m));
-                        moved += 1;
-                        continue;
-                    }
-                    pending_releases.push((i, *m, epoch, req, pending));
-                }
-                None => {
-                    // First placement: no release necessary; grant directly.
-                    self.crash_check(CrashPoint::BeforeGrantSend)?;
-                    let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-                    let grant = SiteRequest::Grant {
-                        partition: partitions[i],
-                        epoch,
-                        rel_vv: VersionVector::zero(self.config.num_sites),
-                        generation: self.generation,
-                    };
-                    self.remaster_rpcs.inc();
-                    let pending = self.network.rpc_async(
-                        EndpointId::Site(dest.raw()),
-                        TrafficCategory::Remaster,
-                        Bytes::from(encode_to_vec(&grant)),
-                    );
-                    // First placements have no releaser; `from == to` marks
-                    // a placement grant on the trace.
-                    self.trace_remaster(
-                        txn_id,
-                        TraceKind::GrantSend,
-                        partitions[i],
-                        dest,
-                        dest,
-                        epoch,
-                    );
-                    self.crash_check(CrashPoint::AfterGrantSend)?;
-                    placed += 1;
-                    pending_grants.push((i, epoch, grant, pending, None));
-                }
-            }
+        let (min_vv, moved, failed) = self.execute_moves(
+            txn_id,
+            &partitions,
+            &entries,
+            &mut guards,
+            &moves,
+            dest,
+            CrashPoint::BeforeGrantSend,
+        )?;
+        drop(guards);
+        self.retire_followed(&moved);
+        if !moved.is_empty() {
+            self.remaster_ops.inc();
         }
-        for (i, releaser, epoch, req, pending) in pending_releases {
-            let rel_vv = match expect_ok(&self.settle(releaser, &req, pending)?)? {
-                SiteResponse::Released { rel_vv } => rel_vv,
-                _ => return Err(DynaError::Internal("unexpected release response")),
-            };
-            self.trace_remaster(
-                txn_id,
-                TraceKind::ReleaseAck,
-                partitions[i],
-                releaser,
-                dest,
-                epoch,
-            );
-            self.crash_check(CrashPoint::AfterReleaseAck)?;
-            self.observe_site_vv(releaser, &rel_vv);
-            self.crash_check(CrashPoint::BeforeGrantSend)?;
-            let grant = SiteRequest::Grant {
-                partition: partitions[i],
-                epoch,
-                rel_vv,
-                generation: self.generation,
-            };
-            self.remaster_rpcs.inc();
-            let pending = self.network.rpc_async(
-                EndpointId::Site(dest.raw()),
-                TrafficCategory::Remaster,
-                Bytes::from(encode_to_vec(&grant)),
-            );
-            self.trace_remaster(
-                txn_id,
-                TraceKind::GrantSend,
-                partitions[i],
-                releaser,
-                dest,
-                epoch,
-            );
-            self.crash_check(CrashPoint::AfterGrantSend)?;
-            pending_grants.push((i, epoch, grant, pending, Some(releaser)));
-        }
-        // Settle every in-flight grant even once one has failed: each may
-        // still have taken effect at `dest`, and an unsettled failure must
-        // be backed out (below) so its partition is not orphaned.
-        let mut first_err: Option<DynaError> = None;
-        for (i, epoch, grant, pending, releaser) in pending_grants {
-            let settled =
-                self.settle(dest, &grant, pending)
-                    .and_then(|reply| match expect_ok(&reply)? {
-                        SiteResponse::Granted { grant_vv } => Ok(grant_vv),
-                        _ => Err(DynaError::Internal("unexpected grant response")),
-                    });
-            match settled {
-                Ok(grant_vv) => {
-                    self.trace_remaster(
-                        txn_id,
-                        TraceKind::GrantAck,
-                        partitions[i],
-                        releaser.unwrap_or(dest),
-                        dest,
-                        epoch,
-                    );
-                    out_vv.merge_max(&grant_vv);
-                    entries[i].set_master(&mut guards[i], dest);
-                    self.stats.on_remaster(partitions[i], dest);
-                    self.drop_pending(partitions[i]);
-                    if let Some(releaser) = releaser {
-                        follow.push((partitions[i], releaser));
-                    }
-                    moved += 1;
-                }
-                Err(e) => {
-                    // `dest` is unreachable. Re-grant the released partition
-                    // back to its releaser (idempotent; best-effort — if it
-                    // also fails, the next routing attempt's release replays
-                    // the recorded rel_vv and re-grants elsewhere). The map
-                    // keeps naming the releaser, matching recovery's
-                    // rebuild policy for a release without a matching grant.
-                    self.back_grant(releaser, &grant);
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
+        if let Some(e) = failed {
             return Err(e);
         }
-        // First-touch placements are not remasterings: nothing released.
-        moved = moved.saturating_sub(placed);
-        self.placements.add(placed);
-        self.observe_site_vv(dest, &out_vv);
-        drop(guards);
-        self.retire_followed(&follow);
-
-        if moved > 0 {
-            self.remaster_ops.inc();
-            self.partitions_moved.add(moved);
-        }
-        self.routed[dest.as_usize()].inc();
         self.crash_check(CrashPoint::BeforeClientReply)?;
+        let decision = RouteDecision {
+            site: dest,
+            min_vv,
+            lookup,
+            routing: t_route.elapsed(),
+            remastered: !moved.is_empty(),
+        };
+        Ok(self.reply(txn_id, partitions.len(), false, decision))
+    }
+
+    /// Finishes a routing decision: counts it, puts it on the flight
+    /// recorder and raises its begin version to the session floor.
+    fn reply(
+        &self,
+        txn_id: u64,
+        partitions: usize,
+        fast_path: bool,
+        mut decision: RouteDecision,
+    ) -> RouteDecision {
+        self.routed[decision.site.as_usize()].inc();
         self.trace(
             txn_id,
             TraceKind::Route,
             TracePayload::Route {
-                dest: dest.raw(),
-                partitions: partitions.len() as u32,
-                fast_path: false,
-                remastered: moved > 0,
+                dest: decision.site.raw(),
+                partitions: partitions as u32,
+                fast_path,
+                remastered: decision.remastered,
             },
         );
-        Ok(RouteDecision {
-            site: dest,
-            min_vv: self.with_session_floor(out_vv),
-            lookup,
-            routing: t_route.elapsed(),
-            remastered: moved > 0,
-        })
-    }
-
-    /// Settles a remaster RPC: rides the already-sent async request first;
-    /// a lost request or reply falls back to full retransmission under the
-    /// network's retry policy. Safe because release and grant are
-    /// idempotent per `(partition, epoch)` at the data sites.
-    fn settle(
-        &self,
-        to: SiteId,
-        req: &SiteRequest,
-        pending: Result<dynamast_network::PendingReply>,
-    ) -> Result<Bytes> {
-        let retry = self.network.config().retry;
-        match pending.and_then(|p| p.wait_timeout(retry.attempt_timeout)) {
-            Ok(reply) => Ok(reply),
-            Err(DynaError::Timeout { .. } | DynaError::Network(_)) => self.network.rpc_with_retry(
-                &retry,
-                None,
-                EndpointId::Site(to.raw()),
-                TrafficCategory::Remaster,
-                Bytes::from(encode_to_vec(req)),
-            ),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Best-effort re-grant of a released partition back to its releaser
-    /// after the intended grantee proved unreachable.
-    fn back_grant(&self, releaser: Option<SiteId>, grant: &SiteRequest) {
-        let Some(back_to) = releaser else { return };
-        self.remaster_rpcs.inc();
-        let _ = self.network.rpc_with_retry(
-            &self.network.config().retry,
-            None,
-            EndpointId::Site(back_to.raw()),
-            TrafficCategory::Remaster,
-            Bytes::from(encode_to_vec(grant)),
-        );
-    }
-
-    // ---- Adaptive replica provisioning (partial replication) ----
-
-    /// Guarantees `dest` holds a copy of `partition`, shipping one from an
-    /// existing replica if the map says it is missing. No-op under full
-    /// replication. This is the create-then-grant building block: Eq. 8 may
-    /// choose a destination with no copy, in which case the copy is created
-    /// first and the grant proceeds as usual.
-    pub fn ensure_replica(&self, dest: SiteId, partition: PartitionId) -> Result<()> {
-        if !self.replica_map.is_partial() || self.replica_map.hosts(partition, dest) {
-            return Ok(());
-        }
-        self.install_replica(dest, partition)
-    }
-
-    /// Unconditionally (re-)ships a copy of `partition` to `dest`, even when
-    /// the map already claims one exists. The NotReplica repair path: the
-    /// site is authoritative about what it hosts, so a rejection from a site
-    /// the map believes is a replica (e.g. after an unclean restart whose
-    /// checkpoint predated the copy) is healed by installing again —
-    /// idempotent at the site if the copy does exist.
-    pub fn repair_replica(&self, dest: SiteId, partition: PartitionId) -> Result<()> {
-        if !self.replica_map.is_partial() {
-            return Ok(());
-        }
-        self.install_replica(dest, partition)
-    }
-
-    /// LEAP-style copy install: snapshot RPC against a serving replica, then
-    /// an `AddReplica` RPC shipping the snapshot plus its cut svv to `dest`,
-    /// which catches the partition up from its own logs and refresh buffer
-    /// before marking it hosted. Serialized under the provisioning lock.
-    ///
-    /// When no reachable site actually serves the partition — every mapped
-    /// replica answers NotReplica, which happens for partitions born after
-    /// seeding (nobody ever loaded rows) — falls back to an empty snapshot at
-    /// svv zero: the destination then replays the partition's entire history
-    /// from its retained logs, which is complete because records are only
-    /// truncated once every site (including `dest`) has consumed them.
-    fn install_replica(&self, dest: SiteId, partition: PartitionId) -> Result<()> {
-        let _serial = self.provision_lock.lock();
-        let retry = self.network.config().retry;
-        let snap_req = Bytes::from(encode_to_vec(&SiteRequest::ReplicaSnapshot { partition }));
-        let mut snapshot: Option<(Vec<_>, VersionVector)> = None;
-        let mut unreachable_source = false;
-        for src in self.replica_map.replicas(partition) {
-            if src == dest || !self.network.site_reachable(src.raw()) {
-                unreachable_source |= src != dest;
-                continue;
-            }
-            let reply = self.network.rpc_with_retry(
-                &retry,
-                None,
-                EndpointId::Site(src.raw()),
-                TrafficCategory::DataShip,
-                snap_req.clone(),
-            );
-            match reply.and_then(|r| match expect_ok(&r)? {
-                SiteResponse::ReplicaSnapshotted { records, src_svv } => Ok((records, src_svv)),
-                _ => Err(DynaError::Internal("unexpected replica snapshot response")),
-            }) {
-                Ok(cut) => {
-                    snapshot = Some(cut);
-                    break;
-                }
-                Err(DynaError::NotReplica { .. }) => continue,
-                Err(_) => unreachable_source = true,
-            }
-        }
-        let (records, src_svv) = match snapshot {
-            Some(cut) => cut,
-            // A copy may exist only on an unreachable site: do NOT fall back
-            // to log replay (its rows could predate log truncation floors).
-            None if unreachable_source => {
-                return Err(DynaError::Network("no reachable replica to copy from"))
-            }
-            None => (Vec::new(), VersionVector::zero(self.config.num_sites)),
-        };
-        let add = SiteRequest::AddReplica {
-            partition,
-            records,
-            src_svv,
-            generation: self.generation,
-        };
-        let reply = self.network.rpc_with_retry(
-            &retry,
-            None,
-            EndpointId::Site(dest.raw()),
-            TrafficCategory::DataShip,
-            Bytes::from(encode_to_vec(&add)),
-        )?;
-        match expect_ok(&reply)? {
-            SiteResponse::ReplicaAdded { svv } => {
-                self.observe_site_vv(dest, &svv);
-                self.replica_map.add(partition, dest);
-                self.replica_adds.inc();
-                Ok(())
-            }
-            _ => Err(DynaError::Internal("unexpected add-replica response")),
-        }
-    }
-
-    /// Drops `site`'s copy of `partition` (planner shrink). The map bit is
-    /// cleared first — no new reads route there while the RPC is in flight —
-    /// then the fenced `DropReplica` executes; a refusal (the site was just
-    /// granted mastership, or is unreachable with its copy intact) restores
-    /// the bit. Returns whether the copy was actually dropped.
-    fn retire_replica(&self, site: SiteId, partition: PartitionId) -> bool {
-        let _serial = self.provision_lock.lock();
-        if self
-            .map
-            .entries_for_existing(partition)
-            .and_then(|e| e.master_relaxed())
-            == Some(site)
-        {
-            return false;
-        }
-        if !self.replica_map.remove(partition, site) {
-            return false; // already at the replication floor
-        }
-        let req = SiteRequest::DropReplica {
-            partition,
-            generation: self.generation,
-        };
-        let reply = self.network.rpc_with_retry(
-            &self.network.config().retry,
-            None,
-            EndpointId::Site(site.raw()),
-            TrafficCategory::DataShip,
-            Bytes::from(encode_to_vec(&req)),
-        );
-        match reply.and_then(|r| match expect_ok(&r)? {
-            SiteResponse::ReplicaDropped { .. } => Ok(()),
-            _ => Err(DynaError::Internal("unexpected drop-replica response")),
-        }) {
-            Ok(()) => {
-                self.replica_drops.inc();
-                true
-            }
-            Err(_) => {
-                self.replica_map.add(partition, site);
-                false
-            }
-        }
-    }
-
-    /// With frozen replica sets, a create-then-grant *moves* the copy rather
-    /// than widening the set: once mastership has landed at the grantee, the
-    /// releaser's copy is retired so the copy budget stays pinned at the
-    /// floor deployment the operator asked for. Under adaptive provisioning
-    /// this is a no-op — the planner owns shrink decisions and widening after
-    /// a grant is exactly the Eq. 8 has-copy signal working as intended.
-    /// `retire_replica` refuses masters and floor breaches, so a partition
-    /// whose grantee already hosted a copy (count unchanged) is left alone.
-    fn retire_followed(&self, follow: &[(PartitionId, SiteId)]) {
-        if follow.is_empty() || !self.replica_map.is_partial() || self.config.replica_provisioning {
-            return;
-        }
-        let floor = self.replica_map.floor();
-        for &(partition, old_master) in follow {
-            // Converge the touched partition all the way back to its floor
-            // set, not just by the one copy this grant added: a prior grant
-            // whose retire was refused (or whose install was orphaned by a
-            // failed grant) left surplus copies that would otherwise linger
-            // forever in frozen mode. Old master first, then any other
-            // non-master surplus; stop when a pass sheds nothing.
-            let mut victims = vec![old_master];
-            victims.extend(
-                self.replica_map
-                    .replicas(partition)
-                    .into_iter()
-                    .filter(|&s| s != old_master),
-            );
-            for victim in victims {
-                if self.replica_map.replicas(partition).len() <= floor {
-                    break;
-                }
-                self.retire_replica(victim, partition);
-            }
-        }
-    }
-
-    /// One pass of the adaptive replica-provisioning planner: re-uses the
-    /// access tracker's per-partition load features (the same features Eq. 8
-    /// consumes) to widen hot partitions toward all sites and shrink cold
-    /// ones back toward the floor. Runs on the svv-probe cadence; public so
-    /// tests and benches can force a pass deterministically. Returns the
-    /// number of copy installs/drops performed.
-    pub fn provision_now(&self) -> usize {
-        if !self.replica_map.is_partial() || !self.config.replica_provisioning {
-            return 0;
-        }
-        let m = self.config.num_sites;
-        let mut partitions: Vec<PartitionId> =
-            self.map.placements().into_iter().map(|(p, _)| p).collect();
-        partitions.extend(self.replica_map.tracked().into_iter().map(|(p, _)| p));
-        partitions.sort_unstable();
-        partitions.dedup();
-        if partitions.is_empty() {
-            return 0;
-        }
-        let (snaps, site_load) = self.stats.snapshot(&partitions);
-        let total: f64 = snaps.iter().map(|s| s.load).sum();
-        if total < PROVISION_MIN_TOTAL {
-            return 0;
-        }
-        let mean = total / partitions.len() as f64;
-        let mut ops = 0usize;
-        for (i, &p) in partitions.iter().enumerate() {
-            if ops >= PROVISION_MAX_OPS {
-                break;
-            }
-            let load = snaps[i].load;
-            let replicas = self.replica_map.replicas(p);
-            if load > PROVISION_HOT_FACTOR * mean && replicas.len() < m {
-                // Widen: one copy per pass, at the least-loaded reachable
-                // site that lacks one.
-                let dest = (0..m)
-                    .filter(|&s| {
-                        !replicas.contains(&SiteId::new(s)) && self.network.site_reachable(s as u32)
-                    })
-                    .min_by(|&a, &b| site_load[a].total_cmp(&site_load[b]));
-                if let Some(d) = dest {
-                    if self.ensure_replica(SiteId::new(d), p).is_ok() {
-                        ops += 1;
-                    }
-                }
-            } else if load < PROVISION_COLD_FACTOR * mean
-                && replicas.len() > self.replica_map.floor()
-            {
-                // Shrink: drop the copy on the most loaded site (the master
-                // and the floor are refused inside `retire_replica`, so the
-                // sort order just expresses preference).
-                let mut victims = replicas;
-                victims.sort_by(|a, b| site_load[b.as_usize()].total_cmp(&site_load[a.as_usize()]));
-                if victims.into_iter().any(|v| self.retire_replica(v, p)) {
-                    ops += 1;
-                }
-            }
-        }
-        ops
-    }
-
-    // ---- Epoch-batched group remastering ----
-
-    /// Number of moves currently queued for the next epoch boundary
-    /// (tests and diagnostics; counts sticky "stay put" markers too).
-    pub fn pending_moves(&self) -> usize {
-        self.pending.lock().moves.len()
-    }
-
-    /// Forgets a queued move after an inline remaster superseded it.
-    fn drop_pending(&self, partition: PartitionId) {
-        if self.config.remaster_batching {
-            self.pending.lock().moves.remove(&partition);
-        }
-    }
-
-    /// Per-route bookkeeping on the sole-master fast path when epoch
-    /// batching is on. Never stalls the transaction: the group keeps
-    /// executing at `master` (the no-stall guarantee), and only a blown
-    /// wait budget forces the epoch to flush early — in which case the
-    /// group's post-flush master is returned for re-routing.
-    fn epoch_tick(
-        &self,
-        txn_id: u64,
-        cvv: &VersionVector,
-        partitions: &[PartitionId],
-        master: SiteId,
-    ) -> Result<SiteId> {
-        let budget = self.config.remaster_wait_budget;
-        let (force_flush, unqueued) = {
-            let mut q = self.pending.lock();
-            let mut force = false;
-            let mut unqueued: Vec<PartitionId> = Vec::new();
-            for p in partitions {
-                match q.moves.get_mut(p) {
-                    Some(pm) => {
-                        pm.deferrals += 1;
-                        if pm.deferrals > budget {
-                            if pm.dest != master {
-                                force = true;
-                            } else {
-                                // A "stay put" verdict expires after a
-                                // budget's worth of routes: the load picture
-                                // that justified it may have shifted.
-                                q.moves.remove(p);
-                            }
-                        }
-                    }
-                    None => unqueued.push(*p),
-                }
-            }
-            (force, unqueued)
-        };
-        // Imbalance probe: a cheap relaxed read of the per-site load
-        // attribution; full Eq. 8 scoring runs only when this master looks
-        // overloaded. Partitions are scored individually — moving a whole
-        // co-hot set wholesale never improves balance, spreading it does —
-        // and every verdict is cached in the queue (a "stay put" included)
-        // so each partition is scored once per epoch, not once per route.
-        if !force_flush && !unqueued.is_empty() {
-            let load = self.stats.approx_site_load();
-            let total: f64 = load.iter().sum();
-            let mean = total / load.len().max(1) as f64;
-            if total >= REBALANCE_MIN_TOTAL && load[master.as_usize()] > REBALANCE_FACTOR * mean {
-                for p in &unqueued {
-                    let (dest, cands) = self.score_candidates(&[*p], &[Some(master)], cvv);
-                    if dest != master {
-                        // Decision explainability for deferred moves: epoch 0
-                        // marks "queued, epoch not yet assigned"; the flush
-                        // emits the final epoch-stamped decision.
-                        self.trace(
-                            txn_id,
-                            TraceKind::RemasterDecision,
-                            TracePayload::Decision {
-                                chosen: dest.raw(),
-                                partitions: 1,
-                                epoch: 0,
-                                candidates: Arc::new(cands),
-                            },
-                        );
-                    }
-                    let mut q = self.pending.lock();
-                    if q.started.is_none() {
-                        q.started = Some(Instant::now());
-                    }
-                    q.moves
-                        .entry(*p)
-                        .or_insert(PendingMove { dest, deferrals: 0 });
-                }
-            }
-        }
-        let boundary = {
-            let q = self.pending.lock();
-            q.moves.len() >= self.config.epoch_max_moves.max(1)
-                || (self.config.epoch_interval > Duration::ZERO
-                    && q.started
-                        .is_some_and(|t| t.elapsed() >= self.config.epoch_interval))
-        };
-        if force_flush || boundary {
-            self.flush_epoch_traced(txn_id)?;
-            if force_flush {
-                // The waiting group just moved (or a concurrent flush beat
-                // us to it) — route wherever the map says it lives now.
-                let entries = self.map.entries_for(partitions);
-                let guards = self.map.lock_shared(&entries);
-                let masters: Vec<Option<SiteId>> = guards.iter().map(|g| g.master).collect();
-                return Ok(sole_master(&masters).unwrap_or(master));
-            }
-        }
-        Ok(master)
-    }
-
-    /// Flushes the open epoch now: drains the pending queue, re-scores each
-    /// destination group under exclusive map locks, and executes the moves
-    /// as coalesced per-site-pair `BatchRelease`/`BatchGrant` RPCs. Public
-    /// so benches and tests can force epoch boundaries; routing calls it
-    /// when the epoch's move count, age, or a wait budget trips it.
-    pub fn flush_epoch(&self) -> Result<()> {
-        self.flush_epoch_traced(next_trace_id())
-    }
-
-    /// Time-trigger check used by the background svv probe: flushes once
-    /// the open epoch is older than `epoch_interval`. No-op otherwise.
-    pub fn flush_epoch_if_due(&self) -> Result<()> {
-        if self.config.epoch_interval == Duration::ZERO {
-            return Ok(());
-        }
-        let due = self
-            .pending
-            .lock()
-            .started
-            .is_some_and(|t| t.elapsed() >= self.config.epoch_interval);
-        if due {
-            self.flush_epoch()
-        } else {
-            Ok(())
-        }
-    }
-
-    fn flush_epoch_traced(&self, txn_id: u64) -> Result<()> {
-        if !self.config.remaster_batching {
-            return Ok(());
-        }
-        if self.flush_in_progress.swap(true, Ordering::AcqRel) {
-            return Ok(()); // another thread's flush is already draining
-        }
-        struct Unflag<'a>(&'a AtomicBool);
-        impl Drop for Unflag<'_> {
-            fn drop(&mut self) {
-                self.0.store(false, Ordering::Release);
-            }
-        }
-        let _unflag = Unflag(&self.flush_in_progress);
-        let mut drained: Vec<PartitionId> = {
-            let mut q = self.pending.lock();
-            q.started = None;
-            q.moves.drain().map(|(p, _)| p).collect()
-        };
-        if drained.is_empty() {
-            return Ok(());
-        }
-        // Ascending partition order: the map's deadlock-avoidance locking
-        // discipline, and a deterministic plan for a deterministic queue.
-        drained.sort_unstable();
-        drained.dedup();
-        self.flush_moves(txn_id, &drained)
-    }
-
-    /// Plans one epoch flush — greedy per-partition Eq. 8 assignment over a
-    /// single shared stats snapshot — and executes it as coalesced batch
-    /// RPCs, one `BatchRelease` + `BatchGrant` per (source, destination)
-    /// site pair. Planning runs under *shared* map locks only, and each
-    /// pair's exclusive window covers just its own two round trips: the
-    /// router is never stalled for the whole flush, only for the sub-batch
-    /// whose partitions it actually touches.
-    fn flush_moves(&self, txn_id: u64, partitions: &[PartitionId]) -> Result<()> {
-        let m = self.config.num_sites;
-        let masters: Vec<Option<SiteId>> = {
-            let entries = self.map.entries_for(partitions);
-            let guards = self.map.lock_shared(&entries);
-            guards.iter().map(|g| g.master).collect()
-        };
-        let plan = self.plan_flush(txn_id, partitions, &masters);
-        let mut by_pair: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-        for (i, mm) in masters.iter().enumerate() {
-            if let (Some(src), Some(dst)) = (mm, plan[i]) {
-                if *src != dst {
-                    by_pair.entry((src.raw(), dst.raw())).or_default().push(i);
-                }
-            }
-        }
-        if by_pair.is_empty() {
-            return Ok(());
-        }
-        let retry = self.network.config().retry;
-        let mut attempted = 0u64;
-        let mut batch_rpcs = 0u64;
-        let mut moved = 0u64;
-        let mut follow: Vec<(PartitionId, SiteId)> = Vec::new();
-        for ((src_raw, dst_raw), idxs) in &by_pair {
-            let src = SiteId::new(*src_raw as usize);
-            let dst = SiteId::new(*dst_raw as usize);
-            // A crash here tears the batch: earlier pairs are already moved
-            // with this one untouched — exactly the torn state the standby's
-            // release-without-grant repair must mend.
-            self.crash_check(CrashPoint::MidBatchRelease)?;
-            // Exclusive locks for this pair only. `idxs` ascends and pairs
-            // never share a partition, so the map's ascending-order locking
-            // discipline holds within and across pairs.
-            let pair_parts: Vec<PartitionId> = idxs.iter().map(|&i| partitions[i]).collect();
-            let entries = self.map.entries_for(&pair_parts);
-            let mut guards = self.map.lock_exclusive(&entries);
-            // Re-verify under the exclusive lock: an inline co-location may
-            // have superseded the plan while no lock was held. Under partial
-            // replication the destination must also hold a copy before its
-            // grant — moves whose install fails stay put for a later epoch.
-            let live: Vec<usize> = (0..idxs.len())
-                .filter(|&k| guards[k].master == Some(src))
-                .filter(|&k| self.ensure_replica(dst, pair_parts[k]).is_ok())
-                .collect();
-            if live.is_empty() {
-                continue;
-            }
-            let mut epochs = vec![0u64; idxs.len()];
-            let moves: Vec<(PartitionId, u64)> = live
-                .iter()
-                .map(|&k| {
-                    let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-                    epochs[k] = epoch;
-                    self.trace_remaster(
-                        txn_id,
-                        TraceKind::ReleaseSend,
-                        pair_parts[k],
-                        src,
-                        dst,
-                        epoch,
-                    );
-                    (pair_parts[k], epoch)
-                })
-                .collect();
-            attempted += moves.len() as u64;
-            let req = SiteRequest::BatchRelease {
-                moves,
-                generation: self.generation,
-            };
-            self.remaster_rpcs.inc();
-            batch_rpcs += 1;
-            self.remaster_batch_size
-                .record(Duration::from_micros(live.len() as u64));
-            let reply = self.network.rpc_with_retry(
-                &retry,
-                None,
-                EndpointId::Site(src.raw()),
-                TrafficCategory::Remaster,
-                Bytes::from(encode_to_vec(&req)),
-            );
-            let results = match reply.and_then(|r| match expect_ok(&r)? {
-                SiteResponse::BatchReleased { results } => Ok(results),
-                _ => Err(DynaError::Internal("unexpected batch release response")),
-            }) {
-                Ok(results) => results,
-                // Unreachable or fenced: nothing released at this source;
-                // its partitions stay put for a later epoch.
-                Err(_) => continue,
-            };
-            let mut rel_vvs: Vec<Option<VersionVector>> = vec![None; idxs.len()];
-            let mut src_vv = VersionVector::zero(m);
-            for (&k, rel) in live.iter().zip(results) {
-                if let Some(rel_vv) = rel {
-                    self.trace_remaster(
-                        txn_id,
-                        TraceKind::ReleaseAck,
-                        pair_parts[k],
-                        src,
-                        dst,
-                        epochs[k],
-                    );
-                    src_vv.merge_max(&rel_vv);
-                    rel_vvs[k] = Some(rel_vv);
-                }
-            }
-            self.observe_site_vv(src, &src_vv);
-            let granted: Vec<usize> = live
-                .iter()
-                .copied()
-                .filter(|&k| rel_vvs[k].is_some())
-                .collect();
-            if granted.is_empty() {
-                continue;
-            }
-            let single_grant = |k: usize| SiteRequest::Grant {
-                partition: pair_parts[k],
-                epoch: epochs[k],
-                rel_vv: rel_vvs[k].clone().expect("granted only when released"),
-                generation: self.generation,
-            };
-            // A crash here leaves this pair's partitions released with no
-            // grant sent — the other torn-batch shape recovery must mend.
-            self.crash_check(CrashPoint::MidBatchGrant)?;
-            let grants: Vec<(PartitionId, u64, VersionVector)> = granted
-                .iter()
-                .map(|&k| {
-                    self.trace_remaster(
-                        txn_id,
-                        TraceKind::GrantSend,
-                        pair_parts[k],
-                        src,
-                        dst,
-                        epochs[k],
-                    );
-                    (
-                        pair_parts[k],
-                        epochs[k],
-                        rel_vvs[k].clone().expect("granted only when released"),
-                    )
-                })
-                .collect();
-            let req = SiteRequest::BatchGrant {
-                grants,
-                generation: self.generation,
-            };
-            self.remaster_rpcs.inc();
-            batch_rpcs += 1;
-            self.remaster_batch_size
-                .record(Duration::from_micros(granted.len() as u64));
-            let reply = self.network.rpc_with_retry(
-                &retry,
-                None,
-                EndpointId::Site(dst.raw()),
-                TrafficCategory::Remaster,
-                Bytes::from(encode_to_vec(&req)),
-            );
-            let results = match reply.and_then(|r| match expect_ok(&r)? {
-                SiteResponse::BatchGranted { results } => Ok(results),
-                _ => Err(DynaError::Internal("unexpected batch grant response")),
-            }) {
-                Ok(results) => results,
-                Err(_) => {
-                    // Destination unreachable: back out this pair's
-                    // releases so no partition is left masterless (the
-                    // inline path's policy).
-                    for &k in &granted {
-                        self.back_grant(Some(src), &single_grant(k));
-                    }
-                    continue;
-                }
-            };
-            let mut merged = VersionVector::zero(m);
-            for (&k, outcome) in granted.iter().zip(results) {
-                match outcome {
-                    Some(grant_vv) => {
-                        self.trace_remaster(
-                            txn_id,
-                            TraceKind::GrantAck,
-                            pair_parts[k],
-                            src,
-                            dst,
-                            epochs[k],
-                        );
-                        merged.merge_max(&grant_vv);
-                        entries[k].set_master(&mut guards[k], dst);
-                        self.stats.on_remaster(pair_parts[k], dst);
-                        follow.push((pair_parts[k], src));
-                        moved += 1;
-                    }
-                    None => self.back_grant(Some(src), &single_grant(k)),
-                }
-            }
-            self.observe_site_vv(dst, &merged);
-        }
-        self.retire_followed(&follow);
-        if moved > 0 {
-            self.remaster_ops.inc();
-            self.partitions_moved.add(moved);
-        }
-        // The batching claim made concrete: the inline path would have paid
-        // one release plus one grant round trip per attempted move.
-        let inline_cost = 2 * attempted;
-        if inline_cost > batch_rpcs {
-            self.remaster_rpcs_saved.add(inline_cost - batch_rpcs);
-        }
-        Ok(())
-    }
-
-    /// The flush planner: greedy per-partition Eq. 8 assignment, heaviest
-    /// partition first, over ONE shared stats snapshot and freshness read —
-    /// the per-candidate feature inputs are computed once for the whole
-    /// queued set rather than once per routed transaction. A working copy
-    /// of the site-load vector absorbs each assignment before the next
-    /// partition is scored, so a flash-crowd hot set *spreads* across
-    /// underloaded sites instead of ping-ponging wholesale; already-assigned
-    /// partners count at their new homes for the localization terms.
-    fn plan_flush(
-        &self,
-        txn_id: u64,
-        partitions: &[PartitionId],
-        masters: &[Option<SiteId>],
-    ) -> Vec<Option<SiteId>> {
-        let m = self.config.num_sites;
-        let (snaps, mut working_load) = self.stats.snapshot(partitions);
-        let site_vvs = self.freshness.all();
-        let unreachable: Vec<bool> = (0..m)
-            .map(|i| !self.network.site_reachable(i as u32))
-            .collect();
-        let cvv = VersionVector::zero(m);
-        let mut order: Vec<usize> = (0..partitions.len())
-            .filter(|&i| masters[i].is_some())
-            .collect();
-        order.sort_by(|&a, &b| {
-            snaps[b]
-                .load
-                .total_cmp(&snaps[a].load)
-                .then(partitions[a].cmp(&partitions[b]))
-        });
-        let mut plan: Vec<Option<SiteId>> = vec![None; partitions.len()];
-        let mut assigned: HashMap<PartitionId, SiteId> = HashMap::new();
-        for &i in &order {
-            let placed = [(partitions[i], masters[i])];
-            let load = [snaps[i].load];
-            let to_coaccess = |partners: &[(PartitionId, f64)]| -> Vec<CoAccess> {
-                partners
-                    .iter()
-                    .map(|(partner, probability)| CoAccess {
-                        partner: *partner,
-                        probability: *probability,
-                        partner_master: assigned.get(partner).copied().or_else(|| {
-                            self.map
-                                .entries_for_existing(*partner)
-                                .and_then(|e| e.master_relaxed())
-                        }),
-                        in_write_set: false,
-                    })
-                    .collect()
-            };
-            let intra = vec![to_coaccess(&snaps[i].intra.partners)];
-            let inter = vec![to_coaccess(&snaps[i].inter.partners)];
-            let (dest, cands) = confirm_group_destination(
-                &ScoreInputs {
-                    num_sites: m,
-                    weights: &self.config.weights,
-                    partitions: &placed,
-                    partition_load: &load,
-                    site_load: &working_load,
-                    intra: &intra,
-                    inter: &inter,
-                    site_vvs: &site_vvs,
-                    cvv: &cvv,
-                },
-                &unreachable,
-            );
-            let src = masters[i].expect("order holds only mastered partitions");
-            working_load[src.as_usize()] -= snaps[i].load;
-            working_load[dest.as_usize()] += snaps[i].load;
-            assigned.insert(partitions[i], dest);
-            plan[i] = Some(dest);
-            if dest != src {
-                // The epoch-stamped final decision for this move (its
-                // release allocates the next remaster epoch).
-                self.trace(
-                    txn_id,
-                    TraceKind::RemasterDecision,
-                    TracePayload::Decision {
-                        chosen: dest.raw(),
-                        partitions: 1,
-                        epoch: self.epoch.load(Ordering::Relaxed) + 1,
-                        candidates: Arc::new(cands),
-                    },
-                );
-            }
-        }
-        plan
+        decision.min_vv = self.with_session_floor(decision.min_vv);
+        decision
     }
 
     /// Strategy evaluation (Eq. 8) over all candidate sites, recording a
@@ -1585,9 +550,9 @@ impl SiteSelector {
         dest
     }
 
-    /// Shared Eq. 8 evaluation for both inline decisions and epoch-flush
-    /// group re-scoring: builds the feature inputs once for the partition
-    /// set and delegates to the strategy's group scorer with the current
+    /// Eq. 8 evaluation of one partition set, for slow-path decisions and
+    /// the epoch tick's per-partition verdicts: builds the feature inputs
+    /// once and delegates to the strategy's group scorer with the current
     /// reachability mask.
     fn score_candidates(
         &self,
@@ -1602,34 +567,14 @@ impl SiteSelector {
             .map(|(p, m)| (*p, *m))
             .collect();
         let partition_load: Vec<f64> = snaps.iter().map(|s| s.load).collect();
-        let to_coaccess = |partners: &[(PartitionId, f64)]| -> Vec<CoAccess> {
-            partners
-                .iter()
-                .map(|(partner, probability)| {
-                    let in_write_set = partitions.binary_search(partner).is_ok();
-                    let partner_master = if in_write_set {
-                        None // filled by `in_write_set` handling in scoring
-                    } else {
-                        self.map
-                            .entries_for_existing(*partner)
-                            .and_then(|e| e.master_relaxed())
-                    };
-                    CoAccess {
-                        partner: *partner,
-                        probability: *probability,
-                        partner_master,
-                        in_write_set,
-                    }
-                })
-                .collect()
-        };
+        let unassigned = HashMap::new();
         let intra: Vec<Vec<CoAccess>> = snaps
             .iter()
-            .map(|s| to_coaccess(&s.intra.partners))
+            .map(|s| self.coaccess(&s.intra.partners, partitions, &unassigned))
             .collect();
         let inter: Vec<Vec<CoAccess>> = snaps
             .iter()
-            .map(|s| to_coaccess(&s.inter.partners))
+            .map(|s| self.coaccess(&s.inter.partners, partitions, &unassigned))
             .collect();
         let site_vvs = self.freshness.all();
         // Never remaster TOWARD an unreachable site: a grant to a crashed
@@ -1684,6 +629,39 @@ impl SiteSelector {
             }
         }
         (dest, cands)
+    }
+
+    /// Co-access partners as Eq. 8 inputs. A partner inside the (sorted)
+    /// `write_set` moves with it, so scoring fills in its master; any other
+    /// sits where `assigned` (an epoch flush's plan so far) or else the map
+    /// says.
+    fn coaccess(
+        &self,
+        partners: &[(PartitionId, f64)],
+        write_set: &[PartitionId],
+        assigned: &HashMap<PartitionId, SiteId>,
+    ) -> Vec<CoAccess> {
+        partners
+            .iter()
+            .map(|(partner, probability)| {
+                let in_write_set = write_set.binary_search(partner).is_ok();
+                let partner_master = if in_write_set {
+                    None
+                } else {
+                    assigned.get(partner).copied().or_else(|| {
+                        self.map
+                            .entries_for_existing(*partner)
+                            .and_then(|e| e.master_relaxed())
+                    })
+                };
+                CoAccess {
+                    partner: *partner,
+                    probability: *probability,
+                    partner_master,
+                    in_write_set,
+                }
+            })
+            .collect()
     }
 
     /// Routes a read-only transaction (§IV-B): a random *reachable* site

@@ -195,13 +195,15 @@ pub enum CrashPoint {
     /// After the remaster fully settled, before the routing decision is
     /// returned: mastership moved but the client never learns where to.
     BeforeClientReply,
-    /// Mid-way through an epoch flush's `BatchRelease` RPCs: some (src,
-    /// dst) pairs have released their whole partition group, others have
-    /// not been contacted at all — a torn batch on the release half.
+    /// Between the (src, dst) pairs of an epoch flush, before a pair's
+    /// `Release` leaves: earlier pairs have moved their whole partition
+    /// group, later ones have not been contacted at all — a torn flush on
+    /// the release half.
     MidBatchRelease,
-    /// Mid-way through an epoch flush's `BatchGrant` RPCs: some groups are
-    /// fully granted at their destinations while others sit in the
-    /// release-without-grant window — a torn batch on the grant half.
+    /// Inside an epoch flush, between a pair's settled `Release` and its
+    /// `Grant`: earlier pairs are fully granted at their destinations while
+    /// this one sits in the release-without-grant window — a torn flush on
+    /// the grant half.
     MidBatchGrant,
 }
 

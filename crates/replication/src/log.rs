@@ -182,11 +182,25 @@ impl DurableLog {
     /// `offset` (for a non-gap-closing filler, that sync is performed by
     /// whichever later fill publishes its run).
     pub fn fill_encoded(&self, offset: u64, encoded: Bytes) -> Option<u64> {
+        self.fill_all([(offset, encoded)])
+    }
+
+    /// Fills several reserved slots under one hold of the log lock, so the
+    /// run they close publishes — and on a persistent log is written and
+    /// synced — once rather than once per slot (a remaster RPC logs one
+    /// record per move). Otherwise exactly [`DurableLog::fill_encoded`];
+    /// filling nothing is a no-op.
+    pub fn fill_all(&self, fills: impl IntoIterator<Item = (u64, Bytes)>) -> Option<u64> {
         let mut inner = self.inner.lock();
-        let idx = (offset - inner.base) as usize;
-        let slot = &mut inner.slots[idx];
-        debug_assert!(slot.is_none(), "log slot {offset} filled twice");
-        *slot = Some(encoded);
+        let mut last = None;
+        for (offset, encoded) in fills {
+            let idx = (offset - inner.base) as usize;
+            let slot = &mut inner.slots[idx];
+            debug_assert!(slot.is_none(), "log slot {offset} filled twice");
+            *slot = Some(encoded);
+            last = last.max(Some(offset));
+        }
+        let last = last?;
         // Advance the visible watermark over the contiguous filled prefix.
         let prev_visible = inner.visible;
         while inner
@@ -202,11 +216,11 @@ impl DurableLog {
             self.persist_run(&mut inner, prev_visible, visible);
         }
         let must_wait_durable =
-            inner.disk.is_some() && inner.fsync == FsyncMode::Always && inner.synced <= offset;
+            inner.disk.is_some() && inner.fsync == FsyncMode::Always && inner.synced <= last;
         if must_wait_durable {
             // Wait for a later gap-closing fill to sync past us. The
             // reserve/fill-or-abort discipline guarantees that fill comes.
-            while inner.synced <= offset {
+            while inner.synced <= last {
                 self.durable.wait(&mut inner);
             }
         }
@@ -687,6 +701,27 @@ mod tests {
         assert_eq!(log.synced_len(), 0, "unpublished run is not on disk");
         log.fill(s1, &commit(0, 1));
         assert_eq!(log.synced_len(), 2, "gap-closing fill syncs the run");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A remaster RPC's records go in together, in any order: one
+    /// publication of the whole run, and under `Always` no self-deadlock on
+    /// a later slot waiting for the sync an earlier one triggers.
+    #[test]
+    fn fill_all_publishes_and_syncs_its_run_once() {
+        let dir = tmp_dir("fill-all");
+        let log =
+            DurableLog::open_persistent(SiteId::new(0), dir.clone(), 1 << 16, FsyncMode::Always, 1)
+                .unwrap();
+        let slots: Vec<u64> = (0..3).map(|_| log.reserve()).collect();
+        let encoded = |slot: u64| Bytes::from(encode_to_vec(&commit(0, slot + 1)));
+        assert_eq!(log.fill_all([]), None);
+        let all = [slots[2], slots[0], slots[1]].map(|slot| (slot, encoded(slot)));
+        assert_eq!(log.fill_all(all), Some(3));
+        assert_eq!((log.len(), log.synced_len()), (3, 3));
+        let (records, _) = log.read_from(0).unwrap();
+        let seqs: Vec<u64> = records.iter().map(|r| r.sequence()).collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

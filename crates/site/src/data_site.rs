@@ -18,7 +18,7 @@ use dynamast_replication::{LogSet, Propagator, RefreshApplier};
 use dynamast_storage::{Catalog, LockGuard, Store, VersionStamp};
 
 use crate::clock::SiteClock;
-use crate::messages::{ExecTimings, ShippedRecord, SiteRequest, SiteResponse};
+use crate::messages::{ExecTimings, RemoteError, ShippedRecord, SiteRequest, SiteResponse};
 use crate::ownership::Ownership;
 use crate::pipeline::{apply_refresh_batch, CommitPipeline};
 use crate::proc::{LocalCtx, ProcCall, ProcExecutor, ReadMode};
@@ -981,49 +981,9 @@ impl DataSite {
     /// reply under fault injection) replays the recorded `rel_vv` instead of
     /// failing the unmastered-revoke check.
     pub fn release(&self, partition: PartitionId, epoch: u64) -> Result<VersionVector> {
-        if let Some(vv) = self.released.get(partition, epoch) {
-            return Ok(vv);
-        }
-        if let Err(e) = self.ownership.revoke_and_drain(partition) {
-            // A racing duplicate may have completed the revoke between the
-            // ledger check and here; answer from its recorded result.
-            if let Some(vv) = self.released.get(partition, epoch) {
-                return Ok(vv);
-            }
-            // A selector that lost the reply retries under a *fresh* epoch
-            // (each routing attempt allocates one). The selector only sends
-            // Release to the site its exclusively-locked map names as
-            // master, so reaching here unmastered means the earlier release
-            // executed and its reply was lost: replay the latest recorded
-            // release for the partition.
-            if let Some(vv) = self.released.latest(partition) {
-                return Ok(vv);
-            }
-            return Err(e);
-        }
-        let ticket = self.pipeline.begin();
-        let rel_vv = self.pipeline.commit(
-            ticket,
-            &LogRecord::Release {
-                origin: self.id,
-                sequence: ticket.seq,
-                partition,
-                epoch,
-            },
-        )?;
-        self.released.record(partition, epoch, rel_vv.clone());
-        self.max_epoch_seen.fetch_max(epoch, Ordering::AcqRel);
-        if let Some(rec) = self.recorder.as_deref().filter(|r| r.audit_enabled()) {
-            dynamast_common::audit::emit_ownership(
-                rec,
-                self.id.raw(),
-                partition.raw(),
-                ticket.seq,
-                epoch,
-                false,
-            );
-        }
-        Ok(rel_vv)
+        self.release_moves(&[(partition, epoch)])
+            .pop()
+            .expect("one result per move")
     }
 
     /// Takes mastership of a partition after catching up to the releaser's
@@ -1038,75 +998,152 @@ impl DataSite {
         epoch: u64,
         rel_vv: &VersionVector,
     ) -> Result<VersionVector> {
-        if let Some(vv) = self.granted.get(partition, epoch) {
-            return Ok(vv);
-        }
-        // Master-hosts invariant (partial replication): a site may only be
-        // granted mastership of a partition it fully hosts — the selector
-        // installs a copy first (create-then-grant) when the Eq. 8 choice
-        // lands on a non-replica.
-        if let Some(hosted) = &self.hosted {
-            if !matches!(
-                hosted.lock().map.get(&partition),
-                Some(ReplicaState::Hosted)
-            ) {
-                return Err(DynaError::NotReplica {
-                    site: self.id,
-                    partition,
-                });
-            }
-        }
-        self.clock.wait_dominates(rel_vv)?;
-        self.ownership.grant(partition);
-        let ticket = self.pipeline.begin();
-        let grant_vv = self.pipeline.commit(
-            ticket,
-            &LogRecord::Grant {
-                origin: self.id,
-                sequence: ticket.seq,
-                partition,
-                epoch,
-            },
-        )?;
-        self.granted.record(partition, epoch, grant_vv.clone());
-        self.max_epoch_seen.fetch_max(epoch, Ordering::AcqRel);
-        if let Some(rec) = self.recorder.as_deref().filter(|r| r.audit_enabled()) {
-            dynamast_common::audit::emit_ownership(
-                rec,
-                self.id.raw(),
-                partition.raw(),
-                ticket.seq,
-                epoch,
-                true,
-            );
-        }
-        Ok(grant_vv)
+        self.grant_moves(&[(partition, epoch, rel_vv.clone())])
+            .pop()
+            .expect("one result per move")
     }
 
-    /// Releases a whole batch of partitions (epoch-batched group
-    /// remastering): one RPC round trip, but each partition still runs the
-    /// full [`DataSite::release`] path — its own drain, its own Release
-    /// log record (preserving the per-origin in-order replication
-    /// admission), its own ledger entry. Per-partition failures are
-    /// isolated: a failed release returns `None` in that slot and the rest
-    /// of the batch proceeds.
-    pub fn batch_release(&self, moves: &[(PartitionId, u64)]) -> Vec<Option<VersionVector>> {
-        moves
+    /// The moves of one `Release` RPC. Each partition still gets its own
+    /// drain, its own Release log record (per-origin in-order replication
+    /// admission is preserved) and its own ledger entry, and a failed move
+    /// leaves the others alone — but the records are filled together and
+    /// the site waits for visibility *once* (see [`DataSite::log_moves`]),
+    /// so k moves cost one publication — on a durable log one group fsync —
+    /// and one move costs what it always did.
+    fn release_moves(&self, moves: &[(PartitionId, u64)]) -> Vec<Result<VersionVector>> {
+        let admitted = moves
             .iter()
-            .map(|&(partition, epoch)| self.release(partition, epoch).ok())
-            .collect()
+            .map(|&(partition, epoch)| {
+                if let Some(vv) = self.released.get(partition, epoch) {
+                    return Ok(Some(vv));
+                }
+                if let Err(e) = self.ownership.revoke_and_drain(partition) {
+                    // A racing duplicate may have completed the revoke
+                    // between the ledger check and here: answer from its
+                    // recorded result. Otherwise the selector lost the reply
+                    // and retries under a *fresh* epoch (each routing
+                    // attempt allocates one); it only sends Release to the
+                    // site its exclusively-locked map names as master, so
+                    // reaching here unmastered means the earlier release
+                    // executed: replay the latest one recorded.
+                    return self
+                        .released
+                        .get(partition, epoch)
+                        .or_else(|| self.released.latest(partition))
+                        .map(Some)
+                        .ok_or(e);
+                }
+                Ok(None)
+            })
+            .collect();
+        self.log_moves(false, moves.to_vec(), admitted)
     }
 
-    /// Grants a whole batch of partitions (epoch-batched group
-    /// remastering); the per-partition analogue of
-    /// [`DataSite::batch_release`].
-    pub fn batch_grant(
+    /// The moves of one `Grant` RPC; see [`DataSite::release_moves`].
+    fn grant_moves(
         &self,
         grants: &[(PartitionId, u64, VersionVector)],
-    ) -> Vec<Option<VersionVector>> {
-        grants
+    ) -> Vec<Result<VersionVector>> {
+        let admitted = grants
             .iter()
-            .map(|(partition, epoch, rel_vv)| self.grant(*partition, *epoch, rel_vv).ok())
+            .map(|(partition, epoch, rel_vv)| {
+                if let Some(vv) = self.granted.get(*partition, *epoch) {
+                    return Ok(Some(vv));
+                }
+                // Master-hosts invariant (partial replication): a site may
+                // only be granted mastership of a partition it fully hosts —
+                // the selector installs a copy first (create-then-grant)
+                // when the Eq. 8 choice lands on a non-replica.
+                if let Some(hosted) = &self.hosted {
+                    if !matches!(hosted.lock().map.get(partition), Some(ReplicaState::Hosted)) {
+                        return Err(DynaError::NotReplica {
+                            site: self.id,
+                            partition: *partition,
+                        });
+                    }
+                }
+                self.clock.wait_dominates(rel_vv)?;
+                self.ownership.grant(*partition);
+                Ok(None)
+            })
+            .collect();
+        let keys = grants.iter().map(|(p, epoch, _)| (*p, *epoch)).collect();
+        self.log_moves(true, keys, admitted)
+    }
+
+    /// The shared tail of a remaster RPC. `admitted[i]` is an error, a
+    /// result replayed from the ledger, or `None` for a move whose ownership
+    /// change is done and still has to be logged. Those get one Release or
+    /// Grant record each, filled together, and one wait until the last of
+    /// them is visible — the returned vector is the remaster handoff point,
+    /// so it must cover the records themselves — and are then ledgered and
+    /// audited one by one.
+    fn log_moves(
+        &self,
+        granted: bool,
+        keys: Vec<(PartitionId, u64)>,
+        admitted: Vec<Result<Option<VersionVector>>>,
+    ) -> Vec<Result<VersionVector>> {
+        let tickets: Vec<_> = admitted
+            .iter()
+            .map(|a| matches!(a, Ok(None)).then(|| self.pipeline.begin()))
+            .collect();
+        // Encoded before the fill, which holds the log lock.
+        let fills: Vec<_> = keys
+            .iter()
+            .zip(&tickets)
+            .filter_map(|(&(partition, epoch), ticket)| {
+                let ticket = (*ticket)?;
+                let (origin, sequence) = (self.id, ticket.seq);
+                let record = if granted {
+                    LogRecord::Grant {
+                        origin,
+                        sequence,
+                        partition,
+                        epoch,
+                    }
+                } else {
+                    LogRecord::Release {
+                        origin,
+                        sequence,
+                        partition,
+                        epoch,
+                    }
+                };
+                Some((ticket, Bytes::from(encode_to_vec(&record))))
+            })
+            .collect();
+        self.pipeline.commit_all(fills);
+        let last = tickets.iter().flatten().map(|ticket| ticket.seq).max();
+        let visible = last.map(|seq| self.clock.wait_admissible(|svv| svv.get(self.id) >= seq));
+        let ledger = if granted {
+            &self.granted
+        } else {
+            &self.released
+        };
+        keys.into_iter()
+            .zip(admitted)
+            .zip(tickets)
+            .map(|(((partition, epoch), admitted), ticket)| {
+                if let Some(replayed) = admitted? {
+                    return Ok(replayed);
+                }
+                let seq = ticket.expect("an admitted move was logged").seq;
+                let vv = visible.clone().expect("a logged move waited")?;
+                ledger.record(partition, epoch, vv.clone());
+                self.max_epoch_seen.fetch_max(epoch, Ordering::AcqRel);
+                if let Some(rec) = self.recorder.as_deref().filter(|r| r.audit_enabled()) {
+                    dynamast_common::audit::emit_ownership(
+                        rec,
+                        self.id.raw(),
+                        partition.raw(),
+                        seq,
+                        epoch,
+                        granted,
+                    );
+                }
+                Ok(vv)
+            })
             .collect()
     }
 
@@ -1669,7 +1706,7 @@ impl SiteRpc {
             Ok(req) => req,
             Err(_) => {
                 return SiteResponse::Error {
-                    error: crate::messages::RemoteError::Internal,
+                    error: RemoteError::Internal,
                 }
             }
         };
@@ -1709,25 +1746,16 @@ impl SiteRpc {
                     timings,
                 })
             }
-            SiteRequest::Release {
-                partition,
-                epoch,
-                generation,
-            } => {
+            SiteRequest::Release { moves, generation } => {
                 site.check_selector_generation(generation)?;
                 Ok(SiteResponse::Released {
-                    rel_vv: site.release(partition, epoch)?,
+                    results: remote_results(site.release_moves(&moves)),
                 })
             }
-            SiteRequest::Grant {
-                partition,
-                epoch,
-                rel_vv,
-                generation,
-            } => {
+            SiteRequest::Grant { grants, generation } => {
                 site.check_selector_generation(generation)?;
                 Ok(SiteResponse::Granted {
-                    grant_vv: site.grant(partition, epoch, &rel_vv)?,
+                    results: remote_results(site.grant_moves(&grants)),
                 })
             }
             SiteRequest::ExecCoordinated {
@@ -1768,18 +1796,6 @@ impl SiteRpc {
                 site.leap_grant(&partitions, records)?;
                 Ok(SiteResponse::LeapGranted)
             }
-            SiteRequest::BatchRelease { moves, generation } => {
-                site.check_selector_generation(generation)?;
-                Ok(SiteResponse::BatchReleased {
-                    results: site.batch_release(&moves),
-                })
-            }
-            SiteRequest::BatchGrant { grants, generation } => {
-                site.check_selector_generation(generation)?;
-                Ok(SiteResponse::BatchGranted {
-                    results: site.batch_grant(&grants),
-                })
-            }
             SiteRequest::GetVv => Ok(SiteResponse::Vv {
                 svv: site.clock.current(),
             }),
@@ -1815,6 +1831,16 @@ impl SiteRpc {
             }
         }
     }
+}
+
+/// Per-move remaster outcomes in their wire form (the error keeps its kind).
+fn remote_results(
+    results: Vec<Result<VersionVector>>,
+) -> Vec<std::result::Result<VersionVector, RemoteError>> {
+    results
+        .into_iter()
+        .map(|result| result.map_err(RemoteError::from))
+        .collect()
 }
 
 #[cfg(test)]

@@ -4,7 +4,9 @@
 //!
 //! * `ExecUpdate` / `ExecRead` — single-site stored-procedure execution
 //!   (DynaMast, single-master, and the local paths of the other systems).
-//! * `Release` / `Grant` — the dynamic mastering protocol (§III-B).
+//! * `Release` / `Grant` — the dynamic mastering protocol (§III-B). One wire
+//!   form each: a vector of moves answered by a vector of per-move results,
+//!   a single move being a vector of one.
 //! * `ExecCoordinated`, `Prepare` / `Decide`, `RemoteRead` — the 2PC
 //!   execution path of multi-master and partition-store.
 //! * `LeapRelease` / `LeapGrant` — LEAP's data-shipping localization
@@ -184,25 +186,23 @@ pub enum SiteRequest {
         /// Snapshot (replicated systems) or latest (partitioned systems).
         mode: ReadMode,
     },
-    /// Release mastership of a partition (dynamic mastering, §III-B).
+    /// Release mastership of partitions (dynamic mastering, §III-B): every
+    /// move of one remaster that leaves this site rides one RPC. Each move
+    /// is drained, logged and ledgered on its own; a single move is a vector
+    /// of one.
     Release {
-        /// Partition to release.
-        partition: PartitionId,
-        /// Selector-assigned remastering epoch.
-        epoch: u64,
+        /// `(partition, selector-assigned remastering epoch)` per move.
+        moves: Vec<(PartitionId, u64)>,
         /// Fencing token: the sending selector's generation. Sites reject
         /// generations below their fence watermark (`StaleSelector`).
         generation: u64,
     },
-    /// Take mastership of a partition (dynamic mastering, §III-B).
+    /// Take mastership of partitions (dynamic mastering, §III-B).
     Grant {
-        /// Partition granted.
-        partition: PartitionId,
-        /// Selector-assigned remastering epoch.
-        epoch: u64,
-        /// The releasing site's svv at release; the grantee waits until its
-        /// own svv dominates this.
-        rel_vv: VersionVector,
+        /// `(partition, epoch, rel_vv)` per move: `rel_vv` is the releasing
+        /// site's svv at release; the grantee waits until its own svv
+        /// dominates it.
+        grants: Vec<(PartitionId, u64, VersionVector)>,
         /// Fencing token: the sending selector's generation.
         generation: u64,
     },
@@ -252,23 +252,6 @@ pub enum SiteRequest {
         partitions: Vec<PartitionId>,
         /// Shipped records to install.
         records: Vec<ShippedRecord>,
-    },
-    /// Release mastership of many partitions in one coalesced RPC
-    /// (epoch-batched group remastering). Each move is logged and
-    /// ledgered individually on the site — only the round trip is shared.
-    BatchRelease {
-        /// `(partition, selector-assigned epoch)` pairs, one per move.
-        moves: Vec<(PartitionId, u64)>,
-        /// Fencing token: the sending selector's generation.
-        generation: u64,
-    },
-    /// Take mastership of many partitions in one coalesced RPC
-    /// (epoch-batched group remastering).
-    BatchGrant {
-        /// `(partition, epoch, releasing site's rel_vv)` triples.
-        grants: Vec<(PartitionId, u64, VersionVector)>,
-        /// Fencing token: the sending selector's generation.
-        generation: u64,
     },
     /// Cut a copy-installation snapshot of one partition (partial
     /// replication): the serving site dumps the partition's latest rows and
@@ -324,8 +307,6 @@ const REQ_LEAP_RELEASE: u8 = 9;
 const REQ_LEAP_GRANT: u8 = 10;
 const REQ_GET_VV: u8 = 11;
 const REQ_FENCE_SELECTOR: u8 = 12;
-const REQ_BATCH_RELEASE: u8 = 13;
-const REQ_BATCH_GRANT: u8 = 14;
 const REQ_REPLICA_SNAPSHOT: u8 = 15;
 const REQ_ADD_REPLICA: u8 = 16;
 const REQ_DROP_REPLICA: u8 = 17;
@@ -357,26 +338,23 @@ impl Encode for SiteRequest {
                 proc.encode(buf);
                 encode_read_mode(*mode, buf);
             }
-            SiteRequest::Release {
-                partition,
-                epoch,
-                generation,
-            } => {
+            SiteRequest::Release { moves, generation } => {
                 buf.put_u8(REQ_RELEASE);
-                buf.put_u64(partition.raw());
-                buf.put_u64(*epoch);
+                buf.put_u32(moves.len() as u32);
+                for (partition, epoch) in moves {
+                    buf.put_u64(partition.raw());
+                    buf.put_u64(*epoch);
+                }
                 buf.put_u64(*generation);
             }
-            SiteRequest::Grant {
-                partition,
-                epoch,
-                rel_vv,
-                generation,
-            } => {
+            SiteRequest::Grant { grants, generation } => {
                 buf.put_u8(REQ_GRANT);
-                buf.put_u64(partition.raw());
-                buf.put_u64(*epoch);
-                rel_vv.encode(buf);
+                buf.put_u32(grants.len() as u32);
+                for (partition, epoch, rel_vv) in grants {
+                    buf.put_u64(partition.raw());
+                    buf.put_u64(*epoch);
+                    rel_vv.encode(buf);
+                }
                 buf.put_u64(*generation);
             }
             SiteRequest::ExecCoordinated {
@@ -423,25 +401,6 @@ impl Encode for SiteRequest {
                 encode_partitions(partitions, buf);
                 codec::encode_seq(records, buf);
             }
-            SiteRequest::BatchRelease { moves, generation } => {
-                buf.put_u8(REQ_BATCH_RELEASE);
-                buf.put_u32(moves.len() as u32);
-                for (partition, epoch) in moves {
-                    buf.put_u64(partition.raw());
-                    buf.put_u64(*epoch);
-                }
-                buf.put_u64(*generation);
-            }
-            SiteRequest::BatchGrant { grants, generation } => {
-                buf.put_u8(REQ_BATCH_GRANT);
-                buf.put_u32(grants.len() as u32);
-                for (partition, epoch, rel_vv) in grants {
-                    buf.put_u64(partition.raw());
-                    buf.put_u64(*epoch);
-                    rel_vv.encode(buf);
-                }
-                buf.put_u64(*generation);
-            }
             SiteRequest::ReplicaSnapshot { partition } => {
                 buf.put_u8(REQ_REPLICA_SNAPSHOT);
                 buf.put_u64(partition.raw());
@@ -481,8 +440,14 @@ impl Encode for SiteRequest {
             | SiteRequest::ExecCoordinated { min_vv, proc, .. } => {
                 8 + min_vv.encoded_len() + proc.encoded_len() + 1
             }
-            SiteRequest::Release { .. } => 24,
-            SiteRequest::Grant { rel_vv, .. } => 24 + rel_vv.encoded_len(),
+            SiteRequest::Release { moves, .. } => 4 + 16 * moves.len() + 8,
+            SiteRequest::Grant { grants, .. } => {
+                4 + grants
+                    .iter()
+                    .map(|(_, _, vv)| 16 + vv.encoded_len())
+                    .sum::<usize>()
+                    + 8
+            }
             SiteRequest::Prepare {
                 writes, expected, ..
             } => 8 + codec::seq_len(writes) + codec::seq_len(expected),
@@ -495,14 +460,6 @@ impl Encode for SiteRequest {
                 partitions,
                 records,
             } => 4 + 8 * partitions.len() + codec::seq_len(records),
-            SiteRequest::BatchRelease { moves, .. } => 4 + 16 * moves.len() + 8,
-            SiteRequest::BatchGrant { grants, .. } => {
-                4 + grants
-                    .iter()
-                    .map(|(_, _, vv)| 16 + vv.encoded_len())
-                    .sum::<usize>()
-                    + 8
-            }
             SiteRequest::ReplicaSnapshot { .. } => 8,
             SiteRequest::AddReplica {
                 records, src_svv, ..
@@ -545,17 +502,35 @@ impl Decode for SiteRequest {
                 proc: ProcCall::decode(buf)?,
                 mode: decode_read_mode(buf)?,
             }),
-            REQ_RELEASE => Ok(SiteRequest::Release {
-                partition: PartitionId::new(codec::get_u64(buf)? as usize),
-                epoch: codec::get_u64(buf)?,
-                generation: codec::get_u64(buf)?,
-            }),
-            REQ_GRANT => Ok(SiteRequest::Grant {
-                partition: PartitionId::new(codec::get_u64(buf)? as usize),
-                epoch: codec::get_u64(buf)?,
-                rel_vv: VersionVector::decode(buf)?,
-                generation: codec::get_u64(buf)?,
-            }),
+            REQ_RELEASE => {
+                let n = codec::get_u32(buf)? as usize;
+                let mut moves = Vec::with_capacity(n.min(1 << 20));
+                for _ in 0..n {
+                    moves.push((
+                        PartitionId::new(codec::get_u64(buf)? as usize),
+                        codec::get_u64(buf)?,
+                    ));
+                }
+                Ok(SiteRequest::Release {
+                    moves,
+                    generation: codec::get_u64(buf)?,
+                })
+            }
+            REQ_GRANT => {
+                let n = codec::get_u32(buf)? as usize;
+                let mut grants = Vec::with_capacity(n.min(1 << 20));
+                for _ in 0..n {
+                    grants.push((
+                        PartitionId::new(codec::get_u64(buf)? as usize),
+                        codec::get_u64(buf)?,
+                        VersionVector::decode(buf)?,
+                    ));
+                }
+                Ok(SiteRequest::Grant {
+                    grants,
+                    generation: codec::get_u64(buf)?,
+                })
+            }
             REQ_EXEC_COORD => Ok(SiteRequest::ExecCoordinated {
                 txn_id: codec::get_u64(buf)?,
                 min_vv: VersionVector::decode(buf)?,
@@ -599,35 +574,6 @@ impl Decode for SiteRequest {
             REQ_FENCE_SELECTOR => Ok(SiteRequest::FenceSelector {
                 generation: codec::get_u64(buf)?,
             }),
-            REQ_BATCH_RELEASE => {
-                let n = codec::get_u32(buf)? as usize;
-                let mut moves = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    moves.push((
-                        PartitionId::new(codec::get_u64(buf)? as usize),
-                        codec::get_u64(buf)?,
-                    ));
-                }
-                Ok(SiteRequest::BatchRelease {
-                    moves,
-                    generation: codec::get_u64(buf)?,
-                })
-            }
-            REQ_BATCH_GRANT => {
-                let n = codec::get_u32(buf)? as usize;
-                let mut grants = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    grants.push((
-                        PartitionId::new(codec::get_u64(buf)? as usize),
-                        codec::get_u64(buf)?,
-                        VersionVector::decode(buf)?,
-                    ));
-                }
-                Ok(SiteRequest::BatchGrant {
-                    grants,
-                    generation: codec::get_u64(buf)?,
-                })
-            }
             _ => Err(DynaError::Codec {
                 what: "site request tag",
                 needed: 0,
@@ -658,28 +604,18 @@ pub enum SiteResponse {
         /// Server-side timing breakdown.
         timings: ExecTimings,
     },
-    /// Mastership released.
+    /// Release finished; per-move outcomes.
     Released {
-        /// The site's svv at the release point.
-        rel_vv: VersionVector,
+        /// Parallel to the request's `moves`: the site's svv at each
+        /// release point, or why that move's release failed (the others are
+        /// unaffected).
+        results: Vec<std::result::Result<VersionVector, RemoteError>>,
     },
-    /// Mastership granted.
+    /// Grant finished; per-move outcomes.
     Granted {
-        /// The site's svv when it took ownership.
-        grant_vv: VersionVector,
-    },
-    /// Batch release finished; per-partition outcomes.
-    BatchReleased {
-        /// Parallel to the request's `moves`: `Some(rel_vv)` for each
-        /// released partition, `None` where that partition's release
-        /// failed (the rest of the batch is unaffected).
-        results: Vec<Option<VersionVector>>,
-    },
-    /// Batch grant finished; per-partition outcomes.
-    BatchGranted {
-        /// Parallel to the request's `grants`: `Some(grant_vv)` for each
-        /// granted partition, `None` where that grant failed.
-        results: Vec<Option<VersionVector>>,
+        /// Parallel to the request's `grants`: the site's svv when it took
+        /// ownership, or why that grant failed.
+        results: Vec<std::result::Result<VersionVector, RemoteError>>,
     },
     /// 2PC vote.
     Voted {
@@ -828,39 +764,111 @@ const RESP_LEAP_GRANTED: u8 = 9;
 const RESP_VV: u8 = 10;
 const RESP_ERROR: u8 = 11;
 const RESP_FENCED: u8 = 12;
-const RESP_BATCH_RELEASED: u8 = 13;
-const RESP_BATCH_GRANTED: u8 = 14;
 const RESP_REPLICA_SNAPSHOTTED: u8 = 15;
 const RESP_REPLICA_ADDED: u8 = 16;
 const RESP_REPLICA_DROPPED: u8 = 17;
 
-fn encode_opt_vvs(results: &[Option<VersionVector>], buf: &mut impl BufMut) {
+impl Encode for RemoteError {
+    fn encode(&self, buf: &mut impl BufMut) {
+        match self {
+            RemoteError::NotMaster { site, partition } => {
+                buf.put_u8(1);
+                buf.put_u32(site.raw());
+                buf.put_u64(partition.raw());
+            }
+            RemoteError::Aborted => buf.put_u8(2),
+            RemoteError::ShuttingDown => buf.put_u8(3),
+            RemoteError::Internal => buf.put_u8(4),
+            RemoteError::StaleSelector { observed, current } => {
+                buf.put_u8(5);
+                buf.put_u64(*observed);
+                buf.put_u64(*current);
+            }
+            RemoteError::NotReplica { site, partition } => {
+                buf.put_u8(6);
+                buf.put_u32(site.raw());
+                buf.put_u64(partition.raw());
+            }
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        match self {
+            RemoteError::NotMaster { .. } | RemoteError::NotReplica { .. } => 13,
+            RemoteError::StaleSelector { .. } => 17,
+            _ => 1,
+        }
+    }
+}
+
+impl Decode for RemoteError {
+    fn decode(buf: &mut impl Buf) -> Result<Self> {
+        Ok(match codec::get_u8(buf)? {
+            1 => RemoteError::NotMaster {
+                site: SiteId::new(codec::get_u32(buf)? as usize),
+                partition: PartitionId::new(codec::get_u64(buf)? as usize),
+            },
+            2 => RemoteError::Aborted,
+            3 => RemoteError::ShuttingDown,
+            4 => RemoteError::Internal,
+            5 => RemoteError::StaleSelector {
+                observed: codec::get_u64(buf)?,
+                current: codec::get_u64(buf)?,
+            },
+            6 => RemoteError::NotReplica {
+                site: SiteId::new(codec::get_u32(buf)? as usize),
+                partition: PartitionId::new(codec::get_u64(buf)? as usize),
+            },
+            _ => {
+                return Err(DynaError::Codec {
+                    what: "remote error tag",
+                    needed: 0,
+                    remaining: buf.remaining(),
+                })
+            }
+        })
+    }
+}
+
+/// Per-move remaster outcomes: a count, then `1 + vv` or `0 + error` each.
+fn encode_move_results(
+    results: &[std::result::Result<VersionVector, RemoteError>],
+    buf: &mut impl BufMut,
+) {
     buf.put_u32(results.len() as u32);
     for result in results {
         match result {
-            None => buf.put_u8(0),
-            Some(vv) => {
+            Ok(vv) => {
                 buf.put_u8(1);
                 vv.encode(buf);
+            }
+            Err(error) => {
+                buf.put_u8(0);
+                error.encode(buf);
             }
         }
     }
 }
 
-fn opt_vvs_len(results: &[Option<VersionVector>]) -> usize {
+fn move_results_len(results: &[std::result::Result<VersionVector, RemoteError>]) -> usize {
     4 + results
         .iter()
-        .map(|r| 1 + r.as_ref().map_or(0, VersionVector::encoded_len))
+        .map(|result| match result {
+            Ok(vv) => 1 + vv.encoded_len(),
+            Err(error) => 1 + error.encoded_len(),
+        })
         .sum::<usize>()
 }
 
-fn decode_opt_vvs(buf: &mut impl Buf) -> Result<Vec<Option<VersionVector>>> {
+fn decode_move_results(
+    buf: &mut impl Buf,
+) -> Result<Vec<std::result::Result<VersionVector, RemoteError>>> {
     let n = codec::get_u32(buf)? as usize;
     let mut out = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
         out.push(match codec::get_u8(buf)? {
-            0 => None,
-            _ => Some(VersionVector::decode(buf)?),
+            0 => Err(RemoteError::decode(buf)?),
+            _ => Ok(VersionVector::decode(buf)?),
         });
     }
     Ok(out)
@@ -889,21 +897,13 @@ impl Encode for SiteResponse {
                 site_vv.encode(buf);
                 timings.encode(buf);
             }
-            SiteResponse::Released { rel_vv } => {
+            SiteResponse::Released { results } => {
                 buf.put_u8(RESP_RELEASED);
-                rel_vv.encode(buf);
+                encode_move_results(results, buf);
             }
-            SiteResponse::Granted { grant_vv } => {
+            SiteResponse::Granted { results } => {
                 buf.put_u8(RESP_GRANTED);
-                grant_vv.encode(buf);
-            }
-            SiteResponse::BatchReleased { results } => {
-                buf.put_u8(RESP_BATCH_RELEASED);
-                encode_opt_vvs(results, buf);
-            }
-            SiteResponse::BatchGranted { results } => {
-                buf.put_u8(RESP_BATCH_GRANTED);
-                encode_opt_vvs(results, buf);
+                encode_move_results(results, buf);
             }
             SiteResponse::Voted { yes } => {
                 buf.put_u8(RESP_VOTED);
@@ -970,26 +970,7 @@ impl Encode for SiteResponse {
             }
             SiteResponse::Error { error } => {
                 buf.put_u8(RESP_ERROR);
-                match error {
-                    RemoteError::NotMaster { site, partition } => {
-                        buf.put_u8(1);
-                        buf.put_u32(site.raw());
-                        buf.put_u64(partition.raw());
-                    }
-                    RemoteError::Aborted => buf.put_u8(2),
-                    RemoteError::ShuttingDown => buf.put_u8(3),
-                    RemoteError::Internal => buf.put_u8(4),
-                    RemoteError::StaleSelector { observed, current } => {
-                        buf.put_u8(5);
-                        buf.put_u64(*observed);
-                        buf.put_u64(*current);
-                    }
-                    RemoteError::NotReplica { site, partition } => {
-                        buf.put_u8(6);
-                        buf.put_u32(site.raw());
-                        buf.put_u64(partition.raw());
-                    }
-                }
+                error.encode(buf);
             }
         }
     }
@@ -1006,10 +987,8 @@ impl Encode for SiteResponse {
                 site_vv,
                 timings,
             } => codec::bytes_len(result) + site_vv.encoded_len() + timings.encoded_len(),
-            SiteResponse::Released { rel_vv } => rel_vv.encoded_len(),
-            SiteResponse::Granted { grant_vv } => grant_vv.encoded_len(),
-            SiteResponse::BatchReleased { results } | SiteResponse::BatchGranted { results } => {
-                opt_vvs_len(results)
+            SiteResponse::Released { results } | SiteResponse::Granted { results } => {
+                move_results_len(results)
             }
             SiteResponse::Voted { .. } => 1,
             SiteResponse::Decided { site_vv } => site_vv.encoded_len(),
@@ -1037,11 +1016,7 @@ impl Encode for SiteResponse {
             SiteResponse::ReplicaDropped { .. } => 16,
             SiteResponse::Vv { svv } => svv.encoded_len(),
             SiteResponse::Fenced { svv, mastered } => svv.encoded_len() + 4 + 8 * mastered.len(),
-            SiteResponse::Error { error } => match error {
-                RemoteError::NotMaster { .. } | RemoteError::NotReplica { .. } => 13,
-                RemoteError::StaleSelector { .. } => 17,
-                _ => 1,
-            },
+            SiteResponse::Error { error } => error.encoded_len(),
         }
     }
 }
@@ -1060,16 +1035,10 @@ impl Decode for SiteResponse {
                 timings: ExecTimings::decode(buf)?,
             }),
             RESP_RELEASED => Ok(SiteResponse::Released {
-                rel_vv: VersionVector::decode(buf)?,
+                results: decode_move_results(buf)?,
             }),
             RESP_GRANTED => Ok(SiteResponse::Granted {
-                grant_vv: VersionVector::decode(buf)?,
-            }),
-            RESP_BATCH_RELEASED => Ok(SiteResponse::BatchReleased {
-                results: decode_opt_vvs(buf)?,
-            }),
-            RESP_BATCH_GRANTED => Ok(SiteResponse::BatchGranted {
-                results: decode_opt_vvs(buf)?,
+                results: decode_move_results(buf)?,
             }),
             RESP_VOTED => Ok(SiteResponse::Voted {
                 yes: codec::get_u8(buf)? != 0,
@@ -1130,33 +1099,9 @@ impl Decode for SiteResponse {
                 svv: VersionVector::decode(buf)?,
                 mastered: decode_partitions(buf)?,
             }),
-            RESP_ERROR => {
-                let error = match codec::get_u8(buf)? {
-                    1 => RemoteError::NotMaster {
-                        site: SiteId::new(codec::get_u32(buf)? as usize),
-                        partition: PartitionId::new(codec::get_u64(buf)? as usize),
-                    },
-                    2 => RemoteError::Aborted,
-                    3 => RemoteError::ShuttingDown,
-                    4 => RemoteError::Internal,
-                    5 => RemoteError::StaleSelector {
-                        observed: codec::get_u64(buf)?,
-                        current: codec::get_u64(buf)?,
-                    },
-                    6 => RemoteError::NotReplica {
-                        site: SiteId::new(codec::get_u32(buf)? as usize),
-                        partition: PartitionId::new(codec::get_u64(buf)? as usize),
-                    },
-                    _ => {
-                        return Err(DynaError::Codec {
-                            what: "remote error tag",
-                            needed: 0,
-                            remaining: buf.remaining(),
-                        })
-                    }
-                };
-                Ok(SiteResponse::Error { error })
-            }
+            RESP_ERROR => Ok(SiteResponse::Error {
+                error: RemoteError::decode(buf)?,
+            }),
             _ => Err(DynaError::Codec {
                 what: "site response tag",
                 needed: 0,
@@ -1223,14 +1168,26 @@ mod tests {
             mode: ReadMode::Snapshot,
         });
         roundtrip_req(SiteRequest::Release {
-            partition: PartitionId::new(4),
-            epoch: 9,
+            moves: vec![(PartitionId::new(4), 9)],
+            generation: 2,
+        });
+        roundtrip_req(SiteRequest::Release {
+            moves: vec![(PartitionId::new(4), 9), (PartitionId::new(6), 10)],
+            generation: 2,
+        });
+        roundtrip_req(SiteRequest::Release {
+            moves: vec![],
+            generation: 0,
+        });
+        roundtrip_req(SiteRequest::Grant {
+            grants: vec![
+                (PartitionId::new(4), 9, vv.clone()),
+                (PartitionId::new(6), 10, VersionVector::zero(2)),
+            ],
             generation: 2,
         });
         roundtrip_req(SiteRequest::Grant {
-            partition: PartitionId::new(4),
-            epoch: 9,
-            rel_vv: vv.clone(),
+            grants: vec![],
             generation: 2,
         });
         roundtrip_req(SiteRequest::ExecCoordinated {
@@ -1282,21 +1239,6 @@ mod tests {
         });
         roundtrip_req(SiteRequest::GetVv);
         roundtrip_req(SiteRequest::FenceSelector { generation: 7 });
-        roundtrip_req(SiteRequest::BatchRelease {
-            moves: vec![(PartitionId::new(4), 9), (PartitionId::new(6), 10)],
-            generation: 2,
-        });
-        roundtrip_req(SiteRequest::BatchRelease {
-            moves: vec![],
-            generation: 0,
-        });
-        roundtrip_req(SiteRequest::BatchGrant {
-            grants: vec![
-                (PartitionId::new(4), 9, vv.clone()),
-                (PartitionId::new(6), 10, VersionVector::zero(2)),
-            ],
-            generation: 2,
-        });
         roundtrip_req(SiteRequest::ReplicaSnapshot {
             partition: PartitionId::new(3),
         });
@@ -1334,17 +1276,34 @@ mod tests {
             site_vv: vv.clone(),
             timings: ExecTimings::default(),
         });
-        roundtrip_resp(SiteResponse::Released { rel_vv: vv.clone() });
+        roundtrip_resp(SiteResponse::Released {
+            results: vec![Ok(vv.clone())],
+        });
+        roundtrip_resp(SiteResponse::Released {
+            results: vec![
+                Ok(vv.clone()),
+                Err(RemoteError::NotMaster {
+                    site: SiteId::new(1),
+                    partition: PartitionId::new(5),
+                }),
+                Ok(VersionVector::zero(3)),
+            ],
+        });
         roundtrip_resp(SiteResponse::Granted {
-            grant_vv: vv.clone(),
+            results: vec![
+                Err(RemoteError::NotReplica {
+                    site: SiteId::new(2),
+                    partition: PartitionId::new(5),
+                }),
+                Ok(vv.clone()),
+                Err(RemoteError::StaleSelector {
+                    observed: 1,
+                    current: 2,
+                }),
+                Err(RemoteError::Internal),
+            ],
         });
-        roundtrip_resp(SiteResponse::BatchReleased {
-            results: vec![Some(vv.clone()), None, Some(VersionVector::zero(3))],
-        });
-        roundtrip_resp(SiteResponse::BatchGranted {
-            results: vec![None, Some(vv.clone())],
-        });
-        roundtrip_resp(SiteResponse::BatchGranted { results: vec![] });
+        roundtrip_resp(SiteResponse::Granted { results: vec![] });
         roundtrip_resp(SiteResponse::Voted { yes: false });
         roundtrip_resp(SiteResponse::Decided {
             site_vv: vv.clone(),

@@ -16,7 +16,7 @@
 //!    committers. Safe because the committer still holds its row write locks,
 //!    and versions stamped `(site, seq)` stay invisible to every snapshot
 //!    until `svv[site] >= seq`.
-//! 3. **publish** ([`CommitPipeline::commit`]) — fill the reserved log slot
+//! 3. **publish** ([`CommitPipeline::commit_encoded`]) — fill the reserved log slot
 //!    (the fill that closes the gap at the log's visible watermark publishes
 //!    the whole contiguous run in one group commit) and publish the svv
 //!    watermark in sequence order via `SiteClock::publish`.
@@ -40,7 +40,6 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use dynamast_common::codec::encode_to_vec;
 use dynamast_common::ids::{Key, SiteId};
 use dynamast_common::{Result, Row, VersionVector};
 use dynamast_replication::record::LogRecord;
@@ -53,7 +52,7 @@ use crate::clock::SiteClock;
 /// A reserved position in a site's commit order: the allocated sequence
 /// number and the matching durable-log slot. Obtained from
 /// [`CommitPipeline::begin`]; must be completed with
-/// [`CommitPipeline::commit`] or [`CommitPipeline::commit_encoded`].
+/// [`CommitPipeline::commit_encoded`].
 #[derive(Clone, Copy, Debug)]
 pub struct CommitTicket {
     /// The local commit sequence (`tvv[self]` for a commit record).
@@ -96,8 +95,8 @@ impl CommitPipeline {
     /// The sequencing section: allocates the next commit sequence and
     /// reserves the matching log slot under one tiny lock.
     ///
-    /// Everything after this call until [`CommitPipeline::commit`] must be
-    /// infallible — validate before beginning.
+    /// Everything after this call until [`CommitPipeline::commit_encoded`]
+    /// must be infallible — validate before beginning.
     pub fn begin(&self) -> CommitTicket {
         let _sequencer = self.sequencer.lock();
         let seq = self.clock.allocate();
@@ -105,29 +104,14 @@ impl CommitPipeline {
         CommitTicket { seq, slot }
     }
 
-    /// Completes a ticket and waits for its sequence to become visible,
-    /// returning the svv at that point. Release/Grant use this: the returned
-    /// vector is the remaster handoff point, so it must already cover the
-    /// record itself.
-    pub fn commit(&self, ticket: CommitTicket, record: &LogRecord) -> Result<VersionVector> {
-        debug_assert_eq!(
-            record.sequence(),
-            ticket.seq,
-            "record sequence must match its ticket"
-        );
-        self.commit_encoded(ticket, Bytes::from(encode_to_vec(record)));
-        // The fill above (or a concurrent gap-closing one) publishes the
-        // sequence; wait only for that, not for a publication *turn*.
-        self.clock
-            .wait_admissible(|svv| svv.get(self.site) >= ticket.seq)
-    }
-
-    /// Like [`CommitPipeline::commit`] with a pre-encoded record, and
-    /// without the visibility wait: the local commit path serializes while
+    /// Completes a ticket with its encoded record, without waiting for the
+    /// sequence to become visible: the local commit path serializes while
     /// it still borrows the rows, moves the rows into storage, then
     /// completes the ticket and returns immediately — its transaction vector
     /// (`begin` + own sequence) is already the client's session vector, and
-    /// snapshot freshness waits pick up publication downstream.
+    /// snapshot freshness waits pick up publication downstream. A remaster
+    /// RPC, whose reply is the handoff point and so must cover its own
+    /// records, fills all of them at once and then waits on the clock once.
     ///
     /// Publication rides the group commit: whichever fill closes the log's
     /// visible gap advances the svv over the whole contiguous run, so no
@@ -136,7 +120,16 @@ impl CommitPipeline {
     /// filling its slot — a contiguous filled prefix is a fully installed
     /// prefix.
     pub fn commit_encoded(&self, ticket: CommitTicket, encoded: Bytes) {
-        if let Some(visible) = self.log.fill_encoded(ticket.slot, encoded) {
+        self.commit_all([(ticket, encoded)]);
+    }
+
+    /// [`CommitPipeline::commit_encoded`] for several tickets at once: the
+    /// run they close publishes (and syncs) once, not once per ticket.
+    pub(crate) fn commit_all(&self, fills: impl IntoIterator<Item = (CommitTicket, Bytes)>) {
+        let fills = fills
+            .into_iter()
+            .map(|(ticket, encoded)| (ticket.slot, encoded));
+        if let Some(visible) = self.log.fill_all(fills) {
             // Slot i holds sequence i + 1, so the visible length is exactly
             // the highest fully installed, fully logged sequence.
             self.clock.publish_up_to(visible);
@@ -309,6 +302,7 @@ fn run_admissible(svv: &VersionVector, origin: SiteId, cursor: u64, record: &Log
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynamast_common::codec::encode_to_vec;
     use dynamast_common::ids::{Key, TableId};
     use dynamast_common::{Row, Value};
     use dynamast_replication::record::WriteEntry;
@@ -359,19 +353,13 @@ mod tests {
         assert_eq!((t1.seq, t2.seq), (1, 2));
         assert_eq!((t1.slot, t2.slot), (0, 1));
         // Completing out of ticket order publishes in sequence order anyway.
-        let done = {
-            let r2 = commit_record(0, &[2, 0], vec![(1, 20)]);
-            let pipe = &pipe;
-            thread::scope(|s| {
-                let h = s.spawn(move || pipe.commit(t2, &r2).unwrap());
-                thread::sleep(Duration::from_millis(10));
-                assert_eq!(log.len(), 0, "slot 1 filled but slot 0 open: hidden");
-                pipe.commit(t1, &commit_record(0, &[1, 0], vec![(1, 10)]))
-                    .unwrap();
-                h.join().unwrap()
-            })
+        let fill = |ticket, record: LogRecord| {
+            pipe.commit_encoded(ticket, Bytes::from(encode_to_vec(&record)));
         };
-        assert_eq!(done.get(SiteId::new(0)), 2);
+        fill(t2, commit_record(0, &[2, 0], vec![(1, 20)]));
+        assert_eq!(log.len(), 0, "slot 1 filled but slot 0 open: hidden");
+        assert_eq!(clock.current().get(SiteId::new(0)), 0);
+        fill(t1, commit_record(0, &[1, 0], vec![(1, 10)]));
         assert_eq!(clock.current().get(SiteId::new(0)), 2);
         let (recs, _) = log.read_from(0).unwrap();
         let seqs: Vec<u64> = recs.iter().map(|r| r.sequence()).collect();
@@ -409,10 +397,8 @@ mod tests {
         // The next commit proceeds as sequence 2 and publishes through.
         let guard = pipe.begin_guarded();
         let ticket = guard.defuse();
-        let vv = pipe
-            .commit(ticket, &commit_record(0, &[2, 0], vec![(1, 10)]))
-            .unwrap();
-        assert_eq!(vv.get(SiteId::new(0)), 2);
+        let record = commit_record(0, &[2, 0], vec![(1, 10)]);
+        pipe.commit_encoded(ticket, Bytes::from(encode_to_vec(&record)));
         assert_eq!(clock.current().get(SiteId::new(0)), 2);
     }
 

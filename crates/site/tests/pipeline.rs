@@ -15,13 +15,17 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
+use bytes::Bytes;
+use dynamast_common::codec::encode_to_vec;
 use dynamast_common::config::NetworkConfig;
 use dynamast_common::ids::{Key, PartitionId, SiteId};
 use dynamast_common::{SystemConfig, VersionVector};
-use dynamast_network::Network;
+use dynamast_network::{EndpointId, Network, TrafficCategory};
 use dynamast_replication::{LogSet, RefreshApplier};
-use dynamast_site::tests_support::{deployment, write_call, ConstExec, TABLE};
+use dynamast_site::messages::{expect_ok, RemoteError, SiteRequest, SiteResponse};
+use dynamast_site::tests_support::{deployment, write_call, ConstExec, TestDeployment, TABLE};
 use dynamast_site::{DataSite, DataSiteConfig};
 use dynamast_storage::Catalog;
 use proptest::prelude::*;
@@ -176,6 +180,138 @@ fn duplicate_remaster_rpcs_replay_from_a_bounded_ledger() {
     results.dedup();
     assert_eq!(results.len(), 1, "racing duplicates must agree");
     assert!(a.remaster_ledger_sizes().0 <= before + 1);
+}
+
+/// One `Release` RPC carrying three moves, sent three times: the site logs
+/// one record per released move, waits for visibility once (every released
+/// move reports the same point), isolates the failed move, and answers the
+/// retransmissions with the identical result vector from the ledger.
+#[test]
+fn a_retransmitted_k_move_release_rpc_replays_the_same_result_vector() {
+    let d = deployment(2);
+    let a = &d.sites[0];
+    let (p0, unmastered, p1) = (pid(0), pid(1), pid(2));
+    a.ownership().grant(p0);
+    a.ownership().grant(p1);
+    let request = Bytes::from(encode_to_vec(&SiteRequest::Release {
+        moves: vec![(p0, 1), (unmastered, 2), (p1, 3)],
+        generation: 0,
+    }));
+    let send = || {
+        let reply = d
+            .network
+            .rpc_async(
+                EndpointId::Site(0),
+                TrafficCategory::Remaster,
+                request.clone(),
+            )
+            .and_then(|pending| pending.wait())
+            .unwrap();
+        match expect_ok(&reply).unwrap() {
+            SiteResponse::Released { results } => results,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    };
+
+    let first = send();
+    assert!(first[0].is_ok() && first[2].is_ok(), "{first:?}");
+    assert_eq!(first[0], first[2], "one visibility wait for the RPC");
+    assert_eq!(first[1], Err(RemoteError::Internal));
+    assert_eq!(d.logs.log(a.id()).len(), 2, "one record per released move");
+    assert!(a.ownership().mastered_partitions().is_empty());
+
+    for _ in 0..2 {
+        assert_eq!(send(), first);
+    }
+    assert_eq!(d.logs.log(a.id()).len(), 2, "duplicates log nothing");
+    assert_eq!(a.remaster_ledger_sizes().0, 2);
+}
+
+/// Reserves `site`'s next commit sequence and log slot by hand — a committer
+/// parked between `CommitPipeline::begin` and its fill — and returns the
+/// sequence plus the closer (a tombstone fill, as an abort would do).
+fn open_slot<'a>(d: &'a TestDeployment, site: &'a DataSite) -> (u64, impl FnOnce() + 'a) {
+    let log = d.logs.log(site.id());
+    let seq = site.clock().allocate();
+    let slot = log.reserve();
+    assert_eq!(slot + 1, seq, "slot i holds sequence i + 1");
+    (seq, move || {
+        if let Some(visible) = log.abort(slot) {
+            site.clock().publish_up_to(visible);
+        }
+    })
+}
+
+/// Runs `rpc` on its own thread while an earlier commit slot of `site` is
+/// held open: it must not return before the slot closes, and must then
+/// return. The reply to a Release or Grant is the remaster handoff point, so
+/// it has to cover the RPC's own log records — which publish only behind
+/// every earlier sequence.
+fn blocked_by_open_slot<T: Send>(
+    d: &TestDeployment,
+    site: &DataSite,
+    rpc: impl FnOnce() -> T + Send,
+) -> (u64, T) {
+    let (open, close) = open_slot(d, site);
+    thread::scope(|s| {
+        let call = s.spawn(rpc);
+        thread::sleep(Duration::from_millis(50));
+        assert!(!call.is_finished(), "replied with sequence {open} open");
+        assert_eq!(site.clock().current().get(site.id()), open - 1);
+        close();
+        (open, call.join().unwrap())
+    })
+}
+
+#[test]
+fn a_remaster_reply_waits_for_earlier_open_slots_and_covers_its_own_records() {
+    let d = deployment(2);
+    let (a, b) = (&d.sites[0], &d.sites[1]);
+    let (p0, p1, p2) = (pid(0), pid(1), pid(2));
+    for p in [p0, p1, p2] {
+        a.ownership().grant(p);
+    }
+
+    // One release: its record is the sequence after the open one.
+    let (open, rel_vv) = blocked_by_open_slot(&d, a, || a.release(p0, 1).unwrap());
+    assert!(
+        rel_vv.get(a.id()) > open,
+        "{rel_vv:?} misses its own record"
+    );
+
+    // The grant half, at the other site, behind an open slot of its own.
+    let (open, grant_vv) = blocked_by_open_slot(&d, b, || b.grant(p0, 1, &rel_vv).unwrap());
+    assert!(
+        grant_vv.get(b.id()) > open,
+        "{grant_vv:?} misses its own record"
+    );
+    assert!(grant_vv.dominates(&rel_vv));
+
+    // A k-move `Release` RPC: two records behind the open slot, one wait on
+    // the last of them. (The site reserves an RPC's slots back to back, so a
+    // test cannot wedge a foreign slot *between* them; waiting on the last
+    // sequence covers that case by construction.)
+    let request = Bytes::from(encode_to_vec(&SiteRequest::Release {
+        moves: vec![(p1, 2), (p2, 3)],
+        generation: 0,
+    }));
+    let (open, reply) = blocked_by_open_slot(&d, a, || {
+        d.network
+            .rpc_async(EndpointId::Site(0), TrafficCategory::Remaster, request)
+            .and_then(|pending| pending.wait())
+            .unwrap()
+    });
+    let SiteResponse::Released { results } = expect_ok(&reply).unwrap() else {
+        panic!("unexpected reply");
+    };
+    assert_eq!(results.len(), 2);
+    for result in results {
+        let vv = result.unwrap();
+        assert!(
+            vv.get(a.id()) >= open + 2,
+            "{vv:?} misses the RPC's records"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -80,7 +80,7 @@ fn build(batched: bool) -> Arc<DynaMastSystem> {
 /// across one pair makes that remote site the load leader, which is what
 /// arms the imbalance probe — and two hot partitions queued from the same
 /// source site is the smallest shape that coalesces into a real multi-move
-/// `BatchRelease`.
+/// `Release`.
 const HOT_PAIRS: [(u64, u64); 8] = [
     (4, 5),
     (5, 6),
@@ -93,7 +93,8 @@ const HOT_PAIRS: [(u64, u64); 8] = [
 ];
 
 /// Runs the seeded transfer stream, then the deterministic co-location
-/// sweep, then drains any queued epoch moves.
+/// sweep, then drains any queued epoch moves. Returns the ownership table
+/// as the stream left it, before the sweep.
 ///
 /// The stream interleaves two shapes. The *flash crowd* (~90%) hammers two
 /// partitions co-seeded on a remote site with intra-partition pairs: pure
@@ -102,7 +103,13 @@ const HOT_PAIRS: [(u64, u64); 8] = [
 /// the asymmetry the closing sweep must erase. *Scatter* pairs (~10%) stay
 /// inside the site-0 seeded block (accounts 0..400) so they never steal the
 /// hot partitions inline and dilute the remote site's load share.
-fn run(system: &DynaMastSystem, seed: u64, txns: u64, span: u64, hot: (u64, u64)) {
+fn run(
+    system: &DynaMastSystem,
+    seed: u64,
+    txns: u64,
+    span: u64,
+    hot: (u64, u64),
+) -> Vec<(PartitionId, Option<SiteId>)> {
     let mut session = ClientSession::new(ClientId::new(1), SITES);
     let mut rng = Rng(seed);
     for _ in 0..txns {
@@ -131,6 +138,7 @@ fn run(system: &DynaMastSystem, seed: u64, txns: u64, span: u64, hot: (u64, u64)
             .update(&mut session, &transfer(from, to, amount))
             .unwrap();
     }
+    let after_stream = placements(system);
     // The sweep: pair each checking partition with the anchor partition 0.
     // A scattered pair must co-locate inline (both modes share that path),
     // and zero weights send it to site 0.
@@ -140,6 +148,7 @@ fn run(system: &DynaMastSystem, seed: u64, txns: u64, span: u64, hot: (u64, u64)
             .unwrap();
     }
     system.selector().flush_epoch().unwrap();
+    after_stream
 }
 
 fn placements(system: &DynaMastSystem) -> Vec<(PartitionId, Option<SiteId>)> {
@@ -187,18 +196,19 @@ proptest! {
         let hot = HOT_PAIRS[hot_sel];
         let per_txn = build(false);
         let batched = build(true);
-        run(&per_txn, seed, txns, span, hot);
-        run(&batched, seed, txns, span, hot);
+        let per_txn_stream = run(&per_txn, seed, txns, span, hot);
+        let batched_stream = run(&batched, seed, txns, span, hot);
 
         let a = placements(&per_txn);
         let b = placements(&batched);
         prop_assert_eq!(a, b, "ownership tables diverged (seed {:#x})", seed);
 
-        // The batched run must have exercised the batch path, not just
-        // degenerated to inline moves.
+        // The batched run must have exercised the epoch flush, not just
+        // degenerated to slow-path moves: only a flush moves a partition
+        // during the stream, so the tables differ until the sweep.
         prop_assert!(
-            batched.selector().remaster_batch_size.count() > 0,
-            "epoch mode never flushed a batch (seed {:#x})",
+            batched_stream != per_txn_stream,
+            "epoch mode never flushed a move (seed {:#x})",
             seed
         );
 

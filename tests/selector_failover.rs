@@ -134,10 +134,11 @@ fn run_crash_point(point: CrashPoint) {
     let seed = chaos_seed() ^ point.code().wrapping_mul(0x517C_C1B7_2722_0A95);
     eprintln!("[failover] crash_point={point:?} CHAOS_SEED={seed:#x}");
 
-    // The two batch crash points sit on the epoch-flush path, not the
-    // inline remaster path: reaching them needs the flash-crowd shape
-    // (every client hammering a small hot range) that keeps the epoch
-    // batcher's imbalance probe queueing group moves.
+    // The two batch crash points sit on the epoch-flush path only (between
+    // its (src, dst) pairs; between a pair's release and its grant), not
+    // the routing slow path: reaching them needs the flash-crowd shape
+    // (every client hammering a small hot range) that keeps the imbalance
+    // probe queueing moves.
     let hot_mix = matches!(
         point,
         CrashPoint::MidBatchRelease | CrashPoint::MidBatchGrant
@@ -300,8 +301,7 @@ fn run_crash_point(point: CrashPoint) {
 
 /// The sweep: the selector dies at *every* crash point of the remaster
 /// protocol, one full SmallBank run per point. `DYNA_CRASH_POINT=<Debug
-/// name>` narrows the sweep to one point (the flake hunter pins
-/// `MidBatchGrant`).
+/// name>` narrows the sweep to one point.
 #[test]
 fn selector_crash_sweep_covers_every_crash_point() {
     let only = std::env::var("DYNA_CRASH_POINT").ok();
@@ -361,8 +361,7 @@ fn zombie_selector_grants_are_fenced_out() {
 
     // The zombie's queued release fires late against the owner…
     let release = SiteRequest::Release {
-        partition,
-        epoch: 1_000_000,
+        moves: vec![(partition, 1_000_000)],
         generation: stale_generation,
     };
     let reply = system
@@ -386,9 +385,7 @@ fn zombie_selector_grants_are_fenced_out() {
 
     // …and its queued grant fires late against another site.
     let grant = SiteRequest::Grant {
-        partition,
-        epoch: 1_000_000,
-        rel_vv: VersionVector::zero(SITES),
+        grants: vec![(partition, 1_000_000, VersionVector::zero(SITES))],
         generation: stale_generation,
     };
     let reply = system
