@@ -12,7 +12,7 @@
 //! master while reads spread over the replicas, exactly the paper's
 //! single-master comparator (§VI-A1).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -38,6 +38,7 @@ use dynamast_site::system::{
 };
 use dynamast_storage::Catalog;
 
+use crate::recovery::{recover_selector_map, recover_site, RecoveredSite};
 use crate::selector::{ProbeHandle, SelectorInit, SelectorMode, SiteSelector};
 
 /// Estimated wire size of a `begin_transaction` routing request (write-set
@@ -50,6 +51,23 @@ fn route_request_size(proc: &ProcCall) -> usize {
 /// `site-<i>` segment directories).
 fn checkpoint_dir(root: &Path, site: usize) -> PathBuf {
     root.join(format!("ckpt-site-{site}"))
+}
+
+/// The placement map and the epoch floor, which every recovery derives
+/// together: [`recover_selector_map`] over the retained logs and the sites'
+/// `claims`, with the highest retained remaster epoch maxed against the
+/// checkpoints' persisted `watermarks`. The floor must clear every epoch
+/// ever issued — re-issuing one after its Release/Grant records were
+/// truncated would collide with the sites' `(partition, epoch)` idempotency
+/// ledgers and misattribute audit-plane events.
+fn recover_placement(
+    logs: &LogSet,
+    initial_placements: &[(PartitionId, SiteId)],
+    claims: &[(SiteId, Vec<PartitionId>)],
+    watermarks: impl IntoIterator<Item = u64>,
+) -> Result<(HashMap<PartitionId, SiteId>, u64)> {
+    let (map, retained) = recover_selector_map(logs, initial_placements, claims)?;
+    Ok((map, watermarks.into_iter().fold(retained, u64::max)))
 }
 
 /// Every Nth checkpoint per site is a full (self-contained) image; those in
@@ -244,12 +262,6 @@ impl DynaMastSystem {
         executor: Arc<dyn ProcExecutor>,
     ) -> Arc<Self> {
         let m = cfg.system.num_sites;
-        let network = Network::new(cfg.system.network, cfg.system.seed);
-        // Attach the recorder before any component construction: sites, the
-        // selector, and the replication subscribers each cache the handle at
-        // build time and would otherwise run untraced.
-        let recorder = FlightRecorder::from_env();
-        network.set_recorder(Some(Arc::clone(&recorder)));
         // With a configured log directory the redo logs live on disk
         // (segmented, CRC-checked — see `dynamast_replication::segment`).
         // `build` assumes a fresh deployment; restarting an existing one
@@ -264,23 +276,27 @@ impl DynaMastSystem {
             .expect("open persistent log set"),
             None => LogSet::new(m),
         };
-        let metrics = Arc::new(MetricsRegistry::new());
-        let refresh_skipped = metrics.counter("refresh_records_skipped");
         let partial = cfg.system.replication.is_partial();
-        let mut sites = Vec::with_capacity(m);
-        let mut runtimes = Vec::with_capacity(m);
-        for i in 0..m {
-            let id = SiteId::new(i);
-            let initial: Vec<PartitionId> = cfg
+        let placements = cfg.initial_placements.clone();
+        Self::assemble(name, cfg, executor, logs, placements, 0, |sys, id| {
+            let initial: Vec<PartitionId> = sys
                 .initial_placements
                 .iter()
                 .filter(|(_, s)| *s == id)
                 .map(|(p, _)| *p)
                 .collect();
+            // Seeded masters hold their partitions (the master-hosts
+            // invariant), over and above the lazy default replica set.
+            if partial {
+                let selector = sys.selector.read();
+                for p in &initial {
+                    selector.replica_map().add(*p, id);
+                }
+            }
             let site = DataSite::new(
                 DataSiteConfig {
                     id,
-                    system: cfg.system.clone(),
+                    system: sys.config.clone(),
                     replicate: true,
                     // Partial replication: a site starts hosting only its
                     // seeded masterships; `load_row` marks the default
@@ -290,63 +306,16 @@ impl DynaMastSystem {
                     initial_partitions: initial,
                     static_owner: None,
                     replicated_tables: Vec::new(),
-                    refresh_skipped: Some(Arc::clone(&refresh_skipped)),
+                    refresh_skipped: Some(sys.metrics.counter("refresh_records_skipped")),
                 },
-                cfg.catalog.clone(),
-                logs.clone(),
-                Arc::clone(&network),
-                Arc::clone(&executor),
+                sys.catalog.clone(),
+                sys.logs.clone(),
+                Arc::clone(&sys.network),
+                Arc::clone(&sys.executor),
             );
-            runtimes.push(site.start(cfg.rpc_workers));
-            sites.push(site);
-        }
-        let selector = SiteSelector::with_init(
-            cfg.system.clone(),
-            cfg.catalog.clone(),
-            cfg.mode.clone(),
-            Arc::clone(&network),
-            SelectorInit {
-                crash_switch: cfg.crash_switch,
-                ..SelectorInit::default()
-            },
-        );
-        selector.map().seed(cfg.initial_placements.iter().copied());
-        // Seeded masters hold their partitions (the master-hosts invariant),
-        // over and above the lazy default replica set.
-        if partial {
-            for (p, s) in &cfg.initial_placements {
-                selector.replica_map().add(*p, *s);
-            }
-        }
-        let probe = (cfg.probe_interval > Duration::ZERO)
-            .then(|| selector.start_vv_probe(cfg.probe_interval));
-        metrics.register_traffic("network", Arc::clone(network.stats()) as _);
-        register_selector_metrics(&metrics, &selector);
-        register_audit_metrics(&metrics);
-        let sys = Arc::new(DynaMastSystem {
-            name,
-            config: cfg.system,
-            network,
-            logs,
-            sites: RwLock::new(sites),
-            selector: RwLock::new(selector),
-            selector_down: AtomicBool::new(false),
-            recorder,
-            metrics,
-            catalog: cfg.catalog,
-            mode: cfg.mode,
-            probe_interval: cfg.probe_interval,
-            executor,
-            initial_placements: cfg.initial_placements,
-            rpc_workers: cfg.rpc_workers,
-            base_image: Mutex::new(Vec::new()),
-            ckpt_counters: Mutex::new(vec![0; m]),
-            last_ckpt_offsets: Mutex::new(vec![None; m]),
-            probe: Mutex::new(probe),
-            runtimes: Mutex::new(runtimes.into_iter().map(Some).collect()),
-        });
-        sys.register_replication_gauges();
-        sys
+            let runtime = site.start(sys.rpc_workers);
+            (site, runtime)
+        })
     }
 
     /// Restarts a whole deployment from disk alone: the segmented logs and
@@ -354,13 +323,13 @@ impl DynaMastSystem {
     /// process-kill recovery). Nothing from a prior in-memory instance is
     /// consulted — this is the path a crash-killed process takes on reboot.
     ///
-    /// Each site is rebuilt by [`crate::recovery::recover_site_checkpointed`]
-    /// (checkpoint image + retained-suffix replay); the placement map is the
-    /// initial placement overlaid with the retained remaster history and the
-    /// sites' checkpoint-reconstructed ownership claims; the selector's
-    /// epoch floor is raised above every retained remaster epoch. Rows
-    /// bulk-loaded but never checkpointed are *not* recoverable (the load
-    /// image is not logged) — checkpoint once after population.
+    /// Each site is rebuilt by [`crate::recovery::recover_site`] (checkpoint
+    /// image + retained-suffix replay) and brought up exactly as
+    /// [`DynaMastSystem::restart_site`] brings one up; the placement map and
+    /// the selector's epoch floor come from [`recover_placement`] over every
+    /// site's reconstructed claims and watermark. Rows bulk-loaded but never
+    /// checkpointed are *not* recoverable (the load image is not logged) —
+    /// checkpoint once after population.
     pub fn recover(cfg: DynaMastConfig, executor: Arc<dyn ProcExecutor>) -> Result<Arc<Self>> {
         Self::recover_named("dynamast", cfg, executor)
     }
@@ -380,9 +349,6 @@ impl DynaMastSystem {
             .ok_or(DynaError::Internal(
                 "recover requires a configured durable log directory",
             ))?;
-        let network = Network::new(cfg.system.network, cfg.system.seed);
-        let recorder = FlightRecorder::from_env();
-        network.set_recorder(Some(Arc::clone(&recorder)));
         let logs = LogSet::open_persistent(
             m,
             &root,
@@ -390,81 +356,70 @@ impl DynaMastSystem {
             cfg.system.durability.fsync,
         )?;
         let mut per_site = Vec::with_capacity(m);
-        let mut counters = Vec::with_capacity(m);
         let mut last_offsets = Vec::with_capacity(m);
         for i in 0..m {
             let ckpt = checkpoint::load_latest(&checkpoint_dir(&root, i))?;
             last_offsets.push(ckpt.as_ref().map(|c| c.offsets.clone()));
-            let recovered = crate::recovery::recover_site_checkpointed(
+            per_site.push(recover_site(
                 SiteId::new(i),
                 &logs,
                 ckpt,
                 cfg.catalog.clone(),
                 cfg.system.mvcc_versions,
-            )?;
-            counters.push(recovered.last_checkpoint);
-            per_site.push(recovered);
+            )?);
         }
         let claims: Vec<(SiteId, Vec<PartitionId>)> = per_site
             .iter()
             .enumerate()
             .map(|(i, s)| (SiteId::new(i), s.claims.clone()))
             .collect();
-        let map = crate::recovery::recover_selector_map_reconciled(
+        let (map, epoch_floor) = recover_placement(
             &logs,
             &cfg.initial_placements,
             &claims,
+            per_site.iter().map(|s| s.epoch),
         )?;
-        // The epoch floor must clear every epoch ever issued. Retained logs
-        // cover the recent ones; the checkpoints' persisted watermarks cover
-        // epochs whose Release/Grant records were truncated away.
-        let mut epoch_floor = crate::recovery::max_remaster_epoch(&logs)?;
-        for recovered in &per_site {
-            epoch_floor = epoch_floor.max(recovered.epoch);
-        }
+        let counters = per_site.iter().map(|s| s.last_checkpoint).collect();
+        let placements = map.iter().map(|(p, s)| (*p, *s)).collect();
+        let mut per_site = per_site.into_iter();
+        let sys = Self::assemble(
+            name,
+            cfg,
+            executor,
+            logs,
+            placements,
+            epoch_floor,
+            |sys, id| {
+                let recovered = per_site.next().expect("one recovered state per site");
+                sys.bring_up_site(id, recovered, &map, epoch_floor)
+            },
+        );
+        *sys.ckpt_counters.lock() = counters;
+        *sys.last_ckpt_offsets.lock() = last_offsets;
+        Ok(sys)
+    }
 
+    /// The assembly `build_named` and `recover_named` share: the fabric and
+    /// its recorder, the metrics registry, a selector seeded with
+    /// `placements` and allocating epochs above `epoch_floor`, the system
+    /// itself, then one `start_site` call per site and the svv probe.
+    fn assemble(
+        name: &'static str,
+        cfg: DynaMastConfig,
+        executor: Arc<dyn ProcExecutor>,
+        logs: LogSet,
+        placements: Vec<(PartitionId, SiteId)>,
+        epoch_floor: u64,
+        mut start_site: impl FnMut(&Self, SiteId) -> (Arc<DataSite>, SiteRuntime),
+    ) -> Arc<Self> {
+        let m = cfg.system.num_sites;
+        let network = Network::new(cfg.system.network, cfg.system.seed);
+        // Attach the recorder before any component construction: sites, the
+        // selector, and the replication subscribers each cache the handle at
+        // build time and would otherwise run untraced.
+        let recorder = FlightRecorder::from_env();
+        network.set_recorder(Some(Arc::clone(&recorder)));
         let metrics = Arc::new(MetricsRegistry::new());
-        let refresh_skipped = metrics.counter("refresh_records_skipped");
-        let partial = cfg.system.replication.is_partial();
-        let mut sites = Vec::with_capacity(m);
-        let mut runtimes = Vec::with_capacity(m);
-        for (i, recovered) in per_site.into_iter().enumerate() {
-            let id = SiteId::new(i);
-            // Map-derived (not raw-claims) mastership closes the orphan
-            // window: a partition released but never re-granted reverts to
-            // the releasing site, exactly as `restart_site` resolves it.
-            let mut mastered: Vec<PartitionId> = map
-                .iter()
-                .filter(|&(_, s)| *s == id)
-                .map(|(p, _)| *p)
-                .collect();
-            mastered.sort();
-            let site = DataSite::from_recovered(
-                DataSiteConfig {
-                    id,
-                    system: cfg.system.clone(),
-                    replicate: true,
-                    initial_partitions: mastered,
-                    static_owner: None,
-                    replicated_tables: Vec::new(),
-                    // The checkpoint's hosted set is the site's post-restart
-                    // hosting truth (copies installed after the cut were
-                    // never checkpointed). `None` — no checkpoint, full log
-                    // replay — means the rebuilt store holds everything.
-                    hosted: recovered.hosted.clone(),
-                    refresh_skipped: Some(Arc::clone(&refresh_skipped)),
-                },
-                recovered.state.store,
-                recovered.state.svv,
-                logs.clone(),
-                Arc::clone(&network),
-                Arc::clone(&executor),
-            );
-            site.install_remaster_epoch(recovered.epoch);
-            runtimes.push(site.start_with_offsets(cfg.rpc_workers, recovered.state.offsets));
-            sites.push(site);
-        }
-
         let selector = SiteSelector::with_init(
             cfg.system.clone(),
             cfg.catalog.clone(),
@@ -476,21 +431,7 @@ impl DynaMastSystem {
                 ..SelectorInit::default()
             },
         );
-        selector.map().seed(map.iter().map(|(p, s)| (*p, *s)));
-        // Seed the freshness cache from the recovered svvs so the first
-        // reads route sensibly before the probe's first round trip, and
-        // reconcile the replica map against each site's recovered hosted
-        // set (masters without a copy heal lazily via NotReplica repair).
-        for site in &sites {
-            selector.observe_site_vv(site.id(), &site.clock().current());
-            if partial {
-                if let Some(hosted) = site.hosted_partitions() {
-                    selector.replica_map().reconcile_site(site.id(), &hosted);
-                }
-            }
-        }
-        let probe = (cfg.probe_interval > Duration::ZERO)
-            .then(|| selector.start_vv_probe(cfg.probe_interval));
+        selector.map().seed(placements);
         metrics.register_traffic("network", Arc::clone(network.stats()) as _);
         register_selector_metrics(&metrics, &selector);
         register_audit_metrics(&metrics);
@@ -499,7 +440,7 @@ impl DynaMastSystem {
             config: cfg.system,
             network,
             logs,
-            sites: RwLock::new(sites),
+            sites: RwLock::new(Vec::with_capacity(m)),
             selector: RwLock::new(selector),
             selector_down: AtomicBool::new(false),
             recorder,
@@ -511,31 +452,96 @@ impl DynaMastSystem {
             initial_placements: cfg.initial_placements,
             rpc_workers: cfg.rpc_workers,
             base_image: Mutex::new(Vec::new()),
-            ckpt_counters: Mutex::new(counters),
-            last_ckpt_offsets: Mutex::new(last_offsets),
-            probe: Mutex::new(probe),
-            runtimes: Mutex::new(runtimes.into_iter().map(Some).collect()),
+            ckpt_counters: Mutex::new(vec![0; m]),
+            last_ckpt_offsets: Mutex::new(vec![None; m]),
+            probe: Mutex::new(None),
+            runtimes: Mutex::new(Vec::with_capacity(m)),
         });
-        sys.register_replication_gauges();
-        Ok(sys)
+        for i in 0..m {
+            let (site, runtime) = start_site(&sys, SiteId::new(i));
+            sys.sites.write().push(site);
+            sys.runtimes.lock().push(Some(runtime));
+        }
+        if sys.probe_interval > Duration::ZERO {
+            let probe = sys.selector.read().start_vv_probe(sys.probe_interval);
+            *sys.probe.lock() = Some(probe);
+        }
+        // Snapshot-time partial-replication gauges (resident store bytes,
+        // replica census). Weak handles avoid a registry ↔ system cycle.
+        let resident = ResidentBytesGauge {
+            system: Arc::downgrade(&sys),
+        };
+        let census = ReplicaCensusGauge {
+            system: Arc::downgrade(&sys),
+        };
+        sys.metrics
+            .register_traffic("store_resident_bytes", Arc::new(resident));
+        sys.metrics
+            .register_traffic("replica_census", Arc::new(census));
+        sys
     }
 
-    /// Registers the snapshot-time partial-replication gauges (resident
-    /// store bytes, replica census) under the metrics `traffic` section.
-    /// Weak handles avoid a registry ↔ system reference cycle.
-    fn register_replication_gauges(self: &Arc<Self>) {
-        self.metrics.register_traffic(
-            "store_resident_bytes",
-            Arc::new(ResidentBytesGauge {
-                system: Arc::downgrade(self),
-            }) as _,
+    /// Brings one recovered site up against the live selector — the steps
+    /// [`DynaMastSystem::restart_site`] and every site of
+    /// [`DynaMastSystem::recover`] share. The caller publishes the returned
+    /// site and runtime.
+    fn bring_up_site(
+        &self,
+        id: SiteId,
+        recovered: RecoveredSite,
+        map: &HashMap<PartitionId, SiteId>,
+        epoch_floor: u64,
+    ) -> (Arc<DataSite>, SiteRuntime) {
+        // Map-derived (not raw-claims) mastership closes the orphan window:
+        // a partition released but never re-granted reverts to the
+        // releasing site.
+        let mut mastered: Vec<PartitionId> = map
+            .iter()
+            .filter(|&(_, s)| *s == id)
+            .map(|(p, _)| *p)
+            .collect();
+        mastered.sort();
+        let site = DataSite::from_recovered(
+            DataSiteConfig {
+                id,
+                system: self.config.clone(),
+                replicate: true,
+                initial_partitions: mastered,
+                static_owner: None,
+                replicated_tables: Vec::new(),
+                // The checkpoint's hosted set is the site's post-restart
+                // hosting truth (copies installed after the cut were never
+                // checkpointed). `None` — no checkpoint, or full
+                // replication — means the rebuilt store holds everything.
+                hosted: recovered.hosted,
+                refresh_skipped: Some(self.metrics.counter("refresh_records_skipped")),
+            },
+            recovered.state.store,
+            recovered.state.svv,
+            self.logs.clone(),
+            Arc::clone(&self.network),
+            Arc::clone(&self.executor),
         );
-        self.metrics.register_traffic(
-            "replica_census",
-            Arc::new(ReplicaCensusGauge {
-                system: Arc::downgrade(self),
-            }) as _,
-        );
+        let selector = self.selector.read();
+        // The site lost its volatile watermarks; re-arm them so a selector
+        // deposed before the crash stays fenced out and no remaster epoch
+        // the site already saw is accepted again.
+        site.install_selector_generation(selector.generation());
+        site.install_remaster_epoch(epoch_floor);
+        // Seed the freshness cache so the first reads route sensibly before
+        // the probe's next round trip, and reconcile the replica map with
+        // what actually survived: copies installed after the checkpoint cut
+        // are gone, so stale map rows must not route reads here. Masters
+        // whose copy was lost heal lazily through NotReplica repair on the
+        // first touch.
+        selector.observe_site_vv(id, &site.clock().current());
+        if self.config.replication.is_partial() {
+            if let Some(hosted) = site.hosted_partitions() {
+                selector.replica_map().reconcile_site(id, &hosted);
+            }
+        }
+        let runtime = site.start_with_offsets(self.rpc_workers, recovered.state.offsets);
+        (site, runtime)
     }
 
     /// The simulated network (traffic accounting).
@@ -646,77 +652,66 @@ impl DynaMastSystem {
         drop(runtime);
     }
 
-    /// Restarts a crashed site from the durable logs (§V-C): replays every
-    /// log into a fresh store, resumes replication from the replayed
+    /// Restarts a crashed site (§V-C) from its latest checkpoint, if the
+    /// deployment is durable and wrote one, plus the retained logs: replays
+    /// the suffix into the store, resumes replication from the replayed
     /// offsets, and re-derives the mastership set from the grant/release
-    /// history.
+    /// history reconciled with the ownership claims — the site's own,
+    /// reconstructed, and the other sites' tables — exactly as fenced live
+    /// tables reconcile it on selector promotion.
     pub fn restart_site(&self, site: usize) -> Result<()> {
         let id = SiteId::new(site);
-        let mut ckpt_epoch = 0;
-        // Partial replication: the checkpoint's hosted set is the restarted
-        // site's hosting truth. `None` (no checkpoint, or full replication)
-        // means full log replay rebuilt a complete copy.
-        let mut hosted: Option<Vec<PartitionId>> = None;
-        let recovered = if let Some(root) = &self.config.durability.log_dir {
-            // Durable deployment: seed from the site's latest checkpoint and
-            // replay only the retained suffix (replay-from-zero would read
-            // below the truncated base once checkpoints advanced the
-            // floors). The site's own reconstructed claims reconcile the
-            // retained remaster history exactly as fenced live tables do on
-            // selector promotion.
-            let ckpt = checkpoint::load_latest(&checkpoint_dir(root, site))?;
-            let state = crate::recovery::recover_site_checkpointed(
-                id,
-                &self.logs,
-                ckpt,
-                self.catalog.clone(),
-                self.config.mvcc_versions,
-            )?;
-            let map = crate::recovery::recover_selector_map_reconciled(
-                &self.logs,
-                &self.initial_placements,
-                &[(id, state.claims.clone())],
-            )?;
-            let mut mastered: Vec<PartitionId> = map
-                .into_iter()
-                .filter(|(_, s)| *s == id)
-                .map(|(p, _)| p)
-                .collect();
-            mastered.sort();
-            ckpt_epoch = state.epoch;
-            hosted = state.hosted.clone();
-            crate::recovery::RecoveredSite {
-                state: state.state,
-                mastered,
-            }
-        } else {
-            crate::recovery::recover_site(
-                id,
-                &self.logs,
-                self.catalog.clone(),
-                self.config.mvcc_versions,
-                &self.initial_placements,
-            )?
+        // A volatile deployment is simply one with no checkpoint (and no
+        // truncation, so the replay from offset zero finds every record).
+        let ckpt = match &self.config.durability.log_dir {
+            Some(root) => checkpoint::load_latest(&checkpoint_dir(root, site))?,
+            None => None,
         };
-        // Restore the checkpoint beneath the replayed log: version chains
-        // are read newest-from-tail, so the base row goes in only where no
-        // logged write ever touched the record (any replayed version
-        // supersedes the load image).
+        let recovered = recover_site(
+            id,
+            &self.logs,
+            ckpt,
+            self.catalog.clone(),
+            self.config.mvcc_versions,
+        )?;
+        // This site's reconstructed claims reconcile the retained history
+        // together with the other sites' ownership tables (a crashed one's
+        // is as its crash left it). Once segments are truncated, another
+        // site's Grant may be gone while this site's matching Release is
+        // still retained, and only the grantee's positive claim keeps that
+        // partition from reverting here.
+        let mut claims = vec![(id, recovered.claims.clone())];
+        for other in self.sites.read().iter().filter(|s| s.id() != id) {
+            claims.push((other.id(), other.ownership().mastered_partitions()));
+        }
+        let (map, epoch_floor) = recover_placement(
+            &self.logs,
+            &self.initial_placements,
+            &claims,
+            [recovered.epoch],
+        )?;
+        // Restore the bulk-load image beneath the replayed log: version
+        // chains are read newest-from-tail, so the base row goes in only
+        // where neither the checkpoint nor a logged write ever touched the
+        // record (any replayed version supersedes the load image).
         {
             let image = self.base_image.lock();
-            let hosted_filter: Option<HashSet<PartitionId>> =
-                hosted.as_ref().map(|h| h.iter().copied().collect());
+            let hosted: Option<HashSet<PartitionId>> = recovered
+                .hosted
+                .as_ref()
+                .map(|h| h.iter().copied().collect());
+            let store = &recovered.state.store;
             for (key, row) in image.iter() {
                 // Under partial replication only hosted partitions get their
                 // base rows back — foreign rows would inflate the footprint
                 // and leak through later copy installs.
-                if let Some(h) = &hosted_filter {
+                if let Some(h) = &hosted {
                     if !h.contains(&self.catalog.partition_of(*key)?) {
                         continue;
                     }
                 }
-                if !recovered.state.store.contains(*key)? {
-                    recovered.state.store.install(
+                if !store.contains(*key)? {
+                    store.install(
                         *key,
                         dynamast_storage::VersionStamp::new(SiteId::new(0), 0),
                         row.clone(),
@@ -724,47 +719,12 @@ impl DynaMastSystem {
                 }
             }
         }
-        let fresh = DataSite::from_recovered(
-            DataSiteConfig {
-                id,
-                system: self.config.clone(),
-                replicate: true,
-                initial_partitions: recovered.mastered,
-                static_owner: None,
-                replicated_tables: Vec::new(),
-                hosted,
-                refresh_skipped: Some(self.metrics.counter("refresh_records_skipped")),
-            },
-            recovered.state.store,
-            recovered.state.svv,
-            self.logs.clone(),
-            Arc::clone(&self.network),
-            Arc::clone(&self.executor),
-        );
-        // A restarted site lost its volatile fence watermark; re-arm it so
-        // a selector deposed before the crash stays fenced out.
-        fresh.install_selector_generation(self.selector.read().generation());
-        // Likewise the remaster-epoch watermark: checkpoint watermark maxed
-        // with whatever the retained logs still show.
-        fresh.install_remaster_epoch(
-            ckpt_epoch.max(crate::recovery::max_remaster_epoch(&self.logs)?),
-        );
         // The rebuilt store was populated by direct log replay, which never
         // passes the audited install hooks. Mark the restart before any
         // live events resume so the audit plane re-baselines this site
         // instead of reading the replay window as missing installs.
         dynamast_common::audit::emit_site_restart(&self.recorder, site as u32);
-        // Reconcile the selector's replica map with what actually survived:
-        // copies installed after the checkpoint cut are gone (their rows
-        // were never checkpointed), so stale map rows must not route reads
-        // here. Masters whose copy was lost heal lazily through NotReplica
-        // repair on the first touch.
-        if self.config.replication.is_partial() {
-            if let Some(h) = fresh.hosted_partitions() {
-                self.selector.read().replica_map().reconcile_site(id, &h);
-            }
-        }
-        let runtime = fresh.start_with_offsets(self.rpc_workers, recovered.state.offsets);
+        let (fresh, runtime) = self.bring_up_site(id, recovered, &map, epoch_floor);
         self.sites.write()[site] = fresh;
         self.runtimes.lock()[site] = Some(runtime);
         Ok(())
@@ -798,7 +758,7 @@ impl DynaMastSystem {
     ///    race a zombie grant.
     /// 2. **Rebuilds the partition map** from the durable grant/release
     ///    logs reconciled against the live tables
-    ///    ([`crate::recovery::recover_selector_map_reconciled`]).
+    ///    ([`crate::recovery::recover_selector_map`]).
     /// 3. **Repairs half-completed remasters**: a partition whose
     ///    log-derived owner is live but does not claim it in its table was
     ///    caught in the release-without-grant window — the standby re-grants
@@ -849,24 +809,23 @@ impl DynaMastSystem {
             .iter()
             .map(|(site, _, mastered)| (*site, mastered.clone()))
             .collect();
-        let map = crate::recovery::recover_selector_map_reconciled(
-            &self.logs,
-            &self.initial_placements,
-            &live_tables,
-        )?;
-        let mut next_epoch = crate::recovery::max_remaster_epoch(&self.logs)?;
-        // Logs may have been truncated past old Release/Grant records; the
-        // checkpoints persist each site's epoch watermark, so max them in
-        // before allocating repair epochs (epoch-reissue-after-truncation
-        // would collide with the sites' `(partition, epoch)` idempotency
-        // ledgers and misattribute audit-plane events).
+        // The checkpoints' persisted watermarks cover epochs whose records
+        // were truncated away; the fenced sites are live, so their on-disk
+        // checkpoints are the only place those watermarks can be read.
+        let mut watermarks = Vec::new();
         if let Some(root) = &self.config.durability.log_dir {
             for i in 0..self.config.num_sites {
                 if let Some(ckpt) = checkpoint::load_latest(&checkpoint_dir(root, i))? {
-                    next_epoch = next_epoch.max(ckpt.epoch);
+                    watermarks.push(ckpt.epoch);
                 }
             }
         }
+        let (map, next_epoch) = recover_placement(
+            &self.logs,
+            &self.initial_placements,
+            &live_tables,
+            watermarks,
+        )?;
 
         // 3. Conservative session floor: element-wise max of the fenced
         // svvs. Every version any client could have observed through the

@@ -14,12 +14,12 @@
 //! 4. `b`'s log appends `Grant { p, epoch }`
 //!
 //! A selector crash can truncate the history after any sub-step; promotion
-//! recovers from exactly what remains (`recover_selector_map_reconciled`).
+//! recovers from exactly what remains (`recover_selector_map`).
 
 use std::collections::{BTreeSet, HashMap};
 
 use dynamast_common::ids::{PartitionId, SiteId};
-use dynamast_core::recovery::recover_selector_map_reconciled;
+use dynamast_core::recovery::recover_selector_map;
 use dynamast_replication::record::LogRecord;
 use dynamast_replication::LogSet;
 use proptest::prelude::*;
@@ -134,9 +134,9 @@ proptest! {
         }
 
         let live = model.live_tables();
-        let map = recover_selector_map_reconciled(&model.logs, &initial, &live);
+        let map = recover_selector_map(&model.logs, &initial, &live);
         prop_assert!(map.is_ok(), "reconciliation failed: {:?}", map.err());
-        let map = map.unwrap();
+        let (map, _) = map.unwrap();
 
         // Every partition has exactly one master.
         for p in 0..NUM_PARTITIONS {

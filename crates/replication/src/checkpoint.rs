@@ -5,8 +5,8 @@
 //! offsets the cut corresponds to (identical to the svv by the slot =
 //! sequence invariant), and the set of partitions the site mastered. On
 //! restart the site loads the newest valid checkpoint and replays only the
-//! retained segment suffix past its offsets
-//! ([`crate::recovery::replay_from`]) instead of history from offset zero —
+//! retained segment suffix past its offsets ([`crate::recovery::replay`]
+//! seeded with the checkpoint) instead of history from offset zero —
 //! and once every site's checkpoint has durably passed a segment, the
 //! segment can be deleted, closing the unbounded-log hole.
 //!

@@ -289,7 +289,7 @@ impl DataSite {
 
     /// Re-creates a crashed site from state replayed out of the durable
     /// logs (§V-C): the store and svv come from
-    /// `dynamast_replication::recovery::replay_all`, the mastered set from
+    /// `dynamast_replication::recovery::replay`, the mastered set from
     /// the recovered grant/release history. Volatile state (prepared 2PC
     /// fragments, dedup caches, the txn-id counter) starts empty, exactly
     /// as a process restart would leave it.

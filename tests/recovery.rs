@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use bytes::{BufMut, Bytes};
 use dynamast::common::ids::{ClientId, Key, SiteId, TableId};
-use dynamast::common::{Result, Row, SystemConfig, Value};
+use dynamast::common::{FsyncMode, Result, Row, SystemConfig, Value, VersionVector};
 use dynamast::core::dynamast::{DynaMastConfig, DynaMastSystem};
 use dynamast::core::recovery::{recover_selector_map, recover_site};
 use dynamast::site::proc::{ProcCall, ProcExecutor, TxnCtx};
@@ -67,7 +67,7 @@ fn replayed_site_matches_live_replica() {
             .unwrap();
     }
 
-    let recovered = recover_site(SiteId::new(2), system.logs(), catalog, 4, &[]).unwrap();
+    let recovered = recover_site(SiteId::new(2), system.logs(), None, catalog, 4).unwrap();
     // The recovered svv must cover the session's entire history.
     assert!(recovered.state.svv.dominates(&session.cvv));
     // Every record agrees with the freshest live data. Replay drained the
@@ -109,7 +109,7 @@ fn selector_map_recovers_current_masterships() {
             .update(&mut session, &set(&[i * 100, (29 - i) * 100], 2))
             .unwrap();
     }
-    let recovered = recover_selector_map(system.logs(), &[]).unwrap();
+    let (recovered, _) = recover_selector_map(system.logs(), &[], &[]).unwrap();
     for (partition, master) in system.selector().map().placements() {
         let Some(live_master) = master else { continue };
         assert_eq!(
@@ -179,7 +179,7 @@ fn mid_remaster_crash_recovers_consistent_mastership() {
     // A restarts from the logs and re-derives its mastership set.
     system.restart_site(a).unwrap();
     let sites = system.sites();
-    let recovered = recover_selector_map(system.logs(), &[]).unwrap();
+    let (recovered, _) = recover_selector_map(system.logs(), &[], &[]).unwrap();
     assert_eq!(
         recovered.get(&partition),
         Some(&SiteId::new(b)),
@@ -205,9 +205,144 @@ fn recovered_clock_continues_the_sequence() {
     for i in 0..12u64 {
         system.update(&mut session, &set(&[i * 100], i)).unwrap();
     }
-    let recovered = recover_site(SiteId::new(0), system.logs(), catalog, 4, &[]).unwrap();
+    let recovered = recover_site(SiteId::new(0), system.logs(), None, catalog, 4).unwrap();
     let clock =
         dynamast::site::SiteClock::from_recovered(SiteId::new(0), recovered.state.svv.clone());
     let next = clock.allocate();
     assert_eq!(next, recovered.state.svv.get(SiteId::new(0)) + 1);
+}
+
+/// `restart_site` on a disk-backed deployment whose logs were truncated:
+/// the site comes back from its checkpoint plus the retained suffix (a
+/// replay from offset zero would read below the truncated base), through
+/// the same path a volatile restart takes.
+#[test]
+fn durable_restart_recovers_from_checkpoint_and_retained_suffix() {
+    let dir = std::env::temp_dir().join(format!("dynamast-durable-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut catalog = Catalog::new();
+    catalog.add_table("kv", 1, 100);
+    let config = SystemConfig::new(3)
+        .with_instant_network()
+        .with_instant_service()
+        .with_durability(dir.clone(), FsyncMode::Group)
+        .with_segment_bytes(512);
+    let system = DynaMastSystem::build(DynaMastConfig::adaptive(config, catalog), Arc::new(SetApp));
+    const PARTITIONS: u64 = 30;
+    for i in 0..PARTITIONS {
+        system
+            .load_row(Key::new(KV, i * 100), Row::new(vec![Value::U64(0)]))
+            .unwrap();
+    }
+    // The first checkpoint stands in for the bulk load, which is not logged.
+    system.checkpoint_all().unwrap();
+
+    let mut session = ClientSession::new(ClientId::new(1), 3);
+    for round in 0..8u64 {
+        for i in 0..PARTITIONS {
+            system
+                .update(&mut session, &set(&[i * 100], round * 100 + i))
+                .unwrap();
+        }
+    }
+    // Joint write sets remaster.
+    for i in 0..10u64 {
+        system
+            .update(&mut session, &set(&[i * 100, (i + 15) * 100], 5000 + i))
+            .unwrap();
+    }
+    // Floors lag one checkpoint behind, so the third checkpoint is the first
+    // that lets whole segments below the second one's cut go.
+    system.checkpoint_all().unwrap();
+    system.checkpoint_all().unwrap();
+    assert!(
+        (0..3).any(|o| system.logs().log(SiteId::new(o)).base() > 0),
+        "no log was truncated: a replay from offset zero would still succeed"
+    );
+
+    // Pick two partitions site 1 masters: one moves away across the crash,
+    // the other stays and takes the post-restart update.
+    let victim = SiteId::new(1);
+    let mut at_victim = system
+        .selector()
+        .map()
+        .placements()
+        .into_iter()
+        .filter_map(|(p, m)| (m == Some(victim)).then_some(p));
+    let moved = at_victim.next().expect("site 1 masters a partition");
+    let kept = at_victim.next().expect("site 1 masters two partitions");
+    let key_of = |p| dynamast::common::ids::unpack_partition_id(p).1 * 100;
+
+    // The remaster away from site 1 is cut down between its halves: the
+    // release is durable in site 1's log suffix, the grant lands while site
+    // 1 is down. The two halves bypass the selector, so its map is told.
+    let sites = system.sites();
+    let rel_vv = sites[1].release(moved, 1_000_000).unwrap();
+    system.crash_site(1);
+    sites[2].grant(moved, 1_000_000, &rel_vv).unwrap();
+    system.selector().map().seed([(moved, SiteId::new(2))]);
+    let survivors: Vec<u64> = system
+        .selector()
+        .map()
+        .placements()
+        .into_iter()
+        .filter_map(|(p, m)| (m != Some(victim)).then_some(key_of(p)))
+        .collect();
+    for (n, key) in survivors.iter().enumerate() {
+        system
+            .update(&mut session, &set(&[*key], 9000 + n as u64))
+            .unwrap();
+    }
+
+    system.restart_site(1).unwrap();
+    let sites = system.sites();
+
+    // An update routed to the restarted site commits there.
+    let before = sites[1].commits.get();
+    system
+        .update(&mut session, &set(&[key_of(kept)], 7777))
+        .unwrap();
+    assert_eq!(sites[1].commits.get(), before + 1);
+
+    // The restarted store equals a live replica's at a common cut.
+    let target = sites
+        .iter()
+        .map(|s| s.clock().current())
+        .fold(VersionVector::zero(3), |acc, vv| acc.max_with(&vv));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    for site in &sites {
+        while !site.clock().current().dominates(&target) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "replicas never converged after the restart"
+            );
+            std::thread::yield_now();
+        }
+    }
+    for i in 0..PARTITIONS {
+        let key = Key::new(KV, i * 100);
+        let expected = sites[0].store().read(key, &target).unwrap();
+        assert!(expected.is_some(), "{key:?} vanished from the live replica");
+        assert_eq!(
+            sites[1].store().read(key, &target).unwrap(),
+            expected,
+            "restarted site diverges at {key:?}"
+        );
+    }
+
+    // Every placed partition is mastered by exactly one ownership table,
+    // the one the selector map names.
+    for (p, master) in system.selector().map().placements() {
+        let Some(master) = master else { continue };
+        for (i, site) in sites.iter().enumerate() {
+            assert_eq!(
+                site.ownership().is_mastered(p),
+                i == master.as_usize(),
+                "site {i} ownership of {p:?} disagrees with the selector map"
+            );
+        }
+    }
+    drop(sites);
+    drop(system);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
