@@ -141,14 +141,13 @@ impl TxnCtx for ClientCtx {
         Ok(entry.as_ref().map(|(row, _)| row.clone()))
     }
 
-    fn scan(&mut self, range: ScanRange) -> Result<Vec<(RecordId, Row)>> {
-        let Some(table) = self.fetched.scan_rows.get(&range.table) else {
-            return Ok(Vec::new());
-        };
-        Ok(table
-            .range(range.start..range.end)
-            .map(|(record, row)| (*record, row.clone()))
-            .collect())
+    fn scan(&mut self, range: ScanRange, visit: &mut dyn FnMut(RecordId, &Row)) -> Result<()> {
+        if let Some(table) = self.fetched.scan_rows.get(&range.table) {
+            for (record, row) in table.range(range.start..range.end) {
+                visit(*record, row);
+            }
+        }
+        Ok(())
     }
 
     fn write(&mut self, key: Key, row: Row) -> Result<()> {

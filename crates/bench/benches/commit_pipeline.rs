@@ -25,7 +25,7 @@ use dynamast_common::{FlightRecorder, FsyncMode, Row, Value, VersionVector};
 use dynamast_replication::record::{LogRecord, WriteEntry};
 use dynamast_replication::DurableLog;
 use dynamast_site::{apply_refresh_batch, apply_refresh_batch_with, CommitPipeline, SiteClock};
-use dynamast_storage::{Catalog, Store, VersionStamp};
+use dynamast_storage::{Catalog, ReadAt, Store, VersionStamp, Visit};
 use parking_lot::Mutex;
 
 const TABLE: TableId = TableId::new(0);
@@ -287,7 +287,7 @@ impl Committer for AuditedCommitter {
             if let Some(batch) = effects.as_mut() {
                 let prev = inner
                     .store
-                    .with_latest(w.key, |row, s| {
+                    .visit(w.key, ReadAt::Latest, |row, s| {
                         (
                             if audit_values {
                                 audit::value_signature(row)
@@ -299,7 +299,7 @@ impl Committer for AuditedCommitter {
                         )
                     })
                     .ok()
-                    .flatten();
+                    .and_then(Visit::hit);
                 batch.write_effect(
                     ticket.seq,
                     inner.site.raw(),

@@ -6,6 +6,7 @@
 //! need integers, floats-as-fixed-point, and strings.
 
 use std::fmt;
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 
@@ -143,16 +144,23 @@ impl Decode for Value {
     }
 }
 
-/// A row: one cell per schema column.
+/// A row: one cell per schema column, immutable once built.
+///
+/// The cells sit behind one shared allocation, so a clone — a version chain
+/// handing a row to a reader, one loaded row fanned to every replica, a
+/// buffered write read back — is a reference-count bump. Nothing can change
+/// a row after construction; an update installs a new row.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Row {
-    cells: Vec<Value>,
+    cells: Arc<[Value]>,
 }
 
 impl Row {
     /// Builds a row from cells.
     pub fn new(cells: Vec<Value>) -> Self {
-        Row { cells }
+        Row {
+            cells: cells.into(),
+        }
     }
 
     /// Number of columns.
@@ -163,16 +171,6 @@ impl Row {
     /// The cell at `column`.
     pub fn cell(&self, column: usize) -> &Value {
         &self.cells[column]
-    }
-
-    /// Mutable access to the cell at `column`.
-    pub fn cell_mut(&mut self, column: usize) -> &mut Value {
-        &mut self.cells[column]
-    }
-
-    /// Replaces the cell at `column`.
-    pub fn set(&mut self, column: usize, value: Value) {
-        self.cells[column] = value;
     }
 
     /// All cells in order.
@@ -198,9 +196,35 @@ impl Encode for Row {
 
 impl Decode for Row {
     fn decode(buf: &mut impl Buf) -> Result<Self> {
-        Ok(Row {
-            cells: codec::decode_seq(buf)?,
-        })
+        let arity = codec::get_u32(buf)? as usize;
+        // Every encoded cell is at least a tag byte, which bounds the
+        // allocation by the input before any of it is trusted.
+        if arity > buf.remaining() {
+            return Err(DynaError::Codec {
+                what: "row arity",
+                needed: arity,
+                remaining: buf.remaining(),
+            });
+        }
+        // Collecting an exact-size iterator fills the shared allocation
+        // directly (no `Vec` first), so the first failure is carried out
+        // beside it and the remaining slots take a placeholder.
+        let mut failed = None;
+        let cells = (0..arity)
+            .map(|_| {
+                if failed.is_none() {
+                    match Value::decode(buf) {
+                        Ok(value) => return value,
+                        Err(e) => failed = Some(e),
+                    }
+                }
+                Value::U64(0)
+            })
+            .collect();
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(Row { cells }),
+        }
     }
 }
 
@@ -242,12 +266,35 @@ mod tests {
     }
 
     #[test]
-    fn row_cells_can_be_mutated_in_place() {
-        let mut row = Row::new(vec![Value::I64(100)]);
-        if let Value::I64(v) = row.cell_mut(0) {
-            *v += 50;
+    fn a_cloned_row_is_indistinguishable_from_its_source() {
+        use std::hash::{BuildHasher, RandomState};
+        let row = Row::new(vec![
+            Value::I64(100),
+            Value::Str("abcd".into()),
+            Value::Bytes(vec![7; 9]),
+        ]);
+        let copy = row.clone();
+        assert_eq!(copy, row);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&copy), hasher.hash_one(&row));
+        let bytes = codec::encode_to_vec(&row);
+        assert_eq!(codec::encode_to_vec(&copy), bytes);
+        assert_eq!(bytes.len(), row.encoded_len());
+        let mut slice = &bytes[..];
+        assert_eq!(Row::decode(&mut slice).unwrap(), row);
+        assert!(slice.is_empty());
+        assert_eq!(Row::default(), Row::new(Vec::new()));
+    }
+
+    #[test]
+    fn row_decode_rejects_truncated_and_oversized_input() {
+        let bytes = codec::encode_to_vec(&Row::new(vec![Value::U64(1), Value::Str("ab".into())]));
+        for cut in 0..bytes.len() {
+            assert!(Row::decode(&mut &bytes[..cut]).is_err(), "cut at {cut}");
         }
-        assert_eq!(row.cell(0).as_i64().unwrap(), 150);
+        // An arity the input cannot hold is refused before allocating for it.
+        let mut huge: &[u8] = &[0xFF, 0xFF, 0xFF, 0xFF, 0, 0];
+        assert!(Row::decode(&mut huge).is_err());
     }
 
     #[test]

@@ -475,91 +475,81 @@ impl TxnCtx for CoordCtx<'_> {
         Ok(versioned.map(|(row, _)| row))
     }
 
-    fn scan(&mut self, range: ScanRange) -> Result<Vec<(u64, Row)>> {
+    fn scan(&mut self, range: ScanRange, visit: &mut dyn FnMut(u64, &Row)) -> Result<()> {
+        let at = self.mode.at(self.begin);
+        // Multi-master: replicas make every scan local.
         if self.mode == ReadMode::Snapshot {
             self.ops += range.end.saturating_sub(range.start);
-            return self
-                .site
-                .store()
-                .scan(range.table, range.start, range.end, self.begin);
         }
-        match self.mode {
-            ReadMode::Snapshot => {
-                self.site
-                    .store()
-                    .scan(range.table, range.start, range.end, self.begin)
+        if self.mode == ReadMode::Snapshot || self.site.is_replicated_table(range.table) {
+            self.site.store().visit_range(
+                range.table,
+                range.start..range.end,
+                at,
+                |record, row, _| visit(record, row),
+            )?;
+            return Ok(());
+        }
+        // Split the range into per-owner subranges; fan out in parallel and
+        // merge — latency is the slowest site's response (straggler effect).
+        let schema = self.site.store().catalog().table(range.table)?;
+        let psize = schema.partition_size;
+        let mut per_site: BTreeMap<SiteId, Vec<ScanRange>> = BTreeMap::new();
+        let mut cursor = range.start;
+        while cursor < range.end {
+            let partition_end = ((cursor / psize) + 1) * psize;
+            let sub_end = partition_end.min(range.end);
+            let owner = self.owner(Key::new(range.table, cursor))?;
+            let ranges = per_site.entry(owner).or_default();
+            match ranges.last_mut() {
+                Some(last) if last.end == cursor => last.end = sub_end,
+                _ => ranges.push(ScanRange {
+                    table: range.table,
+                    start: cursor,
+                    end: sub_end,
+                }),
             }
-            ReadMode::Latest => {
-                if self.site.is_replicated_table(range.table) {
-                    let mut rows = Vec::new();
-                    for record in range.start..range.end {
-                        let key = Key::new(range.table, record);
-                        if let Some((row, _)) = self.site.store().read_latest(key)? {
-                            rows.push((record, row));
-                        }
-                    }
-                    return Ok(rows);
+            cursor = sub_end;
+        }
+        let mut rows = Vec::new();
+        let mut pending = Vec::new();
+        for (owner, ranges) in per_site {
+            if owner == self.site.id() {
+                for r in ranges {
+                    self.site.store().visit_range(
+                        r.table,
+                        r.start..r.end,
+                        at,
+                        |record, row, _| rows.push((record, row.clone())),
+                    )?;
                 }
-                // Split the range into per-owner subranges; fan out in
-                // parallel and merge — latency is the slowest site's
-                // response (straggler effect).
-                let schema = self.site.store().catalog().table(range.table)?;
-                let psize = schema.partition_size;
-                let mut per_site: BTreeMap<SiteId, Vec<ScanRange>> = BTreeMap::new();
-                let mut cursor = range.start;
-                while cursor < range.end {
-                    let partition_end = ((cursor / psize) + 1) * psize;
-                    let sub_end = partition_end.min(range.end);
-                    let owner = self.owner(Key::new(range.table, cursor))?;
-                    let ranges = per_site.entry(owner).or_default();
-                    match ranges.last_mut() {
-                        Some(last) if last.end == cursor => last.end = sub_end,
-                        _ => ranges.push(ScanRange {
-                            table: range.table,
-                            start: cursor,
-                            end: sub_end,
-                        }),
-                    }
-                    cursor = sub_end;
-                }
-                let mut rows = Vec::new();
-                let mut pending = Vec::new();
-                for (owner, ranges) in per_site {
-                    if owner == self.site.id() {
-                        for r in ranges {
-                            for record in r.start..r.end {
-                                let key = Key::new(r.table, record);
-                                if let Some((row, _)) = self.site.store().read_latest(key)? {
-                                    rows.push((record, row));
-                                }
-                            }
-                        }
-                    } else {
-                        let req = SiteRequest::RemoteRead {
-                            keys: vec![],
-                            ranges,
-                        };
-                        pending.push(self.site.network().rpc_async(
-                            EndpointId::Site(owner.raw()),
-                            TrafficCategory::TwoPhaseCommit,
-                            Bytes::from(encode_to_vec(&req)),
-                        )?);
-                    }
-                }
-                for reply in pending {
-                    match crate::messages::expect_ok(&reply.wait()?)? {
-                        SiteResponse::Rows { scans, .. } => {
-                            for scan in scans {
-                                rows.extend(scan);
-                            }
-                        }
-                        _ => return Err(DynaError::Internal("unexpected remote scan response")),
-                    }
-                }
-                rows.sort_unstable_by_key(|(record, _)| *record);
-                Ok(rows)
+            } else {
+                let req = SiteRequest::RemoteRead {
+                    keys: vec![],
+                    ranges,
+                };
+                pending.push(self.site.network().rpc_async(
+                    EndpointId::Site(owner.raw()),
+                    TrafficCategory::TwoPhaseCommit,
+                    Bytes::from(encode_to_vec(&req)),
+                )?);
             }
         }
+        for reply in pending {
+            match crate::messages::expect_ok(&reply.wait()?)? {
+                SiteResponse::Rows { scans, .. } => {
+                    for scan in scans {
+                        rows.extend(scan);
+                    }
+                }
+                _ => return Err(DynaError::Internal("unexpected remote scan response")),
+            }
+        }
+        rows.sort_unstable_by_key(|(record, _)| *record);
+        for (record, row) in &rows {
+            visit(*record, row);
+        }
+        Ok(())
     }
 
     fn write(&mut self, key: Key, row: Row) -> Result<()> {

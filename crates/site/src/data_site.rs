@@ -15,7 +15,7 @@ use dynamast_network::{EndpointId, Network, RpcHandler, ServerHandle};
 use dynamast_replication::checkpoint::{Checkpoint, ImageEntry};
 use dynamast_replication::record::{LogRecord, WriteEntry};
 use dynamast_replication::{LogSet, Propagator, RefreshApplier};
-use dynamast_storage::{Catalog, LockGuard, Store, VersionStamp};
+use dynamast_storage::{Catalog, LockGuard, ReadAt, Store, VersionStamp, Visit};
 
 use crate::clock::SiteClock;
 use crate::messages::{ExecTimings, RemoteError, ShippedRecord, SiteRequest, SiteResponse};
@@ -638,7 +638,7 @@ impl DataSite {
             // the value underneath and silently undo the other one.
             let mut floor = min_vv.clone();
             for key in &proc.write_set {
-                if let Ok(Some(newest)) = self.store.with_latest(*key, |_, stamp| stamp) {
+                if let Ok(Visit::Hit(newest)) = self.store.visit(*key, ReadAt::Latest, |_, s| s) {
                     if floor.get(newest.origin) < newest.sequence {
                         floor.set(newest.origin, newest.sequence);
                     }
@@ -753,7 +753,7 @@ impl DataSite {
                 // hashed when the conservation checker will consume them.
                 let prev = self
                     .store
-                    .with_latest(w.key, |row, s| {
+                    .visit(w.key, ReadAt::Latest, |row, s| {
                         (
                             if audit_values {
                                 dynamast_common::audit::value_signature(row)
@@ -765,7 +765,7 @@ impl DataSite {
                         )
                     })
                     .ok()
-                    .flatten();
+                    .and_then(Visit::hit);
                 batch.write_effect(
                     txn_id,
                     self.id.raw(),
@@ -927,9 +927,8 @@ impl DataSite {
         let dump = if base_counter == 0 {
             self.store.dump_visible(&cut)
         } else {
-            let dirty: std::collections::HashSet<PartitionId> =
-                self.store.dirty_partitions().into_iter().collect();
-            self.store.dump_visible_partitions(&cut, &dirty)
+            self.store
+                .dump_visible_partitions(&cut, &self.store.dirty_partitions())?
         };
         let image = dump
             .into_iter()
@@ -1285,12 +1284,12 @@ impl DataSite {
         let mut scanned = 0u64;
         for range in ranges {
             let mut rows = Vec::new();
-            for record in range.start..range.end {
-                let key = Key::new(range.table, record);
-                if let Some((row, _)) = self.store.read_latest(key)? {
-                    rows.push((record, row));
-                }
-            }
+            self.store.visit_range(
+                range.table,
+                range.start..range.end,
+                ReadAt::Latest,
+                |record, row, _| rows.push((record, row.clone())),
+            )?;
             scanned += range.end.saturating_sub(range.start);
             scans.push(rows);
         }
@@ -1305,21 +1304,16 @@ impl DataSite {
         let mut records = Vec::new();
         for &p in partitions {
             self.ownership.revoke_and_drain(p)?;
-            let (table_id, index) = dynamast_common::ids::unpack_partition_id(p);
-            let schema = self.store.catalog().table(table_id)?;
-            let start = index * schema.partition_size;
-            let end = start + schema.partition_size;
-            for record in start..end {
-                let key = Key::new(table_id, record);
-                if let Some((row, stamp)) = self.store.read_latest(key)? {
+            let (table, start, end) = self.store.partition_range(p)?;
+            self.store
+                .visit_range(table, start..end, ReadAt::Latest, |record, row, stamp| {
                     records.push(ShippedRecord {
-                        key,
-                        row,
+                        key: Key::new(table, record),
+                        row: row.clone(),
                         origin: stamp.origin,
                         sequence: stamp.sequence,
-                    });
-                }
-            }
+                    })
+                })?;
         }
         Ok(records)
     }
@@ -1364,11 +1358,9 @@ impl DataSite {
             });
         }
         let cut = self.clock.current();
-        let mut set = std::collections::HashSet::new();
-        set.insert(partition);
         let records = self
             .store
-            .dump_visible_partitions(&cut, &set)
+            .dump_visible_partitions(&cut, &[partition])?
             .into_iter()
             .map(|(key, stamp, row)| ShippedRecord {
                 key,

@@ -17,7 +17,7 @@ use bytes::{Buf, BufMut, Bytes};
 use dynamast_common::codec::{self, Decode, Encode};
 use dynamast_common::ids::{Key, RecordId, TableId};
 use dynamast_common::{DynaError, Result, Row, VersionVector};
-use dynamast_storage::{Store, VersionStamp};
+use dynamast_storage::{ReadAt, Store, VersionStamp, Visit};
 
 use std::collections::HashMap;
 
@@ -117,13 +117,26 @@ pub enum ReadMode {
     Latest,
 }
 
+impl ReadMode {
+    /// The storage-level form of this mode for a transaction that began at
+    /// `begin`.
+    pub fn at(self, begin: &VersionVector) -> ReadAt<'_> {
+        match self {
+            ReadMode::Snapshot => ReadAt::Begin(begin),
+            ReadMode::Latest => ReadAt::Latest,
+        }
+    }
+}
+
 /// The interface stored procedures execute against.
 pub trait TxnCtx {
     /// Point read. `None` if the record does not exist (at the snapshot).
     fn read(&mut self, key: Key) -> Result<Option<Row>>;
 
-    /// Range scan; missing keys in the range are skipped.
-    fn scan(&mut self, range: ScanRange) -> Result<Vec<(RecordId, Row)>>;
+    /// Range scan: `visit` sees every record of the range that exists (at
+    /// the snapshot), in ascending record order. A local context runs it in
+    /// place under a storage lock, so it should fold, not work.
+    fn scan(&mut self, range: ScanRange, visit: &mut dyn FnMut(RecordId, &Row)) -> Result<()>;
 
     /// Buffered write (insert or update). The key must be in the declared
     /// write set.
@@ -198,26 +211,13 @@ impl<'a> LocalCtx<'a> {
         self.writes
     }
 
-    /// `true` once a snapshot read came back empty from a version chain at
-    /// capacity: chains keep a bounded number of versions, so the version
-    /// this snapshot should have seen may have been evicted while the
-    /// transaction ran. Nothing it read or returned can be trusted; the
-    /// caller re-executes it on a fresh snapshot.
+    /// `true` once a snapshot read or scan met a version chain at capacity
+    /// with nothing visible: chains keep a bounded number of versions, so
+    /// the version this snapshot should have seen may have been evicted
+    /// while the transaction ran. Nothing it read or returned can be
+    /// trusted; the caller re-executes it on a fresh snapshot.
     pub fn snapshot_too_old(&self) -> bool {
         self.snapshot_too_old
-    }
-
-    fn read_committed(&mut self, key: Key) -> Result<Option<Row>> {
-        match self.mode {
-            ReadMode::Snapshot => {
-                let row = self.store.read(key, self.begin)?;
-                if row.is_none() && self.store.evicted_at(key, self.begin)? {
-                    self.snapshot_too_old = true;
-                }
-                Ok(row)
-            }
-            ReadMode::Latest => Ok(self.store.read_latest(key)?.map(|(row, _)| row)),
-        }
     }
 }
 
@@ -227,26 +227,22 @@ impl TxnCtx for LocalCtx<'_> {
         if let Some(&i) = self.write_index.get(&key) {
             return Ok(Some(self.writes[i].1.clone()));
         }
-        self.read_committed(key)
+        let found = self
+            .store
+            .visit(key, self.mode.at(self.begin), |row, _| row.clone())?;
+        self.snapshot_too_old |= found == Visit::Evicted;
+        Ok(found.hit())
     }
 
-    fn scan(&mut self, range: ScanRange) -> Result<Vec<(RecordId, Row)>> {
+    fn scan(&mut self, range: ScanRange, visit: &mut dyn FnMut(RecordId, &Row)) -> Result<()> {
         self.ops += range.end.saturating_sub(range.start);
-        match self.mode {
-            ReadMode::Snapshot => self
-                .store
-                .scan(range.table, range.start, range.end, self.begin),
-            ReadMode::Latest => {
-                let mut out = Vec::new();
-                for record in range.start..range.end {
-                    let key = Key::new(range.table, record);
-                    if let Some((row, _)) = self.store.read_latest(key)? {
-                        out.push((record, row));
-                    }
-                }
-                Ok(out)
-            }
-        }
+        self.snapshot_too_old |= self.store.visit_range(
+            range.table,
+            range.start..range.end,
+            self.mode.at(self.begin),
+            |record, row, _| visit(record, row),
+        )?;
+        Ok(())
     }
 
     fn write(&mut self, key: Key, row: Row) -> Result<()> {
@@ -375,9 +371,61 @@ mod tests {
             end: 10,
         };
         let begin = VersionVector::from_counts(vec![1]);
-        let mut snap_ctx = LocalCtx::new(&s, &begin, ReadMode::Snapshot, &[]);
-        assert_eq!(snap_ctx.scan(range).unwrap().len(), 1);
-        let mut latest_ctx = LocalCtx::new(&s, &begin, ReadMode::Latest, &[]);
-        assert_eq!(latest_ctx.scan(range).unwrap().len(), 2);
+        let scanned = |mode| {
+            let mut ctx = LocalCtx::new(&s, &begin, mode, &[]);
+            let mut seen = Vec::new();
+            ctx.scan(range, &mut |record, row| seen.push((record, row.clone())))
+                .unwrap();
+            assert!(!ctx.snapshot_too_old());
+            seen
+        };
+        assert_eq!(scanned(ReadMode::Snapshot), vec![(1, row(1))]);
+        assert_eq!(scanned(ReadMode::Latest), vec![(1, row(1)), (2, row(2))]);
+    }
+
+    #[test]
+    fn a_scan_over_an_evicted_version_is_too_old_not_short() {
+        const MVCC_VERSIONS: u64 = 4;
+        let range = ScanRange {
+            table: TableId::new(0),
+            start: 0,
+            end: 40,
+        };
+        // `newer` installs of record 7 on top of the loaded range, scanned at
+        // the begin vector taken before them.
+        let scan_after = |newer: u64| {
+            let s = store();
+            for r in 0..40 {
+                s.install(key(r), VersionStamp::new(SiteId::new(0), 1), row(r))
+                    .unwrap();
+            }
+            let begin = VersionVector::from_counts(vec![1]);
+            for i in 0..newer {
+                s.install(
+                    key(7),
+                    VersionStamp::new(SiteId::new(0), 2 + i),
+                    row(100 + i),
+                )
+                .unwrap();
+            }
+            let mut ctx = LocalCtx::new(&s, &begin, ReadMode::Snapshot, &[]);
+            let mut seen = Vec::new();
+            ctx.scan(range, &mut |record, row| seen.push((record, row.clone())))
+                .unwrap();
+            (ctx.snapshot_too_old(), seen)
+        };
+        let (too_old, seen) = scan_after(MVCC_VERSIONS - 1);
+        assert!(!too_old, "the begin version is the oldest still retained");
+        assert_eq!(seen, (0..40).map(|r| (r, row(r))).collect::<Vec<_>>());
+        let (too_old, seen) = scan_after(MVCC_VERSIONS);
+        assert!(
+            too_old,
+            "record 7's begin version is gone: nothing is trusted"
+        );
+        assert_eq!(
+            seen.len(),
+            39,
+            "the rest were visited: the flag is the answer"
+        );
     }
 }

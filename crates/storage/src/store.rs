@@ -1,6 +1,12 @@
 //! The per-site storage engine: catalog + tables + lock manager.
+//!
+//! Every read is [`Store::visit`] or [`Store::visit_range`]: a closure run
+//! on the chosen version in place. The readers that return rows (`read`,
+//! `read_latest`, `scan`, the checkpoint dumps) are wrappers whose closure
+//! keeps the shared row.
 
 use std::collections::HashSet;
+use std::ops::RangeBounds;
 use std::sync::Arc;
 
 use dynamast_common::ids::{unpack_partition_id, Key, PartitionId, RecordId, TableId};
@@ -9,7 +15,7 @@ use parking_lot::Mutex;
 
 use crate::lock::{LockGuard, LockManager};
 use crate::schema::Catalog;
-use crate::table::{Table, VersionStamp};
+use crate::table::{ReadAt, Table, VersionStamp, Visit};
 
 /// One data site's storage engine (§V-A1): row-oriented in-memory tables with
 /// MVCC snapshot reads and per-record write locks.
@@ -76,9 +82,34 @@ impl Store {
         Ok(&self.tables[id.as_usize()])
     }
 
+    /// Runs `f` in place on the version of `key` that `at` chooses (see
+    /// [`Table::visit`]); every point read below is a wrapper over this.
+    pub fn visit<T>(
+        &self,
+        key: Key,
+        at: ReadAt<'_>,
+        f: impl FnOnce(&Row, VersionStamp) -> T,
+    ) -> Result<Visit<T>> {
+        Ok(self.table(key.table)?.visit(key.record, at, f))
+    }
+
+    /// Runs `f` in place on the version `at` chooses of every record of
+    /// `table` in `range`, ascending; `true` iff the range met an evicted
+    /// version and cannot be trusted as a snapshot (see
+    /// [`Table::visit_range`]).
+    pub fn visit_range(
+        &self,
+        table: TableId,
+        range: impl RangeBounds<RecordId>,
+        at: ReadAt<'_>,
+        f: impl FnMut(RecordId, &Row, VersionStamp),
+    ) -> Result<bool> {
+        Ok(self.table(table)?.visit_range(range, at, f))
+    }
+
     /// Snapshot read of `key` at `begin`.
     pub fn read(&self, key: Key, begin: &VersionVector) -> Result<Option<Row>> {
-        Ok(self.table(key.table)?.read(key.record, begin))
+        Ok(self.read_versioned(key, begin)?.map(|(row, _)| row))
     }
 
     /// Snapshot read with the version's stamp (for write-write validation).
@@ -87,28 +118,14 @@ impl Store {
         key: Key,
         begin: &VersionVector,
     ) -> Result<Option<(Row, VersionStamp)>> {
-        Ok(self.table(key.table)?.read_versioned(key.record, begin))
-    }
-
-    /// Whether a `None` from [`Store::read`] at `begin` may mean "evicted"
-    /// rather than "absent" (see [`Table::evicted_at`]).
-    pub fn evicted_at(&self, key: Key, begin: &VersionVector) -> Result<bool> {
-        Ok(self.table(key.table)?.evicted_at(key.record, begin))
+        let found = self.visit(key, ReadAt::Begin(begin), |row, stamp| (row.clone(), stamp))?;
+        Ok(found.hit())
     }
 
     /// Latest version of `key` with its stamp, regardless of snapshot.
     pub fn read_latest(&self, key: Key) -> Result<Option<(Row, VersionStamp)>> {
-        self.table(key.table).map(|t| t.read_latest(key.record))
-    }
-
-    /// Runs `f` against the latest version of `key` without cloning the row
-    /// (see [`Table::with_latest`]).
-    pub fn with_latest<T>(
-        &self,
-        key: Key,
-        f: impl FnOnce(&Row, VersionStamp) -> T,
-    ) -> Result<Option<T>> {
-        self.table(key.table).map(|t| t.with_latest(key.record, f))
+        let found = self.visit(key, ReadAt::Latest, |row, stamp| (row.clone(), stamp))?;
+        Ok(found.hit())
     }
 
     /// Installs a new version of `key`.
@@ -142,39 +159,42 @@ impl Store {
     }
 
     /// Every record's newest version visible to `begin` across all tables,
-    /// with stamps, in unspecified order. This is the checkpoint image: a
-    /// consistent cut of the store at the svv snapshot `begin` (see
-    /// [`Table::dump_visible`] for why skipped records are safe).
+    /// with stamps, in key order. This is the checkpoint image: a consistent
+    /// cut of the store at the svv snapshot `begin`. Records with no version
+    /// visible at `begin` are skipped: such a record either did not exist at
+    /// the cut, or its cut-visible version was evicted — which requires
+    /// `max_versions` newer installs, every one stamped past the cut and so
+    /// present in the replay suffix that follows the checkpoint.
     pub fn dump_visible(&self, begin: &VersionVector) -> Vec<(Key, VersionStamp, Row)> {
         let mut out = Vec::new();
         for (idx, table) in self.tables.iter().enumerate() {
             let id = TableId::new(idx);
-            out.extend(
-                table
-                    .dump_visible(begin)
-                    .into_iter()
-                    .map(|(record, stamp, row)| (Key::new(id, record), stamp, row)),
-            );
+            table.visit_range(.., ReadAt::Begin(begin), |record, row, stamp| {
+                out.push((Key::new(id, record), stamp, row.clone()))
+            });
         }
         out
     }
 
-    /// Like [`Store::dump_visible`], restricted to keys whose partition is
-    /// in `partitions` (incremental checkpoint images cover only the
+    /// Like [`Store::dump_visible`], restricted to `partitions` and walking
+    /// only their key ranges (incremental checkpoint images cover only the
     /// partitions dirtied since the last full rebase).
     pub fn dump_visible_partitions(
         &self,
         begin: &VersionVector,
-        partitions: &HashSet<PartitionId>,
-    ) -> Vec<(Key, VersionStamp, Row)> {
-        self.dump_visible(begin)
-            .into_iter()
-            .filter(|(key, _, _)| {
-                self.catalog
-                    .partition_of(*key)
-                    .is_ok_and(|p| partitions.contains(&p))
-            })
-            .collect()
+        partitions: &[PartitionId],
+    ) -> Result<Vec<(Key, VersionStamp, Row)>> {
+        let mut out = Vec::new();
+        for &partition in partitions {
+            let (table, start, end) = self.partition_range(partition)?;
+            self.visit_range(
+                table,
+                start..end,
+                ReadAt::Begin(begin),
+                |record, row, stamp| out.push((Key::new(table, record), stamp, row.clone())),
+            )?;
+        }
+        Ok(out)
     }
 
     /// Installs a batch of versions, taking rows by value (one move from the
@@ -203,7 +223,8 @@ impl Store {
         Ok(())
     }
 
-    /// Snapshot range scan over `[start, end)` record ids of `table`.
+    /// Snapshot range scan over `[start, end)` record ids of `table`,
+    /// collected; missing keys are skipped.
     pub fn scan(
         &self,
         table: TableId,
@@ -211,7 +232,11 @@ impl Store {
         end: RecordId,
         begin: &VersionVector,
     ) -> Result<Vec<(RecordId, Row)>> {
-        Ok(self.table(table)?.scan(start, end, begin))
+        let mut out = Vec::with_capacity(end.saturating_sub(start) as usize);
+        self.visit_range(table, start..end, ReadAt::Begin(begin), |record, row, _| {
+            out.push((record, row.clone()))
+        })?;
+        Ok(out)
     }
 
     /// `true` iff the record exists in any version.
@@ -444,9 +469,52 @@ mod tests {
             .unwrap();
         let snap = VersionVector::from_counts(vec![2]);
         let p1 = store.catalog().partition_of(Key::new(t0, 150)).unwrap();
-        let image = store.dump_visible_partitions(&snap, &HashSet::from([p1]));
+        let image = store.dump_visible_partitions(&snap, &[p1]).unwrap();
         assert_eq!(image.len(), 1);
         assert_eq!(image[0].0, Key::new(t0, 150));
+    }
+
+    #[test]
+    fn dump_visible_partitions_equals_the_filtered_full_dump() {
+        let mut cat = catalog();
+        cat.add_table("sparse", 1, 1 << 24);
+        let store = Store::new(cat, 2);
+        let s0 = SiteId::new(0);
+        let mut seq = 0;
+        for (table, records) in [
+            (0usize, vec![5u64, 99, 100, 150, 450]),
+            (1, vec![0, 9, 10, 35]),
+            (2, vec![3, 4, (1 << 24) - 1, 1 << 24, (3 << 24) + 77]),
+        ] {
+            for record in records {
+                // Three installs into depth-2 chains: the cut below sees
+                // every record but the last, whose version at the cut is
+                // already evicted.
+                for _ in 0..3 {
+                    seq += 1;
+                    let key = Key::new(TableId::new(table), record);
+                    store
+                        .install(key, VersionStamp::new(s0, seq), row(seq))
+                        .unwrap();
+                }
+            }
+        }
+        let cut = VersionVector::from_counts(vec![seq - 2]);
+        let full = store.dump_visible(&cut);
+        assert_eq!(full.len(), store.record_count() - 1);
+        assert!(full.windows(2).all(|w| w[0].0 < w[1].0), "key order");
+        let dirty = store.dirty_partitions();
+        for wanted in [&dirty[..], &dirty[1..4], &dirty[dirty.len() - 1..], &[]] {
+            let filtered: Vec<_> = full
+                .iter()
+                .filter(|(key, _, _)| wanted.contains(&store.catalog().partition_of(*key).unwrap()))
+                .cloned()
+                .collect();
+            assert_eq!(
+                store.dump_visible_partitions(&cut, wanted).unwrap(),
+                filtered
+            );
+        }
     }
 
     #[test]

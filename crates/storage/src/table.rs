@@ -1,19 +1,33 @@
 //! Multi-versioned row tables.
 //!
-//! A [`Table`] is a sharded primary-key index mapping record ids to version
-//! chains. Each version carries a [`VersionStamp`] — `(origin site,
-//! sequence)` — identifying the committing transaction's slot in its origin
-//! site's commit order. Chains keep at most `max_versions` entries (default
-//! four, §V-A1), pruning the oldest version when a new one is installed.
+//! A [`Table`] is a block-sharded ordered primary-key index mapping record
+//! ids to version chains: 32 consecutive ids form a block, a block lives in
+//! one shard (chosen by a hash of the block id), and each shard is an
+//! ordered map — so a contiguous range is served by one lock and one
+//! ordered walk per block. Each version carries a
+//! [`VersionStamp`] — `(origin site, sequence)` — identifying the committing
+//! transaction's slot in its origin site's commit order. Chains keep at most
+//! `max_versions` entries (default four, §V-A1), pruning the oldest version
+//! when a new one is installed.
+//!
+//! Versions are read in place: [`Table::visit`] (one record) and
+//! [`Table::visit_range`] (a range, ascending) hand a closure the chosen
+//! version's `&Row` and stamp under the shard's read lock, so the closure
+//! must not call back into the table. Rows are immutable and shared: a
+//! closure that keeps one pays a reference-count bump.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::{Bound, RangeBounds, RangeInclusive};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dynamast_common::ids::{RecordId, SiteId};
 use dynamast_common::{Row, VersionVector};
 use parking_lot::RwLock;
 
-const SHARDS: usize = 64;
+const SHARD_BITS: u32 = 6;
+const SHARDS: usize = 1 << SHARD_BITS;
+/// `1 << BLOCK_SHIFT` consecutive record ids share a shard.
+const BLOCK_SHIFT: u32 = 5;
 
 /// Identifies the transaction that created a record version.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,6 +50,39 @@ impl VersionStamp {
     /// commits from `origin`.
     pub fn visible_to(&self, begin: &VersionVector) -> bool {
         begin.get(self.origin) >= self.sequence
+    }
+}
+
+/// Which version of a chain a visit hands to its closure.
+#[derive(Clone, Copy, Debug)]
+pub enum ReadAt<'a> {
+    /// The newest version visible to this begin vector.
+    Begin(&'a VersionVector),
+    /// The newest version, whatever any snapshot has seen.
+    Latest,
+}
+
+/// What [`Table::visit`] found at a record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Visit<T> {
+    /// The closure's result on the chosen version.
+    Hit(T),
+    /// No version to choose, and the chain (if any) still has room: the
+    /// record does not exist at that snapshot.
+    Absent,
+    /// No version visible, from a chain at capacity: the version the
+    /// snapshot should see may have been evicted by newer installs, so
+    /// "absent" cannot be told from "snapshot too old".
+    Evicted,
+}
+
+impl<T> Visit<T> {
+    /// The closure's result, if a version was chosen.
+    pub fn hit(self) -> Option<T> {
+        match self {
+            Visit::Hit(value) => Some(value),
+            Visit::Absent | Visit::Evicted => None,
+        }
     }
 }
 
@@ -66,22 +113,22 @@ impl Chain {
         self.versions.iter().map(|v| v.row.payload_size()).sum()
     }
 
-    /// Newest version visible to `begin`, scanning from the tail.
-    fn read(&self, begin: &VersionVector) -> Option<&Version> {
-        self.versions
-            .iter()
-            .rev()
-            .find(|v| v.stamp.visible_to(begin))
-    }
-
-    fn latest(&self) -> Option<(&Row, VersionStamp)> {
-        self.versions.last().map(|v| (&v.row, v.stamp))
+    /// The version `at` chooses, scanning from the tail.
+    fn choose(&self, at: ReadAt<'_>) -> Option<&Version> {
+        match at {
+            ReadAt::Begin(begin) => self
+                .versions
+                .iter()
+                .rev()
+                .find(|v| v.stamp.visible_to(begin)),
+            ReadAt::Latest => self.versions.last(),
+        }
     }
 }
 
-type Shard = RwLock<HashMap<RecordId, Chain>>;
+type Shard = RwLock<BTreeMap<RecordId, Chain>>;
 
-/// A sharded, multi-versioned, primary-key-indexed table.
+/// A block-sharded, ordered, multi-versioned, primary-key-indexed table.
 pub struct Table {
     shards: Vec<Shard>,
     max_versions: usize,
@@ -96,7 +143,7 @@ impl Table {
     pub fn new(max_versions: usize) -> Self {
         assert!(max_versions >= 1, "must retain at least one version");
         Table {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::new(BTreeMap::new())).collect(),
             max_versions,
             resident_bytes: AtomicU64::new(0),
         }
@@ -114,8 +161,59 @@ impl Table {
     }
 
     fn shard(&self, record: RecordId) -> &Shard {
-        let h = record.wrapping_mul(0xD1B5_4A32_D192_ED03).rotate_left(23);
-        &self.shards[(h as usize) % SHARDS]
+        // Fibonacci hashing of the block id: TPC-C builds keys from shifted
+        // fields (`district << 20 | order`), and a plain modulus would put
+        // every district's newest orders behind one lock.
+        let block = record >> BLOCK_SHIFT;
+        &self.shards[(block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SHARD_BITS)) as usize]
+    }
+
+    /// Walks `range` one block at a time in ascending order. `run` gets the
+    /// block's shard and the part of the range inside that block, and says
+    /// whether it met any record there. After an empty run the walk seeks
+    /// the next record instead of stepping through empty blocks: TPC-C
+    /// partitions span 2^24 ids and hold a few thousand, and a walk must
+    /// cost what the range holds, not what it spans.
+    fn walk_blocks(
+        &self,
+        range: impl RangeBounds<RecordId>,
+        mut run: impl FnMut(&Shard, RangeInclusive<RecordId>) -> bool,
+    ) {
+        let first = match range.start_bound() {
+            Bound::Included(&r) => Some(r),
+            Bound::Excluded(&r) => r.checked_add(1),
+            Bound::Unbounded => Some(0),
+        };
+        let last = match range.end_bound() {
+            Bound::Included(&r) => Some(r),
+            Bound::Excluded(&r) => r.checked_sub(1),
+            Bound::Unbounded => Some(RecordId::MAX),
+        };
+        let (Some(mut cursor), Some(last)) = (first, last) else {
+            return;
+        };
+        while cursor <= last {
+            let block_last = (cursor | ((1 << BLOCK_SHIFT) - 1)).min(last);
+            let populated = run(self.shard(cursor), cursor..=block_last);
+            if block_last == last {
+                return;
+            }
+            cursor = block_last + 1;
+            if !populated {
+                match self.next_record(cursor..=last) {
+                    Some(record) => cursor = record,
+                    None => return,
+                }
+            }
+        }
+    }
+
+    /// The smallest record id in `range` that has a chain.
+    fn next_record(&self, range: RangeInclusive<RecordId>) -> Option<RecordId> {
+        self.shards
+            .iter()
+            .filter_map(|s| s.read().range(range.clone()).next().map(|(r, _)| *r))
+            .min()
     }
 
     /// Installs a new version of `record`. Used both for local commits and
@@ -133,120 +231,81 @@ impl Table {
     }
 
     /// Removes every record in `[start, end)` — a partition's contiguous
-    /// key range — returning `(records removed, payload bytes freed)`.
-    /// Used by `DropReplica` to evict a partition's copy; the caller is
-    /// responsible for fencing concurrent reads (NotReplica admission).
+    /// key range — returning `(records removed, payload bytes freed)`, one
+    /// write lock per block. Used by `DropReplica` to evict a partition's
+    /// copy; the caller is responsible for fencing concurrent reads
+    /// (NotReplica admission).
     pub fn purge_range(&self, start: RecordId, end: RecordId) -> (usize, u64) {
         let mut removed = 0usize;
         let mut freed = 0u64;
-        for record in start..end {
-            let bytes = {
-                let mut shard = self.shard(record).write();
-                shard.remove(&record).map(|c| c.payload_size())
-            };
-            if let Some(bytes) = bytes {
-                removed += 1;
-                freed += bytes as u64;
+        let mut doomed = Vec::new();
+        self.walk_blocks(start..end, |shard, run| {
+            let mut shard = shard.write();
+            doomed.extend(shard.range(run).map(|(record, _)| *record));
+            for record in &doomed {
+                if let Some(chain) = shard.remove(record) {
+                    freed += chain.payload_size() as u64;
+                }
             }
-        }
+            removed += doomed.len();
+            let populated = !doomed.is_empty();
+            doomed.clear();
+            populated
+        });
         self.charge(-(freed as i64));
         (removed, freed)
     }
 
-    /// Snapshot read: the newest version visible to `begin`.
-    pub fn read(&self, record: RecordId, begin: &VersionVector) -> Option<Row> {
-        self.read_versioned(record, begin).map(|(row, _)| row)
-    }
-
-    /// Snapshot read returning the version's stamp (used by optimistic
-    /// write-write validation in the 2PC coordinator path).
-    pub fn read_versioned(
+    /// Runs `f` on the version of `record` that `at` chooses — its row and
+    /// stamp, in place under the shard's read lock.
+    pub fn visit<T>(
         &self,
         record: RecordId,
-        begin: &VersionVector,
-    ) -> Option<(Row, VersionStamp)> {
-        self.shard(record)
-            .read()
-            .get(&record)
-            .and_then(|c| c.read(begin))
-            .map(|v| (v.row.clone(), v.stamp))
-    }
-
-    /// `true` iff `record` has no version visible to `begin` but its chain is
-    /// at capacity: the version `begin` should see may have been evicted by
-    /// newer installs, so "absent" cannot be told from "snapshot too old".
-    pub fn evicted_at(&self, record: RecordId, begin: &VersionVector) -> bool {
-        self.shard(record)
-            .read()
-            .get(&record)
-            .is_some_and(|c| c.versions.len() >= self.max_versions && c.read(begin).is_none())
-    }
-
-    /// The newest version regardless of snapshot, with its stamp. Used by
-    /// LEAP-style data shipping (the releasing site ships its latest state)
-    /// and by recovery assertions.
-    pub fn read_latest(&self, record: RecordId) -> Option<(Row, VersionStamp)> {
-        self.shard(record)
-            .read()
-            .get(&record)
-            .and_then(|c| c.latest().map(|(r, s)| (r.clone(), s)))
-    }
-
-    /// Runs `f` against the newest version's row and stamp without cloning
-    /// the row. The audit plane's write-effect emission sits on the commit
-    /// hot path and only needs a signature of the overwritten row, so it
-    /// must not pay a deep row clone per install the way [`Table::read_latest`]
-    /// does.
-    pub fn with_latest<T>(
-        &self,
-        record: RecordId,
+        at: ReadAt<'_>,
         f: impl FnOnce(&Row, VersionStamp) -> T,
-    ) -> Option<T> {
-        self.shard(record)
-            .read()
-            .get(&record)
-            .and_then(|c| c.latest().map(|(r, s)| f(r, s)))
+    ) -> Visit<T> {
+        let shard = self.shard(record).read();
+        match shard.get(&record) {
+            None => Visit::Absent,
+            Some(chain) => match chain.choose(at) {
+                Some(v) => Visit::Hit(f(&v.row, v.stamp)),
+                None if chain.versions.len() >= self.max_versions => Visit::Evicted,
+                None => Visit::Absent,
+            },
+        }
+    }
+
+    /// Runs `f` on the version `at` chooses of every record in `range`, in
+    /// ascending record order, in place under one shard read lock per block
+    /// (YCSB scans read 200–1000 consecutive keys; a checkpoint image is the
+    /// unbounded range). Records with nothing to choose are skipped; returns
+    /// `true` iff one of them was [`Visit::Evicted`], in which case the
+    /// range as a whole cannot be trusted as a snapshot.
+    pub fn visit_range(
+        &self,
+        range: impl RangeBounds<RecordId>,
+        at: ReadAt<'_>,
+        mut f: impl FnMut(RecordId, &Row, VersionStamp),
+    ) -> bool {
+        let mut evicted = false;
+        self.walk_blocks(range, |shard, run| {
+            let shard = shard.read();
+            let mut populated = false;
+            for (record, chain) in shard.range(run) {
+                populated = true;
+                match chain.choose(at) {
+                    Some(v) => f(*record, &v.row, v.stamp),
+                    None => evicted |= chain.versions.len() >= self.max_versions,
+                }
+            }
+            populated
+        });
+        evicted
     }
 
     /// `true` iff the record exists (any version).
     pub fn contains(&self, record: RecordId) -> bool {
         self.shard(record).read().contains_key(&record)
-    }
-
-    /// Every record's newest version visible to `begin`, with its stamp, in
-    /// unspecified order (checkpoint image dump). Records with no version
-    /// visible at `begin` are skipped: such a record either did not exist at
-    /// the cut, or its cut-visible version was evicted — which requires
-    /// `max_versions` newer installs, every one stamped past the cut and so
-    /// present in the replay suffix that follows the checkpoint.
-    pub fn dump_visible(&self, begin: &VersionVector) -> Vec<(RecordId, VersionStamp, Row)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read();
-            for (record, chain) in shard.iter() {
-                if let Some(v) = chain.read(begin) {
-                    out.push((*record, v.stamp, v.row.clone()));
-                }
-            }
-        }
-        out
-    }
-
-    /// Snapshot multi-get over a contiguous key range (YCSB scans read
-    /// 200–1000 sequentially ordered keys). Missing keys are skipped.
-    pub fn scan(
-        &self,
-        start: RecordId,
-        end: RecordId,
-        begin: &VersionVector,
-    ) -> Vec<(RecordId, Row)> {
-        let mut out = Vec::with_capacity((end.saturating_sub(start)) as usize);
-        for record in start..end {
-            if let Some(row) = self.read(record, begin) {
-                out.push((record, row));
-            }
-        }
-        out
     }
 
     /// Number of records (not versions).
@@ -282,6 +341,25 @@ mod tests {
         VersionVector::from_counts(counts.to_vec())
     }
 
+    fn read(t: &Table, record: RecordId, begin: &VersionVector) -> Option<Row> {
+        t.visit(record, ReadAt::Begin(begin), |row, _| row.clone())
+            .hit()
+    }
+
+    fn read_latest(t: &Table, record: RecordId) -> Option<(Row, VersionStamp)> {
+        t.visit(record, ReadAt::Latest, |row, stamp| (row.clone(), stamp))
+            .hit()
+    }
+
+    fn scan(t: &Table, start: RecordId, end: RecordId, at: ReadAt<'_>) -> Vec<(RecordId, Row)> {
+        let mut out = Vec::new();
+        let evicted = t.visit_range(start..end, at, |record, row, _| {
+            out.push((record, row.clone()))
+        });
+        assert!(!evicted);
+        out
+    }
+
     #[test]
     fn read_returns_newest_visible_version() {
         let t = Table::new(4);
@@ -289,9 +367,9 @@ mod tests {
         t.install(1, VersionStamp::new(s0, 1), row(10));
         t.install(1, VersionStamp::new(s0, 2), row(20));
         t.install(1, VersionStamp::new(s0, 3), row(30));
-        assert_eq!(t.read(1, &vv(&[1])).unwrap(), row(10));
-        assert_eq!(t.read(1, &vv(&[2])).unwrap(), row(20));
-        assert_eq!(t.read(1, &vv(&[9])).unwrap(), row(30));
+        assert_eq!(read(&t, 1, &vv(&[1])).unwrap(), row(10));
+        assert_eq!(read(&t, 1, &vv(&[2])).unwrap(), row(20));
+        assert_eq!(read(&t, 1, &vv(&[9])).unwrap(), row(30));
     }
 
     #[test]
@@ -299,8 +377,8 @@ mod tests {
         let t = Table::new(4);
         t.install(5, VersionStamp::new(SiteId::new(1), 3), row(1));
         // Snapshot has seen only 2 commits from site 1.
-        assert!(t.read(5, &vv(&[0, 2])).is_none());
-        assert!(t.read(5, &vv(&[0, 3])).is_some());
+        assert!(read(&t, 5, &vv(&[0, 2])).is_none());
+        assert!(read(&t, 5, &vv(&[0, 3])).is_some());
     }
 
     #[test]
@@ -309,22 +387,28 @@ mod tests {
         t.install(7, VersionStamp::new(SiteId::new(0), 1), row(100));
         t.install(7, VersionStamp::new(SiteId::new(1), 1), row(200));
         // Saw site 0's commit but not site 1's: read the older version.
-        assert_eq!(t.read(7, &vv(&[1, 0])).unwrap(), row(100));
-        assert_eq!(t.read(7, &vv(&[1, 1])).unwrap(), row(200));
+        assert_eq!(read(&t, 7, &vv(&[1, 0])).unwrap(), row(100));
+        assert_eq!(read(&t, 7, &vv(&[1, 1])).unwrap(), row(200));
     }
 
     #[test]
-    fn evicted_at_flags_an_empty_read_from_a_full_chain_only() {
+    fn evicted_flags_an_empty_read_from_a_full_chain_only() {
         let table = Table::new(2);
         let s0 = SiteId::new(0);
         let at = |seq| VersionVector::from_counts(vec![seq]);
-        assert!(!table.evicted_at(1, &at(0)), "no chain: absent");
+        let visit = |seq| table.visit(1, ReadAt::Begin(&at(seq)), |row, _| row.clone());
+        let range_evicted = |seq| table.visit_range(0..4, ReadAt::Begin(&at(seq)), |_, _, _| {});
+        assert_eq!(visit(0), Visit::Absent, "no chain: absent");
         table.install(1, VersionStamp::new(s0, 1), row(1));
-        assert!(!table.evicted_at(1, &at(0)), "short chain: absent before 1");
+        assert_eq!(visit(0), Visit::Absent, "short chain: absent before 1");
+        assert!(!range_evicted(0));
         table.install(1, VersionStamp::new(s0, 2), row(2));
         table.install(1, VersionStamp::new(s0, 3), row(3));
-        assert!(table.evicted_at(1, &at(1)), "version 1 was evicted");
-        assert!(!table.evicted_at(1, &at(2)), "version 2 is still readable");
+        assert_eq!(visit(1), Visit::Evicted, "version 1 was evicted");
+        assert!(range_evicted(1), "a range visit meets the same chain");
+        assert_eq!(visit(2), Visit::Hit(row(2)), "version 2 is still readable");
+        assert!(!range_evicted(2));
+        assert!(!table.visit_range(0..4, ReadAt::Latest, |_, _, _| {}));
     }
 
     #[test]
@@ -336,8 +420,8 @@ mod tests {
         }
         assert_eq!(t.version_count(), 2);
         // Oldest retained version is seq 4; an old snapshot now reads nothing.
-        assert!(t.read(1, &vv(&[3])).is_none());
-        assert_eq!(t.read(1, &vv(&[4])).unwrap(), row(40));
+        assert!(read(&t, 1, &vv(&[3])).is_none());
+        assert_eq!(read(&t, 1, &vv(&[4])).unwrap(), row(40));
     }
 
     #[test]
@@ -347,9 +431,9 @@ mod tests {
         t.install(1, VersionStamp::new(s0, 1), row(1));
         t.install(3, VersionStamp::new(s0, 2), row(3));
         let snap = vv(&[1]);
-        let rows = t.scan(0, 5, &snap);
+        let rows = scan(&t, 0, 5, ReadAt::Begin(&snap));
         assert_eq!(rows, vec![(1, row(1))]);
-        let rows = t.scan(0, 5, &vv(&[2]));
+        let rows = scan(&t, 0, 5, ReadAt::Begin(&vv(&[2])));
         assert_eq!(rows.len(), 2);
     }
 
@@ -357,10 +441,10 @@ mod tests {
     fn read_latest_ignores_snapshots() {
         let t = Table::new(4);
         t.install(9, VersionStamp::new(SiteId::new(2), 42), row(7));
-        let (r, stamp) = t.read_latest(9).unwrap();
+        let (r, stamp) = read_latest(&t, 9).unwrap();
         assert_eq!(r, row(7));
         assert_eq!(stamp, VersionStamp::new(SiteId::new(2), 42));
-        assert!(t.read_latest(10).is_none());
+        assert!(read_latest(&t, 10).is_none());
     }
 
     #[test]
@@ -382,8 +466,8 @@ mod tests {
         assert_eq!(removed, 1);
         assert_eq!(freed, 2 * one);
         assert_eq!(t.resident_bytes(), one);
-        assert!(t.read_latest(1).is_none());
-        assert!(t.read_latest(7).is_some());
+        assert!(read_latest(&t, 1).is_none());
+        assert!(read_latest(&t, 7).is_some());
     }
 
     #[test]
@@ -395,6 +479,39 @@ mod tests {
         assert_eq!(t.purge_range(0, 15).0, 1);
         assert_eq!(t.purge_range(0, 15).0, 0);
         assert!(t.contains(20));
+    }
+
+    #[test]
+    fn range_visits_are_ordered_across_blocks_shards_and_gaps() {
+        let t = Table::new(4);
+        let s0 = SiteId::new(0);
+        // A dense stretch longer than SHARDS blocks, then a 2^24-id gap (a
+        // TPC-C partition's empty tail), then a few stragglers.
+        let dense = 5..(SHARDS as u64 + 3) << BLOCK_SHIFT;
+        let far = (1u64 << 24) + 7;
+        let records: Vec<RecordId> = dense.clone().chain([far, far + 1, far + 100]).collect();
+        for &r in &records {
+            t.install(r, VersionStamp::new(s0, 1), row(r));
+        }
+        let all = scan(&t, 0, RecordId::MAX, ReadAt::Latest);
+        assert_eq!(all.iter().map(|(r, _)| *r).collect::<Vec<_>>(), records);
+        assert!(all.iter().all(|(r, got)| *got == row(*r)));
+        let mut unbounded = Vec::new();
+        t.visit_range(.., ReadAt::Latest, |r, _, _| unbounded.push(r));
+        assert_eq!(unbounded, records);
+        // Bounds that are not block multiples, on both sides.
+        let part = scan(&t, 33, 2_050, ReadAt::Latest);
+        assert_eq!(
+            part.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
+            (33..2_050).collect::<Vec<_>>()
+        );
+        assert!(scan(&t, 7, 7, ReadAt::Latest).is_empty());
+        assert!(scan(&t, 9, 3, ReadAt::Latest).is_empty());
+        // Purging the gap-crossing range takes the same walk.
+        let (removed, _) = t.purge_range(2_000, far + 2);
+        assert_eq!(removed, dense.end as usize - 2_000 + 2);
+        assert_eq!(t.len(), 2_000 - 5 + 1);
+        assert!(t.contains(far + 100));
     }
 
     #[test]

@@ -192,11 +192,18 @@ impl ProcExecutor for YcsbExec {
                 // Sum counters over the declared ranges.
                 let mut sum = 0u64;
                 let mut rows = 0u64;
+                let mut malformed = None;
                 for range in &call.read_ranges {
-                    for (_, row) in ctx.scan(*range)? {
-                        sum = sum.wrapping_add(row.cell(0).as_u64()?);
-                        rows += 1;
-                    }
+                    ctx.scan(*range, &mut |_, row| match row.cell(0).as_u64() {
+                        Ok(counter) => {
+                            sum = sum.wrapping_add(counter);
+                            rows += 1;
+                        }
+                        Err(e) => malformed = Some(e),
+                    })?;
+                }
+                if let Some(e) = malformed {
+                    return Err(e);
                 }
                 let mut out = Vec::with_capacity(16);
                 out.put_u64(sum);

@@ -7,12 +7,12 @@ use std::sync::Arc;
 use std::thread;
 
 use bytes::{Buf, BufMut, Bytes};
-use dynamast::common::ids::{ClientId, Key, TableId};
-use dynamast::common::{Result, Row, SystemConfig, Value};
+use dynamast::common::ids::{ClientId, Key, SiteId, TableId};
+use dynamast::common::{Result, Row, SystemConfig, Value, VersionVector};
 use dynamast::core::dynamast::{DynaMastConfig, DynaMastSystem};
 use dynamast::site::proc::{ProcCall, ProcExecutor, TxnCtx};
 use dynamast::site::system::{ClientSession, ReplicatedSystem};
-use dynamast::storage::Catalog;
+use dynamast::storage::{Catalog, VersionStamp};
 
 const KV: TableId = TableId::new(0);
 const PROC_SET_PAIR: u32 = 1;
@@ -205,4 +205,48 @@ fn concurrent_writers_never_lose_updates() {
         0,
         "lock-based WW handling never aborts"
     );
+}
+
+/// Sharing is invisible: `load_row` hands every replica the same row image,
+/// and a later update at the master reaches the other replicas as a new
+/// version carried by refresh — the shared load image itself never changes
+/// under any site.
+#[test]
+fn a_loaded_row_is_shared_but_never_aliased_by_a_later_write() {
+    let system = build(4);
+    let (a, b) = (Key::new(KV, 1), Key::new(KV, 2));
+    let loaded = Row::new(vec![Value::U64(7)]);
+    system.load_row(a, loaded.clone()).unwrap();
+    system.load_row(b, loaded.clone()).unwrap();
+    let sites = system.sites();
+    assert_eq!(sites.len(), 4);
+    let load_stamp = VersionStamp::new(SiteId::new(0), 0);
+    for site in &sites {
+        let copy = site.store().read_latest(a).unwrap();
+        assert_eq!(copy, Some((loaded.clone(), load_stamp)));
+    }
+
+    let before = VersionVector::zero(4);
+    let mut session = ClientSession::new(ClientId::new(1), 4);
+    system.update(&mut session, &set_pair(1, 2, 8)).unwrap();
+    let written = Row::new(vec![Value::U64(8)]);
+    let mut origins = Vec::new();
+    for site in &sites {
+        // The session vector is the commit's: a replica dominates it only
+        // once the refresh transaction has been applied there.
+        site.clock().wait_dominates(&session.cvv).unwrap();
+        let (row, stamp) = site.store().read_latest(a).unwrap().unwrap();
+        assert_eq!(row, written);
+        assert_eq!(stamp.sequence, session.cvv.get(stamp.origin));
+        origins.push(stamp.origin);
+        // The version under it is still the loaded image, at every site.
+        assert_eq!(site.store().read(a, &before).unwrap(), Some(loaded.clone()));
+    }
+    origins.dedup();
+    assert_eq!(
+        origins.len(),
+        1,
+        "one commit at one master, refreshed to the rest"
+    );
+    assert_eq!(loaded, Row::new(vec![Value::U64(7)]));
 }
