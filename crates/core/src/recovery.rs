@@ -18,7 +18,7 @@ use dynamast_replication::checkpoint::Checkpoint;
 use dynamast_replication::record::LogRecord;
 use dynamast_replication::recovery::{replay, scan_mastership, ReplayedState};
 use dynamast_replication::LogSet;
-use dynamast_storage::{Catalog, Store};
+use dynamast_storage::{Catalog, ImageRecord, Store};
 
 /// Recovers the selector's full partition→master map — the initial placement
 /// overlaid with every remastering the logs retain, reconciled against the
@@ -178,17 +178,18 @@ pub fn recover_site(
     let hosted_set: Option<HashSet<PartitionId>> =
         hosted.as_ref().map(|h| h.iter().copied().collect());
     let store = Store::new(catalog, mvcc_versions);
-    for entry in image {
-        // Under partial replication the merged image may carry stale
-        // entries of partitions dropped between the incremental and
-        // its base; the hosted set is the cut's truth, so filter.
-        if let Some(hosted) = &hosted_set {
-            if !hosted.contains(&store.catalog().partition_of(entry.key)?) {
-                continue;
-            }
-        }
-        store.install(entry.key, entry.stamp, entry.row)?;
-    }
+    // Under partial replication the merged image may carry stale entries of
+    // partitions dropped between the incremental and its base; the hosted
+    // set is the cut's truth, so filter. A record of an unknown table is
+    // kept, so the batch refuses it.
+    let hosts = |record: &ImageRecord| match &hosted_set {
+        None => true,
+        Some(hosted) => store
+            .catalog()
+            .partition_of(record.key)
+            .map_or(true, |partition| hosted.contains(&partition)),
+    };
+    store.install_batch(image.into_iter().filter(hosts).map(Into::into).collect())?;
     let suffix_start = offsets[site.as_usize()];
     let seed = ReplayedState {
         store,
@@ -239,7 +240,6 @@ mod tests {
     use super::*;
     use dynamast_common::ids::{Key, TableId};
     use dynamast_common::{FsyncMode, Row, Value};
-    use dynamast_replication::checkpoint::ImageEntry;
     use dynamast_replication::record::WriteEntry;
     use dynamast_storage::VersionStamp;
 
@@ -309,7 +309,7 @@ mod tests {
             hosted: None,
             image: image
                 .iter()
-                .map(|(key, v)| ImageEntry {
+                .map(|(key, v)| ImageRecord {
                     key: *key,
                     stamp: VersionStamp::new(S0, offsets[0]),
                     row: row(*v),

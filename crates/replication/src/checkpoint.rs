@@ -32,56 +32,21 @@ use std::path::{Path, PathBuf};
 use bytes::{Buf, BufMut};
 use dynamast_common::codec::{self, Decode, Encode};
 use dynamast_common::ids::{Key, PartitionId, SiteId};
-use dynamast_common::{DynaError, Result, Row, VersionVector};
-use dynamast_storage::VersionStamp;
+use dynamast_common::{DynaError, Result, VersionVector};
+use dynamast_storage::ImageRecord;
 
 use crate::segment::crc32;
 
 const MAGIC: u32 = 0x444B_4350; // "DKCP"
-                                // Version 2 added the remaster-epoch watermark; version 3 added the
-                                // hosted-partition set (partial replication) and incremental images
-                                // chained to a base full checkpoint. Older versions fail the header
-                                // check and recovery falls back to full log replay, which is always
-                                // correct (the checkpoint is purely an acceleration).
+/// Version 2 added the remaster-epoch watermark; version 3 added the
+/// hosted-partition set (partial replication) and incremental images chained
+/// to a base full checkpoint. A file of another version fails the header
+/// check and is skipped like a corrupt one. That is no fallback to full log
+/// replay: once checkpoint-gated truncation has deleted segments, recovery
+/// without a usable checkpoint is refused (the cut it needs lies outside the
+/// retained log), and bulk-loaded rows were never in the log at all. A
+/// format change must therefore ship a reader for the version before it.
 const VERSION: u32 = 3;
-
-/// One stored record version in a checkpoint image.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ImageEntry {
-    /// Record key.
-    pub key: Key,
-    /// Version stamp at the cut.
-    pub stamp: VersionStamp,
-    /// Row visible at the cut.
-    pub row: Row,
-}
-
-impl Encode for ImageEntry {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.key.encode(buf);
-        buf.put_u32(self.stamp.origin.raw());
-        buf.put_u64(self.stamp.sequence);
-        self.row.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.key.encoded_len() + 4 + 8 + self.row.encoded_len()
-    }
-}
-
-impl Decode for ImageEntry {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        let key = Key::decode(buf)?;
-        let origin = SiteId::new(codec::get_u32(buf)? as usize);
-        let sequence = codec::get_u64(buf)?;
-        let row = Row::decode(buf)?;
-        Ok(ImageEntry {
-            key,
-            stamp: VersionStamp::new(origin, sequence),
-            row,
-        })
-    }
-}
 
 /// One site's durable consistent cut.
 #[derive(Clone, Debug, PartialEq)]
@@ -117,7 +82,7 @@ pub struct Checkpoint {
     /// Store image: every record version visible at the cut (full), or the
     /// visible versions of partitions dirtied since `base_counter`
     /// (incremental).
-    pub image: Vec<ImageEntry>,
+    pub image: Vec<ImageRecord>,
 }
 
 impl Checkpoint {
@@ -133,7 +98,7 @@ impl Checkpoint {
     /// restore filters the image by `hosted`, which excludes them.
     pub fn merge_onto(self, base: Checkpoint) -> Checkpoint {
         debug_assert!(self.is_incremental() && !base.is_incremental());
-        let mut by_key: std::collections::HashMap<Key, ImageEntry> = base
+        let mut by_key: std::collections::HashMap<Key, ImageRecord> = base
             .image
             .into_iter()
             .map(|entry| (entry.key, entry))
@@ -141,7 +106,7 @@ impl Checkpoint {
         for entry in self.image {
             by_key.insert(entry.key, entry);
         }
-        let mut image: Vec<ImageEntry> = by_key.into_values().collect();
+        let mut image: Vec<ImageRecord> = by_key.into_values().collect();
         image.sort_by_key(|entry| entry.key);
         Checkpoint {
             base_counter: 0,
@@ -393,7 +358,8 @@ pub fn load_latest(dir: &Path) -> Result<Option<Checkpoint>> {
 mod tests {
     use super::*;
     use dynamast_common::ids::TableId;
-    use dynamast_common::Value;
+    use dynamast_common::{Row, Value};
+    use dynamast_storage::VersionStamp;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -418,7 +384,7 @@ mod tests {
             epoch: 12,
             base_counter: 0,
             hosted: Some(vec![PartitionId::new(4), PartitionId::new(7)]),
-            image: vec![ImageEntry {
+            image: vec![ImageRecord {
                 key: Key::new(TableId::new(0), 42),
                 stamp: VersionStamp::new(SiteId::new(1), 7),
                 row: Row::new(vec![Value::I64(100)]),
@@ -426,8 +392,8 @@ mod tests {
         }
     }
 
-    fn entry(record: u64, seq: u64, v: i64) -> ImageEntry {
-        ImageEntry {
+    fn entry(record: u64, seq: u64, v: i64) -> ImageRecord {
+        ImageRecord {
             key: Key::new(TableId::new(0), record),
             stamp: VersionStamp::new(SiteId::new(1), seq),
             row: Row::new(vec![Value::I64(v)]),

@@ -12,13 +12,13 @@ use dynamast_common::ids::{Key, PartitionId, SiteId};
 use dynamast_common::trace::{FlightRecorder, TraceKind, TracePayload, TraceSite};
 use dynamast_common::{DynaError, Result, Row, SystemConfig, VersionVector};
 use dynamast_network::{EndpointId, Network, RpcHandler, ServerHandle};
-use dynamast_replication::checkpoint::{Checkpoint, ImageEntry};
+use dynamast_replication::checkpoint::Checkpoint;
 use dynamast_replication::record::{LogRecord, WriteEntry};
 use dynamast_replication::{LogSet, Propagator, RefreshApplier};
-use dynamast_storage::{Catalog, LockGuard, ReadAt, Store, VersionStamp, Visit};
+use dynamast_storage::{Catalog, ImageRecord, LockGuard, ReadAt, Store, VersionStamp, Visit};
 
 use crate::clock::SiteClock;
-use crate::messages::{ExecTimings, RemoteError, ShippedRecord, SiteRequest, SiteResponse};
+use crate::messages::{ExecTimings, RemoteError, SiteRequest, SiteResponse};
 use crate::ownership::Ownership;
 use crate::pipeline::{apply_refresh_batch, CommitPipeline};
 use crate::proc::{LocalCtx, ProcCall, ProcExecutor, ReadMode};
@@ -62,26 +62,18 @@ struct PreparedTxn {
     writes: Vec<WriteEntry>,
 }
 
-/// A refresh write diverted while its partition's copy was being installed.
-/// `tvv_sum` is the originating commit's version-vector component sum — a
-/// linear extension of causal dominance, so sorting by it reconstructs the
-/// per-key causal install order across origins (mastership hand-off totally
-/// orders same-key writes).
-struct BufferedWrite {
-    key: Key,
-    stamp: VersionStamp,
-    row: Row,
-    tvv_sum: u64,
-}
-
 /// Per-partition replica lifecycle at this site. A partition absent from
 /// [`HostedState::map`] is not hosted: its refresh writes are stripped (the
 /// subscription filter) and reads are rejected with `NotReplica`.
 enum ReplicaState {
     /// `AddReplica` in progress: the snapshot + log catch-up install is
     /// running, and the filter diverts the partition's live refresh writes
-    /// into this buffer instead of dropping or applying them.
-    Buffering(Vec<BufferedWrite>),
+    /// into this buffer instead of dropping or applying them. Each write
+    /// carries its commit's version-vector component sum — a linear
+    /// extension of causal dominance, so sorting by it reconstructs the
+    /// per-key causal install order across origins (mastership hand-off
+    /// totally orders same-key writes).
+    Buffering(Vec<(u64, ImageRecord)>),
     /// Fully installed: refresh writes apply, reads are admitted.
     Hosted,
 }
@@ -924,16 +916,8 @@ impl DataSite {
             .into_iter()
             .filter(|p| p.raw() & (1 << 63) == 0)
             .collect();
-        let dump = if base_counter == 0 {
-            self.store.dump_visible(&cut)
-        } else {
-            self.store
-                .dump_visible_partitions(&cut, &self.store.dirty_partitions())?
-        };
-        let image = dump
-            .into_iter()
-            .map(|(key, stamp, row)| ImageEntry { key, stamp, row })
-            .collect();
+        let dirty = (base_counter != 0).then(|| self.store.dirty_partitions());
+        let image = self.store.image(ReadAt::Begin(&cut), dirty.as_deref())?;
         Ok(Checkpoint {
             counter,
             base_counter,
@@ -1300,37 +1284,18 @@ impl DataSite {
     /// LEAP release: gives up ownership of partitions and ships their
     /// records (data moves with mastership — the expensive transfer the
     /// paper contrasts with DynaMast's metadata-only protocol).
-    pub fn leap_release(&self, partitions: &[PartitionId]) -> Result<Vec<ShippedRecord>> {
-        let mut records = Vec::new();
+    pub fn leap_release(&self, partitions: &[PartitionId]) -> Result<Vec<ImageRecord>> {
         for &p in partitions {
             self.ownership.revoke_and_drain(p)?;
-            let (table, start, end) = self.store.partition_range(p)?;
-            self.store
-                .visit_range(table, start..end, ReadAt::Latest, |record, row, stamp| {
-                    records.push(ShippedRecord {
-                        key: Key::new(table, record),
-                        row: row.clone(),
-                        origin: stamp.origin,
-                        sequence: stamp.sequence,
-                    })
-                })?;
         }
-        Ok(records)
+        self.store.image(ReadAt::Latest, Some(partitions))
     }
 
-    /// LEAP grant: installs shipped records and takes ownership.
-    pub fn leap_grant(
-        &self,
-        partitions: &[PartitionId],
-        records: Vec<ShippedRecord>,
-    ) -> Result<()> {
-        for rec in records {
-            self.store.install(
-                rec.key,
-                VersionStamp::new(rec.origin, rec.sequence),
-                rec.row,
-            )?;
-        }
+    /// LEAP grant: installs shipped records and takes ownership — neither
+    /// unless the whole image installs.
+    pub fn leap_grant(&self, partitions: &[PartitionId], records: Vec<ImageRecord>) -> Result<()> {
+        self.store
+            .install_batch(records.into_iter().map(Into::into).collect())?;
         for &p in partitions {
             self.ownership.grant(p);
         }
@@ -1346,11 +1311,10 @@ impl DataSite {
     /// taken *before* the dump, so every shipped stamp is at or below the
     /// cut per origin and the receiver's log catch-up range starts exactly
     /// where the image ends.
-    #[allow(clippy::type_complexity)]
     pub fn replica_snapshot(
         &self,
         partition: PartitionId,
-    ) -> Result<(Vec<ShippedRecord>, VersionVector)> {
+    ) -> Result<(Vec<ImageRecord>, VersionVector)> {
         if !self.hosts(partition) {
             return Err(DynaError::NotReplica {
                 site: self.id,
@@ -1358,17 +1322,7 @@ impl DataSite {
             });
         }
         let cut = self.clock.current();
-        let records = self
-            .store
-            .dump_visible_partitions(&cut, &[partition])?
-            .into_iter()
-            .map(|(key, stamp, row)| ShippedRecord {
-                key,
-                row,
-                origin: stamp.origin,
-                sequence: stamp.sequence,
-            })
-            .collect();
+        let records = self.store.image(ReadAt::Begin(&cut), Some(&[partition]))?;
         Ok((records, cut))
     }
 
@@ -1390,7 +1344,7 @@ impl DataSite {
     pub fn add_replica(
         &self,
         partition: PartitionId,
-        records: Vec<ShippedRecord>,
+        records: Vec<ImageRecord>,
         src_svv: &VersionVector,
     ) -> Result<VersionVector> {
         let Some(hosted) = &self.hosted else {
@@ -1417,18 +1371,13 @@ impl DataSite {
         let install = || -> Result<()> {
             // Phase 2: install the snapshot image (the source's visible cut
             // at `src_svv`).
-            for rec in records {
-                self.store.install(
-                    rec.key,
-                    VersionStamp::new(rec.origin, rec.sequence),
-                    rec.row,
-                )?;
-            }
+            self.store
+                .install_batch(records.into_iter().map(Into::into).collect())?;
             // Phase 3: collect the durable-log suffix the filter stripped
             // while the partition was absent — sequences in
             // `(src_svv[o], frontier[o]]` per origin (slot s holds
             // sequence s + 1).
-            let mut pending: Vec<BufferedWrite> = Vec::new();
+            let mut pending: Vec<(u64, ImageRecord)> = Vec::new();
             for (origin_idx, &ceiling) in frontier.iter().enumerate() {
                 let origin = SiteId::new(origin_idx);
                 let log = self.logs.log(origin);
@@ -1444,12 +1393,14 @@ impl DataSite {
                         let sum: u64 = tvv.as_slice().iter().sum();
                         for w in writes {
                             if self.store.catalog().partition_of(w.key)? == partition {
-                                pending.push(BufferedWrite {
-                                    key: w.key,
-                                    stamp,
-                                    row: w.row,
-                                    tvv_sum: sum,
-                                });
+                                pending.push((
+                                    sum,
+                                    ImageRecord {
+                                        key: w.key,
+                                        stamp,
+                                        row: w.row,
+                                    },
+                                ));
                             }
                         }
                     }
@@ -1468,12 +1419,11 @@ impl DataSite {
                     pending.extend(
                         buffered
                             .into_iter()
-                            .filter(|w| w.stamp.sequence > src_svv.get(w.stamp.origin)),
+                            .filter(|(_, w)| w.stamp.sequence > src_svv.get(w.stamp.origin)),
                     );
-                    pending.sort_by_key(|w| w.tvv_sum);
-                    for w in pending {
-                        self.store.install(w.key, w.stamp, w.row)?;
-                    }
+                    pending.sort_by_key(|(sum, _)| *sum);
+                    self.store
+                        .install_batch(pending.into_iter().map(|(_, w)| w.into()).collect())?;
                     state.map.insert(partition, ReplicaState::Hosted);
                     Ok(())
                 }
@@ -1566,12 +1516,14 @@ impl DataSite {
                         match state.map.get_mut(&p) {
                             Some(ReplicaState::Hosted) => true,
                             Some(ReplicaState::Buffering(buf)) => {
-                                buf.push(BufferedWrite {
-                                    key: w.key,
-                                    stamp: VersionStamp::new(origin, seq),
-                                    row: w.row.clone(),
-                                    tvv_sum: sum,
-                                });
+                                buf.push((
+                                    sum,
+                                    ImageRecord {
+                                        key: w.key,
+                                        stamp: VersionStamp::new(origin, seq),
+                                        row: w.row.clone(),
+                                    },
+                                ));
                                 false
                             }
                             None => {

@@ -20,45 +20,9 @@ use dynamast_common::codec::{self, Decode, Encode};
 use dynamast_common::ids::{Key, PartitionId, RecordId, SiteId};
 use dynamast_common::{DynaError, Result, Row, VersionVector};
 use dynamast_replication::record::WriteEntry;
+use dynamast_storage::ImageRecord;
 
 use crate::proc::{ProcCall, ReadMode, ScanRange};
-
-/// A record shipped by LEAP localization: full data plus version stamp.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShippedRecord {
-    /// The record's key.
-    pub key: Key,
-    /// Latest committed row.
-    pub row: Row,
-    /// Stamp of the version (origin site + sequence).
-    pub origin: SiteId,
-    /// Sequence of the version at its origin.
-    pub sequence: u64,
-}
-
-impl Encode for ShippedRecord {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.key.encode(buf);
-        self.row.encode(buf);
-        buf.put_u32(self.origin.raw());
-        buf.put_u64(self.sequence);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.key.encoded_len() + self.row.encoded_len() + 12
-    }
-}
-
-impl Decode for ShippedRecord {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        Ok(ShippedRecord {
-            key: Key::decode(buf)?,
-            row: Row::decode(buf)?,
-            origin: SiteId::new(codec::get_u32(buf)? as usize),
-            sequence: codec::get_u64(buf)?,
-        })
-    }
-}
 
 /// The version a 2PC coordinator read for a key it intends to overwrite.
 /// Participants validate it under locks at prepare time (first-committer-
@@ -251,13 +215,13 @@ pub enum SiteRequest {
         /// Partitions granted.
         partitions: Vec<PartitionId>,
         /// Shipped records to install.
-        records: Vec<ShippedRecord>,
+        records: Vec<ImageRecord>,
     },
     /// Cut a copy-installation snapshot of one partition (partial
-    /// replication): the serving site dumps the partition's latest rows and
-    /// its svv at the cut, which the selector ships to the new replica via
-    /// [`SiteRequest::AddReplica`] (the LEAP shipping idiom minus the
-    /// ownership revoke — the source keeps serving).
+    /// replication): the serving site takes its svv as the cut and images
+    /// the partition's rows visible at that cut, which the selector ships to
+    /// the new replica via [`SiteRequest::AddReplica`] (the LEAP shipping
+    /// idiom minus the ownership revoke — the source keeps serving).
     ReplicaSnapshot {
         /// Partition to snapshot.
         partition: PartitionId,
@@ -269,7 +233,7 @@ pub enum SiteRequest {
         /// Partition to host.
         partition: PartitionId,
         /// Snapshot records from the serving replica.
-        records: Vec<ShippedRecord>,
+        records: Vec<ImageRecord>,
         /// The serving replica's svv at the snapshot cut.
         src_svv: VersionVector,
         /// Fencing token: the sending selector's generation.
@@ -639,14 +603,14 @@ pub enum SiteResponse {
     /// LEAP release finished; ownership and records handed over.
     LeapReleased {
         /// All records of the released partitions.
-        records: Vec<ShippedRecord>,
+        records: Vec<ImageRecord>,
     },
     /// LEAP grant installed.
     LeapGranted,
     /// Replica snapshot cut; records and cut vector attached.
     ReplicaSnapshotted {
-        /// The partition's latest rows at the cut.
-        records: Vec<ShippedRecord>,
+        /// The partition's rows visible at the cut.
+        records: Vec<ImageRecord>,
         /// The serving site's svv at the cut.
         src_svv: VersionVector,
     },
@@ -1230,11 +1194,10 @@ mod tests {
         });
         roundtrip_req(SiteRequest::LeapGrant {
             partitions: vec![PartitionId::new(1)],
-            records: vec![ShippedRecord {
+            records: vec![ImageRecord {
                 key: Key::new(TableId::new(0), 9),
+                stamp: dynamast_storage::VersionStamp::new(SiteId::new(2), 11),
                 row: Row::new(vec![Value::I64(-1)]),
-                origin: SiteId::new(2),
-                sequence: 11,
             }],
         });
         roundtrip_req(SiteRequest::GetVv);
@@ -1244,11 +1207,10 @@ mod tests {
         });
         roundtrip_req(SiteRequest::AddReplica {
             partition: PartitionId::new(3),
-            records: vec![ShippedRecord {
+            records: vec![ImageRecord {
                 key: Key::new(TableId::new(0), 9),
+                stamp: dynamast_storage::VersionStamp::new(SiteId::new(1), 4),
                 row: Row::new(vec![Value::U64(8)]),
-                origin: SiteId::new(1),
-                sequence: 4,
             }],
             src_svv: vv.clone(),
             generation: 2,
@@ -1344,11 +1306,10 @@ mod tests {
             },
         });
         roundtrip_resp(SiteResponse::ReplicaSnapshotted {
-            records: vec![ShippedRecord {
+            records: vec![ImageRecord {
                 key: Key::new(TableId::new(0), 2),
+                stamp: dynamast_storage::VersionStamp::new(SiteId::new(0), 1),
                 row: Row::new(vec![Value::I64(5)]),
-                origin: SiteId::new(0),
-                sequence: 1,
             }],
             src_svv: vv.clone(),
         });

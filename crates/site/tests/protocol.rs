@@ -2,12 +2,12 @@
 //! semantics, 2PC participant behaviour, and LEAP data shipping — exercised
 //! through the direct API over a live multi-site deployment.
 
-use dynamast_common::ids::{Key, PartitionId, SiteId};
-use dynamast_common::{DynaError, VersionVector};
+use dynamast_common::ids::{Key, PartitionId, SiteId, TableId};
+use dynamast_common::{DynaError, Row, Value, VersionVector};
 use dynamast_replication::record::WriteEntry;
 use dynamast_site::messages::ExpectedVersion;
 use dynamast_site::tests_support::{deployment, write_call, TABLE};
-use dynamast_storage::VersionStamp;
+use dynamast_storage::{ImageRecord, VersionStamp};
 
 fn pid(table_partition: u64) -> PartitionId {
     dynamast_common::ids::partition_id(TABLE, table_partition)
@@ -126,6 +126,30 @@ fn leap_ships_records_with_ownership() {
         row,
         dynamast_common::Row::new(vec![dynamast_common::Value::U64(99)])
     );
+}
+
+/// Shipped records are input from another site: a grant whose image does
+/// not install in full installs nothing and takes no ownership.
+#[test]
+fn leap_grant_with_a_bad_record_installs_nothing() {
+    let d = deployment(2);
+    let b = &d.sites[1];
+    let valid = Key::new(TABLE, 10);
+    let record = |key, v| ImageRecord {
+        key,
+        stamp: VersionStamp::new(SiteId::new(0), 1),
+        row: Row::new(vec![Value::U64(v)]),
+    };
+    let unknown_table = Key::new(TableId::new(99), 11);
+    let err = b
+        .leap_grant(&[pid(0)], vec![record(valid, 1), record(unknown_table, 2)])
+        .unwrap_err();
+    assert_eq!(err, DynaError::NoSuchTable(99));
+    assert!(
+        !b.store().contains(valid).unwrap(),
+        "no row of a refused grant"
+    );
+    assert!(!b.ownership().is_mastered(pid(0)));
 }
 
 #[test]

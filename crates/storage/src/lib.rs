@@ -23,4 +23,4 @@ pub mod table;
 pub use lock::{LockGuard, LockManager};
 pub use schema::{Catalog, TableSchema};
 pub use store::Store;
-pub use table::{ReadAt, Table, VersionStamp, Visit};
+pub use table::{ImageRecord, ReadAt, Table, VersionStamp, Visit};

@@ -2,10 +2,11 @@
 //!
 //! Every read is [`Store::visit`] or [`Store::visit_range`]: a closure run
 //! on the chosen version in place. The readers that return rows (`read`,
-//! `read_latest`, `scan`, the checkpoint dumps) are wrappers whose closure
-//! keeps the shared row.
+//! `read_latest`, `scan`, the cut [`Store::image`]) are wrappers whose
+//! closure keeps the shared row.
 
 use std::collections::HashSet;
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
 use std::ops::RangeBounds;
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use parking_lot::Mutex;
 
 use crate::lock::{LockGuard, LockManager};
 use crate::schema::Catalog;
-use crate::table::{ReadAt, Table, VersionStamp, Visit};
+use crate::table::{ImageRecord, ReadAt, Table, VersionStamp, Visit};
 
 /// One data site's storage engine (§V-A1): row-oriented in-memory tables with
 /// MVCC snapshot reads and per-record write locks.
@@ -158,51 +159,61 @@ impl Store {
         self.tables.iter().map(Table::resident_bytes).sum()
     }
 
-    /// Every record's newest version visible to `begin` across all tables,
-    /// with stamps, in key order. This is the checkpoint image: a consistent
-    /// cut of the store at the svv snapshot `begin`. Records with no version
-    /// visible at `begin` are skipped: such a record either did not exist at
-    /// the cut, or its cut-visible version was evicted — which requires
-    /// `max_versions` newer installs, every one stamped past the cut and so
-    /// present in the replay suffix that follows the checkpoint.
-    pub fn dump_visible(&self, begin: &VersionVector) -> Vec<(Key, VersionStamp, Row)> {
-        let mut out = Vec::new();
-        for (idx, table) in self.tables.iter().enumerate() {
-            let id = TableId::new(idx);
-            table.visit_range(.., ReadAt::Begin(begin), |record, row, stamp| {
-                out.push((Key::new(id, record), stamp, row.clone()))
-            });
-        }
-        out
-    }
-
-    /// Like [`Store::dump_visible`], restricted to `partitions` and walking
-    /// only their key ranges (incremental checkpoint images cover only the
-    /// partitions dirtied since the last full rebase).
-    pub fn dump_visible_partitions(
+    /// The cut image: the version `at` chooses of every record, of every
+    /// table (`None`, in key order) or of the listed partitions (one range
+    /// walk each, in list order). A checkpoint is the image at its svv cut,
+    /// a replica copy the image of one partition at the source's cut, and a
+    /// LEAP transfer the latest image of the released partitions.
+    ///
+    /// A record with no version visible at a begin vector is skipped: it
+    /// either did not exist at the cut, or its cut-visible version was
+    /// evicted — which requires `max_versions` newer installs, every one
+    /// stamped past the cut and so present in the log suffix that follows.
+    pub fn image(
         &self,
-        begin: &VersionVector,
-        partitions: &[PartitionId],
-    ) -> Result<Vec<(Key, VersionStamp, Row)>> {
+        at: ReadAt<'_>,
+        partitions: Option<&[PartitionId]>,
+    ) -> Result<Vec<ImageRecord>> {
         let mut out = Vec::new();
-        for &partition in partitions {
-            let (table, start, end) = self.partition_range(partition)?;
-            self.visit_range(
-                table,
-                start..end,
-                ReadAt::Begin(begin),
-                |record, row, stamp| out.push((Key::new(table, record), stamp, row.clone())),
-            )?;
+        let mut walk = |table: TableId, range: (Bound<RecordId>, Bound<RecordId>)| {
+            self.tables[table.as_usize()].visit_range(range, at, |record, row, stamp| {
+                out.push(ImageRecord {
+                    key: Key::new(table, record),
+                    stamp,
+                    row: row.clone(),
+                })
+            });
+        };
+        match partitions {
+            None => {
+                (0..self.tables.len()).for_each(|t| walk(TableId::new(t), (Unbounded, Unbounded)))
+            }
+            Some(partitions) => {
+                for &partition in partitions {
+                    let (table, start, end) = self.partition_range(partition)?;
+                    walk(table, (Included(start), Excluded(end)));
+                }
+            }
         }
         Ok(out)
+    }
+
+    /// [`Store::image`] of every table at `begin`, as tuples.
+    pub fn dump_visible(&self, begin: &VersionVector) -> Vec<(Key, VersionStamp, Row)> {
+        self.image(ReadAt::Begin(begin), None)
+            .into_iter()
+            .flatten()
+            .map(Into::into)
+            .collect()
     }
 
     /// Installs a batch of versions, taking rows by value (one move from the
     /// decoded record into the chain, no clones).
     ///
     /// Entries are validated against the catalog up front — the batch either
-    /// installs completely or not at all, so a caller that has already
-    /// published log slots for these writes cannot be left half-applied.
+    /// installs completely or not at all, so neither a refresh run whose log
+    /// slots are already published nor a received image (a LEAP grant, a
+    /// replica copy, a checkpoint restore) can be left half-applied.
     /// Entries install in vector order, so repeated writes to one record
     /// keep their version chain in commit order.
     pub fn install_batch(&self, entries: Vec<(Key, VersionStamp, Row)>) -> Result<()> {
@@ -457,7 +468,7 @@ mod tests {
     }
 
     #[test]
-    fn dump_visible_partitions_filters_by_partition() {
+    fn partition_image_filters_by_partition() {
         let store = Store::new(catalog(), 4);
         let s0 = SiteId::new(0);
         let t0 = TableId::new(0);
@@ -469,13 +480,13 @@ mod tests {
             .unwrap();
         let snap = VersionVector::from_counts(vec![2]);
         let p1 = store.catalog().partition_of(Key::new(t0, 150)).unwrap();
-        let image = store.dump_visible_partitions(&snap, &[p1]).unwrap();
+        let image = store.image(ReadAt::Begin(&snap), Some(&[p1])).unwrap();
         assert_eq!(image.len(), 1);
-        assert_eq!(image[0].0, Key::new(t0, 150));
+        assert_eq!(image[0].key, Key::new(t0, 150));
     }
 
     #[test]
-    fn dump_visible_partitions_equals_the_filtered_full_dump() {
+    fn partition_images_equal_the_filtered_full_image() {
         let mut cat = catalog();
         cat.add_table("sparse", 1, 1 << 24);
         let store = Store::new(cat, 2);
@@ -500,21 +511,25 @@ mod tests {
             }
         }
         let cut = VersionVector::from_counts(vec![seq - 2]);
-        let full = store.dump_visible(&cut);
-        assert_eq!(full.len(), store.record_count() - 1);
-        assert!(full.windows(2).all(|w| w[0].0 < w[1].0), "key order");
         let dirty = store.dirty_partitions();
-        for wanted in [&dirty[..], &dirty[1..4], &dirty[dirty.len() - 1..], &[]] {
-            let filtered: Vec<_> = full
-                .iter()
-                .filter(|(key, _, _)| wanted.contains(&store.catalog().partition_of(*key).unwrap()))
-                .cloned()
-                .collect();
-            assert_eq!(
-                store.dump_visible_partitions(&cut, wanted).unwrap(),
-                filtered
-            );
+        // At the cut one record's version is evicted; the latest version of
+        // every record exists.
+        for (at, missing) in [(ReadAt::Begin(&cut), 1), (ReadAt::Latest, 0)] {
+            let full = store.image(at, None).unwrap();
+            assert_eq!(full.len(), store.record_count() - missing);
+            assert!(full.windows(2).all(|w| w[0].key < w[1].key), "key order");
+            for wanted in [&dirty[..], &dirty[1..4], &dirty[dirty.len() - 1..], &[]] {
+                let filtered: Vec<_> = full
+                    .iter()
+                    .filter(|r| wanted.contains(&store.catalog().partition_of(r.key).unwrap()))
+                    .cloned()
+                    .collect();
+                assert_eq!(store.image(at, Some(wanted)).unwrap(), filtered);
+            }
         }
+        let image = store.image(ReadAt::Begin(&cut), None).unwrap();
+        let tuples: Vec<(Key, VersionStamp, Row)> = image.into_iter().map(Into::into).collect();
+        assert_eq!(store.dump_visible(&cut), tuples);
     }
 
     #[test]

@@ -20,8 +20,10 @@ use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds, RangeInclusive};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dynamast_common::ids::{RecordId, SiteId};
-use dynamast_common::{Row, VersionVector};
+use bytes::{Buf, BufMut};
+use dynamast_common::codec::{self, Decode, Encode};
+use dynamast_common::ids::{Key, RecordId, SiteId};
+use dynamast_common::{Result, Row, VersionVector};
 use parking_lot::RwLock;
 
 const SHARD_BITS: u32 = 6;
@@ -50,6 +52,51 @@ impl VersionStamp {
     /// commits from `origin`.
     pub fn visible_to(&self, begin: &VersionVector) -> bool {
         begin.get(self.origin) >= self.sequence
+    }
+}
+
+/// One record of a cut image ([`crate::Store::image`]): the version a cut
+/// chose for `key`. Checkpoint files, replica copies and LEAP transfers all
+/// carry their rows as these, in one encoding.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ImageRecord {
+    /// Record key.
+    pub key: Key,
+    /// Stamp of the chosen version.
+    pub stamp: VersionStamp,
+    /// Row of the chosen version.
+    pub row: Row,
+}
+
+impl From<ImageRecord> for (Key, VersionStamp, Row) {
+    fn from(record: ImageRecord) -> Self {
+        (record.key, record.stamp, record.row)
+    }
+}
+
+impl Encode for ImageRecord {
+    fn encode(&self, buf: &mut impl BufMut) {
+        self.key.encode(buf);
+        buf.put_u32(self.stamp.origin.raw());
+        buf.put_u64(self.stamp.sequence);
+        self.row.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.key.encoded_len() + 4 + 8 + self.row.encoded_len()
+    }
+}
+
+impl Decode for ImageRecord {
+    fn decode(buf: &mut impl Buf) -> Result<Self> {
+        let key = Key::decode(buf)?;
+        let origin = SiteId::new(codec::get_u32(buf)? as usize);
+        let sequence = codec::get_u64(buf)?;
+        Ok(ImageRecord {
+            key,
+            stamp: VersionStamp::new(origin, sequence),
+            row: Row::decode(buf)?,
+        })
     }
 }
 
@@ -331,6 +378,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynamast_common::ids::TableId;
     use dynamast_common::Value;
 
     fn row(v: u64) -> Row {
@@ -524,5 +572,45 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.version_count(), 3);
         assert!(!t.is_empty());
+    }
+
+    /// Checkpoint files of `VERSION` 3 hold their image rows in exactly this
+    /// layout: key, `u32` origin, `u64` sequence, row (big-endian).
+    #[test]
+    fn image_record_encodes_the_version_3_checkpoint_layout() {
+        let record = ImageRecord {
+            key: Key::new(TableId::new(1), 42),
+            stamp: VersionStamp::new(SiteId::new(2), 7),
+            row: Row::new(vec![Value::I64(-5)]),
+        };
+        #[rustfmt::skip]
+        let golden: Vec<u8> = vec![
+            0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 42, // key: table, record
+            0, 0, 0, 2,                          // stamp origin
+            0, 0, 0, 0, 0, 0, 0, 7,              // stamp sequence
+            0, 0, 0, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFB, // row [I64(-5)]
+        ];
+        assert_eq!(codec::encode_to_vec(&record), golden);
+        assert_eq!(ImageRecord::decode(&mut &golden[..]).unwrap(), record);
+    }
+
+    /// A shipped record costs what it did before the wire and the disk
+    /// shared one record type: key + row + 12 stamp bytes.
+    #[test]
+    fn image_record_length_is_key_plus_row_plus_stamp() {
+        for cells in [
+            vec![],
+            vec![Value::U64(1)],
+            vec![Value::Str("abc".into()), Value::Bytes(vec![7; 256])],
+        ] {
+            let record = ImageRecord {
+                key: Key::new(TableId::new(0), 9),
+                stamp: VersionStamp::new(SiteId::new(1), 4),
+                row: Row::new(cells),
+            };
+            let expected = record.key.encoded_len() + record.row.encoded_len() + 12;
+            assert_eq!(record.encoded_len(), expected);
+            assert_eq!(codec::encode_to_vec(&record).len(), expected);
+        }
     }
 }
