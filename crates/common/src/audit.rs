@@ -1241,6 +1241,7 @@ pub fn emit_ownership(
 mod tests {
     use super::*;
 
+    #[allow(clippy::too_many_arguments)] // one parameter per WriteEffect field a test varies
     fn write_event(
         site: u32,
         partition: u64,

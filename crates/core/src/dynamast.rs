@@ -679,11 +679,21 @@ impl DynaMastSystem {
         // is as its crash left it). Once segments are truncated, another
         // site's Grant may be gone while this site's matching Release is
         // still retained, and only the grantee's positive claim keeps that
-        // partition from reverting here.
-        let mut claims = vec![(id, recovered.claims.clone())];
-        for other in self.sites.read().iter().filter(|s| s.id() != id) {
-            claims.push((other.id(), other.ownership().mastered_partitions()));
-        }
+        // partition from reverting here. Conversely, a Grant this site
+        // logged just before it crashed never reached the selector, which
+        // back-granted the partition to its releaser: the other site's table
+        // is the later fact, and this site's claim is an orphan.
+        let others: Vec<(SiteId, Vec<PartitionId>)> = self
+            .sites
+            .read()
+            .iter()
+            .filter(|s| s.id() != id)
+            .map(|s| (s.id(), s.ownership().mastered_partitions()))
+            .collect();
+        let taken: HashSet<PartitionId> = others.iter().flat_map(|(_, m)| m.clone()).collect();
+        let own = recovered.claims.iter().copied();
+        let mut claims = vec![(id, own.filter(|p| !taken.contains(p)).collect())];
+        claims.extend(others);
         let (map, epoch_floor) = recover_placement(
             &self.logs,
             &self.initial_placements,

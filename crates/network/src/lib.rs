@@ -10,7 +10,9 @@
 //!   not start processing before the deadline, and the caller does not
 //!   observe the reply before the reply's own deadline. 2PC's multiple
 //!   rounds, remastering's release/grant round trips, and LEAP's data
-//!   shipping therefore pay realistic, configurable latency.
+//!   shipping therefore pay realistic, configurable latency — the
+//!   configured latency, not the host's timer slack on top of it: every
+//!   simulated duration is waited out by [`wait_until`].
 //! * **Traffic is accounted.** All payloads are real encoded bytes, counted
 //!   per [`TrafficCategory`] so the harness can reproduce the paper's
 //!   Appendix D traffic breakdown (replication ≫ remastering).
@@ -358,15 +360,17 @@ impl Network {
         // hands it to the worker pool. Transit time must not occupy workers
         // — a site's capacity is its worker pool, not the network's. Only
         // messages with transit time left come this way (see
-        // `rpc_async_from`). The delay sleep is interruptible so dropping
-        // the handle never blocks for a simulated transit time. Workers
-        // exit once the wire and the registry entry — the two holders of
-        // their queue's sender — are both gone.
+        // `rpc_async_from`). The delay wait is interruptible so dropping
+        // the handle never blocks for a simulated transit time, and as
+        // precise as `wait_until`'s. Workers exit once the wire and the
+        // registry entry — the two holders of their queue's sender — are
+        // both gone.
         let (stop_tx, stop_rx) = bounded::<()>(1);
         threads.push(
             thread::Builder::new()
                 .name(format!("{endpoint:?}-wire"))
                 .spawn(move || {
+                    precise_timers();
                     'wire: while let Ok(env) = wire_rx.recv() {
                         // FIFO per endpoint: later messages were sent later
                         // and carry (near-)monotone deadlines, so sleeping
@@ -640,7 +644,7 @@ impl Network {
     }
 
     /// Charges the latency and traffic of one message without routing it to
-    /// an endpoint: the calling thread sleeps the simulated transit time.
+    /// an endpoint: the calling thread waits out the simulated transit time.
     ///
     /// Used for component interactions that are implemented as in-process
     /// calls but were RPCs in the paper's deployment (e.g. the
@@ -651,7 +655,7 @@ impl Network {
     pub fn charge_one_way(&self, category: TrafficCategory, bytes: usize) {
         self.stats.record(category, bytes);
         self.trace_net(TraceKind::NetSend, None, None, category, bytes);
-        sleep_until(self.deadline(bytes));
+        wait_until(self.deadline(bytes));
     }
 
     /// Simulates a crash: deregisters the endpoint so future RPCs fail.
@@ -718,12 +722,52 @@ fn dead_letter() -> Sender<Envelope> {
     tx
 }
 
-fn sleep_until(deadline: Instant) {
-    let now = Instant::now();
-    if deadline > now {
+/// Waits out simulated time — a message's transit, a site's service charge
+/// — until `deadline`. Never returns early; on Linux it returns within the
+/// scheduler's wake-up latency (a few µs) after the deadline, because the
+/// first call on a thread sets that thread's timer slack to 1 ns, which
+/// makes every later timed wait on that thread precise too.
+pub fn wait_until(deadline: Instant) {
+    precise_timers();
+    loop {
+        let now = Instant::now();
+        if now >= deadline {
+            return;
+        }
         thread::sleep(deadline - now);
     }
 }
+
+/// Sets the calling thread's timer slack to 1 ns, once per thread. Linux
+/// otherwise lets every timed wait of a normal thread (sleep, condvar or
+/// channel timeout) run up to 50 µs past its deadline, which on a 100 µs
+/// hop is half the configured delay. A side effect on the whole thread:
+/// every later timed wait on it is precise too. Does nothing off Linux.
+fn precise_timers() {
+    thread_local! {
+        static PRECISE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+    if !PRECISE.with(|precise| precise.replace(true)) {
+        set_timer_slack_ns(1);
+    }
+}
+
+#[cfg(target_os = "linux")]
+fn set_timer_slack_ns(nanos: std::ffi::c_ulong) {
+    const PR_SET_TIMERSLACK: std::ffi::c_int = 29;
+    extern "C" {
+        fn prctl(option: std::ffi::c_int, ...) -> std::ffi::c_int;
+    }
+    // SAFETY: PR_SET_TIMERSLACK reads one unsigned long by value and only
+    // changes the calling thread's timer slack; no memory is passed. A
+    // failure leaves the default slack, which costs precision, not safety.
+    unsafe {
+        prctl(PR_SET_TIMERSLACK, nanos);
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn set_timer_slack_ns(_nanos: std::ffi::c_ulong) {}
 
 /// An in-flight RPC.
 pub struct PendingReply {
@@ -751,7 +795,7 @@ impl PendingReply {
             .reply
             .recv()
             .map_err(|_| DynaError::Network("server dropped request"))?;
-        sleep_until(env.deliver_at);
+        wait_until(env.deliver_at);
         Ok(env.payload)
     }
 
@@ -787,7 +831,7 @@ impl PendingReply {
                 ms: timeout_ms,
             });
         }
-        sleep_until(env.deliver_at);
+        wait_until(env.deliver_at);
         Ok(env.payload)
     }
 }
@@ -885,15 +929,104 @@ mod tests {
         };
         let net = Network::new(cfg, 1);
         let _server = net.serve(EndpointId::Site(0), echo_handler(), 1);
-        let start = Instant::now();
-        net.rpc(
-            EndpointId::Site(0),
-            TrafficCategory::ClientSite,
-            Bytes::from_static(b"x"),
-        )
-        .unwrap();
-        // Two one-way hops of 5ms each.
-        assert!(start.elapsed() >= Duration::from_millis(10));
+        let took: Vec<Duration> = (0..10)
+            .map(|_| {
+                let start = Instant::now();
+                net.rpc(
+                    EndpointId::Site(0),
+                    TrafficCategory::ClientSite,
+                    Bytes::from_static(b"x"),
+                )
+                .unwrap();
+                start.elapsed()
+            })
+            .collect();
+        // Two one-way hops of 5ms each, never early...
+        assert!(
+            took.iter().all(|t| *t >= Duration::from_millis(10)),
+            "{took:?}"
+        );
+        // ...and not grossly late. A multi-ms idle lets the host halt a
+        // virtual CPU, and waking it costs tens of µs with or without timer
+        // slack, so this bound is loose; the 100 µs tests below are tight.
+        if TIMED {
+            let fastest = took.iter().min().expect("ten round trips");
+            assert!(*fastest <= Duration::from_micros(10_250), "{took:?}");
+        }
+    }
+
+    /// A jitter-free 100 µs hop: the LAN delay the benchmark's remastering
+    /// workload runs on.
+    fn hop_100us() -> NetworkConfig {
+        NetworkConfig {
+            one_way_delay: Duration::from_micros(100),
+            delay_per_kib: Duration::ZERO,
+            jitter: Duration::ZERO,
+            retry: RetryPolicy::standard(),
+        }
+    }
+
+    /// Whether the transit tests assert their upper bounds: where
+    /// `wait_until` can set the timer slack (Linux), in an optimized build.
+    /// A debug build adds about 10 µs of hand-off code to a round trip.
+    const TIMED: bool = cfg!(all(target_os = "linux", not(debug_assertions)));
+
+    fn median(mut samples: Vec<Duration>) -> Duration {
+        samples.sort_unstable();
+        samples[samples.len() / 2]
+    }
+
+    /// The transit contract for a charged hop: never early, and a few µs
+    /// late rather than the default 50 µs timer slack.
+    #[test]
+    fn a_charged_hop_costs_its_configured_delay() {
+        let hop = hop_100us().one_way_delay;
+        let net = Network::new(hop_100us(), 1);
+        let took: Vec<Duration> = (0..200)
+            .map(|_| {
+                let start = Instant::now();
+                net.charge_one_way(TrafficCategory::ClientSelector, 64);
+                start.elapsed()
+            })
+            .collect();
+        let early: Vec<_> = took.iter().filter(|t| **t < hop).collect();
+        assert!(early.is_empty(), "hops shorter than {hop:?}: {early:?}");
+        let median = median(took);
+        assert!(
+            !TIMED || median <= Duration::from_micros(125),
+            "median {median:?}"
+        );
+    }
+
+    /// The same contract for an RPC: two hops per round trip, each never
+    /// early, and the pair late by hand-offs rather than by timer slack.
+    #[test]
+    fn an_rpc_round_trip_costs_two_configured_hops() {
+        let net = Network::new(hop_100us(), 1);
+        let _server = net.serve(EndpointId::Site(0), echo_handler(), 1);
+        let took: Vec<Duration> = (0..200)
+            .map(|_| {
+                let start = Instant::now();
+                net.rpc(
+                    EndpointId::Site(0),
+                    TrafficCategory::ClientSite,
+                    Bytes::from_static(b"x"),
+                )
+                .unwrap();
+                start.elapsed()
+            })
+            .collect();
+        let floor = 2 * hop_100us().one_way_delay;
+        let early: Vec<_> = took.iter().filter(|t| **t < floor).collect();
+        assert!(
+            early.is_empty(),
+            "round trips shorter than {floor:?}: {early:?}"
+        );
+        let median = median(took);
+        assert!(
+            !TIMED || median <= Duration::from_micros(240),
+            "median {median:?}"
+        );
     }
 
     #[test]

@@ -32,13 +32,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dynamast_common::config::NetworkConfig;
 use dynamast_common::ids::SiteId;
 use dynamast_common::trace::{TraceKind, TracePayload, TraceSite};
 use dynamast_common::Result;
-use dynamast_network::{EndpointId, Network, TrafficCategory, TrafficStats};
+use dynamast_network::{wait_until, EndpointId, Network, TrafficCategory, TrafficStats};
 
 use crate::log::{DurableLog, LogSet};
 use crate::record::LogRecord;
@@ -127,10 +127,10 @@ impl Propagator {
                             // delay plus the applier's admission wait (Eq. 1
                             // dependency blocking) — the components the
                             // paper's f_delay feature estimates. Captured
-                            // BEFORE the transit sleep is served, or the
-                            // delay would be excluded from the lag it is
-                            // supposed to dominate.
-                            let fetched = std::time::Instant::now();
+                            // BEFORE the transit is waited out, or the delay
+                            // would be excluded from the lag it is supposed
+                            // to dominate.
+                            let fetched = Instant::now();
                             // One transit delay per fetched batch (Kafka
                             // consumers batch; charging per record would
                             // impose an unrealistic serial 1/RTT cap).
@@ -152,7 +152,7 @@ impl Propagator {
                                 delay += plan.decide(link.0, link.1).extra_delay;
                             }
                             if !delay.is_zero() {
-                                thread::sleep(delay);
+                                wait_until(fetched + delay);
                             }
                             if let Some(stats) = &stats {
                                 stats.record(TrafficCategory::Replication, bytes);
@@ -443,6 +443,49 @@ mod tests {
             lags.iter().all(|&lag| lag >= delay.as_micros() as u64),
             "traced refresh lag {lags:?}us must include the {delay:?} transit delay"
         );
+    }
+
+    /// Each batch is applied no earlier than its configured transit delay
+    /// after it was fetched. The fetch is not observable from outside, but
+    /// the subscriber is parked when each record is appended and wakes
+    /// within tens of µs, so a charge short of the delay shows as an apply
+    /// less than the delay after the append.
+    #[test]
+    fn batches_are_applied_no_earlier_than_their_transit_delay() {
+        struct Stamper(Mutex<Vec<Instant>>);
+        impl RefreshApplier for Stamper {
+            fn apply(&self, _record: LogRecord) -> Result<()> {
+                self.0.lock().push(Instant::now());
+                Ok(())
+            }
+        }
+        let logs = LogSet::new(2);
+        let delay = Duration::from_micros(300);
+        let stamper = Arc::new(Stamper(Mutex::new(Vec::new())));
+        let prop = Propagator::start(
+            SiteId::new(0),
+            &logs,
+            Arc::clone(&stamper) as Arc<dyn RefreshApplier>,
+            NetworkConfig {
+                one_way_delay: delay,
+                ..NetworkConfig::instant()
+            },
+            None,
+            None,
+            vec![0, 0],
+        );
+        for seq in 1..=20u64 {
+            let appended = Instant::now();
+            logs.log(SiteId::new(1)).append(&commit(1, seq, 2));
+            wait_for(|| stamper.0.lock().len() == seq as usize);
+            let applied = stamper.0.lock()[seq as usize - 1];
+            assert!(
+                applied.duration_since(appended) >= delay,
+                "batch {seq} applied {:?} after its append, transit is {delay:?}",
+                applied.duration_since(appended)
+            );
+        }
+        prop.stop();
     }
 
     #[test]

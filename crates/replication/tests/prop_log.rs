@@ -122,7 +122,7 @@ proptest! {
                             match op {
                                 Op::Fill => {
                                     let ticket = log.reserve();
-                                    if value % 3 == 0 {
+                                    if value.is_multiple_of(3) {
                                         thread::yield_now();
                                     }
                                     log.fill(ticket, &commit_record(ticket + 1, value));
@@ -130,7 +130,7 @@ proptest! {
                                 }
                                 Op::Abort => {
                                     let ticket = log.reserve();
-                                    if value % 2 == 0 {
+                                    if value.is_multiple_of(2) {
                                         thread::yield_now();
                                     }
                                     log.abort(ticket);

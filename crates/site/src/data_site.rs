@@ -11,7 +11,7 @@ use dynamast_common::codec::{encode_to_vec, Decode};
 use dynamast_common::ids::{Key, PartitionId, SiteId};
 use dynamast_common::trace::{FlightRecorder, TraceKind, TracePayload, TraceSite};
 use dynamast_common::{DynaError, Result, Row, SystemConfig, VersionVector};
-use dynamast_network::{EndpointId, Network, RpcHandler, ServerHandle};
+use dynamast_network::{wait_until, EndpointId, Network, RpcHandler, ServerHandle};
 use dynamast_replication::checkpoint::Checkpoint;
 use dynamast_replication::record::{LogRecord, WriteEntry};
 use dynamast_replication::{LogSet, Propagator, RefreshApplier};
@@ -453,13 +453,13 @@ impl DataSite {
     }
 
     /// Charges the simulated CPU cost of executing a stored procedure that
-    /// touched `ops` rows. Sleeping here occupies the RPC worker — the data
+    /// touched `ops` rows. Waiting here occupies the RPC worker — the data
     /// site's capacity is its worker pool, like the paper's 12-core
     /// machines — without burning host CPU.
     pub(crate) fn service_sleep(&self, ops: u64) {
         let cost = self.config.service_base + self.config.service_per_op * (ops as u32);
         if !cost.is_zero() {
-            std::thread::sleep(cost);
+            wait_until(Instant::now() + cost);
         }
     }
 
@@ -956,44 +956,22 @@ impl DataSite {
         self.max_epoch_seen.load(Ordering::Acquire)
     }
 
-    /// Releases mastership of a partition: waits for in-flight writers,
-    /// logs the release (recovery, §V-C) and returns the svv at the release
-    /// point.
+    /// Releases mastership of each `(partition, epoch)` — the moves of one
+    /// `Release` RPC: waits for the partition's in-flight writers, logs the
+    /// release (recovery, §V-C) and returns, per move, the svv at the
+    /// release point.
+    ///
+    /// Each partition gets its own drain, its own Release log record
+    /// (per-origin in-order replication admission is preserved) and its own
+    /// ledger entry, and a failed move leaves the others alone — but the
+    /// records are filled together and the site waits for visibility *once*
+    /// (see `log_moves`), so k moves cost one publication — on a
+    /// durable log one group fsync — and one move costs what it always did.
     ///
     /// Idempotent per `(partition, epoch)`: a retransmitted release (lost
     /// reply under fault injection) replays the recorded `rel_vv` instead of
     /// failing the unmastered-revoke check.
-    pub fn release(&self, partition: PartitionId, epoch: u64) -> Result<VersionVector> {
-        self.release_moves(&[(partition, epoch)])
-            .pop()
-            .expect("one result per move")
-    }
-
-    /// Takes mastership of a partition after catching up to the releaser's
-    /// state.
-    ///
-    /// Idempotent per `(partition, epoch)`, like [`DataSite::release`]: a
-    /// duplicated grant returns the recorded `grant_vv` without appending a
-    /// second Grant record.
-    pub fn grant(
-        &self,
-        partition: PartitionId,
-        epoch: u64,
-        rel_vv: &VersionVector,
-    ) -> Result<VersionVector> {
-        self.grant_moves(&[(partition, epoch, rel_vv.clone())])
-            .pop()
-            .expect("one result per move")
-    }
-
-    /// The moves of one `Release` RPC. Each partition still gets its own
-    /// drain, its own Release log record (per-origin in-order replication
-    /// admission is preserved) and its own ledger entry, and a failed move
-    /// leaves the others alone — but the records are filled together and
-    /// the site waits for visibility *once* (see [`DataSite::log_moves`]),
-    /// so k moves cost one publication — on a durable log one group fsync —
-    /// and one move costs what it always did.
-    fn release_moves(&self, moves: &[(PartitionId, u64)]) -> Vec<Result<VersionVector>> {
+    pub fn release_moves(&self, moves: &[(PartitionId, u64)]) -> Vec<Result<VersionVector>> {
         let admitted = moves
             .iter()
             .map(|&(partition, epoch)| {
@@ -1022,8 +1000,13 @@ impl DataSite {
         self.log_moves(false, moves.to_vec(), admitted)
     }
 
-    /// The moves of one `Grant` RPC; see [`DataSite::release_moves`].
-    fn grant_moves(
+    /// Takes mastership of each `(partition, epoch)` once this site has
+    /// caught up to its releaser's `rel_vv` — the moves of one `Grant` RPC,
+    /// logged and answered like [`DataSite::release_moves`].
+    ///
+    /// Idempotent per `(partition, epoch)`: a duplicated grant returns the
+    /// recorded `grant_vv` without appending a second Grant record.
+    pub fn grant_moves(
         &self,
         grants: &[(PartitionId, u64, VersionVector)],
     ) -> Vec<Result<VersionVector>> {

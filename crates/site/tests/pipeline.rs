@@ -136,14 +136,22 @@ fn duplicate_remaster_rpcs_replay_from_a_bounded_ledger() {
     for epoch in 1..=ROUNDS {
         // Mastership ping-pongs: odd epochs a -> b, even epochs b -> a.
         let (rel, gr) = if epoch % 2 == 1 { (a, b) } else { (b, a) };
-        let rel_vv = rel.release(p, epoch).unwrap();
+        let rel_vv = rel.release_moves(&[(p, epoch)]).remove(0).unwrap();
         // Retransmitted Release RPCs replay the recorded result.
         for _ in 0..3 {
-            assert_eq!(rel.release(p, epoch).unwrap(), rel_vv);
+            assert_eq!(rel.release_moves(&[(p, epoch)]).remove(0).unwrap(), rel_vv);
         }
-        let grant_vv = gr.grant(p, epoch, &rel_vv).unwrap();
+        let grant_vv = gr
+            .grant_moves(&[(p, epoch, rel_vv.clone())])
+            .remove(0)
+            .unwrap();
         for _ in 0..3 {
-            assert_eq!(gr.grant(p, epoch, &rel_vv).unwrap(), grant_vv);
+            assert_eq!(
+                gr.grant_moves(&[(p, epoch, rel_vv.clone())])
+                    .remove(0)
+                    .unwrap(),
+                grant_vv
+            );
         }
         release_vvs.insert(epoch, rel_vv);
     }
@@ -159,13 +167,19 @@ fn duplicate_remaster_rpcs_replay_from_a_bounded_ledger() {
     // Late retransmits of retained epochs still replay the recorded vv
     // (a released on odd epochs, so its window covers 85, 87, .., 99).
     for epoch in [85, 93, 99] {
-        assert_eq!(a.release(p, epoch).unwrap(), release_vvs[&epoch]);
+        assert_eq!(
+            a.release_moves(&[(p, epoch)]).remove(0).unwrap(),
+            release_vvs[&epoch]
+        );
     }
 
     // Lost-reply replay under a fresh epoch: after round 100 the partition
     // is mastered at a, so a selector retrying b's epoch-100 release under a
     // new epoch gets the latest settled release replayed, not an error.
-    assert_eq!(b.release(p, 999).unwrap(), release_vvs[&100]);
+    assert_eq!(
+        b.release_moves(&[(p, 999)]).remove(0).unwrap(),
+        release_vvs[&100]
+    );
 
     // Concurrent duplicates of one release (racing RPC retries) all settle
     // on the same recorded vv and add one ledger entry.
@@ -173,7 +187,7 @@ fn duplicate_remaster_rpcs_replay_from_a_bounded_ledger() {
     let racers: Vec<_> = (0..4)
         .map(|_| {
             let site = Arc::clone(a);
-            thread::spawn(move || site.release(p, 101).unwrap())
+            thread::spawn(move || site.release_moves(&[(p, 101)]).remove(0).unwrap())
         })
         .collect();
     let mut results: Vec<_> = racers.into_iter().map(|r| r.join().unwrap()).collect();
@@ -273,14 +287,17 @@ fn a_remaster_reply_waits_for_earlier_open_slots_and_covers_its_own_records() {
     }
 
     // One release: its record is the sequence after the open one.
-    let (open, rel_vv) = blocked_by_open_slot(&d, a, || a.release(p0, 1).unwrap());
+    let (open, rel_vv) =
+        blocked_by_open_slot(&d, a, || a.release_moves(&[(p0, 1)]).remove(0).unwrap());
     assert!(
         rel_vv.get(a.id()) > open,
         "{rel_vv:?} misses its own record"
     );
 
     // The grant half, at the other site, behind an open slot of its own.
-    let (open, grant_vv) = blocked_by_open_slot(&d, b, || b.grant(p0, 1, &rel_vv).unwrap());
+    let (open, grant_vv) = blocked_by_open_slot(&d, b, || {
+        b.grant_moves(&[(p0, 1, rel_vv.clone())]).remove(0).unwrap()
+    });
     assert!(
         grant_vv.get(b.id()) > open,
         "{grant_vv:?} misses its own record"
@@ -404,11 +421,11 @@ proptest! {
                 // Remaster: release at the master, catch the peer up, grant.
                 _ => {
                     epoch += 1;
-                    let rel_vv = sites[master].release(p, epoch).unwrap();
-                    prop_assert_eq!(&sites[master].release(p, epoch).unwrap(), &rel_vv);
+                    let rel_vv = sites[master].release_moves(&[(p, epoch)]).remove(0).unwrap();
+                    prop_assert_eq!(&sites[master].release_moves(&[(p, epoch)]).remove(0).unwrap(), &rel_vv);
                     offsets[master] =
                         drain(&logs, &sites[master], &sites[1 - master], offsets[master], usize::MAX);
-                    sites[1 - master].grant(p, epoch, &rel_vv).unwrap();
+                    sites[1 - master].grant_moves(&[(p, epoch, rel_vv.clone())]).remove(0).unwrap();
                     master = 1 - master;
                 }
             }
@@ -422,8 +439,8 @@ proptest! {
         // Convergence: identical svvs covering both full logs...
         let (vv0, vv1) = (sites[0].clock().current(), sites[1].clock().current());
         prop_assert_eq!(&vv0, &vv1);
-        for i in 0..2 {
-            prop_assert_eq!(vv0.get(sites[i].id()), logs.log(sites[i].id()).len());
+        for site in &sites {
+            prop_assert_eq!(vv0.get(site.id()), logs.log(site.id()).len());
         }
         // ...identical visible versions for every key...
         for key in 0..40 {

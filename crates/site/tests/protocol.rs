@@ -22,9 +22,12 @@ fn release_then_grant_transfers_mastership() {
     let min = VersionVector::zero(2);
     a.run_update(0, &min, &write_call(&[5]), true).unwrap();
 
-    let rel_vv = a.release(pid(0), 1).unwrap();
+    let rel_vv = a.release_moves(&[(pid(0), 1)]).remove(0).unwrap();
     assert!(!a.ownership().is_mastered(pid(0)));
-    let grant_vv = b.grant(pid(0), 1, &rel_vv).unwrap();
+    let grant_vv = b
+        .grant_moves(&[(pid(0), 1, rel_vv.clone())])
+        .remove(0)
+        .unwrap();
     assert!(b.ownership().is_mastered(pid(0)));
     assert!(grant_vv.dominates(&rel_vv));
     // B's copy already includes A's committed write (the grant waited).
@@ -51,7 +54,7 @@ fn updates_on_unmastered_partitions_are_rejected() {
 #[test]
 fn release_of_unmastered_partition_errors() {
     let d = deployment(2);
-    assert!(d.sites[0].release(pid(9), 1).is_err());
+    assert!(d.sites[0].release_moves(&[(pid(9), 1)]).remove(0).is_err());
 }
 
 #[test]
@@ -184,9 +187,12 @@ fn grant_blocks_until_releaser_state_arrives() {
     for i in 0..20u64 {
         a.run_update(0, &min, &write_call(&[i]), true).unwrap();
     }
-    let rel_vv = a.release(pid(0), 1).unwrap();
+    let rel_vv = a.release_moves(&[(pid(0), 1)]).remove(0).unwrap();
     // The grant must wait for B to apply A's history, then B's vv dominates.
-    let grant_vv = b.grant(pid(0), 1, &rel_vv).unwrap();
+    let grant_vv = b
+        .grant_moves(&[(pid(0), 1, rel_vv.clone())])
+        .remove(0)
+        .unwrap();
     assert!(grant_vv.dominates(&rel_vv));
     // Every one of A's writes is now readable at B.
     for i in 0..20u64 {

@@ -168,12 +168,18 @@ fn mid_remaster_crash_recovers_consistent_mastership() {
 
     // Release at A, then crash A before any grant is issued: the remaster
     // is cut down exactly between its two halves.
-    let rel_vv = sites[a].release(partition, 1_000_000).unwrap();
+    let rel_vv = sites[a]
+        .release_moves(&[(partition, 1_000_000)])
+        .remove(0)
+        .unwrap();
     system.crash_site(a);
 
     // The grant still completes at B: the release record is durable in A's
     // log and B's replica catches up to `rel_vv` from it.
-    let grant_vv = sites[b].grant(partition, 1_000_000, &rel_vv).unwrap();
+    let grant_vv = sites[b]
+        .grant_moves(&[(partition, 1_000_000, rel_vv.clone())])
+        .remove(0)
+        .unwrap();
     assert!(grant_vv.dominates(&rel_vv));
 
     // A restarts from the logs and re-derives its mastership set.
@@ -196,6 +202,52 @@ fn mid_remaster_crash_recovers_consistent_mastership() {
             );
         }
     }
+}
+
+/// The mirror image: the grant lands and is logged at B, but B crashes before
+/// the selector hears back, so the selector back-grants the partition to its
+/// releaser A. B's log still ends in that grant; restarting B must leave the
+/// partition with A instead of refusing to restart (or mastering it twice).
+#[test]
+fn a_grant_orphaned_by_the_grantees_crash_stays_with_the_releaser() {
+    let (system, _) = build();
+    let mut session = ClientSession::new(ClientId::new(1), 3);
+    for i in 0..12u64 {
+        system.update(&mut session, &set(&[i * 100], 1)).unwrap();
+    }
+    let placements = system.selector().map().placements();
+    let (partition, master) = placements
+        .iter()
+        .find_map(|(p, m)| m.map(|m| (*p, m)))
+        .expect("some partition is placed");
+    let a = master.as_usize();
+    let b = (a + 1) % 3;
+    let sites = system.sites();
+
+    let rel_vv = sites[a]
+        .release_moves(&[(partition, 1_000_000)])
+        .remove(0)
+        .unwrap();
+    sites[b]
+        .grant_moves(&[(partition, 1_000_000, rel_vv.clone())])
+        .remove(0)
+        .unwrap();
+    system.crash_site(b);
+    // The executor's back-grant: the releaser takes the partition again at a
+    // fresh epoch, and the selector's map names it.
+    sites[a]
+        .grant_moves(&[(partition, 1_000_001, rel_vv)])
+        .remove(0)
+        .unwrap();
+    system.selector().map().seed([(partition, SiteId::new(a))]);
+
+    system.restart_site(b).unwrap();
+    let sites = system.sites();
+    assert!(sites[a].ownership().is_mastered(partition));
+    assert!(
+        !sites[b].ownership().is_mastered(partition),
+        "the restarted grantee masters a partition the releaser took back"
+    );
 }
 
 #[test]
@@ -277,9 +329,15 @@ fn durable_restart_recovers_from_checkpoint_and_retained_suffix() {
     // release is durable in site 1's log suffix, the grant lands while site
     // 1 is down. The two halves bypass the selector, so its map is told.
     let sites = system.sites();
-    let rel_vv = sites[1].release(moved, 1_000_000).unwrap();
+    let rel_vv = sites[1]
+        .release_moves(&[(moved, 1_000_000)])
+        .remove(0)
+        .unwrap();
     system.crash_site(1);
-    sites[2].grant(moved, 1_000_000, &rel_vv).unwrap();
+    sites[2]
+        .grant_moves(&[(moved, 1_000_000, rel_vv.clone())])
+        .remove(0)
+        .unwrap();
     system.selector().map().seed([(moved, SiteId::new(2))]);
     let survivors: Vec<u64> = system
         .selector()
