@@ -7,9 +7,7 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut};
-
-use crate::codec::{Decode, Encode};
+use crate::codec::{Buf, BufMut, Decode, Encode};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $inner:ty, $prefix:literal) => {
@@ -45,6 +43,23 @@ macro_rules! id_type {
                 write!(f, concat!($prefix, "{}"), self.0)
             }
         }
+
+        /// On the wire: the raw value.
+        impl Encode for $name {
+            fn encode(&self, buf: &mut impl BufMut) {
+                self.0.encode(buf);
+            }
+
+            fn encoded_len(&self) -> usize {
+                self.0.encoded_len()
+            }
+        }
+
+        impl Decode for $name {
+            fn decode(buf: &mut impl Buf) -> crate::Result<Self> {
+                <$inner>::decode(buf).map($name)
+            }
+        }
     };
 }
 
@@ -76,13 +91,15 @@ id_type!(
 /// A record's primary key within its table.
 pub type RecordId = u64;
 
-/// Fully qualified key of a record: `(table, record id)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Key {
-    /// Table the record belongs to.
-    pub table: TableId,
-    /// Primary key within the table.
-    pub record: RecordId,
+crate::wire! {
+    /// Fully qualified key of a record: `(table, record id)`.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub struct Key {
+        /// Table the record belongs to.
+        pub table: TableId,
+        /// Primary key within the table.
+        pub record: RecordId,
+    }
 }
 
 impl Key {
@@ -95,25 +112,6 @@ impl Key {
 impl fmt::Debug for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:?}/{}", self.table, self.record)
-    }
-}
-
-impl Encode for Key {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u32(self.table.raw());
-        buf.put_u64(self.record);
-    }
-
-    fn encoded_len(&self) -> usize {
-        12
-    }
-}
-
-impl Decode for Key {
-    fn decode(buf: &mut impl Buf) -> crate::Result<Self> {
-        let table = TableId::new(crate::codec::get_u32(buf)? as usize);
-        let record = crate::codec::get_u64(buf)?;
-        Ok(Key { table, record })
     }
 }
 

@@ -21,8 +21,8 @@
 //!   bundles on violation.
 //! * [`dist`] — workload distributions (Zipfian, Bernoulli-neighbour) shared
 //!   by the YCSB/TPC-C/SmallBank generators.
-//! * [`codec`] — the small explicit byte codec used for log records and RPC
-//!   payload sizing.
+//! * [`codec`] — the byte codec for log records, checkpoints and RPC
+//!   payloads, and [`wire!`], which declares each message type once.
 
 pub mod audit;
 pub mod codec;

@@ -135,11 +135,7 @@ impl Decode for Value {
             1 => Ok(Value::I64(codec::get_i64(buf)?)),
             2 => Ok(Value::Str(codec::get_string(buf)?)),
             3 => Ok(Value::Bytes(codec::get_bytes(buf)?)),
-            _ => Err(DynaError::Codec {
-                what: "value tag",
-                needed: 0,
-                remaining: buf.remaining(),
-            }),
+            _ => Err(codec::unknown_tag("value tag", buf)),
         }
     }
 }
@@ -186,26 +182,19 @@ impl Row {
 
 impl Encode for Row {
     fn encode(&self, buf: &mut impl BufMut) {
-        codec::encode_seq(&self.cells, buf);
+        self.cells().encode(buf);
     }
 
     fn encoded_len(&self) -> usize {
-        codec::seq_len(&self.cells)
+        self.cells().encoded_len()
     }
 }
 
 impl Decode for Row {
     fn decode(buf: &mut impl Buf) -> Result<Self> {
-        let arity = codec::get_u32(buf)? as usize;
         // Every encoded cell is at least a tag byte, which bounds the
         // allocation by the input before any of it is trusted.
-        if arity > buf.remaining() {
-            return Err(DynaError::Codec {
-                what: "row arity",
-                needed: arity,
-                remaining: buf.remaining(),
-            });
-        }
+        let arity = codec::check_count(codec::get_u32(buf)?.into(), buf, "row arity")?;
         // Collecting an exact-size iterator fills the shared allocation
         // directly (no `Vec` first), so the first failure is carried out
         // beside it and the remaining slots take a placeholder.

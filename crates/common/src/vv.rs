@@ -17,36 +17,35 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut};
-
-use crate::codec::{Decode, Encode};
 use crate::ids::SiteId;
 
-/// An m-dimensional vector of update counts, one entry per site.
-///
-/// The partial order used throughout the protocol is element-wise:
-/// `a ≤ b` iff `a[k] ≤ b[k]` for every dimension `k`.
-///
-/// ```
-/// use dynamast_common::{VersionVector, ids::SiteId};
-///
-/// // Site S0 commits twice, S1 once.
-/// let mut svv = VersionVector::zero(2);
-/// svv.increment(SiteId::new(0));
-/// svv.increment(SiteId::new(0));
-/// svv.increment(SiteId::new(1));
-/// assert_eq!(svv.as_slice(), &[2, 1]);
-///
-/// // A session that observed [1, 1] is satisfied by this site...
-/// let cvv = VersionVector::from_counts(vec![1, 1]);
-/// assert!(svv.dominates(&cvv));
-/// // ...and a refresh from S1 with commit timestamp [0, 2] can apply next.
-/// let tvv = VersionVector::from_counts(vec![0, 2]);
-/// assert!(svv.can_apply_refresh(&tvv, SiteId::new(1)));
-/// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct VersionVector {
-    counts: Vec<u64>,
+crate::wire! {
+    /// An m-dimensional vector of update counts, one entry per site.
+    ///
+    /// The partial order used throughout the protocol is element-wise:
+    /// `a ≤ b` iff `a[k] ≤ b[k]` for every dimension `k`.
+    ///
+    /// ```
+    /// use dynamast_common::{VersionVector, ids::SiteId};
+    ///
+    /// // Site S0 commits twice, S1 once.
+    /// let mut svv = VersionVector::zero(2);
+    /// svv.increment(SiteId::new(0));
+    /// svv.increment(SiteId::new(0));
+    /// svv.increment(SiteId::new(1));
+    /// assert_eq!(svv.as_slice(), &[2, 1]);
+    ///
+    /// // A session that observed [1, 1] is satisfied by this site...
+    /// let cvv = VersionVector::from_counts(vec![1, 1]);
+    /// assert!(svv.dominates(&cvv));
+    /// // ...and a refresh from S1 with commit timestamp [0, 2] can apply next.
+    /// let tvv = VersionVector::from_counts(vec![0, 2]);
+    /// assert!(svv.can_apply_refresh(&tvv, SiteId::new(1)));
+    /// ```
+    #[derive(Clone, PartialEq, Eq, Hash, Default)]
+    pub struct VersionVector {
+        counts: Vec<u64>,
+    }
 }
 
 impl VersionVector {
@@ -200,33 +199,10 @@ impl fmt::Display for VersionVector {
     }
 }
 
-impl Encode for VersionVector {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u32(self.counts.len() as u32);
-        for c in &self.counts {
-            buf.put_u64(*c);
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        4 + 8 * self.counts.len()
-    }
-}
-
-impl Decode for VersionVector {
-    fn decode(buf: &mut impl Buf) -> crate::Result<Self> {
-        let n = crate::codec::get_u32(buf)? as usize;
-        let mut counts = Vec::with_capacity(n);
-        for _ in 0..n {
-            counts.push(crate::codec::get_u64(buf)?);
-        }
-        Ok(VersionVector { counts })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{encode_to_vec, Decode, Encode};
 
     fn vv(counts: &[u64]) -> VersionVector {
         VersionVector::from_counts(counts.to_vec())
@@ -317,5 +293,14 @@ mod tests {
         let mut bytes = buf.freeze();
         let back = VersionVector::decode(&mut bytes).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn a_dimension_count_the_input_cannot_hold_is_an_error() {
+        // u32::MAX dimensions would be a 32 GiB allocation.
+        assert!(VersionVector::decode(&mut &[0xff; 4][..]).is_err());
+        let mut short = encode_to_vec(&vv(&[1, 2]));
+        short.pop();
+        assert!(VersionVector::decode(&mut &short[..]).is_err());
     }
 }

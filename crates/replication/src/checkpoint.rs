@@ -29,8 +29,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut};
-use dynamast_common::codec::{self, Decode, Encode};
+use dynamast_common::codec::{self, Buf, BufMut, Decode, Encode};
 use dynamast_common::ids::{Key, PartitionId, SiteId};
 use dynamast_common::{DynaError, Result, VersionVector};
 use dynamast_storage::ImageRecord;
@@ -116,88 +115,71 @@ impl Checkpoint {
     }
 }
 
+/// The file counts its id and offset sequences in `u64`s (the wire's
+/// sequences count in `u32`s); the image is an ordinary wire sequence.
+fn put_seq<T: Encode>(items: &[T], buf: &mut impl BufMut) {
+    buf.put_u64(items.len() as u64);
+    for item in items {
+        item.encode(buf);
+    }
+}
+
+fn seq_len<T: Encode>(items: &[T]) -> usize {
+    8 + items.iter().map(Encode::encoded_len).sum::<usize>()
+}
+
+fn get_seq<T: Decode>(buf: &mut impl Buf) -> Result<Vec<T>> {
+    let n = codec::check_count(codec::get_u64(buf)?, buf, "checkpoint count")?;
+    (0..n).map(|_| T::decode(buf)).collect()
+}
+
 impl Encode for Checkpoint {
     fn encode(&self, buf: &mut impl BufMut) {
         buf.put_u64(self.counter);
-        buf.put_u32(self.site.raw());
+        self.site.encode(buf);
         self.svv.encode(buf);
-        buf.put_u64(self.offsets.len() as u64);
-        for off in &self.offsets {
-            buf.put_u64(*off);
-        }
-        buf.put_u64(self.mastered.len() as u64);
-        for p in &self.mastered {
-            buf.put_u64(p.raw());
-        }
+        put_seq(&self.offsets, buf);
+        put_seq(&self.mastered, buf);
         buf.put_u64(self.epoch);
         buf.put_u64(self.base_counter);
         match &self.hosted {
             None => buf.put_u8(0),
             Some(hosted) => {
                 buf.put_u8(1);
-                buf.put_u64(hosted.len() as u64);
-                for p in hosted {
-                    buf.put_u64(p.raw());
-                }
+                put_seq(hosted, buf);
             }
         }
-        codec::encode_seq(&self.image, buf);
+        self.image.encode(buf);
     }
 
     fn encoded_len(&self) -> usize {
         8 + 4
             + self.svv.encoded_len()
-            + 8
-            + 8 * self.offsets.len()
-            + 8
-            + 8 * self.mastered.len()
+            + seq_len(&self.offsets)
+            + seq_len(&self.mastered)
             + 8
             + 8
             + 1
-            + self.hosted.as_ref().map_or(0, |h| 8 + 8 * h.len())
-            + codec::seq_len(&self.image)
+            + self.hosted.as_deref().map_or(0, seq_len)
+            + self.image.encoded_len()
     }
 }
 
 impl Decode for Checkpoint {
     fn decode(buf: &mut impl Buf) -> Result<Self> {
-        let counter = codec::get_u64(buf)?;
-        let site = SiteId::new(codec::get_u32(buf)? as usize);
-        let svv = VersionVector::decode(buf)?;
-        let n = codec::get_u64(buf)? as usize;
-        let mut offsets = Vec::with_capacity(n);
-        for _ in 0..n {
-            offsets.push(codec::get_u64(buf)?);
-        }
-        let n = codec::get_u64(buf)? as usize;
-        let mut mastered = Vec::with_capacity(n);
-        for _ in 0..n {
-            mastered.push(PartitionId::new(codec::get_u64(buf)? as usize));
-        }
-        let epoch = codec::get_u64(buf)?;
-        let base_counter = codec::get_u64(buf)?;
-        let hosted = match codec::get_u8(buf)? {
-            0 => None,
-            _ => {
-                let n = codec::get_u64(buf)? as usize;
-                let mut hosted = Vec::with_capacity(n);
-                for _ in 0..n {
-                    hosted.push(PartitionId::new(codec::get_u64(buf)? as usize));
-                }
-                Some(hosted)
-            }
-        };
-        let image = codec::decode_seq(buf)?;
         Ok(Checkpoint {
-            counter,
-            site,
-            svv,
-            offsets,
-            mastered,
-            epoch,
-            base_counter,
-            hosted,
-            image,
+            counter: codec::get_u64(buf)?,
+            site: SiteId::decode(buf)?,
+            svv: VersionVector::decode(buf)?,
+            offsets: get_seq(buf)?,
+            mastered: get_seq(buf)?,
+            epoch: codec::get_u64(buf)?,
+            base_counter: codec::get_u64(buf)?,
+            hosted: match codec::get_u8(buf)? {
+                0 => None,
+                _ => Some(get_seq(buf)?),
+            },
+            image: Vec::decode(buf)?,
         })
     }
 }
@@ -498,6 +480,16 @@ mod tests {
         let loaded = load_latest(&dir).unwrap().unwrap();
         assert_eq!(loaded.counter, 5);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_count_the_body_cannot_hold_is_refused() {
+        let mut body = codec::encode_to_vec(&sample(1));
+        // counter, site, then a 3-dimension svv: the offsets count follows.
+        let at = 8 + 4 + (4 + 3 * 8);
+        assert_eq!(body[at..at + 8], 3u64.to_be_bytes());
+        body[at..at + 8].copy_from_slice(&u64::MAX.to_be_bytes());
+        assert!(Checkpoint::decode(&mut &body[..]).is_err());
     }
 
     #[test]

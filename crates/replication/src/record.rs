@@ -18,18 +18,18 @@
 //!   committer died before completing; it keeps the origin's sequence space
 //!   gap-free so nothing downstream wedges.
 
-use bytes::{Buf, BufMut};
-use dynamast_common::codec::{self, Decode, Encode};
 use dynamast_common::ids::{Key, PartitionId, SiteId};
-use dynamast_common::{DynaError, Result, Row, VersionVector};
+use dynamast_common::{Row, VersionVector};
 
-/// One write in a commit record: key and after-image.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WriteEntry {
-    /// Record written.
-    pub key: Key,
-    /// After-image row.
-    pub row: Row,
+dynamast_common::wire! {
+    /// One write in a commit record: key and after-image.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct WriteEntry {
+        /// Record written.
+        pub key: Key,
+        /// After-image row.
+        pub row: Row,
+    }
 }
 
 impl WriteEntry {
@@ -40,75 +40,58 @@ impl WriteEntry {
     }
 }
 
-impl Encode for WriteEntry {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.key.encode(buf);
-        self.row.encode(buf);
+dynamast_common::wire! {
+    /// A record in a site's durable log.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum LogRecord {
+        /// An update transaction's commit.
+        Commit {
+            /// Site the transaction committed at.
+            origin: SiteId,
+            /// Commit timestamp (`tvv`); `tvv[origin]` is this record's
+            /// sequence in the origin's commit order.
+            tvv: VersionVector,
+            /// After-image writes.
+            writes: Vec<WriteEntry>,
+        } = 1,
+        /// The origin released mastership of `partition`.
+        Release {
+            /// Releasing site.
+            origin: SiteId,
+            /// This operation's sequence in the origin's commit order.
+            sequence: u64,
+            /// Partition released.
+            partition: PartitionId,
+            /// Selector-assigned remastering epoch for the partition;
+            /// strictly increasing per partition across the whole system.
+            epoch: u64,
+        } = 2,
+        /// The origin was granted mastership of `partition`.
+        Grant {
+            /// Granted site.
+            origin: SiteId,
+            /// This operation's sequence in the origin's commit order.
+            sequence: u64,
+            /// Partition granted.
+            partition: PartitionId,
+            /// Selector-assigned remastering epoch (matches the paired
+            /// release).
+            epoch: u64,
+        } = 3,
+        /// A tombstone for an aborted log reservation: the sequence was
+        /// drawn but its committer died before filling the slot
+        /// ([`crate::log::DurableLog::abort`]). It occupies the slot's place
+        /// in the origin's commit order — peers and recovery advance
+        /// `svv[origin]` over it without installing anything — so an
+        /// abandoned reservation cannot wedge the visibility watermark or
+        /// the per-origin in-order refresh admission.
+        Noop {
+            /// Site whose commit order the dead reservation belonged to.
+            origin: SiteId,
+            /// The abandoned sequence number.
+            sequence: u64,
+        } = 4,
     }
-
-    fn encoded_len(&self) -> usize {
-        self.key.encoded_len() + self.row.encoded_len()
-    }
-}
-
-impl Decode for WriteEntry {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        Ok(WriteEntry {
-            key: Key::decode(buf)?,
-            row: Row::decode(buf)?,
-        })
-    }
-}
-
-/// A record in a site's durable log.
-#[derive(Clone, Debug, PartialEq)]
-pub enum LogRecord {
-    /// An update transaction's commit.
-    Commit {
-        /// Site the transaction committed at.
-        origin: SiteId,
-        /// Commit timestamp (`tvv`); `tvv[origin]` is this record's sequence
-        /// in the origin's commit order.
-        tvv: VersionVector,
-        /// After-image writes.
-        writes: Vec<WriteEntry>,
-    },
-    /// The origin released mastership of `partition`.
-    Release {
-        /// Releasing site.
-        origin: SiteId,
-        /// This operation's sequence in the origin's commit order.
-        sequence: u64,
-        /// Partition released.
-        partition: PartitionId,
-        /// Selector-assigned remastering epoch for the partition; strictly
-        /// increasing per partition across the whole system.
-        epoch: u64,
-    },
-    /// The origin was granted mastership of `partition`.
-    Grant {
-        /// Granted site.
-        origin: SiteId,
-        /// This operation's sequence in the origin's commit order.
-        sequence: u64,
-        /// Partition granted.
-        partition: PartitionId,
-        /// Selector-assigned remastering epoch (matches the paired release).
-        epoch: u64,
-    },
-    /// A tombstone for an aborted log reservation: the sequence was drawn
-    /// but its committer died before filling the slot
-    /// ([`crate::log::DurableLog::abort`]). It occupies the slot's place in
-    /// the origin's commit order — peers and recovery advance
-    /// `svv[origin]` over it without installing anything — so an abandoned
-    /// reservation cannot wedge the visibility watermark or the per-origin
-    /// in-order refresh admission.
-    Noop {
-        /// Site whose commit order the dead reservation belonged to.
-        origin: SiteId,
-        /// The abandoned sequence number.
-        sequence: u64,
-    },
 }
 
 impl LogRecord {
@@ -133,119 +116,10 @@ impl LogRecord {
     }
 }
 
-const TAG_COMMIT: u8 = 1;
-const TAG_RELEASE: u8 = 2;
-const TAG_GRANT: u8 = 3;
-const TAG_NOOP: u8 = 4;
-
-impl Encode for LogRecord {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            LogRecord::Commit {
-                origin,
-                tvv,
-                writes,
-            } => {
-                buf.put_u8(TAG_COMMIT);
-                buf.put_u32(origin.raw());
-                tvv.encode(buf);
-                codec::encode_seq(writes, buf);
-            }
-            LogRecord::Release {
-                origin,
-                sequence,
-                partition,
-                epoch,
-            } => {
-                buf.put_u8(TAG_RELEASE);
-                buf.put_u32(origin.raw());
-                buf.put_u64(*sequence);
-                buf.put_u64(partition.raw());
-                buf.put_u64(*epoch);
-            }
-            LogRecord::Grant {
-                origin,
-                sequence,
-                partition,
-                epoch,
-            } => {
-                buf.put_u8(TAG_GRANT);
-                buf.put_u32(origin.raw());
-                buf.put_u64(*sequence);
-                buf.put_u64(partition.raw());
-                buf.put_u64(*epoch);
-            }
-            LogRecord::Noop { origin, sequence } => {
-                buf.put_u8(TAG_NOOP);
-                buf.put_u32(origin.raw());
-                buf.put_u64(*sequence);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            LogRecord::Commit {
-                origin: _,
-                tvv,
-                writes,
-            } => 1 + 4 + tvv.encoded_len() + codec::seq_len(writes),
-            LogRecord::Release { .. } | LogRecord::Grant { .. } => 1 + 4 + 8 + 8 + 8,
-            LogRecord::Noop { .. } => 1 + 4 + 8,
-        }
-    }
-}
-
-impl Decode for LogRecord {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        match codec::get_u8(buf)? {
-            TAG_COMMIT => {
-                let origin = SiteId::new(codec::get_u32(buf)? as usize);
-                let tvv = VersionVector::decode(buf)?;
-                let writes = codec::decode_seq(buf)?;
-                Ok(LogRecord::Commit {
-                    origin,
-                    tvv,
-                    writes,
-                })
-            }
-            tag @ (TAG_RELEASE | TAG_GRANT) => {
-                let origin = SiteId::new(codec::get_u32(buf)? as usize);
-                let sequence = codec::get_u64(buf)?;
-                let partition = PartitionId::new(codec::get_u64(buf)? as usize);
-                let epoch = codec::get_u64(buf)?;
-                Ok(if tag == TAG_RELEASE {
-                    LogRecord::Release {
-                        origin,
-                        sequence,
-                        partition,
-                        epoch,
-                    }
-                } else {
-                    LogRecord::Grant {
-                        origin,
-                        sequence,
-                        partition,
-                        epoch,
-                    }
-                })
-            }
-            TAG_NOOP => Ok(LogRecord::Noop {
-                origin: SiteId::new(codec::get_u32(buf)? as usize),
-                sequence: codec::get_u64(buf)?,
-            }),
-            _ => Err(DynaError::Codec {
-                what: "log record tag",
-                needed: 0,
-                remaining: buf.remaining(),
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynamast_common::codec::{self, Decode, Encode};
     use dynamast_common::ids::TableId;
     use dynamast_common::Value;
 

@@ -1,6 +1,6 @@
 //! The data site: site manager + database + replication manager (§V-A).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -121,19 +121,33 @@ impl DecidedCache {
     }
 }
 
-/// Bounded per-partition memory of settled remaster operations (one ledger
-/// for releases, one for grants), so retransmitted Release/Grant RPCs
+/// Bounded per-partition memory of remaster operations (one ledger for
+/// releases, one for grants), so retransmitted Release/Grant RPCs
 /// (at-least-once delivery) replay the recorded result instead of
 /// re-revoking or re-granting.
 ///
-/// Each partition keeps its last [`RemasterLedger::RETAIN`] epochs, sorted
-/// ascending — memory is bounded by `partitions × RETAIN` no matter how many
-/// remasters (or duplicate RPCs) occur, and the latest-epoch lookup the
-/// lost-reply replay needs is O(1) instead of a scan over every settled
+/// Each partition keeps its last [`RemasterLedger::RETAIN`] settled epochs,
+/// sorted ascending — memory is bounded by `partitions × RETAIN` no matter
+/// how many remasters (or duplicate RPCs) occur, and the latest-epoch lookup
+/// the lost-reply replay needs is O(1) instead of a scan over every settled
 /// operation ever.
+///
+/// A move is *claimed* before its ownership changes and *settled* once its
+/// record is visible (or *abandoned* if it failed). A duplicate arriving in
+/// between waits for the settlement instead of racing it: otherwise a
+/// duplicate Release that lost the revoke answered with the previous epoch's
+/// vector, and two duplicate Grants each logged a record and answered with
+/// different vectors.
 #[derive(Default)]
 struct RemasterLedger {
-    per_partition: parking_lot::Mutex<HashMap<PartitionId, VecDeque<(u64, VersionVector)>>>,
+    state: parking_lot::Mutex<LedgerState>,
+    settled: parking_lot::Condvar,
+}
+
+#[derive(Default)]
+struct LedgerState {
+    per_partition: HashMap<PartitionId, VecDeque<(u64, VersionVector)>>,
+    in_flight: HashSet<(PartitionId, u64)>,
 }
 
 impl RemasterLedger {
@@ -143,48 +157,78 @@ impl RemasterLedger {
     /// well inside this window.
     const RETAIN: usize = 8;
 
-    /// The recorded result for exactly `(partition, epoch)`.
-    fn get(&self, partition: PartitionId, epoch: u64) -> Option<VersionVector> {
-        self.per_partition
-            .lock()
-            .get(&partition)
-            .and_then(|entries| {
-                entries
-                    .iter()
-                    .find(|(e, _)| *e == epoch)
-                    .map(|(_, vv)| vv.clone())
+    /// Claims the moves of one RPC. Per move: the recorded result if it has
+    /// settled (replay it), or `None` — the caller now owns the move and must
+    /// [`RemasterLedger::record`] or [`RemasterLedger::abandon`] it. Waits
+    /// while another caller holds any of the moves, and then takes every
+    /// claim at once, so no caller waits while holding a claim.
+    fn claim(&self, moves: &[(PartitionId, u64)]) -> Vec<Option<VersionVector>> {
+        let mut guard = self.state.lock();
+        while moves.iter().any(|m| guard.in_flight.contains(m)) {
+            self.settled.wait(&mut guard);
+        }
+        let state = &mut *guard;
+        moves
+            .iter()
+            .map(|&(partition, epoch)| {
+                let recorded = state.per_partition.get(&partition).and_then(|entries| {
+                    entries
+                        .iter()
+                        .find(|(e, _)| *e == epoch)
+                        .map(|(_, vv)| vv.clone())
+                });
+                if recorded.is_none() {
+                    state.in_flight.insert((partition, epoch));
+                }
+                recorded
             })
+            .collect()
     }
 
     /// The recorded result with the highest epoch for `partition` (the
     /// lost-reply replay: the newest settled operation answers for the
     /// retransmission).
     fn latest(&self, partition: PartitionId) -> Option<VersionVector> {
-        self.per_partition
+        self.state
             .lock()
+            .per_partition
             .get(&partition)
             .and_then(|entries| entries.back().map(|(_, vv)| vv.clone()))
     }
 
-    /// Records a settled operation, keeping the per-partition window sorted
-    /// by epoch and bounded (a late retransmit of an old epoch must not
-    /// displace newer entries, so eviction always drops the lowest epoch).
+    /// Settles a claimed move with its result, keeping the per-partition
+    /// window sorted by epoch and bounded (a late retransmit of an old epoch
+    /// must not displace newer entries, so eviction always drops the lowest
+    /// epoch), and wakes the duplicates waiting on it.
     fn record(&self, partition: PartitionId, epoch: u64, vv: VersionVector) {
-        let mut map = self.per_partition.lock();
-        let entries = map.entry(partition).or_default();
-        if entries.iter().any(|(e, _)| *e == epoch) {
-            return;
+        let mut state = self.state.lock();
+        state.in_flight.remove(&(partition, epoch));
+        let entries = state.per_partition.entry(partition).or_default();
+        if !entries.iter().any(|(e, _)| *e == epoch) {
+            let pos = entries.partition_point(|(e, _)| *e < epoch);
+            entries.insert(pos, (epoch, vv));
+            while entries.len() > Self::RETAIN {
+                entries.pop_front();
+            }
         }
-        let pos = entries.partition_point(|(e, _)| *e < epoch);
-        entries.insert(pos, (epoch, vv));
-        while entries.len() > Self::RETAIN {
-            entries.pop_front();
-        }
+        drop(state);
+        self.settled.notify_all();
+    }
+
+    /// Drops the claim of a move that failed; a waiting duplicate retries it.
+    fn abandon(&self, partition: PartitionId, epoch: u64) {
+        self.state.lock().in_flight.remove(&(partition, epoch));
+        self.settled.notify_all();
     }
 
     /// Total retained entries across partitions (bounded-memory assertions).
     fn len(&self) -> usize {
-        self.per_partition.lock().values().map(VecDeque::len).sum()
+        self.state
+            .lock()
+            .per_partition
+            .values()
+            .map(VecDeque::len)
+            .sum()
     }
 }
 
@@ -970,29 +1014,25 @@ impl DataSite {
     ///
     /// Idempotent per `(partition, epoch)`: a retransmitted release (lost
     /// reply under fault injection) replays the recorded `rel_vv` instead of
-    /// failing the unmastered-revoke check.
+    /// failing the unmastered-revoke check; one that races the original
+    /// waits for the original's result.
     pub fn release_moves(&self, moves: &[(PartitionId, u64)]) -> Vec<Result<VersionVector>> {
         let admitted = moves
             .iter()
-            .map(|&(partition, epoch)| {
-                if let Some(vv) = self.released.get(partition, epoch) {
-                    return Ok(Some(vv));
+            .zip(self.released.claim(moves))
+            .map(|(&(partition, epoch), recorded)| {
+                if recorded.is_some() {
+                    return Ok(recorded);
                 }
                 if let Err(e) = self.ownership.revoke_and_drain(partition) {
-                    // A racing duplicate may have completed the revoke
-                    // between the ledger check and here: answer from its
-                    // recorded result. Otherwise the selector lost the reply
-                    // and retries under a *fresh* epoch (each routing
-                    // attempt allocates one); it only sends Release to the
-                    // site its exclusively-locked map names as master, so
-                    // reaching here unmastered means the earlier release
-                    // executed: replay the latest one recorded.
-                    return self
-                        .released
-                        .get(partition, epoch)
-                        .or_else(|| self.released.latest(partition))
-                        .map(Some)
-                        .ok_or(e);
+                    self.released.abandon(partition, epoch);
+                    // The selector lost the reply and retries under a
+                    // *fresh* epoch (each routing attempt allocates one); it
+                    // only sends Release to the site its exclusively-locked
+                    // map names as master, so reaching here unmastered means
+                    // the earlier release executed: replay the latest one
+                    // recorded.
+                    return self.released.latest(partition).map(Some).ok_or(e);
                 }
                 Ok(None)
             })
@@ -1004,37 +1044,49 @@ impl DataSite {
     /// caught up to its releaser's `rel_vv` — the moves of one `Grant` RPC,
     /// logged and answered like [`DataSite::release_moves`].
     ///
-    /// Idempotent per `(partition, epoch)`: a duplicated grant returns the
-    /// recorded `grant_vv` without appending a second Grant record.
+    /// Idempotent per `(partition, epoch)`: a duplicated grant, racing or
+    /// late, returns the recorded `grant_vv` without appending a second
+    /// Grant record.
     pub fn grant_moves(
         &self,
         grants: &[(PartitionId, u64, VersionVector)],
     ) -> Vec<Result<VersionVector>> {
+        let keys: Vec<_> = grants.iter().map(|(p, epoch, _)| (*p, *epoch)).collect();
         let admitted = grants
             .iter()
-            .map(|(partition, epoch, rel_vv)| {
-                if let Some(vv) = self.granted.get(*partition, *epoch) {
-                    return Ok(Some(vv));
+            .zip(self.granted.claim(&keys))
+            .map(|((partition, epoch, rel_vv), recorded)| {
+                if recorded.is_some() {
+                    return Ok(recorded);
                 }
-                // Master-hosts invariant (partial replication): a site may
-                // only be granted mastership of a partition it fully hosts —
-                // the selector installs a copy first (create-then-grant)
-                // when the Eq. 8 choice lands on a non-replica.
-                if let Some(hosted) = &self.hosted {
-                    if !matches!(hosted.lock().map.get(partition), Some(ReplicaState::Hosted)) {
-                        return Err(DynaError::NotReplica {
-                            site: self.id,
-                            partition: *partition,
-                        });
-                    }
-                }
-                self.clock.wait_dominates(rel_vv)?;
-                self.ownership.grant(*partition);
-                Ok(None)
+                self.admit_grant(*partition, rel_vv)
+                    .inspect_err(|_| self.granted.abandon(*partition, *epoch))
+                    .map(|()| None)
             })
             .collect();
-        let keys = grants.iter().map(|(p, epoch, _)| (*p, *epoch)).collect();
         self.log_moves(true, keys, admitted)
+    }
+
+    /// Takes ownership of one claimed grant once this site may master it.
+    fn admit_grant(&self, partition: PartitionId, rel_vv: &VersionVector) -> Result<()> {
+        // Master-hosts invariant (partial replication): a site may only be
+        // granted mastership of a partition it fully hosts — the selector
+        // installs a copy first (create-then-grant) when the Eq. 8 choice
+        // lands on a non-replica.
+        if let Some(hosted) = &self.hosted {
+            if !matches!(
+                hosted.lock().map.get(&partition),
+                Some(ReplicaState::Hosted)
+            ) {
+                return Err(DynaError::NotReplica {
+                    site: self.id,
+                    partition,
+                });
+            }
+        }
+        self.clock.wait_dominates(rel_vv)?;
+        self.ownership.grant(partition);
+        Ok(())
     }
 
     /// The shared tail of a remaster RPC. `admitted[i]` is an error, a
@@ -1095,7 +1147,10 @@ impl DataSite {
                     return Ok(replayed);
                 }
                 let seq = ticket.expect("an admitted move was logged").seq;
-                let vv = visible.clone().expect("a logged move waited")?;
+                let vv = visible
+                    .clone()
+                    .expect("a logged move waited")
+                    .inspect_err(|_| ledger.abandon(partition, epoch))?;
                 ledger.record(partition, epoch, vv.clone());
                 self.max_epoch_seen.fetch_max(epoch, Ordering::AcqRel);
                 if let Some(rec) = self.recorder.as_deref().filter(|r| r.audit_enabled()) {

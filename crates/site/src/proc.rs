@@ -13,60 +13,42 @@
 //! [`LocalCtx`] (all data local); the 2PC coordinator in [`crate::coord`]
 //! provides a distributed context that performs remote reads.
 
-use bytes::{Buf, BufMut, Bytes};
-use dynamast_common::codec::{self, Decode, Encode};
+use bytes::Bytes;
 use dynamast_common::ids::{Key, RecordId, TableId};
 use dynamast_common::{DynaError, Result, Row, VersionVector};
 use dynamast_storage::{ReadAt, Store, VersionStamp, Visit};
 
 use std::collections::HashMap;
 
-/// A contiguous scan over `[start, end)` record ids of a table.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScanRange {
-    /// Table scanned.
-    pub table: TableId,
-    /// First record id (inclusive).
-    pub start: RecordId,
-    /// End record id (exclusive).
-    pub end: RecordId,
-}
-
-impl Encode for ScanRange {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u32(self.table.raw());
-        buf.put_u64(self.start);
-        buf.put_u64(self.end);
-    }
-
-    fn encoded_len(&self) -> usize {
-        20
+dynamast_common::wire! {
+    /// A contiguous scan over `[start, end)` record ids of a table.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct ScanRange {
+        /// Table scanned.
+        pub table: TableId,
+        /// First record id (inclusive).
+        pub start: RecordId,
+        /// End record id (exclusive).
+        pub end: RecordId,
     }
 }
 
-impl Decode for ScanRange {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        Ok(ScanRange {
-            table: TableId::new(codec::get_u32(buf)? as usize),
-            start: codec::get_u64(buf)?,
-            end: codec::get_u64(buf)?,
-        })
+dynamast_common::wire! {
+    /// An invocable transaction: procedure id + arguments + declared access
+    /// sets.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ProcCall {
+        /// Workload-assigned procedure identifier.
+        pub proc_id: u32,
+        /// Opaque encoded arguments, interpreted by the workload's executor.
+        pub args: Bytes,
+        /// Predeclared write set (every key the procedure may write).
+        pub write_set: Vec<Key>,
+        /// Point reads the procedure may perform (outside the write set).
+        pub read_keys: Vec<Key>,
+        /// Range scans the procedure may perform.
+        pub read_ranges: Vec<ScanRange>,
     }
-}
-
-/// An invocable transaction: procedure id + arguments + declared access sets.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ProcCall {
-    /// Workload-assigned procedure identifier.
-    pub proc_id: u32,
-    /// Opaque encoded arguments, interpreted by the workload's executor.
-    pub args: Bytes,
-    /// Predeclared write set (every key the procedure may write).
-    pub write_set: Vec<Key>,
-    /// Point reads the procedure may perform (outside the write set).
-    pub read_keys: Vec<Key>,
-    /// Range scans the procedure may perform.
-    pub read_ranges: Vec<ScanRange>,
 }
 
 impl ProcCall {
@@ -76,45 +58,18 @@ impl ProcCall {
     }
 }
 
-impl Encode for ProcCall {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u32(self.proc_id);
-        codec::put_bytes(buf, &self.args);
-        codec::encode_seq(&self.write_set, buf);
-        codec::encode_seq(&self.read_keys, buf);
-        codec::encode_seq(&self.read_ranges, buf);
+dynamast_common::wire! {
+    /// How a transaction context resolves reads.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum ReadMode {
+        /// MVCC snapshot read at a begin version vector (replicated systems:
+        /// DynaMast, single-master, multi-master).
+        Snapshot = 0,
+        /// Latest-committed read (unreplicated systems: partition-store,
+        /// LEAP — ownership transfer and 2PC locks provide isolation instead
+        /// of version vectors).
+        Latest = 1,
     }
-
-    fn encoded_len(&self) -> usize {
-        4 + codec::bytes_len(&self.args)
-            + codec::seq_len(&self.write_set)
-            + codec::seq_len(&self.read_keys)
-            + codec::seq_len(&self.read_ranges)
-    }
-}
-
-impl Decode for ProcCall {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        Ok(ProcCall {
-            proc_id: codec::get_u32(buf)?,
-            args: Bytes::from(codec::get_bytes(buf)?),
-            write_set: codec::decode_seq(buf)?,
-            read_keys: codec::decode_seq(buf)?,
-            read_ranges: codec::decode_seq(buf)?,
-        })
-    }
-}
-
-/// How a transaction context resolves reads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReadMode {
-    /// MVCC snapshot read at a begin version vector (replicated systems:
-    /// DynaMast, single-master, multi-master).
-    Snapshot,
-    /// Latest-committed read (unreplicated systems: partition-store, LEAP —
-    /// ownership transfer and 2PC locks provide isolation instead of
-    /// version vectors).
-    Latest,
 }
 
 impl ReadMode {
@@ -272,6 +227,7 @@ pub fn install_writes(store: &Store, writes: &[(Key, Row)], stamp: VersionStamp)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynamast_common::codec::{self, Decode, Encode};
     use dynamast_common::ids::SiteId;
     use dynamast_common::Value;
     use dynamast_storage::Catalog;

@@ -9,11 +9,12 @@
 //!   version stamped above the snapshot's published watermark (out-of-order
 //!   *install* must stay invisible until the in-order *publish*);
 //! * the remaster idempotency ledger answers duplicate Release/Grant RPCs
-//!   with the recorded result while retaining only a bounded window.
+//!   — late or racing the original — with the recorded result while
+//!   retaining only a bounded window.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
@@ -23,6 +24,7 @@ use dynamast_common::config::NetworkConfig;
 use dynamast_common::ids::{Key, PartitionId, SiteId};
 use dynamast_common::{SystemConfig, VersionVector};
 use dynamast_network::{EndpointId, Network, TrafficCategory};
+use dynamast_replication::record::LogRecord;
 use dynamast_replication::{LogSet, RefreshApplier};
 use dynamast_site::messages::{expect_ok, RemoteError, SiteRequest, SiteResponse};
 use dynamast_site::tests_support::{deployment, write_call, ConstExec, TestDeployment, TABLE};
@@ -194,6 +196,41 @@ fn duplicate_remaster_rpcs_replay_from_a_bounded_ledger() {
     results.dedup();
     assert_eq!(results.len(), 1, "racing duplicates must agree");
     assert!(a.remaster_ledger_sizes().0 <= before + 1);
+}
+
+/// Four copies of one Grant arrive at once (a selector retry racing its
+/// original, duplicated by the fabric): the first to claim the move takes
+/// ownership and logs it, and the others wait for its recorded result — one
+/// answer, one Grant record.
+#[test]
+fn racing_duplicate_grants_log_once_and_agree() {
+    const COPIES: usize = 4;
+    for epoch in 1..=20u64 {
+        let d = deployment(2);
+        let b = &d.sites[1];
+        let p = pid(0);
+        let rel_vv = VersionVector::zero(2);
+        let start = Arc::new(Barrier::new(COPIES));
+        let racers: Vec<_> = (0..COPIES)
+            .map(|_| {
+                let (site, start, rel_vv) = (Arc::clone(b), Arc::clone(&start), rel_vv.clone());
+                thread::spawn(move || {
+                    start.wait();
+                    site.grant_moves(&[(p, epoch, rel_vv)]).remove(0).unwrap()
+                })
+            })
+            .collect();
+        let mut answers: Vec<_> = racers.into_iter().map(|r| r.join().unwrap()).collect();
+        answers.dedup();
+        assert_eq!(answers.len(), 1, "racing duplicates must agree");
+        let (records, _) = d.logs.log(b.id()).read_from(0).unwrap();
+        let grants = records
+            .iter()
+            .filter(|r| matches!(r, LogRecord::Grant { partition, .. } if *partition == p))
+            .count();
+        assert_eq!(grants, 1, "one Grant record for one move");
+        assert_eq!(b.remaster_ledger_sizes().1, 1);
+    }
 }
 
 /// One `Release` RPC carrying three moves, sent three times: the site logs

@@ -20,10 +20,8 @@ use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds, RangeInclusive};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bytes::{Buf, BufMut};
-use dynamast_common::codec::{self, Decode, Encode};
 use dynamast_common::ids::{Key, RecordId, SiteId};
-use dynamast_common::{Result, Row, VersionVector};
+use dynamast_common::{Row, VersionVector};
 use parking_lot::RwLock;
 
 const SHARD_BITS: u32 = 6;
@@ -31,14 +29,17 @@ const SHARDS: usize = 1 << SHARD_BITS;
 /// `1 << BLOCK_SHIFT` consecutive record ids share a shard.
 const BLOCK_SHIFT: u32 = 5;
 
-/// Identifies the transaction that created a record version.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VersionStamp {
-    /// Site the creating transaction committed at.
-    pub origin: SiteId,
-    /// The creating transaction's commit sequence at `origin`
-    /// (`tvv[origin]`).
-    pub sequence: u64,
+dynamast_common::wire! {
+    /// Identifies the transaction that created a record version. On the
+    /// wire: the `u32` origin, then the `u64` sequence.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct VersionStamp {
+        /// Site the creating transaction committed at.
+        pub origin: SiteId,
+        /// The creating transaction's commit sequence at `origin`
+        /// (`tvv[origin]`).
+        pub sequence: u64,
+    }
 }
 
 impl VersionStamp {
@@ -55,48 +56,24 @@ impl VersionStamp {
     }
 }
 
-/// One record of a cut image ([`crate::Store::image`]): the version a cut
-/// chose for `key`. Checkpoint files, replica copies and LEAP transfers all
-/// carry their rows as these, in one encoding.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ImageRecord {
-    /// Record key.
-    pub key: Key,
-    /// Stamp of the chosen version.
-    pub stamp: VersionStamp,
-    /// Row of the chosen version.
-    pub row: Row,
+dynamast_common::wire! {
+    /// One record of a cut image ([`crate::Store::image`]): the version a cut
+    /// chose for `key`. Checkpoint files, replica copies and LEAP transfers
+    /// all carry their rows as these, in one encoding.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ImageRecord {
+        /// Record key.
+        pub key: Key,
+        /// Stamp of the chosen version.
+        pub stamp: VersionStamp,
+        /// Row of the chosen version.
+        pub row: Row,
+    }
 }
 
 impl From<ImageRecord> for (Key, VersionStamp, Row) {
     fn from(record: ImageRecord) -> Self {
         (record.key, record.stamp, record.row)
-    }
-}
-
-impl Encode for ImageRecord {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.key.encode(buf);
-        buf.put_u32(self.stamp.origin.raw());
-        buf.put_u64(self.stamp.sequence);
-        self.row.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.key.encoded_len() + 4 + 8 + self.row.encoded_len()
-    }
-}
-
-impl Decode for ImageRecord {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        let key = Key::decode(buf)?;
-        let origin = SiteId::new(codec::get_u32(buf)? as usize);
-        let sequence = codec::get_u64(buf)?;
-        Ok(ImageRecord {
-            key,
-            stamp: VersionStamp::new(origin, sequence),
-            row: Row::decode(buf)?,
-        })
     }
 }
 
@@ -378,6 +355,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynamast_common::codec::{self, Decode, Encode};
     use dynamast_common::ids::TableId;
     use dynamast_common::Value;
 
