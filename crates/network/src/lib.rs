@@ -33,6 +33,19 @@
 //! must survive faults bound each attempt with [`PendingReply::wait_timeout`]
 //! or use [`Network::rpc_with_retry`], which adds capped exponential backoff
 //! with seeded jitter under an overall deadline.
+//!
+//! **Sync vs async.** An endpoint has `workers` handler slots. A
+//! synchronous call ([`Network::rpc`], each attempt of
+//! [`Network::rpc_with_retry`]) whose request owes no transit time, on a
+//! fabric with no [`FaultPlan`], to an endpoint with nothing queued for its
+//! workers and a free slot, runs the handler on the caller's own thread: the
+//! caller would only block for the reply anyway, so the two thread hand-offs
+//! of a pooled call are pure overhead. Every other call — and every
+//! asynchronous one, whose caller overlaps requests and bounds each wait
+//! with `wait_timeout` — goes through the endpoint's worker pool. Either
+//! way the request, the reply hop, the trace events and the traffic
+//! accounting are the same, and no more than `workers` handlers of one
+//! endpoint run at once.
 
 pub mod fault;
 pub mod stats;
@@ -49,7 +62,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use dynamast_common::config::{NetworkConfig, RetryPolicy};
 use dynamast_common::trace::{FlightRecorder, TraceKind, TracePayload, TraceSite};
 use dynamast_common::{DynaError, Result};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -112,9 +125,105 @@ struct Registered {
     /// The worker pool's queue, which the wire feeds; a message already due
     /// when it is sent is enqueued here directly.
     workers: Sender<Envelope>,
+    endpoint: Arc<Endpoint>,
     /// Distinguishes successive registrations of the same endpoint so a
     /// stale [`ServerHandle`] cannot deregister its restarted replacement.
     generation: u64,
+}
+
+/// One registration's handler and its `workers` handler slots. A slot is
+/// taken by a pool worker for each request it dequeues, or by a blocking
+/// caller that finds the endpoint idle and runs the handler itself; either
+/// way at most `workers` handlers run at once — the endpoint's capacity.
+struct Endpoint {
+    id: EndpointId,
+    handler: Arc<dyn RpcHandler>,
+    workers: usize,
+    slots: Mutex<Slots>,
+    /// Signalled when a slot is freed and someone waits for one.
+    freed: Condvar,
+}
+
+#[derive(Default)]
+struct Slots {
+    /// Handlers running now, pooled and inline together.
+    running: usize,
+    /// Requests on the worker queue whose handler has not started yet. An
+    /// inline call waits its turn behind them: it never overtakes a request
+    /// already sent.
+    queued: usize,
+    /// Threads parked on `freed`.
+    waiting: usize,
+    /// The handle was dropped: no new inline call is admitted.
+    closed: bool,
+}
+
+impl Endpoint {
+    /// Puts `env` on the worker queue, counted as queued until a worker
+    /// starts it. `false` if the workers are gone.
+    fn enqueue(&self, queue: &Sender<Envelope>, env: Envelope) -> bool {
+        self.slots.lock().queued += 1;
+        if queue.send(env).is_ok() {
+            return true;
+        }
+        self.slots.lock().queued -= 1;
+        false
+    }
+
+    /// A slot for a blocking caller to run the handler on its own thread,
+    /// if the endpoint is open, has nothing queued and has a slot free.
+    fn try_inline(&self) -> Option<Slot<'_>> {
+        let mut slots = self.slots.lock();
+        if slots.closed || slots.queued > 0 || slots.running == self.workers {
+            return None;
+        }
+        slots.running += 1;
+        Some(Slot(self))
+    }
+
+    /// A slot for a pool worker that dequeued a request; waits while inline
+    /// callers hold every slot.
+    fn take_queued(&self) -> Slot<'_> {
+        let mut slots = self.slots.lock();
+        while slots.running == self.workers {
+            self.park(&mut slots);
+        }
+        slots.running += 1;
+        slots.queued -= 1;
+        Slot(self)
+    }
+
+    /// Stops admitting inline calls and returns once no handler runs.
+    /// Called after the pool's workers are joined, so what it waits for is
+    /// the inline handlers already running.
+    fn close(&self) {
+        let mut slots = self.slots.lock();
+        slots.closed = true;
+        while slots.running > 0 {
+            self.park(&mut slots);
+        }
+    }
+
+    fn park(&self, slots: &mut MutexGuard<'_, Slots>) {
+        slots.waiting += 1;
+        self.freed.wait(slots);
+        slots.waiting -= 1;
+    }
+}
+
+/// One running handler's slot, freed on drop.
+struct Slot<'a>(&'a Endpoint);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut slots = self.0.slots.lock();
+        slots.running -= 1;
+        let wake = slots.waiting > 0;
+        drop(slots);
+        if wake {
+            self.0.freed.notify_one();
+        }
+    }
 }
 
 type Registry = RwLock<HashMap<EndpointId, Registered>>;
@@ -324,51 +433,58 @@ impl Network {
         Instant::now() + base + jitter
     }
 
-    /// Starts serving `endpoint` with `workers` handler threads. Returns a
-    /// handle that deregisters the endpoint and joins the workers on drop.
+    /// Starts serving `endpoint` with `workers` handler slots and as many
+    /// pool threads. Returns a handle that deregisters the endpoint, joins
+    /// the workers and waits out any handler still running on a caller's
+    /// thread on drop.
     ///
     /// An endpoint may be served again after its previous registration ended
     /// (handle dropped or [`Network::disconnect`]): recovery tests crash a
     /// site and restart it on the same `EndpointId`.
     pub fn serve(
         self: &Arc<Self>,
-        endpoint: EndpointId,
+        id: EndpointId,
         handler: Arc<dyn RpcHandler>,
         workers: usize,
     ) -> ServerHandle {
         assert!(workers >= 1, "need at least one worker");
         let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
+        let endpoint = Arc::new(Endpoint {
+            id,
+            handler,
+            workers,
+            slots: Mutex::new(Slots::default()),
+            freed: Condvar::new(),
+        });
         let (wire, wire_rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
         let (rx_tx, rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
         let previous = self.registry.write().insert(
-            endpoint,
+            id,
             Registered {
                 wire,
                 workers: rx_tx.clone(),
+                endpoint: Arc::clone(&endpoint),
                 generation,
             },
         );
-        assert!(
-            previous.is_none(),
-            "endpoint {endpoint:?} already registered"
-        );
-        if let Some(bit) = site_mask_bit(endpoint) {
+        assert!(previous.is_none(), "endpoint {id:?} already registered");
+        if let Some(bit) = site_mask_bit(id) {
             self.site_mask.fetch_or(bit, Ordering::Release);
         }
         let mut threads = Vec::with_capacity(workers + 1);
         // The "wire": delays each message until its delivery deadline, then
-        // hands it to the worker pool. Transit time must not occupy workers
-        // — a site's capacity is its worker pool, not the network's. Only
-        // messages with transit time left come this way (see
-        // `rpc_async_from`). The delay wait is interruptible so dropping
-        // the handle never blocks for a simulated transit time, and as
-        // precise as `wait_until`'s. Workers exit once the wire and the
-        // registry entry — the two holders of their queue's sender — are
-        // both gone.
+        // hands it to the worker pool. Transit time must not occupy a slot
+        // — a site's capacity is its handler slots, not the network's. Only
+        // messages with transit time left come this way (see `send`). The
+        // delay wait is interruptible so dropping the handle never blocks
+        // for a simulated transit time, and as precise as `wait_until`'s.
+        // Workers exit once the wire and the registry entry — the two
+        // holders of their queue's sender — are both gone.
         let (stop_tx, stop_rx) = bounded::<()>(1);
+        let wire_endpoint = Arc::clone(&endpoint);
         threads.push(
             thread::Builder::new()
-                .name(format!("{endpoint:?}-wire"))
+                .name(format!("{id:?}-wire"))
                 .spawn(move || {
                     precise_timers();
                     'wire: while let Ok(env) = wire_rx.recv() {
@@ -385,7 +501,7 @@ impl Network {
                             }
                             now = Instant::now();
                         }
-                        if rx_tx.send(env).is_err() {
+                        if !wire_endpoint.enqueue(&rx_tx, env) {
                             break;
                         }
                     }
@@ -394,66 +510,15 @@ impl Network {
         );
         for w in 0..workers {
             let rx = rx.clone();
-            let handler = Arc::clone(&handler);
+            let endpoint = Arc::clone(&endpoint);
             let net = Arc::clone(self);
-            let name = format!("{endpoint:?}-rpc-{w}");
             threads.push(
                 thread::Builder::new()
-                    .name(name)
+                    .name(format!("{id:?}-rpc-{w}"))
                     .spawn(move || {
                         while let Ok(env) = rx.recv() {
-                            net.trace_net(
-                                TraceKind::NetDeliver,
-                                env.from,
-                                Some(endpoint),
-                                env.category,
-                                env.payload.len(),
-                            );
-                            let reply_payload = handler.handle(env.payload);
-                            let mut deliver_at = net.deadline(reply_payload.len());
-                            // The reply hop is subject to faults too.
-                            let mut duplicate = false;
-                            if let Some(plan) = net.faults() {
-                                let lost = plan.is_partitioned(Some(endpoint), env.from) || {
-                                    let decision = plan.decide(Some(endpoint), env.from);
-                                    duplicate = decision.duplicate;
-                                    deliver_at += decision.extra_delay;
-                                    decision.drop
-                                };
-                                if lost {
-                                    // Reply lost; caller times out.
-                                    net.trace_net(
-                                        TraceKind::NetDrop,
-                                        Some(endpoint),
-                                        env.from,
-                                        env.category,
-                                        reply_payload.len(),
-                                    );
-                                    continue;
-                                }
-                            }
-                            if duplicate {
-                                net.trace_net(
-                                    TraceKind::NetDuplicate,
-                                    Some(endpoint),
-                                    env.from,
-                                    env.category,
-                                    reply_payload.len(),
-                                );
-                            }
-                            let copies = if duplicate { 2 } else { 1 };
-                            for _ in 0..copies {
-                                net.stats.record(env.category, reply_payload.len());
-                                let reply = Envelope {
-                                    deliver_at,
-                                    payload: reply_payload.clone(),
-                                    category: env.category,
-                                    from: Some(endpoint),
-                                    reply: dead_letter(),
-                                };
-                                // Callers that no longer wait are fine.
-                                let _ = env.reply.send(reply);
-                            }
+                            let _slot = endpoint.take_queued();
+                            net.deliver(&endpoint, env);
                         }
                     })
                     .expect("spawn rpc worker"),
@@ -465,6 +530,66 @@ impl Network {
             generation,
             stop_tx: Some(stop_tx),
             threads,
+        }
+    }
+
+    /// Delivers one request: runs the endpoint's handler and sends the
+    /// reply hop back, with its own deadline and fault decision. The one
+    /// delivery path, whether a pool worker or a blocking caller runs it;
+    /// the caller holds one of the endpoint's slots.
+    fn deliver(&self, endpoint: &Endpoint, env: Envelope) {
+        let id = Some(endpoint.id);
+        self.trace_net(
+            TraceKind::NetDeliver,
+            env.from,
+            id,
+            env.category,
+            env.payload.len(),
+        );
+        let reply_payload = endpoint.handler.handle(env.payload);
+        let mut deliver_at = self.deadline(reply_payload.len());
+        // The reply hop is subject to faults too.
+        let mut duplicate = false;
+        if let Some(plan) = self.faults() {
+            let lost = plan.is_partitioned(id, env.from) || {
+                let decision = plan.decide(id, env.from);
+                duplicate = decision.duplicate;
+                deliver_at += decision.extra_delay;
+                decision.drop
+            };
+            if lost {
+                // Reply lost; caller times out.
+                self.trace_net(
+                    TraceKind::NetDrop,
+                    id,
+                    env.from,
+                    env.category,
+                    reply_payload.len(),
+                );
+                return;
+            }
+        }
+        if duplicate {
+            self.trace_net(
+                TraceKind::NetDuplicate,
+                id,
+                env.from,
+                env.category,
+                reply_payload.len(),
+            );
+        }
+        let copies = if duplicate { 2 } else { 1 };
+        for _ in 0..copies {
+            self.stats.record(env.category, reply_payload.len());
+            let reply = Envelope {
+                deliver_at,
+                payload: reply_payload.clone(),
+                category: env.category,
+                from: id,
+                reply: dead_letter(),
+            };
+            // Callers that no longer wait are fine.
+            let _ = env.reply.send(reply);
         }
     }
 
@@ -480,6 +605,9 @@ impl Network {
 
     /// Issues an RPC with an explicit sender identity (used for partition
     /// matching); anonymous callers pass `None` via [`Network::rpc_async`].
+    /// The request always goes through the endpoint's worker pool, so the
+    /// caller is free until it waits, and `wait_timeout` can give up on a
+    /// wedged handler.
     pub fn rpc_async_from(
         &self,
         from: Option<EndpointId>,
@@ -487,11 +615,27 @@ impl Network {
         category: TrafficCategory,
         payload: Bytes,
     ) -> Result<PendingReply> {
-        let (wire, workers) = self
+        self.send(from, to, category, payload, false)
+    }
+
+    /// Sends one request. With `blocking` — the caller waits for the reply
+    /// next — a request that owes no transit time on a fault-free fabric
+    /// runs the handler right here when the endpoint is idle (see
+    /// [`Endpoint::try_inline`]), and the reply is waiting when this
+    /// returns.
+    fn send(
+        &self,
+        from: Option<EndpointId>,
+        to: EndpointId,
+        category: TrafficCategory,
+        payload: Bytes,
+        blocking: bool,
+    ) -> Result<PendingReply> {
+        let (wire, workers, endpoint) = self
             .registry
             .read()
             .get(&to)
-            .map(|r| (r.wire.clone(), r.workers.clone()))
+            .map(|r| (r.wire.clone(), r.workers.clone(), Arc::clone(&r.endpoint)))
             .ok_or(DynaError::Network("endpoint not registered"))?;
         let track = self
             .inflight
@@ -504,7 +648,8 @@ impl Network {
         let (reply_tx, reply_rx) = bounded(4);
         let mut deliver_at = self.deadline(payload.len());
         let mut duplicate = false;
-        if let Some(plan) = self.faults() {
+        let faults = self.faults();
+        if let Some(plan) = &faults {
             let mut spike = Duration::ZERO;
             let lost = if plan.is_partitioned(from, Some(to)) {
                 true
@@ -545,41 +690,59 @@ impl Network {
             }
         }
         self.trace_net(TraceKind::NetSend, from, Some(to), category, payload.len());
-        // A message that owes no transit time (no configured delay, jitter
-        // or spike) skips the wire thread's hand-off and does not queue
-        // behind another message's delay.
-        let queue = if deliver_at <= Instant::now() {
-            &workers
-        } else {
-            &wire
+        let pending = PendingReply {
+            reply: reply_rx,
+            lost: false,
+            _track: track,
         };
-        let copies = if duplicate { 2 } else { 1 };
-        for copy in 0..copies {
+        // Each copy is accounted as it leaves the sender.
+        let envelope = || {
             self.stats.record(category, payload.len());
-            let env = Envelope {
+            Envelope {
                 deliver_at,
                 payload: payload.clone(),
                 category,
                 from,
                 reply: reply_tx.clone(),
+            }
+        };
+        // A message that owes no transit time (no configured delay, jitter
+        // or spike) skips the wire thread's hand-off and does not queue
+        // behind another message's delay. If its caller blocks for the
+        // reply and no fault can touch it, it skips the worker's hand-off
+        // too when the endpoint has a slot free.
+        let due = deliver_at <= Instant::now();
+        if blocking && due && faults.is_none() {
+            if let Some(_slot) = endpoint.try_inline() {
+                // Holding a queue sender would keep the workers alive; the
+                // handle's drop waits for this handler through its slot.
+                drop((wire, workers));
+                self.deliver(&endpoint, envelope());
+                return Ok(pending);
+            }
+        }
+        let copies = if duplicate { 2 } else { 1 };
+        for copy in 0..copies {
+            let env = envelope();
+            let sent = if due {
+                endpoint.enqueue(&workers, env)
+            } else {
+                wire.send(env).is_ok()
             };
-            if queue.send(env).is_err() {
+            if !sent {
                 if copy == 0 {
                     return Err(DynaError::Network("endpoint shut down"));
                 }
                 break;
             }
         }
-        Ok(PendingReply {
-            reply: reply_rx,
-            lost: false,
-            _track: track,
-        })
+        Ok(pending)
     }
 
-    /// Issues an RPC and blocks for the reply.
+    /// Issues an RPC and blocks for the reply. A call that owes no transit
+    /// time may run the handler on this thread (see the module docs).
     pub fn rpc(&self, to: EndpointId, category: TrafficCategory, payload: Bytes) -> Result<Bytes> {
-        self.rpc_async(to, category, payload)?.wait()
+        self.send(None, to, category, payload, true)?.wait()
     }
 
     /// Issues an RPC under `policy`: each attempt's reply wait is bounded by
@@ -591,6 +754,11 @@ impl Network {
     /// Retransmission means *at-least-once* execution at the server: a lost
     /// reply re-executes the handler. Handlers on retried paths must be
     /// idempotent (the site layer deduplicates remaster and 2PC messages).
+    ///
+    /// Each attempt is a blocking call, so one that owes no transit time may
+    /// run the handler on this thread, as [`Network::rpc`] does. Such an
+    /// attempt cannot be cut short by `attempt_timeout`: it returns the
+    /// handler's reply however long the handler took.
     pub fn rpc_with_retry(
         &self,
         policy: &RetryPolicy,
@@ -625,7 +793,7 @@ impl Network {
             }
             let attempt_budget = policy.attempt_timeout.min(policy.deadline - elapsed);
             let outcome = self
-                .rpc_async_from(from, to, category, payload.clone())
+                .send(from, to, category, payload.clone(), true)
                 .and_then(|pending| pending.wait_timeout(attempt_budget));
             match outcome {
                 Ok(bytes) => return Ok(bytes),
@@ -836,10 +1004,11 @@ impl PendingReply {
     }
 }
 
-/// Keeps an endpoint alive; deregisters and joins workers on drop.
+/// Keeps an endpoint alive; on drop deregisters it, joins its workers and
+/// waits for the handlers still running on callers' threads.
 pub struct ServerHandle {
     network: Arc<Network>,
-    endpoint: EndpointId,
+    endpoint: Arc<Endpoint>,
     generation: u64,
     stop_tx: Option<Sender<()>>,
     threads: Vec<thread::JoinHandle<()>>,
@@ -848,20 +1017,23 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The endpoint this handle serves.
     pub fn endpoint(&self) -> EndpointId {
-        self.endpoint
+        self.endpoint.id
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.network
-            .disconnect_generation(self.endpoint, self.generation);
+            .disconnect_generation(self.endpoint.id, self.generation);
         // Wake the wire out of any delay sleep; in-flight messages are
         // abandoned, as a crash would. Workers exit after draining.
         drop(self.stop_tx.take());
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        // A crashed endpoint runs nothing more: once this returns, no
+        // handler of it is still writing, on any thread.
+        self.endpoint.close();
     }
 }
 
@@ -1524,6 +1696,228 @@ mod tests {
             let totals = net.stats().snapshot().get(TrafficCategory::Remaster);
             assert_eq!((totals.messages, totals.bytes), (10, 100));
         }
+    }
+
+    /// A handler that reports the thread each request ran on.
+    fn thread_handler() -> (Arc<dyn RpcHandler>, Receiver<thread::ThreadId>) {
+        let (tx, rx) = unbounded();
+        let handler: Arc<dyn RpcHandler> = Arc::new(move |payload: Bytes| {
+            let _ = tx.send(thread::current().id());
+            payload
+        });
+        (handler, rx)
+    }
+
+    fn ping(net: &Network) -> Result<Bytes> {
+        net.rpc(
+            EndpointId::Site(0),
+            TrafficCategory::ClientSite,
+            Bytes::from_static(b"x"),
+        )
+    }
+
+    /// A blocking call that owes no transit time, to an idle endpoint on a
+    /// fault-free fabric, runs the handler on the caller's thread — through
+    /// `rpc` and through each attempt of `rpc_with_retry`.
+    #[test]
+    fn a_due_blocking_call_runs_on_the_callers_thread() {
+        let net = Network::new(NetworkConfig::instant(), 1);
+        let (handler, ran_on) = thread_handler();
+        let _server = net.serve(EndpointId::Site(0), handler, 2);
+        ping(&net).unwrap();
+        assert_eq!(ran_on.recv().unwrap(), thread::current().id());
+        net.rpc_with_retry(
+            &RetryPolicy::standard(),
+            None,
+            EndpointId::Site(0),
+            TrafficCategory::ClientSite,
+            Bytes::new(),
+        )
+        .unwrap();
+        assert_eq!(ran_on.recv().unwrap(), thread::current().id());
+    }
+
+    /// An async caller overlaps its requests, so they always go to the
+    /// workers: two 50 ms handlers at two endpoints run side by side.
+    #[test]
+    fn async_calls_never_run_inline() {
+        let net = Network::new(NetworkConfig::instant(), 1);
+        let (tx, ran_on) = unbounded();
+        let slow = move || -> Arc<dyn RpcHandler> {
+            let tx = tx.clone();
+            Arc::new(move |payload: Bytes| {
+                let _ = tx.send(thread::current().id());
+                thread::sleep(Duration::from_millis(50));
+                payload
+            })
+        };
+        let _a = net.serve(EndpointId::Site(0), slow(), 1);
+        let _b = net.serve(EndpointId::Site(1), slow(), 1);
+        let start = Instant::now();
+        let pending: Vec<PendingReply> = [0, 1]
+            .map(|site| {
+                net.rpc_async(
+                    EndpointId::Site(site),
+                    TrafficCategory::Remaster,
+                    Bytes::new(),
+                )
+                .unwrap()
+            })
+            .into();
+        for p in pending {
+            p.wait().unwrap();
+        }
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_millis(90), "elapsed {elapsed:?}");
+        for _ in 0..2 {
+            assert_ne!(ran_on.recv().unwrap(), thread::current().id());
+        }
+    }
+
+    /// Transit time, or any fault plan at all, keeps a blocking call on
+    /// the worker pool.
+    #[test]
+    fn a_blocking_call_with_transit_or_a_fault_plan_runs_on_a_worker() {
+        let lan = Network::new(NetworkConfig::lan(), 1);
+        let planned = Network::new(NetworkConfig::instant(), 1);
+        planned.set_faults(Some(Arc::new(FaultPlan::new(7))));
+        for net in [lan, planned] {
+            let (handler, ran_on) = thread_handler();
+            let _server = net.serve(EndpointId::Site(0), handler, 2);
+            for _ in 0..5 {
+                ping(&net).unwrap();
+                assert_ne!(ran_on.recv().unwrap(), thread::current().id());
+            }
+        }
+    }
+
+    /// Capacity is `workers` handler slots, shared by pool workers and
+    /// inline callers: 16 blocking callers never run more handlers at once
+    /// than that, and both kinds of slot holder take part.
+    #[test]
+    fn an_endpoint_never_runs_more_handlers_than_its_workers() {
+        for workers in [1, 4] {
+            let net = Network::new(NetworkConfig::instant(), 1);
+            let running = Arc::new(AtomicUsize::new(0));
+            let peak = Arc::new(AtomicUsize::new(0));
+            let (tx, ran_on) = unbounded();
+            let handler: Arc<dyn RpcHandler> = {
+                let (running, peak) = (Arc::clone(&running), Arc::clone(&peak));
+                Arc::new(move |payload: Bytes| {
+                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    let _ = tx.send(thread::current().name().map(str::to_owned));
+                    thread::sleep(Duration::from_micros(200));
+                    running.fetch_sub(1, Ordering::SeqCst);
+                    payload
+                })
+            };
+            let _server = net.serve(EndpointId::Site(0), handler, workers);
+            let callers: Vec<_> = (0..16)
+                .map(|_| {
+                    let net = Arc::clone(&net);
+                    thread::spawn(move || {
+                        for _ in 0..50 {
+                            ping(&net).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for c in callers {
+                c.join().unwrap();
+            }
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                peak <= workers,
+                "{peak} handlers ran at once, workers = {workers}"
+            );
+            let names: Vec<Option<String>> =
+                std::iter::from_fn(|| ran_on.try_recv().ok()).collect();
+            assert_eq!(names.len(), 16 * 50);
+            let pooled = names
+                .iter()
+                .filter(|n| n.as_deref().is_some_and(|n| n.contains("-rpc-")))
+                .count();
+            assert!(
+                pooled > 0 && pooled < names.len(),
+                "{pooled} of {} calls pooled: both paths must take slots",
+                names.len()
+            );
+        }
+    }
+
+    /// A blocking call never overtakes requests already queued for the
+    /// workers: one sender's async requests and its blocking call are
+    /// handled in the order sent.
+    #[test]
+    fn a_blocking_call_waits_behind_queued_requests() {
+        let net = Network::new(NetworkConfig::instant(), 1);
+        let (tx, arrivals) = unbounded();
+        let handler: Arc<dyn RpcHandler> = Arc::new(move |payload: Bytes| {
+            let _ = tx.send(payload[0]);
+            thread::sleep(Duration::from_millis(2));
+            payload
+        });
+        let _server = net.serve(EndpointId::Site(0), handler, 1);
+        let send = |i: u8| {
+            net.rpc_async(
+                EndpointId::Site(0),
+                TrafficCategory::ClientSite,
+                Bytes::copy_from_slice(&[i]),
+            )
+            .unwrap()
+        };
+        let pending: Vec<PendingReply> = (0..10u8).map(send).collect();
+        let reply = net
+            .rpc(
+                EndpointId::Site(0),
+                TrafficCategory::ClientSite,
+                Bytes::from_static(&[10]),
+            )
+            .unwrap();
+        assert_eq!(&reply[..], &[10]);
+        for p in pending {
+            p.wait().unwrap();
+        }
+        let order: Vec<u8> = std::iter::from_fn(|| arrivals.try_recv().ok()).collect();
+        assert_eq!(order, (0..=10u8).collect::<Vec<_>>());
+    }
+
+    /// Dropping the handle while a caller runs the handler inline returns
+    /// only once that handler has returned; a call after the drop fails
+    /// and runs nothing.
+    #[test]
+    fn handle_drop_waits_for_inline_handlers() {
+        let net = Network::new(NetworkConfig::instant(), 1);
+        let (entered_tx, entered) = unbounded();
+        let returned = Arc::new(AtomicBool::new(false));
+        let calls = Arc::new(AtomicUsize::new(0));
+        let handler: Arc<dyn RpcHandler> = {
+            let (returned, calls) = (Arc::clone(&returned), Arc::clone(&calls));
+            Arc::new(move |payload: Bytes| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                let _ = entered_tx.send(thread::current().id());
+                thread::sleep(Duration::from_millis(100));
+                returned.store(true, Ordering::SeqCst);
+                payload
+            })
+        };
+        let server = net.serve(EndpointId::Site(0), handler, 1);
+        let caller = {
+            let net = Arc::clone(&net);
+            thread::spawn(move || (thread::current().id(), ping(&net)))
+        };
+        let ran_on = entered.recv().unwrap();
+        drop(server);
+        assert!(
+            returned.load(Ordering::SeqCst),
+            "drop returned while an inline handler still ran"
+        );
+        let (caller_id, reply) = caller.join().unwrap();
+        assert_eq!(ran_on, caller_id, "the handler did not run inline");
+        assert!(reply.is_ok());
+        assert!(matches!(ping(&net), Err(DynaError::Network(_))));
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -377,8 +377,8 @@ impl DurableLog {
     /// `(records, total encoded bytes)`. Returns immediately (an empty batch
     /// if nothing new). Reading below the truncated base is an error.
     pub fn read_from(&self, offset: u64) -> Result<(Vec<LogRecord>, usize)> {
-        let inner = self.inner.lock();
-        decode_batch(&inner, offset)
+        let run = visible_run(&self.inner.lock(), offset)?;
+        decode_run(run)
     }
 
     /// Like [`DurableLog::read_from`] but blocks until at least one record
@@ -393,11 +393,14 @@ impl DurableLog {
         offset: u64,
         cancel: &AtomicBool,
     ) -> Result<(Vec<LogRecord>, usize)> {
-        let mut inner = self.inner.lock();
-        while inner.visible <= offset && !cancel.load(Ordering::Relaxed) {
-            self.appended.wait(&mut inner);
-        }
-        decode_batch(&inner, offset)
+        let run = {
+            let mut inner = self.inner.lock();
+            while inner.visible <= offset && !cancel.load(Ordering::Relaxed) {
+                self.appended.wait(&mut inner);
+            }
+            visible_run(&inner, offset)?
+        };
+        decode_run(run)
     }
 
     /// Wakes every blocked [`DurableLog::wait_read_from`] so it can observe
@@ -427,21 +430,31 @@ impl DurableLog {
     }
 }
 
-fn decode_batch(inner: &LogInner, offset: u64) -> Result<(Vec<LogRecord>, usize)> {
+/// The encoded records published at `offset` and beyond — shared handles,
+/// so the caller can drop the log lock before decoding them: committers
+/// need that lock to reserve and fill, and a tail reader decodes every
+/// record it reads.
+fn visible_run(inner: &LogInner, offset: u64) -> Result<Vec<Bytes>> {
     let start = offset.min(inner.visible);
     if start < inner.base {
         return Err(DynaError::Internal("log read below truncated base"));
     }
-    let mut records = Vec::with_capacity((inner.visible - start) as usize);
-    let mut bytes = 0;
     let lo = (start - inner.base) as usize;
     let hi = (inner.visible - inner.base) as usize;
-    for encoded in &inner.slots[lo..hi] {
-        let encoded = encoded.as_ref().expect("visible slot filled");
-        bytes += encoded.len();
-        let mut slice = encoded.clone();
-        records.push(LogRecord::decode(&mut slice)?);
-    }
+    Ok(inner.slots[lo..hi]
+        .iter()
+        .map(|encoded| encoded.clone().expect("visible slot filled"))
+        .collect())
+}
+
+/// Decodes a run from [`visible_run`], returning `(records, total encoded
+/// bytes)`.
+fn decode_run(run: Vec<Bytes>) -> Result<(Vec<LogRecord>, usize)> {
+    let bytes = run.iter().map(Bytes::len).sum();
+    let records = run
+        .into_iter()
+        .map(|mut encoded| LogRecord::decode(&mut encoded))
+        .collect::<Result<_>>()?;
     Ok((records, bytes))
 }
 

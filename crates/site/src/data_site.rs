@@ -497,9 +497,9 @@ impl DataSite {
     }
 
     /// Charges the simulated CPU cost of executing a stored procedure that
-    /// touched `ops` rows. Waiting here occupies the RPC worker — the data
-    /// site's capacity is its worker pool, like the paper's 12-core
-    /// machines — without burning host CPU.
+    /// touched `ops` rows. Waiting here holds one of the site's RPC handler
+    /// slots — the data site's capacity is its `workers` slots, like the
+    /// paper's 12-core machines — without burning host CPU.
     pub(crate) fn service_sleep(&self, ops: u64) {
         let cost = self.config.service_base + self.config.service_per_op * (ops as u32);
         if !cost.is_zero() {

@@ -2,7 +2,9 @@
 //! logs; the selector's mastership map is reconstructible from grant/release
 //! records.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::{self, ThreadId};
+use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes};
 use dynamast::common::ids::{ClientId, Key, SiteId, TableId};
@@ -25,6 +27,23 @@ impl ProcExecutor for SetApp {
             ctx.write(*key, Row::new(vec![Value::U64(value)]))?;
         }
         Ok(Bytes::new())
+    }
+}
+
+/// [`SetApp`] that reports the thread and instant at which it executes the
+/// one call writing `tapped`.
+struct TappedApp {
+    tapped: u64,
+    entered: mpsc::Sender<(ThreadId, Instant)>,
+}
+
+impl ProcExecutor for TappedApp {
+    fn execute(&self, ctx: &mut dyn TxnCtx, call: &ProcCall) -> Result<Bytes> {
+        let value = dynamast::common::codec::get_u64(&mut call.args.clone())?;
+        if value == self.tapped {
+            let _ = self.entered.send((thread::current().id(), Instant::now()));
+        }
+        SetApp.execute(ctx, call)
     }
 }
 
@@ -247,6 +266,74 @@ fn a_grant_orphaned_by_the_grantees_crash_stays_with_the_releaser() {
     assert!(
         !sites[b].ownership().is_mastered(partition),
         "the restarted grantee masters a partition the releaser took back"
+    );
+}
+
+/// On an instant network a client's update runs the site's handler on the
+/// client's own thread. Crashing the site mid-update must not race it:
+/// `crash_site` returns only after that handler has returned, the restarted
+/// site's svv covers exactly its log, and it holds the update exactly when
+/// the client saw it commit.
+#[test]
+fn crash_waits_for_an_update_running_on_its_clients_thread() {
+    const TAPPED: u64 = 42;
+    let service = Duration::from_millis(20);
+    let mut catalog = Catalog::new();
+    catalog.add_table("kv", 1, 100);
+    let mut config = SystemConfig::new(3).with_instant_network();
+    config.service_base = service;
+    config.service_per_op = Duration::ZERO;
+    let mut dyna = DynaMastConfig::adaptive(config, catalog);
+    // No svv probe: nothing may sit in the site's queue ahead of the update.
+    dyna.probe_interval = Duration::ZERO;
+    let (entered_tx, entered) = mpsc::channel();
+    let app = TappedApp {
+        tapped: TAPPED,
+        entered: entered_tx,
+    };
+    let system = DynaMastSystem::build(dyna, Arc::new(app));
+    let mut session = ClientSession::new(ClientId::new(1), 3);
+    // Place key 0's partition, then find its master.
+    system.update(&mut session, &set(&[0], 1)).unwrap();
+    let master = system
+        .selector()
+        .map()
+        .placements()
+        .into_iter()
+        .find_map(|(p, m)| (dynamast::common::ids::unpack_partition_id(p).1 == 0).then_some(m))
+        .flatten()
+        .expect("key 0's partition is placed");
+    let log = Arc::clone(system.logs().log(master));
+
+    let client = {
+        let system = Arc::clone(&system);
+        thread::spawn(move || {
+            let committed = system.update(&mut session, &set(&[0], TAPPED)).is_ok();
+            (thread::current().id(), committed)
+        })
+    };
+    let (ran_on, executed_at) = entered.recv().unwrap();
+    system.crash_site(master.as_usize());
+    // The handler waits out its service charge after executing, so it
+    // cannot have returned before this instant.
+    assert!(
+        Instant::now() >= executed_at + service,
+        "crash_site returned while the update's handler was still running"
+    );
+    let len_at_crash = log.len();
+    let (client_thread, committed) = client.join().unwrap();
+    assert_eq!(ran_on, client_thread, "the update did not run inline");
+    assert_eq!(log.len(), len_at_crash, "the crashed site's log grew");
+
+    system.restart_site(master.as_usize()).unwrap();
+    let site = &system.sites()[master.as_usize()];
+    let svv = site.clock().current();
+    assert_eq!(svv.get(master), log.len());
+    let row = site.store().read(Key::new(KV, 0), &svv).unwrap();
+    assert_eq!(
+        row == Some(Row::new(vec![Value::U64(TAPPED)])),
+        committed,
+        "update present after restart: {row:?}, client saw commit: {committed}"
     );
 }
 
