@@ -19,6 +19,7 @@
 //! * [`audit`] — the invariant audit plane: streaming conservation and
 //!   ownership checkers over the flight recorder, with black-box repro
 //!   bundles on violation.
+//! * [`hash`] — the multiply-and-fold hasher for maps keyed by [`ids`] types.
 //! * [`dist`] — workload distributions (Zipfian, Bernoulli-neighbour) shared
 //!   by the YCSB/TPC-C/SmallBank generators.
 //! * [`codec`] — the byte codec for log records, checkpoints and RPC
@@ -29,6 +30,7 @@ pub mod codec;
 pub mod config;
 pub mod dist;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod metrics;
 pub mod trace;

@@ -11,10 +11,10 @@
 //! Locks are always taken in ascending partition-id order, so concurrent
 //! routings with overlapping partition sets cannot deadlock.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use dynamast_common::hash::IntMap;
 use dynamast_common::ids::{PartitionId, SiteId};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -71,7 +71,7 @@ fn decode_master(raw: u64) -> Option<SiteId> {
 
 /// The concurrent partition-information table.
 pub struct PartitionMap {
-    entries: RwLock<HashMap<PartitionId, Arc<PartitionEntry>>>,
+    entries: RwLock<IntMap<PartitionId, Arc<PartitionEntry>>>,
 }
 
 impl Default for PartitionMap {
@@ -84,7 +84,7 @@ impl PartitionMap {
     /// Creates an empty map (every partition unplaced).
     pub fn new() -> Self {
         PartitionMap {
-            entries: RwLock::new(HashMap::new()),
+            entries: RwLock::new(IntMap::default()),
         }
     }
 
@@ -128,10 +128,24 @@ impl PartitionMap {
             .collect()
     }
 
-    /// Read-only lookup without creating an entry (strategy partner-master
-    /// queries).
+    /// Read-only lookup without creating an entry.
     pub fn entries_for_existing(&self, partition: PartitionId) -> Option<Arc<PartitionEntry>> {
         self.entries.read().get(&partition).cloned()
+    }
+
+    /// The current master of each of `partitions` (see
+    /// [`PartitionEntry::master_relaxed`]; `None` if never placed), in
+    /// order, under one shared read of the table: the strategy model's
+    /// partner-master queries.
+    pub fn masters_relaxed(
+        &self,
+        partitions: impl IntoIterator<Item = PartitionId>,
+    ) -> Vec<Option<SiteId>> {
+        let entries = self.entries.read();
+        partitions
+            .into_iter()
+            .map(|p| entries.get(&p).and_then(|e| e.master_relaxed()))
+            .collect()
     }
 
     /// Locks the given entries in shared mode (routing fast path). Entries

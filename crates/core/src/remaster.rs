@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use dynamast_common::codec::encode_to_vec;
+use dynamast_common::hash::IntMap;
 use dynamast_common::ids::{PartitionId, SiteId};
 use dynamast_common::trace::{next_trace_id, TraceKind, TracePayload};
 use dynamast_common::{DynaError, Result, VersionVector};
@@ -579,7 +580,7 @@ impl SiteSelector {
                 .then(partitions[a].cmp(&partitions[b]))
         });
         let mut plan: Vec<Option<SiteId>> = vec![None; partitions.len()];
-        let mut assigned: HashMap<PartitionId, SiteId> = HashMap::new();
+        let mut assigned: IntMap<PartitionId, SiteId> = IntMap::default();
         for &i in &order {
             let placed = [(partitions[i], masters[i])];
             let load = [snaps[i].load];

@@ -16,7 +16,6 @@
 //! [`FreshnessCache`](crate::freshness::FreshnessCache) and the read-routing
 //! RNG is thread-local, so routing threads share no locks on this path.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -24,6 +23,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use dynamast_common::codec::encode_to_vec;
+use dynamast_common::hash::IntMap;
 use dynamast_common::ids::{ClientId, Key, PartitionId, SiteId};
 use dynamast_common::metrics::{Counter, LatencyHistogram};
 use dynamast_common::trace::{
@@ -567,7 +567,7 @@ impl SiteSelector {
             .map(|(p, m)| (*p, *m))
             .collect();
         let partition_load: Vec<f64> = snaps.iter().map(|s| s.load).collect();
-        let unassigned = HashMap::new();
+        let unassigned = IntMap::default();
         let intra: Vec<Vec<CoAccess>> = snaps
             .iter()
             .map(|s| self.coaccess(&s.intra.partners, partitions, &unassigned))
@@ -639,24 +639,22 @@ impl SiteSelector {
         &self,
         partners: &[(PartitionId, f64)],
         write_set: &[PartitionId],
-        assigned: &HashMap<PartitionId, SiteId>,
+        assigned: &IntMap<PartitionId, SiteId>,
     ) -> Vec<CoAccess> {
+        let mapped = self.map.masters_relaxed(partners.iter().map(|&(p, _)| p));
         partners
             .iter()
-            .map(|(partner, probability)| {
-                let in_write_set = write_set.binary_search(partner).is_ok();
+            .zip(mapped)
+            .map(|(&(partner, probability), mapped)| {
+                let in_write_set = write_set.binary_search(&partner).is_ok();
                 let partner_master = if in_write_set {
                     None
                 } else {
-                    assigned.get(partner).copied().or_else(|| {
-                        self.map
-                            .entries_for_existing(*partner)
-                            .and_then(|e| e.master_relaxed())
-                    })
+                    assigned.get(&partner).copied().or(mapped)
                 };
                 CoAccess {
-                    partner: *partner,
-                    probability: *probability,
+                    partner,
+                    probability,
                     partner_master,
                     in_write_set,
                 }

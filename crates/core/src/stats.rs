@@ -40,6 +40,13 @@
 //!   inter-transaction feature is not tracked at all (the selector passes
 //!   it when Eq. 8's `inter_txn` weight is zero and the numbers would never
 //!   be read).
+//! * **One probe per pair.** Maps keyed by partition or client id use the
+//!   integer `IntMap` hasher, not SipHash. Pairs travel in runs that share
+//!   their `from` side, so recording and expiring look a `from`
+//!   partition's `PartStats` up once per run and probe its partner table
+//!   once per pair. On TPC-C write sets (≈ 490 pairs a record) that is
+//!   ≈ 15 ns a pair, down from ≈ 57 ns with three SipHash lookups each
+//!   (2-vCPU x86-64 VM; DESIGN.md §7).
 //! * **Epoch-style history flush.** The hot path appends the sample to its
 //!   home shard's pending buffer; history-queue maintenance (FIFO ordering
 //!   and expiry decrements) runs in batched flushes — opportunistic
@@ -56,10 +63,11 @@
 //!   shard but draws no global lock. Rates `0.0` and `1.0` short-circuit
 //!   without touching an RNG.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use dynamast_common::hash::IntMap;
 use dynamast_common::ids::{ClientId, PartitionId, SiteId};
 use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::SmallRng;
@@ -131,8 +139,8 @@ pub struct PartitionSnapshot {
 struct PartStats {
     count: u64,
     master: Option<SiteId>,
-    intra: HashMap<PartitionId, u64>,
-    inter: HashMap<PartitionId, u64>,
+    intra: IntMap<PartitionId, u64>,
+    inter: IntMap<PartitionId, u64>,
 }
 
 struct Sample {
@@ -140,9 +148,11 @@ struct Sample {
     /// restore FIFO across shards.
     seq: u64,
     partitions: Vec<PartitionId>,
+    /// `(from, to)`, in runs that share a `from`.
     intra_pairs: Vec<(PartitionId, PartitionId)>,
-    /// `(from, to, weight)`: the pair was bumped by `weight`, the number of
-    /// times `from` occurred in the client's Δt window.
+    /// `(from, to, weight)`, in runs that share a `from`: the pair was
+    /// bumped by `weight`, the number of times `from` occurred in the
+    /// client's Δt window.
     inter_pairs: Vec<(PartitionId, PartitionId, u64)>,
 }
 
@@ -150,7 +160,7 @@ struct Sample {
 /// and sampling RNG.
 struct Shard {
     rng: SmallRng,
-    parts: HashMap<PartitionId, PartStats>,
+    parts: IntMap<PartitionId, PartStats>,
     pending: Vec<Sample>,
 }
 
@@ -178,14 +188,15 @@ struct ClientStripe {
     /// The partitions of those sets, flattened in the same order.
     members: VecDeque<PartitionId>,
     /// Per client: partition → occurrences among its in-window sets.
-    windows: HashMap<ClientId, HashMap<PartitionId, u64>>,
+    windows: IntMap<ClientId, IntMap<PartitionId, u64>>,
 }
 
 impl ClientStripe {
     /// Expires sets older than `window`, pairs every distinct in-window
     /// partition of `client` with the new write set — `(p_old, p_new,
-    /// occurrences of p_old)` — then appends the new set. The window edge is
-    /// exact for callers whose `now` never runs backwards.
+    /// occurrences of p_old)`, one run per `p_old` — then appends the new
+    /// set. The window edge is exact for callers whose `now` never runs
+    /// backwards.
     fn advance(
         &mut self,
         client: ClientId,
@@ -275,7 +286,7 @@ impl AccessStats {
                 .map(|i| {
                     Mutex::new(Shard {
                         rng: SmallRng::seed_from_u64(seed.wrapping_add(i as u64)),
-                        parts: HashMap::new(),
+                        parts: IntMap::default(),
                         pending: Vec::new(),
                     })
                 })
@@ -312,7 +323,7 @@ impl AccessStats {
         // The client's write sets within Δt predict this one; one stripe lock
         // covers the prune, the pairing, and the append.
         let window = self.config.inter_window;
-        let mut inter_pairs = if window.is_zero() {
+        let candidates = if window.is_zero() {
             Vec::new()
         } else {
             self.recent[stripe_of(client)]
@@ -332,15 +343,27 @@ impl AccessStats {
         let n = partitions.len();
         let sample_partitions = partitions.to_vec();
         let mut intra_pairs = Vec::with_capacity(n * n.saturating_sub(1));
+        let mut inter_pairs = Vec::with_capacity(candidates.len());
         let mut cursor = ShardCursor {
             shards: &self.shards,
             held: None,
         };
-        // Pairs are keyed by their `from` side; keep the admitted ones.
-        inter_pairs.retain(|&(from, to, weight)| {
-            let stats = cursor.at(shard_of(from)).parts.entry(from).or_default();
-            bump_partner(&mut stats.inter, to, weight, max_partners)
-        });
+        // Pairs are keyed by their `from` side and arrive in runs of one
+        // `from`: one lookup per run, then keep the admitted pairs.
+        for run in candidates.chunk_by(|a, b| a.0 == b.0) {
+            let from = run[0].0;
+            let table = &mut cursor
+                .at(shard_of(from))
+                .parts
+                .entry(from)
+                .or_default()
+                .inter;
+            inter_pairs.extend(
+                run.iter()
+                    .copied()
+                    .filter(|&(_, to, weight)| bump_partner(table, to, weight, max_partners)),
+            );
+        }
         // Write-set partitions last and in reverse, so the walk ends on the
         // home shard and the sample parks under the lock already held — one
         // acquisition in all for a write set that stays within one shard.
@@ -498,62 +521,65 @@ impl AccessStats {
     }
 
     /// Decrements every count the retired samples contributed. Cold path:
-    /// runs only inside flushes. Decrements are flattened and grouped by
-    /// shard so each shard is locked once per batch rather than once per
-    /// sample — routing threads contend with at most one short lock hold
-    /// per shard per flush.
+    /// runs only inside flushes. Decrements are bucketed by shard so each
+    /// shard is locked once per batch rather than once per sample — routing
+    /// threads contend with at most one short lock hold per shard per flush
+    /// — and a pair run costs one `PartStats` lookup.
     fn expire_batch(&self, expired: &[Sample]) {
-        enum Dec {
+        enum Dec<'a> {
             Count(PartitionId),
-            Intra(PartitionId, PartitionId),
-            Inter(PartitionId, PartitionId, u64),
-        }
-        let mut decs: Vec<(usize, Dec)> = Vec::new();
-        for sample in expired {
-            for p in &sample.partitions {
-                decs.push((shard_of(*p), Dec::Count(*p)));
-            }
-            for (from, to) in &sample.intra_pairs {
-                decs.push((shard_of(*from), Dec::Intra(*from, *to)));
-            }
-            for (from, to, weight) in &sample.inter_pairs {
-                decs.push((shard_of(*from), Dec::Inter(*from, *to, *weight)));
-            }
+            Intra(&'a [(PartitionId, PartitionId)]),
+            Inter(&'a [(PartitionId, PartitionId, u64)]),
         }
         // Decrements commute, so ordering within a shard is irrelevant.
-        decs.sort_unstable_by_key(|(shard, _)| *shard);
-        let mut i = 0;
-        while i < decs.len() {
-            let shard_idx = decs[i].0;
-            let mut shard = self.shards[shard_idx].lock();
-            while i < decs.len() && decs[i].0 == shard_idx {
-                match &decs[i].1 {
+        let mut buckets: Vec<Vec<Dec>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
+        for sample in expired {
+            for &p in &sample.partitions {
+                buckets[shard_of(p)].push(Dec::Count(p));
+            }
+            for run in sample.intra_pairs.chunk_by(|a, b| a.0 == b.0) {
+                buckets[shard_of(run[0].0)].push(Dec::Intra(run));
+            }
+            for run in sample.inter_pairs.chunk_by(|a, b| a.0 == b.0) {
+                buckets[shard_of(run[0].0)].push(Dec::Inter(run));
+            }
+        }
+        for (shard, decs) in self.shards.iter().zip(&buckets) {
+            if decs.is_empty() {
+                continue;
+            }
+            let mut shard = shard.lock();
+            for dec in decs {
+                match *dec {
                     Dec::Count(p) => {
-                        if let Some(stats) = shard.parts.get_mut(p) {
+                        if let Some(stats) = shard.parts.get_mut(&p) {
                             stats.count = stats.count.saturating_sub(1);
                             if let Some(m) = stats.master {
                                 saturating_dec(&self.site_load[m.as_usize()], 1);
                             }
                         }
                     }
-                    Dec::Intra(from, to) => {
-                        if let Some(stats) = shard.parts.get_mut(from) {
-                            decrement_partner(&mut stats.intra, to, 1);
+                    Dec::Intra(run) => {
+                        if let Some(stats) = shard.parts.get_mut(&run[0].0) {
+                            for (_, to) in run {
+                                decrement_partner(&mut stats.intra, to, 1);
+                            }
                         }
                     }
-                    Dec::Inter(from, to, weight) => {
-                        if let Some(stats) = shard.parts.get_mut(from) {
-                            decrement_partner(&mut stats.inter, to, *weight);
+                    Dec::Inter(run) => {
+                        if let Some(stats) = shard.parts.get_mut(&run[0].0) {
+                            for (_, to, weight) in run {
+                                decrement_partner(&mut stats.inter, to, *weight);
+                            }
                         }
                     }
                 }
-                i += 1;
             }
         }
     }
 }
 
-fn decrement_partner(table: &mut HashMap<PartitionId, u64>, to: &PartitionId, by: u64) {
+fn decrement_partner(table: &mut IntMap<PartitionId, u64>, to: &PartitionId, by: u64) {
     if let Some(c) = table.get_mut(to) {
         *c = c.saturating_sub(by);
         if *c == 0 {
@@ -562,7 +588,7 @@ fn decrement_partner(table: &mut HashMap<PartitionId, u64>, to: &PartitionId, by
     }
 }
 
-fn probs(counts: &HashMap<PartitionId, u64>, total: u64) -> PartnerProbs {
+fn probs(counts: &IntMap<PartitionId, u64>, total: u64) -> PartnerProbs {
     if total == 0 {
         return PartnerProbs::default();
     }
@@ -578,18 +604,23 @@ fn probs(counts: &HashMap<PartitionId, u64>, total: u64) -> PartnerProbs {
 }
 
 /// Adds `by` to a co-access partner count; returns whether it was counted
-/// (partner-table capacity permitting).
+/// (partner-table capacity permitting). One probe for a tracked partner; a
+/// new one is inserted only while the table has room.
 fn bump_partner(
-    table: &mut HashMap<PartitionId, u64>,
+    table: &mut IntMap<PartitionId, u64>,
     to: PartitionId,
     by: u64,
     max_partners: usize,
 ) -> bool {
-    if table.len() >= max_partners && !table.contains_key(&to) {
-        return false;
+    if let Some(count) = table.get_mut(&to) {
+        *count += by;
+        true
+    } else if table.len() < max_partners {
+        table.insert(to, by);
+        true
+    } else {
+        false
     }
-    *table.entry(to).or_insert(0) += by;
-    true
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use dynamast_common::ids::{ClientId, PartitionId, SiteId};
+use dynamast_common::ids::{partition_id, ClientId, PartitionId, SiteId, TableId};
 use dynamast_common::{StrategyWeights, VersionVector};
 use dynamast_core::stats::{AccessStats, StatsConfig};
 use dynamast_core::strategy::{best_site, score_sites, CoAccess, ScoreInputs};
@@ -293,6 +293,86 @@ proptest! {
             stats.record_write_set(ClientId::new(*client as usize), t0 + at, &parts, &masters);
             model.record(*client, at, &parts, &config);
             if !*read && i != last {
+                continue;
+            }
+            model.flush(capacity);
+            let (snaps, site_load) = stats.snapshot(&all);
+            let mut want_load = vec![0.0; MODEL_SITES];
+            for (p, snap) in all.iter().zip(&snaps) {
+                let count = model.count.get(p).copied().unwrap_or(0);
+                prop_assert_eq!(snap.load, count as f64, "load of {:?} after op {}", p, i);
+                want_load[model_master(*p).as_usize()] += count as f64;
+                prop_assert_eq!(
+                    &snap.intra.partners,
+                    &model.probabilities(&model.intra, *p),
+                    "intra of {:?} after op {}", p, i
+                );
+                prop_assert_eq!(
+                    &snap.inter.partners,
+                    &model.probabilities(&model.inter, *p),
+                    "inter of {:?} after op {}", p, i
+                );
+            }
+            prop_assert_eq!(&site_load, &want_load);
+            prop_assert_eq!(stats.approx_site_load(), want_load);
+            prop_assert_eq!(stats.history_len(), model.history.len());
+        }
+    }
+}
+
+const TPCC_TABLES: usize = 6;
+const TPCC_INDEXES: u64 = 12;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The same reference at TPC-C's shape: packed `partition_id(table,
+    /// index)` ids over six tables (72 partitions, so 64-wide partner tables
+    /// saturate), sorted and deduplicated write sets of 5–20 partitions,
+    /// and two to four clients that each put 20+ sets inside one 100 ms Δt
+    /// window (≈ 1 ms between records), with windows expiring mid-sequence
+    /// and a history small enough to expire samples.
+    #[test]
+    fn multiset_window_matches_per_occurrence_reference_at_tpcc_shape(
+        clients in 2u64..5,
+        ops in prop::collection::vec(
+            (
+                0u64..4,
+                0u64..3,
+                prop::collection::btree_set((0usize..TPCC_TABLES, 0u64..TPCC_INDEXES), 5..21),
+                0u8..8,
+            ),
+            60..140,
+        ),
+        capacity in 8usize..80,
+        max_partners in 1usize..65,
+    ) {
+        let config = StatsConfig {
+            sample_rate: 1.0,
+            history_capacity: capacity,
+            inter_window: Duration::from_millis(100),
+            max_partners,
+        };
+        let stats = AccessStats::new(config, MODEL_SITES, 7);
+        let mut model = NaiveStats::default();
+        let all: Vec<PartitionId> = (0..TPCC_TABLES)
+            .flat_map(|t| (0..TPCC_INDEXES).map(move |i| partition_id(TableId::new(t), i)))
+            .collect();
+        let t0 = Instant::now();
+        let mut at = Duration::ZERO;
+        let last = ops.len() - 1;
+        for (i, (client, dt_ms, set, read)) in ops.iter().enumerate() {
+            at += Duration::from_millis(*dt_ms);
+            let client = client % clients;
+            // A routed write set: sorted by packed id, no repeats.
+            let parts: Vec<PartitionId> = set
+                .iter()
+                .map(|&(t, index)| partition_id(TableId::new(t), index))
+                .collect();
+            let masters: Vec<Option<SiteId>> = parts.iter().map(|p| Some(model_master(*p))).collect();
+            stats.record_write_set(ClientId::new(client as usize), t0 + at, &parts, &masters);
+            model.record(client, at, &parts, &config);
+            if *read != 0 && i != last {
                 continue;
             }
             model.flush(capacity);

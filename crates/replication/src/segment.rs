@@ -27,6 +27,12 @@
 //! Whole segments are deleted from the front by
 //! [`SegmentLog::truncate_segments_below`] once every consumer floor has
 //! passed them (see the retention logic in `log.rs`).
+//!
+//! **Directory entries.** A file's own `fsync` does not make its name
+//! durable. Under `Group` and `Always` the directory is synced right after
+//! a segment is created — before any frame in it can count as synced — and
+//! after segments are deleted; a fresh log also syncs the directory's
+//! parent, for the directory's own entry.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
@@ -74,6 +80,13 @@ fn io_err(what: &'static str, err: &std::io::Error) -> DynaError {
     // it on stderr so a failed crash-sim run is still diagnosable.
     eprintln!("[segment] {what}: {err}");
     DynaError::Internal(what)
+}
+
+/// Makes `dir`'s entries (files created or deleted in it) durable.
+fn sync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("fsync segment dir", &e))
 }
 
 fn segment_path(dir: &Path, base: u64) -> PathBuf {
@@ -137,7 +150,16 @@ impl SegmentLog {
             .and_then(|raw| raw.parse().ok());
 
         if bases.is_empty() {
-            // Fresh log: create the first segment at offset zero.
+            // Fresh log: make the directory's own entry durable, then create
+            // the first segment at offset zero.
+            if fsync != FsyncMode::Off {
+                // `Path::parent` of a one-component relative path is "".
+                let parent = match dir.parent() {
+                    Some(p) if !p.as_os_str().is_empty() => p,
+                    _ => Path::new("."),
+                };
+                sync_dir(parent)?;
+            }
             let disk = Self::create_segment(dir, 0, segment_bytes, fsync, torn_write_at, 0)?;
             return Ok(RecoveredSegments {
                 disk,
@@ -228,6 +250,9 @@ impl SegmentLog {
         header.extend_from_slice(&base_offset.to_le_bytes());
         file.write_all(&header)
             .map_err(|e| io_err("write segment header", &e))?;
+        if fsync != FsyncMode::Off {
+            sync_dir(&dir)?;
+        }
         Ok(SegmentLog {
             dir,
             fsync,
@@ -402,15 +427,20 @@ impl SegmentLog {
         bases.sort_unstable();
         // A segment covers [base, next segment's base); deletable when that
         // whole range is below the floor and it is not the active segment.
+        let mut deleted = false;
         for pair in bases.windows(2) {
             let (seg, next) = (pair[0], pair[1]);
             if next <= floor && seg != self.current_base {
                 std::fs::remove_file(segment_path(&self.dir, seg))
                     .map_err(|e| io_err("delete truncated segment", &e))?;
                 self.oldest_base = next;
+                deleted = true;
             } else {
                 break;
             }
+        }
+        if deleted && self.fsync != FsyncMode::Off {
+            sync_dir(&self.dir)?;
         }
         Ok(self.oldest_base)
     }

@@ -5,11 +5,11 @@
 //! `read_latest`, `scan`, the cut [`Store::image`]) are wrappers whose
 //! closure keeps the shared row.
 
-use std::collections::HashSet;
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
 use std::ops::RangeBounds;
 use std::sync::Arc;
 
+use dynamast_common::hash::IntSet;
 use dynamast_common::ids::{unpack_partition_id, Key, PartitionId, RecordId, TableId};
 use dynamast_common::{Result, Row, VersionVector};
 use parking_lot::Mutex;
@@ -27,7 +27,7 @@ pub struct Store {
     /// Partitions written since the last full checkpoint image (incremental
     /// checkpointing reads this set; [`Store::clear_dirty`] resets it when
     /// a full rebase image is cut).
-    dirty: Mutex<HashSet<PartitionId>>,
+    dirty: Mutex<IntSet<PartitionId>>,
 }
 
 impl Store {
@@ -43,7 +43,7 @@ impl Store {
             catalog,
             tables,
             locks: Arc::new(LockManager::new()),
-            dirty: Mutex::new(HashSet::new()),
+            dirty: Mutex::new(IntSet::default()),
         }
     }
 
