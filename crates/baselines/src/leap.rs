@@ -41,7 +41,7 @@ use dynamast_network::{EndpointId, Network, TrafficCategory};
 use dynamast_replication::LogSet;
 use dynamast_site::data_site::{DataSite, DataSiteConfig, SiteRuntime, StaticOwnerFn};
 use dynamast_site::messages::{expect_ok, SiteRequest, SiteResponse};
-use dynamast_site::proc::{ProcCall, ProcExecutor, ReadMode, ScanRange};
+use dynamast_site::proc::{ProcCall, ProcExecutor, ReadMode};
 use dynamast_site::system::{
     exec_read_at, exec_update_at, Breakdown, ClientSession, ReplicatedSystem, SystemStats,
     TxnOutcome,
@@ -151,35 +151,6 @@ impl LeapSystem {
         Ok(())
     }
 
-    fn touched_partitions(&self, proc: &ProcCall) -> Result<Vec<PartitionId>> {
-        let mut partitions = Vec::new();
-        for key in proc.write_set.iter().chain(&proc.read_keys) {
-            if self.static_tables.contains(&key.table) {
-                continue; // replicated everywhere; never localized
-            }
-            partitions.push(self.catalog.partition_of(*key)?);
-        }
-        for range in &proc.read_ranges {
-            if self.static_tables.contains(&range.table) {
-                continue;
-            }
-            partitions.extend(self.partitions_of_range(range)?);
-        }
-        partitions.sort_unstable();
-        partitions.dedup();
-        Ok(partitions)
-    }
-
-    fn partitions_of_range(&self, range: &ScanRange) -> Result<Vec<PartitionId>> {
-        let schema = self.catalog.table(range.table)?;
-        let psize = schema.partition_size;
-        let first = range.start / psize;
-        let last = (range.end.saturating_sub(1)) / psize;
-        Ok((first..=last)
-            .map(|i| schema.partition_of(i * psize))
-            .collect())
-    }
-
     /// Localizes every touched partition to the client's execution site,
     /// then runs `body` with the partition locks held.
     ///
@@ -195,7 +166,9 @@ impl LeapSystem {
         proc: &ProcCall,
         body: impl FnOnce(SiteId) -> Result<T>,
     ) -> Result<(T, Duration)> {
-        let partitions = self.touched_partitions(proc)?;
+        // Static tables are replicated everywhere and never localized.
+        let partitions =
+            proc.partitions(&self.catalog, |table| self.static_tables.contains(&table))?;
         if partitions.is_empty() {
             // A transaction over static replicated tables only: execute at
             // the destination without localization.

@@ -1,8 +1,7 @@
 //! System-wide configuration.
 //!
 //! [`SystemConfig`] collects the knobs the paper mentions: number of data
-//! sites, number of retained record versions (four, §V-A1), partition
-//! granularity (YCSB uses 100-key partitions, Appendix C), the site-selector
+//! sites, number of retained record versions (four, §V-A1), the site-selector
 //! strategy weights (Eq. 8, Appendix H), statistics sampling, and the
 //! simulated-network latency model that stands in for the paper's 10GbE +
 //! Thrift deployment.
@@ -245,12 +244,15 @@ impl ReplicationMode {
     }
 
     /// The effective replica floor under `num_sites` sites: the configured
-    /// floor clamped to `[2, num_sites]` (full replication floors at all
-    /// sites).
+    /// floor clamped to `[min(2, num_sites), num_sites]` (full replication
+    /// floors at all sites).
     pub fn effective_floor(&self, num_sites: usize) -> usize {
         match self {
             ReplicationMode::Full => num_sites,
-            ReplicationMode::Partial { floor } => (*floor).clamp(2, num_sites.max(1)),
+            ReplicationMode::Partial { floor } => {
+                let n = num_sites.max(1);
+                (*floor).clamp(2.min(n), n)
+            }
         }
     }
 }
@@ -312,8 +314,6 @@ pub struct SystemConfig {
     pub num_sites: usize,
     /// Retained versions per record (default 4, §V-A1).
     pub mvcc_versions: usize,
-    /// Keys per partition for key-range partitioned tables (YCSB uses 100).
-    pub partition_size: u64,
     /// Site-selector strategy weights (Eq. 8).
     pub weights: StrategyWeights,
     /// Simulated network latency.
@@ -383,7 +383,6 @@ impl SystemConfig {
         SystemConfig {
             num_sites,
             mvcc_versions: 4,
-            partition_size: 100,
             weights: StrategyWeights::ycsb(),
             network: NetworkConfig::lan(),
             sample_rate: 1.0,
@@ -451,8 +450,8 @@ impl SystemConfig {
     }
 
     /// Switches to partial replication with the given per-partition copy
-    /// floor (clamped to at least 2 at build time so fail-over always has a
-    /// survivor copy).
+    /// floor (clamped into `[min(2, num_sites), num_sites]` at build time, so
+    /// fail-over has a survivor copy whenever there are two sites).
     #[must_use]
     pub fn with_partial_replication(mut self, floor: usize) -> Self {
         self.replication = ReplicationMode::Partial { floor };
@@ -548,9 +547,10 @@ mod tests {
         let cfg = cfg.with_partial_replication(2);
         assert!(cfg.replication.is_partial());
         assert_eq!(cfg.replication.effective_floor(4), 2);
-        // Floors clamp into [2, num_sites].
+        // Floors clamp into [min(2, num_sites), num_sites].
         assert_eq!(ReplicationMode::Partial { floor: 0 }.effective_floor(4), 2);
         assert_eq!(ReplicationMode::Partial { floor: 9 }.effective_floor(4), 4);
+        assert_eq!(ReplicationMode::Partial { floor: 2 }.effective_floor(1), 1);
     }
 
     #[test]

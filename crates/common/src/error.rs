@@ -25,9 +25,8 @@ pub enum DynaError {
     NoSuchRecord(Key),
     /// A site received an operation for a partition it does not master.
     ///
-    /// Under the distributed site selector (Appendix I) this is the expected
-    /// signal for a stale-metadata routing; the client resubmits to the
-    /// master selector.
+    /// This is the signal for a routing made stale by a concurrent
+    /// remaster; the client resubmits to the selector.
     NotMaster {
         /// The site that rejected the operation.
         site: SiteId,

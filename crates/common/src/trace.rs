@@ -1,11 +1,11 @@
 //! Flight recorder: an always-on, bounded, structured event trace.
 //!
 //! Every component of the system — the site selector, the data sites, the
-//! replication propagator, the network fabric, and the 2PC coordinators of
-//! the baseline architectures — records [`TraceEvent`]s into a shared
-//! [`FlightRecorder`]. The recorder is designed so that recording is cheap
-//! enough to leave on in benchmarks (see `BENCH_selector.json` for the
-//! measured overhead):
+//! replication propagator, the network fabric, and the client-side 2PC
+//! coordinator of the static baseline architectures — records
+//! [`TraceEvent`]s into a shared [`FlightRecorder`]. The recorder is
+//! designed so that recording is cheap enough to leave on in benchmarks
+//! (see `BENCH_selector.json` for the measured overhead):
 //!
 //! * Each writer thread owns a private bounded ring; recording is one
 //!   uncontended `try_lock` (a single CAS) plus a circular-buffer store.
@@ -18,12 +18,12 @@
 //!
 //! Events carry a **trace id** (`txn_id`): client-facing transactions are
 //! assigned a process-unique id at submission ([`next_trace_id`]) which rides
-//! the `ExecUpdate` / `ExecRead` / `ExecCoordinated` RPCs, so a single
-//! transaction's causal path — route → remaster → execute → commit →
-//! refresh — can be reassembled across components with
-//! [`render_timelines`]. Replication refresh events do not know the
-//! transaction id (log records are identified by `(origin, sequence)`), so
-//! the renderer joins them against the commit event's version stamp.
+//! the `ExecUpdate` / `ExecRead` RPCs, so a single transaction's causal path
+//! — route → remaster → execute → commit → refresh — can be reassembled
+//! across components with [`render_timelines`]. Replication refresh events
+//! do not know the transaction id (log records are identified by
+//! `(origin, sequence)`), so the renderer joins them against the commit
+//! event's version stamp.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -952,35 +952,15 @@ impl DynaMastSystem {
         Ok(())
     }
 
-    /// Every partition a call's declared read set touches (point reads and
-    /// range spans). Mirrors the site-side hosting admission check so read
-    /// routing under partial replication targets a site that can actually
-    /// serve the snapshot.
-    fn read_partitions(&self, proc: &ProcCall) -> Vec<PartitionId> {
+    /// Every partition a call declares, for read routing under partial
+    /// replication: the site-side hosting check admits only a site that
+    /// hosts all of them. Empty under full replication, where every site
+    /// hosts everything.
+    fn read_partitions(&self, proc: &ProcCall) -> Result<Vec<PartitionId>> {
         if !self.config.replication.is_partial() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
-        let mut parts = Vec::new();
-        for key in proc.read_keys.iter().chain(&proc.write_set) {
-            if let Ok(p) = self.catalog.partition_of(*key) {
-                parts.push(p);
-            }
-        }
-        for range in &proc.read_ranges {
-            if range.end <= range.start {
-                continue;
-            }
-            if let Ok(schema) = self.catalog.table(range.table) {
-                let first = range.start / schema.partition_size;
-                let last = (range.end - 1) / schema.partition_size;
-                for index in first..=last {
-                    parts.push(dynamast_common::ids::partition_id(range.table, index));
-                }
-            }
-        }
-        parts.sort_unstable();
-        parts.dedup();
-        parts
+        proc.partitions(&self.catalog, |_| false)
     }
 
     /// Stops the probe and site runtimes (also happens on drop).
@@ -1117,7 +1097,7 @@ impl ReplicatedSystem for DynaMastSystem {
         let mut last_err = DynaError::Internal("unreachable: no read attempts");
         // Partitions the read touches; under partial replication the
         // selector only considers sites hosting all of them.
-        let read_parts = self.read_partitions(proc);
+        let read_parts = self.read_partitions(proc)?;
         // A site crashing under the read is recoverable: re-route (the
         // selector skips unreachable sites) and run on a replica. Reads are
         // idempotent, so the resubmission needs no further care.

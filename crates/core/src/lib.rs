@@ -19,11 +19,8 @@
 //! * [`dynamast`] — the assembled [`DynaMastSystem`]: data sites +
 //!   replication + selector behind the
 //!   [`dynamast_site::system::ReplicatedSystem`] client API.
-//! * [`distributed`] — replica site selectors (Appendix I): stale-tolerant
-//!   local routing with abort-and-resubmit to the master selector.
 //! * [`recovery`] — selector and site recovery from the durable logs (§V-C).
 
-pub mod distributed;
 pub mod dynamast;
 pub mod freshness;
 pub mod partition_map;
@@ -33,7 +30,6 @@ pub mod selector;
 pub mod stats;
 pub mod strategy;
 
-pub use distributed::{DistributedSelectorSystem, ReplicaSelector};
 pub use dynamast::{DynaMastConfig, DynaMastSystem};
 pub use freshness::FreshnessCache;
 pub use partition_map::PartitionMap;

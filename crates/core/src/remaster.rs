@@ -320,12 +320,6 @@ impl SiteSelector {
 
     // ---- The epoch policy: queue now, move at the boundary ----
 
-    /// Number of moves currently queued for the next epoch boundary
-    /// (tests and diagnostics; counts sticky "stay put" markers too).
-    pub fn pending_moves(&self) -> usize {
-        self.pending.lock().moves.len()
-    }
-
     /// Forgets a queued move once the partition has moved.
     fn drop_pending(&self, partition: PartitionId) {
         if self.config.remaster_batching {

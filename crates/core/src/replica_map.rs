@@ -19,6 +19,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use dynamast_common::ids::{PartitionId, SiteId};
 use parking_lot::RwLock;
 
+/// A copy floor clamped to `[min(2, n), n]` for `n` sites: two copies
+/// whenever the deployment has two sites (fail-over needs a survivor), and
+/// every site of a smaller one.
+fn clamp_floor(floor: usize, num_sites: usize) -> usize {
+    let n = num_sites.max(1);
+    floor.clamp(2.min(n), n)
+}
+
 /// Per-partition replica sets as site bitmasks.
 ///
 /// Partitions absent from the table implicitly hold the *default* replica
@@ -42,7 +50,7 @@ impl ReplicaMap {
         assert!(num_sites <= 64, "replica bitmask holds at most 64 sites");
         ReplicaMap {
             num_sites,
-            floor: floor.clamp(2, num_sites.max(1)).min(num_sites.max(1)),
+            floor: clamp_floor(floor, num_sites),
             full,
             entries: RwLock::new(HashMap::new()),
         }
@@ -87,7 +95,7 @@ impl ReplicaMap {
     /// sets from the same function, so the selector and the sites agree
     /// without any startup coordination.
     pub fn default_hosts(num_sites: usize, floor: usize, partition: PartitionId) -> Vec<SiteId> {
-        let floor = floor.clamp(2, num_sites.max(1)).min(num_sites.max(1));
+        let floor = clamp_floor(floor, num_sites);
         let anchor = (partition.raw() as usize / Self::ANCHOR_BLOCK) % num_sites.max(1);
         (0..floor)
             .map(|i| SiteId::new((anchor + i) % num_sites.max(1)))
@@ -175,15 +183,6 @@ impl ReplicaMap {
             }
         });
         prev & bit != 0 && (prev.count_ones() as usize) > self.floor
-    }
-
-    /// Replaces `partition`'s replica set wholesale (restart reconciliation:
-    /// the checkpointed hosted set is the site's post-crash truth).
-    pub fn set_mask(&self, partition: PartitionId, mask: u64) {
-        if self.full {
-            return;
-        }
-        self.entry_op(partition, |_| mask);
     }
 
     /// Reconciles one site's hosting claims: sets `site`'s bit on exactly

@@ -116,6 +116,31 @@ fn update_then_read_same_session_sees_writes() {
     }
 }
 
+/// Regression: a one-site deployment panicked at construction. The replica
+/// floor was clamped into `[2, num_sites]`, and `clamp` panics when its
+/// minimum exceeds its maximum.
+#[test]
+fn a_one_site_deployment_commits_and_reads_back() {
+    for partial in [false, true] {
+        let mut catalog = Catalog::new();
+        catalog.add_table("kv", 1, 100);
+        let mut config = SystemConfig::new(1).with_instant_network();
+        if partial {
+            config = config.with_partial_replication(2);
+        }
+        let system = DynaMastSystem::build(
+            DynaMastConfig::adaptive(config, catalog),
+            Arc::new(TestExec),
+        );
+        let mut session = ClientSession::new(ClientId::new(1), 1);
+        system
+            .update(&mut session, &add_proc(&[1, 150], 7))
+            .unwrap();
+        let outcome = system.read(&mut session, &sum_proc(&[1, 150])).unwrap();
+        assert_eq!(decode_sum(&outcome.result), 14, "partial: {partial}");
+    }
+}
+
 #[test]
 fn cross_partition_write_sets_trigger_remastering() {
     let system = build_system(2);

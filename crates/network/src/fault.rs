@@ -320,7 +320,6 @@ fn endpoint_code(endpoint: Option<EndpointId>) -> u64 {
     match endpoint {
         None => u64::MAX,
         Some(EndpointId::Selector) => 1 << 32,
-        Some(EndpointId::SelectorReplica(i)) => (2 << 32) | u64::from(i),
         Some(EndpointId::Site(i)) => (3 << 32) | u64::from(i),
     }
 }

@@ -72,10 +72,8 @@ pub use stats::{TrafficCategory, TrafficStats};
 /// Addressable components in a deployment.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EndpointId {
-    /// The (master) site selector.
+    /// The site selector.
     Selector,
-    /// A replica site selector (Appendix I distributed selector).
-    SelectorReplica(u32),
     /// A data site.
     Site(u32),
 }
@@ -84,7 +82,6 @@ impl fmt::Debug for EndpointId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EndpointId::Selector => write!(f, "selector"),
-            EndpointId::SelectorReplica(i) => write!(f, "selector-replica-{i}"),
             EndpointId::Site(i) => write!(f, "site-{i}"),
         }
     }
@@ -867,13 +864,12 @@ impl Network {
 }
 
 /// Compact endpoint encoding carried by flight-recorder `Net` payloads:
-/// sites map to their id, the selector to `0xFFFF_0000`, selector replicas
-/// to `0xFFFE_0000 | i`, and anonymous clients to `0xFFFF_FFFF`.
+/// sites map to their id, the selector to `0xFFFF_0000`, and anonymous
+/// clients to `0xFFFF_FFFF`.
 fn trace_code(ep: Option<EndpointId>) -> u32 {
     match ep {
         None => 0xFFFF_FFFF,
         Some(EndpointId::Selector) => 0xFFFF_0000,
-        Some(EndpointId::SelectorReplica(i)) => 0xFFFE_0000 | (i & 0xFFFF),
         Some(EndpointId::Site(i)) => i,
     }
 }

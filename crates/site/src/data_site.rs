@@ -38,8 +38,9 @@ pub struct DataSiteConfig {
     pub replicate: bool,
     /// Partitions initially mastered here.
     pub initial_partitions: Vec<PartitionId>,
-    /// Owner lookup for the 2PC coordinator path (multi-master /
-    /// partition-store); `None` for dynamically mastered systems.
+    /// Fixed owner lookup that a 2PC prepare checks its fragment against
+    /// (multi-master / partition-store); `None` for dynamically mastered
+    /// systems.
     pub static_owner: Option<StaticOwnerFn>,
     /// Static read-only tables replicated at every site even in otherwise
     /// unreplicated systems (the paper's partition-store "does not replicate
@@ -269,7 +270,6 @@ pub struct DataSite {
     /// grant). Persisted in checkpoints so recovery after log truncation
     /// still knows the epoch floor, and stamped onto audit-plane events.
     max_epoch_seen: AtomicU64,
-    txn_counter: AtomicU64,
     config: SystemConfig,
     /// Flight recorder shared by the deployment (cached from the network at
     /// construction so execution hot paths never touch the fabric lock).
@@ -283,7 +283,7 @@ pub struct DataSite {
     refresh_skipped: Option<Arc<dynamast_common::metrics::Counter>>,
     /// Committed update transactions (diagnostics).
     pub commits: dynamast_common::metrics::Counter,
-    /// 2PC aborts observed as participant or coordinator (diagnostics).
+    /// 2PC aborts observed as participant (diagnostics).
     pub aborts: dynamast_common::metrics::Counter,
 }
 
@@ -327,8 +327,8 @@ impl DataSite {
     /// logs (§V-C): the store and svv come from
     /// `dynamast_replication::recovery::replay`, the mastered set from
     /// the recovered grant/release history. Volatile state (prepared 2PC
-    /// fragments, dedup caches, the txn-id counter) starts empty, exactly
-    /// as a process restart would leave it.
+    /// fragments, dedup caches) starts empty, exactly as a process restart
+    /// would leave it.
     pub fn from_recovered(
         cfg: DataSiteConfig,
         store: Store,
@@ -381,7 +381,6 @@ impl DataSite {
             granted: RemasterLedger::default(),
             selector_generation: AtomicU64::new(0),
             max_epoch_seen: AtomicU64::new(0),
-            txn_counter: AtomicU64::new(1),
             config: cfg.system,
             recorder,
             replicate: cfg.replicate,
@@ -456,38 +455,10 @@ impl DataSite {
         &self.config
     }
 
-    /// The static owner lookup, if configured.
-    pub(crate) fn static_owner(&self) -> Option<&StaticOwnerFn> {
-        self.static_owner.as_ref()
-    }
-
-    /// `true` iff the table is replicated at every site regardless of the
-    /// system's replication setting (static read-only tables).
-    pub fn is_replicated_table(&self, table: dynamast_common::ids::TableId) -> bool {
-        self.replicated_tables.contains(&table)
-    }
-
-    /// The workload executor.
-    pub(crate) fn executor(&self) -> &Arc<dyn ProcExecutor> {
-        &self.executor
-    }
-
-    /// Allocates a globally unique 2PC transaction id.
-    pub(crate) fn next_txn_id(&self) -> u64 {
-        (u64::from(self.id.raw()) << 48) | self.txn_counter.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// How many transaction ids this site has allocated so far. Exposed so
-    /// tests can assert the id space stays contiguous — backoff and other
-    /// side paths must not consume ids (see the coordinator's jitter fix).
-    pub fn txn_ids_allocated(&self) -> u64 {
-        self.txn_counter.load(Ordering::Relaxed) - 1
-    }
-
     /// Records one site-side flight-recorder event. Untraced transactions
     /// (`txn_id == 0` — e.g. raw test RPCs) are skipped so they do not
     /// crowd the bounded ring.
-    pub(crate) fn trace(&self, txn_id: u64, kind: TraceKind, payload: TracePayload) {
+    fn trace(&self, txn_id: u64, kind: TraceKind, payload: TracePayload) {
         if txn_id == 0 {
             return;
         }
@@ -500,7 +471,7 @@ impl DataSite {
     /// touched `ops` rows. Waiting here holds one of the site's RPC handler
     /// slots — the data site's capacity is its `workers` slots, like the
     /// paper's 12-core machines — without burning host CPU.
-    pub(crate) fn service_sleep(&self, ops: u64) {
+    fn service_sleep(&self, ops: u64) {
         let cost = self.config.service_base + self.config.service_per_op * (ops as u32);
         if !cost.is_zero() {
             wait_until(Instant::now() + cost);
@@ -544,12 +515,6 @@ impl DataSite {
         })
     }
 
-    /// Partial-replication admission (§IV-B): every partition the
-    /// transaction declares — writes, point reads, and the partitions a
-    /// range scan spans — must be fully hosted here, else the caller gets
-    /// [`DynaError::NotReplica`] and the selector routes elsewhere (or
-    /// provisions a copy first). Statically replicated tables are exempt:
-    /// they exist at every site regardless of the replica map.
     /// Directly marks `partition` as hosted (bulk-load seeding and test
     /// setup — before any traffic, so no protocol-mediated install is
     /// needed). No-op under full replication or when an install is already
@@ -563,30 +528,19 @@ impl DataSite {
         }
     }
 
+    /// Partial-replication admission (§IV-B): every partition the
+    /// transaction declares — writes, point reads, and the partitions a
+    /// range scan spans — must be fully hosted here, else the caller gets
+    /// [`DynaError::NotReplica`] and the selector routes elsewhere (or
+    /// provisions a copy first). Statically replicated tables are exempt:
+    /// they exist at every site regardless of the replica map.
     fn check_hosted(&self, proc: &ProcCall) -> Result<()> {
         let Some(hosted) = &self.hosted else {
             return Ok(());
         };
-        let mut partitions = Vec::new();
-        for key in proc.write_set.iter().chain(proc.read_keys.iter()) {
-            if self.replicated_tables.contains(&key.table) {
-                continue;
-            }
-            partitions.push(self.store.catalog().partition_of(*key)?);
-        }
-        for range in &proc.read_ranges {
-            if range.end <= range.start || self.replicated_tables.contains(&range.table) {
-                continue;
-            }
-            let schema = self.store.catalog().table(range.table)?;
-            let first = range.start / schema.partition_size;
-            let last = (range.end - 1) / schema.partition_size;
-            for index in first..=last {
-                partitions.push(dynamast_common::ids::partition_id(range.table, index));
-            }
-        }
-        partitions.sort_unstable();
-        partitions.dedup();
+        let partitions = proc.partitions(self.store.catalog(), |table| {
+            self.replicated_tables.contains(&table)
+        })?;
         let state = hosted.lock();
         for p in partitions {
             if !matches!(state.map.get(&p), Some(ReplicaState::Hosted)) {
@@ -739,7 +693,7 @@ impl DataSite {
     /// never observe the sequence before the versions are readable, and the
     /// commit record goes to the durable log for propagation and redo
     /// (§V-A2).
-    pub(crate) fn commit_local(
+    fn commit_local(
         &self,
         txn_id: u64,
         begin: &VersionVector,
@@ -993,11 +947,6 @@ impl DataSite {
     /// [`DataSite::install_selector_generation`].
     pub fn install_remaster_epoch(&self, epoch: u64) {
         self.max_epoch_seen.fetch_max(epoch, Ordering::AcqRel);
-    }
-
-    /// The highest remaster epoch this site has participated in.
-    pub fn max_remaster_epoch_seen(&self) -> u64 {
-        self.max_epoch_seen.load(Ordering::Acquire)
     }
 
     /// Releases mastership of each `(partition, epoch)` — the moves of one
@@ -1738,20 +1687,6 @@ impl SiteRpc {
                 site.check_selector_generation(generation)?;
                 Ok(SiteResponse::Granted {
                     results: remote_results(site.grant_moves(&grants)),
-                })
-            }
-            SiteRequest::ExecCoordinated {
-                txn_id,
-                min_vv,
-                proc,
-                mode,
-            } => {
-                let (result, commit_vv, timings) =
-                    crate::coord::run_coordinated(site, txn_id, &min_vv, &proc, mode)?;
-                Ok(SiteResponse::Executed {
-                    result,
-                    commit_vv,
-                    timings,
                 })
             }
             SiteRequest::Prepare {

@@ -15,14 +15,14 @@
 //!   records to the site's durable log and applies peers' records as refresh
 //!   transactions under the update application rule.
 //!
-//! The crate also provides the 2PC *coordinator* execution path
-//! ([`coord`]) used by the multi-master and partition-store baselines — the
-//! paper implements every comparator inside the same framework, and so do
-//! we — plus the [`system::ReplicatedSystem`] trait all five systems
-//! implement for the benchmark harness.
+//! The multi-master and partition-store baselines coordinate their 2PC at
+//! the client (`dynamast-baselines`); a data site is only ever a 2PC
+//! participant. The paper implements every comparator inside the same
+//! framework, and so do we: the crate also provides the
+//! [`system::ReplicatedSystem`] trait all five systems implement for the
+//! benchmark harness.
 
 pub mod clock;
-pub mod coord;
 pub mod data_site;
 pub mod messages;
 pub mod ownership;

@@ -7,8 +7,8 @@
 //! * `Release` / `Grant` — the dynamic mastering protocol (§III-B). One wire
 //!   form each: a vector of moves answered by a vector of per-move results,
 //!   a single move being a vector of one.
-//! * `ExecCoordinated`, `Prepare` / `Decide`, `RemoteRead` — the 2PC
-//!   execution path of multi-master and partition-store.
+//! * `Prepare` / `Decide`, `RemoteRead` — the participant side of the
+//!   client-coordinated 2PC of multi-master and partition-store.
 //! * `LeapRelease` / `LeapGrant` — LEAP's data-shipping localization
 //!   (records move with ownership, unlike DynaMast's metadata-only
 //!   transfers; the byte sizes of these messages are what make LEAP's
@@ -18,8 +18,9 @@
 //! Each message type is declared once, through [`dynamast_common::wire!`]:
 //! the declaration is the byte layout. A variant's `= n` is its tag byte,
 //! and its fields follow in declaration order, each in its type's encoding
-//! (`dynamast_common::codec`). Tags 13 and 14 belonged to deleted messages
-//! and stay unassigned, so every other message keeps its bytes.
+//! (`dynamast_common::codec`). Request tags 5, 13 and 14 and response tags
+//! 13 and 14 belonged to deleted messages and stay unassigned, so every
+//! other message keeps its bytes.
 
 use bytes::Bytes;
 use dynamast_common::codec::Decode;
@@ -73,8 +74,8 @@ dynamast_common::wire! {
             min_vv: VersionVector,
             /// The transaction.
             proc: ProcCall,
-            /// Verify mastership of the write set (DynaMast; also detects
-            /// stale distributed-selector routing per Appendix I).
+            /// Verify mastership of the write set (DynaMast: detects a
+            /// routing made stale by a concurrent remaster).
             check_mastery: bool,
         } = 1,
         /// Execute a read-only transaction.
@@ -108,17 +109,6 @@ dynamast_common::wire! {
             /// Fencing token: the sending selector's generation.
             generation: u64,
         } = 4,
-        /// Execute as a 2PC coordinator (multi-master / partition-store).
-        ExecCoordinated {
-            /// Flight-recorder trace id (0 = untraced).
-            txn_id: u64,
-            /// Freshness floor.
-            min_vv: VersionVector,
-            /// The transaction.
-            proc: ProcCall,
-            /// Read resolution for local reads.
-            mode: ReadMode,
-        } = 5,
         /// 2PC phase one: lock and stage writes, vote.
         Prepare {
             /// Globally unique transaction id.
@@ -306,7 +296,7 @@ dynamast_common::wire! {
     /// Wire-encodable subset of [`DynaError`] for cross-site failures.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub enum RemoteError {
-        /// Mastership check failed (Appendix I stale-routing signal).
+        /// Mastership check failed (the stale-routing signal).
         NotMaster {
             /// Rejecting site.
             site: SiteId,
@@ -454,12 +444,6 @@ mod tests {
         roundtrip_req(SiteRequest::Grant {
             grants: vec![],
             generation: 2,
-        });
-        roundtrip_req(SiteRequest::ExecCoordinated {
-            txn_id: 42,
-            min_vv: vv.clone(),
-            proc: sample_proc(),
-            mode: ReadMode::Latest,
         });
         roundtrip_req(SiteRequest::Prepare {
             txn_id: 77,

@@ -88,7 +88,7 @@ impl Ownership {
     ///
     /// With `check = true` (dynamic mastering, static partitioning), fails
     /// with [`DynaError::NotMaster`] if any partition is not mastered here —
-    /// the stale-routing signal of the distributed selector (Appendix I).
+    /// the signal that a concurrent remaster made the routing stale.
     pub fn register_writer(
         self: &Arc<Self>,
         site: dynamast_common::ids::SiteId,

@@ -10,13 +10,14 @@
 //! reads.
 //!
 //! Procedures run against a [`TxnCtx`]: the site crate provides
-//! [`LocalCtx`] (all data local); the 2PC coordinator in [`crate::coord`]
-//! provides a distributed context that performs remote reads.
+//! [`LocalCtx`] (all data local); the client-side 2PC coordinator of the
+//! static baselines (`dynamast-baselines`) provides one over the rows it
+//! fetched from the owning sites.
 
 use bytes::Bytes;
-use dynamast_common::ids::{Key, RecordId, TableId};
+use dynamast_common::ids::{partition_id, Key, PartitionId, RecordId, TableId};
 use dynamast_common::{DynaError, Result, Row, VersionVector};
-use dynamast_storage::{ReadAt, Store, VersionStamp, Visit};
+use dynamast_storage::{Catalog, ReadAt, Store, Visit};
 
 use std::collections::HashMap;
 
@@ -55,6 +56,34 @@ impl ProcCall {
     /// A read-only call (empty write set).
     pub fn is_read_only(&self) -> bool {
         self.write_set.is_empty()
+    }
+
+    /// Every partition the call declares — its write set, its point reads
+    /// and each partition a scan range spans — sorted and deduplicated.
+    /// Tables for which `exempt` holds are skipped (static tables that every
+    /// site holds, so they neither route nor localize).
+    pub fn partitions(
+        &self,
+        catalog: &Catalog,
+        exempt: impl Fn(TableId) -> bool,
+    ) -> Result<Vec<PartitionId>> {
+        let mut out = Vec::new();
+        for key in self.write_set.iter().chain(&self.read_keys) {
+            if !exempt(key.table) {
+                out.push(catalog.partition_of(*key)?);
+            }
+        }
+        for range in &self.read_ranges {
+            if range.end <= range.start || exempt(range.table) {
+                continue;
+            }
+            let size = catalog.table(range.table)?.partition_size;
+            let indexes = range.start / size..=(range.end - 1) / size;
+            out.extend(indexes.map(|index| partition_id(range.table, index)));
+        }
+        out.sort_unstable();
+        out.dedup();
+        Ok(out)
     }
 }
 
@@ -216,21 +245,13 @@ impl TxnCtx for LocalCtx<'_> {
     }
 }
 
-/// Convenience: installs buffered writes into a store with one stamp.
-pub fn install_writes(store: &Store, writes: &[(Key, Row)], stamp: VersionStamp) -> Result<()> {
-    for (key, row) in writes {
-        store.install(*key, stamp, row.clone())?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dynamast_common::codec::{self, Decode, Encode};
     use dynamast_common::ids::SiteId;
     use dynamast_common::Value;
-    use dynamast_storage::Catalog;
+    use dynamast_storage::VersionStamp;
 
     fn store() -> Store {
         let mut cat = Catalog::new();
@@ -264,6 +285,41 @@ mod tests {
         let mut slice = &buf[..];
         assert_eq!(ProcCall::decode(&mut slice).unwrap(), call);
         assert!(!call.is_read_only());
+    }
+
+    #[test]
+    fn partitions_expand_ranges_and_skip_exempt_tables() {
+        let mut cat = Catalog::new();
+        let t = cat.add_table("t", 1, 100);
+        let fixed = cat.add_table("fixed", 1, 10);
+        let scan = |table, start, end| ProcCall {
+            proc_id: 1,
+            args: Bytes::new(),
+            write_set: vec![Key::new(t, 5)],
+            read_keys: vec![],
+            read_ranges: vec![ScanRange { table, start, end }],
+        };
+        let none = |_| false;
+        // [150, 250) straddles partitions 1 and 2; the write adds 0.
+        assert_eq!(
+            scan(t, 150, 250).partitions(&cat, none).unwrap(),
+            vec![partition_id(t, 0), partition_id(t, 1), partition_id(t, 2)]
+        );
+        // An empty range spans no partition, wherever it starts.
+        assert_eq!(
+            scan(t, 300, 300).partitions(&cat, none).unwrap(),
+            vec![partition_id(t, 0)]
+        );
+        // An exempt table contributes nothing.
+        let call = ProcCall {
+            read_keys: vec![Key::new(fixed, 3)],
+            ..scan(fixed, 0, 40)
+        };
+        assert_eq!(
+            call.partitions(&cat, |table| table == fixed).unwrap(),
+            vec![partition_id(t, 0)]
+        );
+        assert_eq!(call.partitions(&cat, none).unwrap().len(), 5);
     }
 
     #[test]

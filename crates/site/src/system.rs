@@ -220,37 +220,6 @@ pub fn exec_read_at(
     }
 }
 
-/// Sends an `ExecCoordinated` (2PC) request to a coordinator site.
-pub fn exec_coordinated_at(
-    network: &Network,
-    site: SiteId,
-    txn_id: u64,
-    session: &mut ClientSession,
-    proc: &ProcCall,
-    mode: ReadMode,
-) -> Result<(Bytes, ExecTimings)> {
-    let req = SiteRequest::ExecCoordinated {
-        txn_id,
-        min_vv: session.cvv.clone(),
-        proc: proc.clone(),
-        mode,
-    };
-    let reply = client_rpc(network, site, &req)?;
-    match expect_ok(&reply)? {
-        SiteResponse::Executed {
-            result,
-            commit_vv,
-            timings,
-        } => {
-            session.observe(&commit_vv);
-            Ok((result, timings))
-        }
-        _ => Err(dynamast_common::DynaError::Internal(
-            "unexpected coordinated response",
-        )),
-    }
-}
-
 /// Measures a closure and returns its result with the elapsed time.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();

@@ -6,13 +6,17 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use dynamast::baselines::leap::LeapSystem;
 use dynamast::baselines::single_master::single_master;
 use dynamast::baselines::static_system::{StaticKind, StaticSystem};
-use dynamast::common::ids::ClientId;
-use dynamast::common::{Result, SystemConfig};
+use dynamast::common::ids::{unpack_partition_id, ClientId, Key, SiteId};
+use dynamast::common::{Result, Row, SystemConfig, Value};
 use dynamast::core::dynamast::{DynaMastConfig, DynaMastSystem};
+use dynamast::site::data_site::StaticOwnerFn;
+use dynamast::site::proc::{ProcCall, ProcExecutor, TxnCtx};
 use dynamast::site::system::{ClientSession, ReplicatedSystem};
+use dynamast::storage::Catalog;
 use dynamast::workloads::smallbank::{self, SmallBankConfig, SmallBankWorkload};
 use dynamast::workloads::{TxnKind, Workload};
 
@@ -217,5 +221,84 @@ fn deterministic_stream_produces_identical_balances_everywhere() {
     let first = totals[0].1;
     for (name, checksum) in &totals {
         assert_eq!(*checksum, first, "{name} diverged: {totals:?}");
+    }
+}
+
+/// Adds 1 to every write-set key (read-modify-write).
+struct Increment;
+
+impl ProcExecutor for Increment {
+    fn execute(&self, ctx: &mut dyn TxnCtx, call: &ProcCall) -> Result<Bytes> {
+        for key in &call.write_set {
+            let current = match ctx.read(*key)? {
+                Some(row) => row.cell(0).as_u64()?,
+                None => 0,
+            };
+            ctx.write(*key, Row::new(vec![Value::U64(current + 1)]))?;
+        }
+        Ok(Bytes::new())
+    }
+}
+
+/// Concurrent client-coordinated 2PCs never lose an increment: 4 threads ×
+/// 25 read-modify-writes of a write set that spans both owners end at 100
+/// at each owner. A read that went stale before its prepare fails the
+/// participant's first-committer-wins check, votes no, and is retried.
+#[test]
+fn concurrent_two_phase_commits_never_lose_increments() {
+    for kind in [StaticKind::MultiMaster, StaticKind::PartitionStore] {
+        let mut catalog = Catalog::new();
+        let table = catalog.add_table("t", 1, 100);
+        // Even partitions at site 0, odd ones at site 1.
+        let owner: StaticOwnerFn =
+            Arc::new(|pid| SiteId::new((unpack_partition_id(pid).1 % 2) as usize));
+        let system = StaticSystem::build(
+            kind,
+            config(2),
+            catalog,
+            owner,
+            Vec::new(),
+            Arc::new(Increment),
+            8,
+        );
+        let keys = [Key::new(table, 10), Key::new(table, 110)];
+        for key in keys {
+            system.load_row(key, Row::new(vec![Value::U64(0)])).unwrap();
+        }
+        let call = ProcCall {
+            proc_id: 1,
+            args: Bytes::new(),
+            write_set: keys.to_vec(),
+            read_keys: vec![],
+            read_ranges: vec![],
+        };
+        let handles: Vec<_> = (0..4usize)
+            .map(|t| {
+                let system = Arc::clone(&system);
+                let call = call.clone();
+                std::thread::spawn(move || {
+                    let mut session = ClientSession::new(ClientId::new(t), 2);
+                    for _ in 0..25 {
+                        system.update(&mut session, &call).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        for (owner, key) in keys.iter().enumerate() {
+            let (row, _) = system.sites()[owner]
+                .store()
+                .read_latest(*key)
+                .unwrap()
+                .unwrap();
+            assert_eq!(
+                row.cell(0).as_u64().unwrap(),
+                100,
+                "{}: {key:?} at its owner",
+                system.name()
+            );
+        }
     }
 }

@@ -159,15 +159,6 @@ fn every_site_request_variant_keeps_its_bytes() {
         &format!("04 | 00000001 | {P4} 0000000000000009 {VV} | 0000000000000002"),
     );
     pin(
-        SiteRequest::ExecCoordinated {
-            txn_id: 41,
-            min_vv: vv(),
-            proc: proc_call(),
-            mode: ReadMode::Latest,
-        },
-        &format!("05 | 0000000000000029 | {VV} | {proc} | 01"),
-    );
-    pin(
         SiteRequest::Prepare {
             txn_id: 77,
             writes: vec![WriteEntry::new(key(), row())],
@@ -420,7 +411,8 @@ fn an_image_record_keeps_its_bytes() {
 
 #[test]
 fn unassigned_tags_are_refused() {
-    // 13 and 14 are gaps left by deleted messages; 0 and 18 were never used.
+    // 5 (requests only), 13 and 14 are gaps left by deleted messages; 0
+    // and 18 were never used.
     for tag in [0u8, 13, 14, 18, 0xff] {
         assert!(
             SiteRequest::decode(&mut &[tag][..]).is_err(),
@@ -431,6 +423,7 @@ fn unassigned_tags_are_refused() {
             "response {tag}"
         );
     }
+    assert!(SiteRequest::decode(&mut &[5u8][..]).is_err(), "request 5");
     for tag in [0u8, 7] {
         assert!(RemoteError::decode(&mut &[tag][..]).is_err(), "error {tag}");
     }
