@@ -3,11 +3,10 @@
 //! out in DESIGN.md.
 //!
 //! After the criterion benches, `main` runs the multi-threaded selector
-//! routing benchmark (see [`selector_mt`]) comparing the sharded/lock-free
-//! selector hot path against a faithful replica of the pre-refactor
-//! single-mutex implementation, and writes the numbers to
-//! `BENCH_selector.json` at the repo root. Set `DYNAMAST_MT_ONLY=1` to skip
-//! the criterion benches and run only the selector comparison.
+//! routing benchmark (see [`selector_mt`]): the live selector's routing
+//! throughput at 1/4/8 router threads and the flight recorder's overhead on
+//! it, written to `BENCH_selector.json` at the repo root. Set
+//! `DYNAMAST_MT_ONLY=1` to skip the criterion benches and run only that.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -252,41 +251,28 @@ criterion_group! {
               bench_partition_map, bench_metrics_and_dist, bench_remastering
 }
 
-/// Multi-threaded selector routing throughput: the sharded/lock-free hot
-/// path (current `SiteSelector`) vs the pre-refactor design, where one
-/// `Mutex<StatsInner>` guarded every statistic, freshness estimates lived in
-/// a `Mutex<Vec<VersionVector>>`, and read routing shared a
-/// `Mutex<SmallRng>`. The legacy side is a line-for-line replica of the seed
-/// revision's `AccessStats::record_write_set` / `route_read`, driven through
-/// the same catalog lookup and partition-map shared-lock steps, so the only
-/// difference measured is the statistics/freshness/RNG synchronization.
+/// Multi-threaded selector routing throughput of the live `SiteSelector`
+/// inside a DynaMast deployment.
 ///
-/// Workload: every op routes a single-partition update over a pre-placed
-/// pool (the sole-master fast path — no remastering RPCs, so routing cost
-/// dominates), and every fourth op also routes a freshness-checked read.
-/// Threads use distinct clients and offset round-robin cursors. The
-/// inter-transaction window is set to zero in both implementations: at
-/// microbenchmark rates the per-client recency scan is quadratic in the
-/// window and would swamp the synchronization cost being compared.
+/// Workload: the update mix routes a single-partition update over a
+/// pre-placed pool (the sole-master fast path — no remastering RPCs, so
+/// routing cost, statistics recording included, dominates); the read mix
+/// routes freshness-checked reads. Threads use distinct clients and offset
+/// round-robin cursors. The inter-transaction window is zero: at
+/// microbenchmark rates one client's Δt window would hold thousands of sets.
 mod selector_mt {
-    use std::collections::{HashMap, VecDeque};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Barrier};
     use std::thread;
     use std::time::{Duration, Instant};
 
     use bytes::Bytes;
-    use dynamast_common::ids::{partition_id, ClientId, Key, PartitionId, SiteId, TableId};
-    use dynamast_common::metrics::Counter;
+    use dynamast_common::ids::{partition_id, ClientId, Key, SiteId, TableId};
     use dynamast_common::{SystemConfig, VersionVector};
     use dynamast_core::dynamast::{DynaMastConfig, DynaMastSystem};
-    use dynamast_core::partition_map::PartitionMap;
-    use dynamast_core::selector::{RouteDecision, SiteSelector};
+    use dynamast_core::selector::SiteSelector;
     use dynamast_site::proc::{ProcCall, ProcExecutor, TxnCtx};
     use dynamast_storage::Catalog;
-    use parking_lot::Mutex;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
 
     const SITES: usize = 4;
     const POOL: u64 = 4096;
@@ -295,29 +281,6 @@ mod selector_mt {
     const MEASURE: Duration = Duration::from_millis(500);
     const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 
-    fn bench_config() -> SystemConfig {
-        let mut config = SystemConfig::new(SITES)
-            .with_instant_service()
-            .with_seed(77);
-        config.inter_txn_window = Duration::ZERO;
-        config
-    }
-
-    /// The two routing operations measured against either implementation.
-    trait Router: Send + Sync + 'static {
-        /// Routes a single-partition update over the pre-placed pool (the
-        /// sole-master fast path: no remastering RPCs).
-        fn update_one(&self, client: ClientId, part: u64);
-        /// Routes a freshness-checked read.
-        fn read_one(&self);
-        /// Nanoseconds per op spent inside this implementation's serialized
-        /// (mutually exclusive) section for `mix`, measured single-threaded.
-        /// Feeds the Amdahl projection in the JSON report: on a 1-CPU
-        /// container parallel speedups cannot manifest directly, but the
-        /// serialized fraction bounds multi-core scalability either way.
-        fn serialized_ns_per_op(&self, mix: Mix) -> f64;
-    }
-
     #[derive(Clone, Copy)]
     enum Mix {
         /// 100% update routes: exercises the access-statistics path.
@@ -325,11 +288,6 @@ mod selector_mt {
         /// 100% read routes: exercises the freshness cache and read RNG.
         Read,
     }
-
-    // ------------------------------------------------------------------
-    // Current implementation: the real selector (sharded stats, lock-free
-    // freshness, thread-local read RNG) inside a live DynaMast deployment.
-    // ------------------------------------------------------------------
 
     struct Nop;
     impl ProcExecutor for Nop {
@@ -342,24 +300,24 @@ mod selector_mt {
         }
     }
 
-    struct ShardedRouter {
+    struct Router {
         /// Keeps the deployment (sites, replication) alive for the run.
-        _system: Arc<DynaMastSystem>,
+        system: Arc<DynaMastSystem>,
         selector: Arc<SiteSelector>,
-        catalog: Catalog,
         table: TableId,
         cvv: VersionVector,
     }
 
-    impl ShardedRouter {
+    impl Router {
         fn build() -> Self {
             let mut catalog = Catalog::new();
             let table = catalog.add_table("t", 1, ROWS_PER_PARTITION);
-            let catalog_copy = catalog.clone();
-            let system = DynaMastSystem::build(
-                DynaMastConfig::adaptive(bench_config(), catalog),
-                Arc::new(Nop),
-            );
+            let mut config = SystemConfig::new(SITES)
+                .with_instant_service()
+                .with_seed(77);
+            config.inter_txn_window = Duration::ZERO;
+            let system =
+                DynaMastSystem::build(DynaMastConfig::adaptive(config, catalog), Arc::new(Nop));
             let selector = system.selector();
             selector.map().seed((0..POOL).map(|i| {
                 (
@@ -372,380 +330,41 @@ mod selector_mt {
                     .ownership()
                     .grant(partition_id(table, i));
             }
-            ShardedRouter {
-                _system: system,
+            Router {
+                system,
                 selector,
-                catalog: catalog_copy,
                 table,
                 cvv: VersionVector::zero(SITES),
             }
         }
-    }
 
-    impl Router for ShardedRouter {
-        fn update_one(&self, client: ClientId, part: u64) {
-            let key = Key::new(self.table, part * ROWS_PER_PARTITION);
-            std::hint::black_box(
-                self.selector
-                    .route_update(client, &self.cvv, &[key])
-                    .expect("fast-path route"),
-            );
-        }
-
-        fn read_one(&self) {
-            std::hint::black_box(self.selector.route_read(&self.cvv));
-        }
-
-        fn serialized_ns_per_op(&self, mix: Mix) -> f64 {
+        fn route(&self, mix: Mix, client: ClientId, part: u64) {
             match mix {
-                // The record path is the only lock-holding section; a
-                // routing thread holds one of 32 shard locks (or one of 16
-                // client stripes) at a time, never all of them.
                 Mix::Update => {
-                    // Settle any flush debt inherited from the throughput
-                    // runs (a forced read flushes) so the loop measures
-                    // steady state: per-op cost plus its own amortized
-                    // flushes, not the previous phase's backlog.
-                    std::hint::black_box(self.selector.stats().history_len());
-                    let iters = 50_000u64;
-                    let mut total = Duration::ZERO;
-                    for i in 0..iters {
-                        let part = i % POOL;
-                        let key = Key::new(self.table, part * ROWS_PER_PARTITION);
-                        let partition = self.catalog.partition_of(key).expect("key in catalog");
-                        let partitions = [partition];
-                        let entries = self.selector.map().entries_for(&partitions);
-                        let masters: Vec<Option<SiteId>> = {
-                            let guards = self.selector.map().lock_shared(&entries);
-                            guards.iter().map(|g| g.master).collect()
-                        };
-                        let t0 = Instant::now();
-                        self.selector.stats().record_write_set(
-                            ClientId::new(1),
-                            Instant::now(),
-                            &partitions,
-                            &masters,
-                        );
-                        total += t0.elapsed();
-                    }
-                    total.as_nanos() as f64 / iters as f64
+                    let key = Key::new(self.table, part * ROWS_PER_PARTITION);
+                    std::hint::black_box(
+                        self.selector
+                            .route_update(client, &self.cvv, &[key])
+                            .expect("fast-path route"),
+                    );
                 }
-                // Freshness cache + thread-local RNG: no locks at all.
-                Mix::Read => 0.0,
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Legacy baseline: the seed revision's hot path, replicated verbatim.
-    // ------------------------------------------------------------------
-
-    #[derive(Default)]
-    struct LegacyPartStats {
-        count: u64,
-        master: Option<SiteId>,
-        intra: HashMap<PartitionId, u64>,
-        inter: HashMap<PartitionId, u64>,
-    }
-
-    struct LegacySample {
-        partitions: Vec<PartitionId>,
-        intra_pairs: Vec<(PartitionId, PartitionId)>,
-        inter_pairs: Vec<(PartitionId, PartitionId)>,
-    }
-
-    struct LegacyInner {
-        rng: SmallRng,
-        parts: HashMap<PartitionId, LegacyPartStats>,
-        site_load: Vec<u64>,
-        history: VecDeque<LegacySample>,
-        recent: HashMap<ClientId, VecDeque<(Instant, Vec<PartitionId>)>>,
-    }
-
-    enum PartnerKind {
-        Intra,
-        Inter,
-    }
-
-    impl LegacyInner {
-        fn bump_partner(
-            &mut self,
-            from: PartitionId,
-            to: PartitionId,
-            kind: PartnerKind,
-            max_partners: usize,
-        ) -> bool {
-            let stats = self.parts.entry(from).or_default();
-            let table = match kind {
-                PartnerKind::Intra => &mut stats.intra,
-                PartnerKind::Inter => &mut stats.inter,
-            };
-            if table.len() >= max_partners && !table.contains_key(&to) {
-                return false;
-            }
-            *table.entry(to).or_insert(0) += 1;
-            true
-        }
-
-        fn expire(&mut self, sample: &LegacySample) {
-            for p in &sample.partitions {
-                if let Some(stats) = self.parts.get_mut(p) {
-                    stats.count = stats.count.saturating_sub(1);
-                    if let Some(m) = stats.master {
-                        self.site_load[m.as_usize()] =
-                            self.site_load[m.as_usize()].saturating_sub(1);
-                    }
-                }
-            }
-            for (from, to) in &sample.intra_pairs {
-                if let Some(stats) = self.parts.get_mut(from) {
-                    if let Some(c) = stats.intra.get_mut(to) {
-                        *c = c.saturating_sub(1);
-                        if *c == 0 {
-                            stats.intra.remove(to);
-                        }
-                    }
-                }
-            }
-            for (from, to) in &sample.inter_pairs {
-                if let Some(stats) = self.parts.get_mut(from) {
-                    if let Some(c) = stats.inter.get_mut(to) {
-                        *c = c.saturating_sub(1);
-                        if *c == 0 {
-                            stats.inter.remove(to);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    struct LegacyRouter {
-        catalog: Catalog,
-        map: PartitionMap,
-        table: TableId,
-        config: SystemConfig,
-        inner: Mutex<LegacyInner>,
-        site_vvs: Mutex<Vec<VersionVector>>,
-        read_rng: Mutex<SmallRng>,
-        routed: Vec<Counter>,
-        cvv: VersionVector,
-    }
-
-    impl LegacyRouter {
-        fn build() -> Self {
-            let mut catalog = Catalog::new();
-            let table = catalog.add_table("t", 1, ROWS_PER_PARTITION);
-            let config = bench_config();
-            let map = PartitionMap::new();
-            map.seed((0..POOL).map(|i| {
-                (
-                    partition_id(table, i),
-                    SiteId::new((i % SITES as u64) as usize),
-                )
-            }));
-            LegacyRouter {
-                catalog,
-                map,
-                table,
-                inner: Mutex::new(LegacyInner {
-                    rng: SmallRng::seed_from_u64(config.seed ^ 0x5E1E_C70A),
-                    parts: HashMap::new(),
-                    site_load: vec![0; SITES],
-                    history: VecDeque::with_capacity(config.history_capacity + 1),
-                    recent: HashMap::new(),
-                }),
-                site_vvs: Mutex::new(vec![VersionVector::zero(SITES); SITES]),
-                read_rng: Mutex::new(SmallRng::seed_from_u64(config.seed ^ 0x0EAD_0125)),
-                routed: (0..SITES).map(|_| Counter::new()).collect(),
-                cvv: VersionVector::zero(SITES),
-                config,
-            }
-        }
-
-        /// The seed revision's `AccessStats::record_write_set`, verbatim:
-        /// every statistic updated under one global mutex.
-        fn record_write_set(
-            &self,
-            client: ClientId,
-            now: Instant,
-            partitions: &[PartitionId],
-            masters: &[Option<SiteId>],
-        ) {
-            let mut inner = self.inner.lock();
-            let sampled =
-                self.config.sample_rate >= 1.0 || inner.rng.gen_bool(self.config.sample_rate);
-            if !sampled {
-                return;
-            }
-            for (p, master) in partitions.iter().zip(masters) {
-                let stats = inner.parts.entry(*p).or_default();
-                stats.count += 1;
-                stats.master = *master;
-                if let Some(m) = master {
-                    inner.site_load[m.as_usize()] += 1;
-                }
-            }
-            let max_partners = self.config.max_coaccess_partners;
-            let mut intra_pairs = Vec::new();
-            for &p1 in partitions {
-                for &p2 in partitions {
-                    if p1 == p2 {
-                        continue;
-                    }
-                    if inner.bump_partner(p1, p2, PartnerKind::Intra, max_partners) {
-                        intra_pairs.push((p1, p2));
-                    }
-                }
-            }
-            let window = self.config.inter_txn_window;
-            let previous: Vec<PartitionId> = inner
-                .recent
-                .get(&client)
-                .map(|sets| {
-                    sets.iter()
-                        .filter(|(t, _)| now.duration_since(*t) <= window)
-                        .flat_map(|(_, set)| set.iter().copied())
-                        .collect()
-                })
-                .unwrap_or_default();
-            let mut inter_pairs = Vec::new();
-            for &p_old in &previous {
-                for &p_new in partitions {
-                    if p_old == p_new {
-                        continue;
-                    }
-                    if inner.bump_partner(p_old, p_new, PartnerKind::Inter, max_partners) {
-                        inter_pairs.push((p_old, p_new));
-                    }
-                }
-            }
-            let recent = inner.recent.entry(client).or_default();
-            recent.push_back((now, partitions.to_vec()));
-            while let Some((t, _)) = recent.front() {
-                if now.duration_since(*t) > window && recent.len() > 1 {
-                    recent.pop_front();
-                } else {
-                    break;
-                }
-            }
-            inner.history.push_back(LegacySample {
-                partitions: partitions.to_vec(),
-                intra_pairs,
-                inter_pairs,
-            });
-            if inner.history.len() > self.config.history_capacity {
-                if let Some(old) = inner.history.pop_front() {
-                    inner.expire(&old);
-                }
-            }
-        }
-    }
-
-    impl Router for LegacyRouter {
-        /// The seed revision's `route_update` fast path, step for step:
-        /// same timing calls, same catalog/map work, same decision
-        /// construction — only the statistics synchronization differs.
-        fn update_one(&self, client: ClientId, part: u64) {
-            let t0 = Instant::now();
-            let key = Key::new(self.table, part * ROWS_PER_PARTITION);
-            let mut partitions = Vec::with_capacity(1);
-            partitions.push(self.catalog.partition_of(key).expect("key in catalog"));
-            partitions.sort_unstable();
-            partitions.dedup();
-            let entries = self.map.entries_for(&partitions);
-            let masters: Vec<Option<SiteId>> = {
-                let guards = self.map.lock_shared(&entries);
-                guards.iter().map(|g| g.master).collect()
-            };
-            let site = masters[0].expect("pool is pre-placed");
-            let lookup = t0.elapsed();
-            self.record_write_set(client, Instant::now(), &partitions, &masters);
-            self.routed[site.as_usize()].inc();
-            std::hint::black_box(RouteDecision {
-                site,
-                min_vv: VersionVector::zero(SITES),
-                lookup,
-                routing: Duration::ZERO,
-                remastered: false,
-            });
-        }
-
-        /// The seed revision's `route_read`: mutexed vv scan + mutexed RNG.
-        fn read_one(&self) {
-            let cache = self.site_vvs.lock();
-            let fresh: Vec<usize> = cache
-                .iter()
-                .enumerate()
-                .filter(|(_, vv)| vv.dominates(&self.cvv))
-                .map(|(i, _)| i)
-                .collect();
-            drop(cache);
-            let mut rng = self.read_rng.lock();
-            let pick = if fresh.is_empty() {
-                rng.gen_range(0..SITES)
-            } else {
-                fresh[rng.gen_range(0..fresh.len())]
-            };
-            std::hint::black_box(SiteId::new(pick));
-        }
-
-        fn serialized_ns_per_op(&self, mix: Mix) -> f64 {
-            let iters = 50_000u64;
-            let mut total = Duration::ZERO;
-            match mix {
-                // One global mutex is held for the entire record call: every
-                // router thread serializes on it.
-                Mix::Update => {
-                    for i in 0..iters {
-                        let part = i % POOL;
-                        let key = Key::new(self.table, part * ROWS_PER_PARTITION);
-                        let partition = self.catalog.partition_of(key).expect("key in catalog");
-                        let partitions = [partition];
-                        let entries = self.map.entries_for(&partitions);
-                        let masters: Vec<Option<SiteId>> = {
-                            let guards = self.map.lock_shared(&entries);
-                            guards.iter().map(|g| g.master).collect()
-                        };
-                        let t0 = Instant::now();
-                        self.record_write_set(
-                            ClientId::new(1),
-                            Instant::now(),
-                            &partitions,
-                            &masters,
-                        );
-                        total += t0.elapsed();
-                    }
-                }
-                // The vv-cache and RNG mutexes cover essentially the whole
-                // call; timing it overestimates the serialized section only
-                // by the Vec allocation between the two lock scopes.
                 Mix::Read => {
-                    for _ in 0..iters {
-                        let t0 = Instant::now();
-                        self.read_one();
-                        total += t0.elapsed();
-                    }
+                    std::hint::black_box(self.selector.route_read(&self.cvv));
                 }
             }
-            total.as_nanos() as f64 / iters as f64
         }
     }
-
-    // ------------------------------------------------------------------
-    // Harness.
-    // ------------------------------------------------------------------
 
     /// Runs `threads` routing threads against `router` and returns measured
     /// throughput in ops/sec.
-    fn run_one(router: Arc<dyn Router>, threads: usize, mix: Mix) -> f64 {
+    fn run_one(router: &Arc<Router>, threads: usize, mix: Mix) -> f64 {
         // 0 = warmup, 1 = measuring, 2 = stop.
         let phase = Arc::new(AtomicU64::new(0));
         let ops = Arc::new(AtomicU64::new(0));
         let barrier = Arc::new(Barrier::new(threads + 1));
         let mut handles = Vec::new();
         for t in 0..threads {
-            let router = Arc::clone(&router);
+            let router = Arc::clone(router);
             let phase = Arc::clone(&phase);
             let ops = Arc::clone(&ops);
             let barrier = Arc::clone(&barrier);
@@ -760,10 +379,7 @@ mod selector_mt {
                         1 => measured += 1,
                         _ => {}
                     }
-                    match mix {
-                        Mix::Update => router.update_one(client, cursor),
-                        Mix::Read => router.read_one(),
-                    }
+                    router.route(mix, client, cursor);
                     cursor = (cursor + 1) % POOL;
                 }
                 ops.fetch_add(measured, Ordering::Relaxed);
@@ -784,10 +400,8 @@ mod selector_mt {
 
     /// Median of three interleaved runs: the container shares its host, so
     /// single windows swing by tens of percent.
-    fn run_median(router: &Arc<dyn Router>, threads: usize, mix: Mix) -> f64 {
-        let mut runs: Vec<f64> = (0..3)
-            .map(|_| run_one(Arc::clone(router), threads, mix))
-            .collect();
+    fn run_median(router: &Arc<Router>, threads: usize, mix: Mix) -> f64 {
+        let mut runs: Vec<f64> = (0..3).map(|_| run_one(router, threads, mix)).collect();
         runs.sort_by(|a, b| a.total_cmp(b));
         runs[1]
     }
@@ -798,9 +412,8 @@ mod selector_mt {
     /// (one relaxed atomic load, no event built). Returns
     /// `(on_ops_per_sec, off_ops_per_sec, overhead_percent)`.
     fn recorder_overhead() -> (f64, f64, f64) {
-        let router = ShardedRouter::build();
-        let recorder = router._system.recorder().clone();
-        let router: Arc<dyn Router> = Arc::new(router);
+        let router = Arc::new(Router::build());
+        let recorder = router.system.recorder().clone();
         // Interleave on/off medians so host noise hits both sides equally.
         recorder.set_enabled(true);
         let on = run_median(&router, 8, Mix::Update);
@@ -812,85 +425,21 @@ mod selector_mt {
     }
 
     pub fn run_and_write_json() {
-        println!("\nselector_mt: routing throughput, sharded vs single-mutex baseline");
-        let mut sections = String::new();
-        let mut serialization = String::new();
-        let mut headline_8t = Vec::new();
+        println!("\nselector_mt: live selector routing throughput");
+        let mut sections = Vec::new();
         for (mix, mix_name) in [(Mix::Update, "update_route"), (Mix::Read, "read_route")] {
-            let mut sharded = Vec::new();
-            let mut legacy = Vec::new();
-            let sharded_router: Arc<dyn Router> = Arc::new(ShardedRouter::build());
-            let legacy_router: Arc<dyn Router> = Arc::new(LegacyRouter::build());
+            let router = Arc::new(Router::build());
+            let mut points = Vec::new();
             for &threads in &THREAD_COUNTS {
-                let tput = run_median(&sharded_router, threads, mix);
-                println!("  {mix_name:<13} sharded      {threads} thread(s): {tput:>12.0} ops/s");
-                sharded.push((threads, tput));
-                let tput = run_median(&legacy_router, threads, mix);
-                println!("  {mix_name:<13} single-mutex {threads} thread(s): {tput:>12.0} ops/s");
-                legacy.push((threads, tput));
+                let tput = run_median(&router, threads, mix);
+                println!("  {mix_name:<13} {threads} thread(s): {tput:>12.0} ops/s");
+                points.push(format!("\"{threads}\": {tput:.0}"));
             }
-            // Serialized-section measurement + Amdahl projection for 8
-            // router threads on unconstrained (>= 8 core) hardware.
-            let sharded_cs = sharded_router.serialized_ns_per_op(mix);
-            let legacy_cs = legacy_router.serialized_ns_per_op(mix);
-            // A sharded-path holder excludes only threads hashing to the
-            // same stripe/shard; 16 client stripes is the narrower of the
-            // two resources, so divide conservatively by 16. The legacy
-            // mutexes exclude everyone.
-            let sharded_cs_eff = sharded_cs / 16.0;
-            let op_ns = |tput_1t: f64| 1e9 / tput_1t;
-            let projected = |tput_1t: f64, cs_eff: f64| -> f64 {
-                let serial_fraction = (cs_eff / op_ns(tput_1t)).min(1.0);
-                let max_scale = if serial_fraction == 0.0 {
-                    8.0
-                } else {
-                    (1.0 / serial_fraction).min(8.0)
-                };
-                tput_1t * max_scale
-            };
-            let projected_ratio =
-                projected(sharded[0].1, sharded_cs_eff) / projected(legacy[0].1, legacy_cs);
-            println!(
-                "  {mix_name:<13} serialized ns/op: sharded {sharded_cs:.0} (/16 effective), \
-                 single-mutex {legacy_cs:.0}; projected 8-thread/8-core speedup {projected_ratio:.1}x"
-            );
-            serialization.push_str(&format!(
-                "    \"{mix_name}\": {{\"sharded_cs_ns_per_op\": {sharded_cs:.1}, \
-                 \"sharded_effective_divisor\": 16, \
-                 \"single_mutex_cs_ns_per_op\": {legacy_cs:.1}, \
-                 \"projected_speedup_8_threads_8_cores\": {projected_ratio:.2}}},\n",
-            ));
-            let speedup: Vec<f64> = (0..THREAD_COUNTS.len())
-                .map(|i| sharded[i].1 / legacy[i].1)
-                .collect();
-            println!(
-                "  {mix_name:<13} speedup sharded/single-mutex: 1t {:.2}x, 4t {:.2}x, 8t {:.2}x",
-                speedup[0], speedup[1], speedup[2]
-            );
-            headline_8t.push((mix_name, speedup[2]));
-            let fmt = |points: &[(usize, f64)]| -> String {
-                points
-                    .iter()
-                    .map(|(t, v)| format!("        \"{t}\": {v:.0}"))
-                    .collect::<Vec<_>>()
-                    .join(",\n")
-            };
-            sections.push_str(&format!(
-                "    \"{mix_name}\": {{\n      \"ops_per_sec\": {{\n        \
-                 \"sharded\": {{\n{s}\n        }},\n        \
-                 \"single_mutex_baseline\": {{\n{l}\n        }}\n      }},\n      \
-                 \"speedup_sharded_over_mutex\": {{\"1\": {sp0:.3}, \"4\": {sp1:.3}, \"8\": {sp2:.3}}}\n    }},\n",
-                s = fmt(&sharded)
-                    .replace("        \"", "          \""),
-                l = fmt(&legacy)
-                    .replace("        \"", "          \""),
-                sp0 = speedup[0],
-                sp1 = speedup[1],
-                sp2 = speedup[2],
+            sections.push(format!(
+                "    \"{mix_name}\": {{\"ops_per_sec\": {{{}}}}}",
+                points.join(", ")
             ));
         }
-        let sections = sections.trim_end_matches(",\n").to_string() + "\n";
-        let serialization = serialization.trim_end_matches(",\n").to_string() + "\n";
         let (rec_on, rec_off, rec_overhead) = recorder_overhead();
         println!(
             "  flight recorder, update_route 8 threads: on {rec_on:.0} ops/s, \
@@ -898,26 +447,20 @@ mod selector_mt {
         );
         let json = format!(
             "{{\n  \"benchmark\": \"selector_route_hot_path\",\n  \
-             \"description\": \"Selector routing throughput at 1/4/8 router threads: the sharded/lock-free hot path vs a faithful replica of the pre-refactor single-mutex implementation. update_route = single-partition sole-master fast path over a {POOL}-partition pre-placed pool (access-statistics recording); read_route = freshness-checked read routing. {}ms measured window after {}ms warmup; fresh deployment per data point.\",\n  \
-             \"note\": \"Measured on a {cpus}-CPU container: thread-level parallelism cannot show through, so update_route speedups reflect per-op cost only; read_route speedups reflect the removal of the freshness/RNG mutexes from the read path. On multi-core hardware the sharded update path additionally avoids serializing all router threads behind one statistics mutex.\",\n  \
+             \"description\": \"Live selector routing throughput at 1/4/8 router threads. update_route = single-partition sole-master fast path over a {POOL}-partition pre-placed pool (access-statistics recording under the tracker's one lock); read_route = freshness-checked read routing. Median of three {}ms windows after {}ms warmup.\",\n  \
              \"host\": {{\"os\": \"{os}\", \"arch\": \"{arch}\", \"cpus\": {cpus}}},\n  \
-             \"config\": {{\n    \"sites\": {SITES},\n    \"sample_rate\": 1.0,\n    \"history_capacity\": 4096,\n    \"inter_window_ms\": 0,\n    \"cpus\": {cpus}\n  }},\n  \
-             \"mixes\": {{\n{sections}  }},\n  \
-             \"serialization\": {{\n{serialization}  }},\n  \
+             \"config\": {{\n    \"sites\": {SITES},\n    \"sample_rate\": 1.0,\n    \"history_capacity\": 4096,\n    \"inter_window_ms\": 0\n  }},\n  \
+             \"mixes\": {{\n{mixes}\n  }},\n  \
              \"flight_recorder\": {{\n    \
              \"description\": \"Always-on flight recorder cost on the 8-thread update-routing hot path: recorder enabled (every route appends a Route event to the calling thread's bounded ring) vs disabled (one relaxed atomic load). Acceptance bound: <= 5% overhead.\",\n    \
              \"update_route_8_threads_ops_per_sec\": {{\"recorder_on\": {rec_on:.0}, \"recorder_off\": {rec_off:.0}}},\n    \
-             \"overhead_percent\": {rec_overhead:.2}\n  }},\n  \
-             \"measured_speedup_at_8_threads\": {{\"{m0}\": {v0:.3}, \"{m1}\": {v1:.3}}}\n}}\n",
+             \"overhead_percent\": {rec_overhead:.2}\n  }}\n}}\n",
             MEASURE.as_millis(),
             WARMUP.as_millis(),
+            mixes = sections.join(",\n"),
             cpus = thread::available_parallelism().map_or(0, |n| n.get()),
             os = std::env::consts::OS,
             arch = std::env::consts::ARCH,
-            m0 = headline_8t[0].0,
-            v0 = headline_8t[0].1,
-            m1 = headline_8t[1].0,
-            v1 = headline_8t[1].1,
         );
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_selector.json");
         std::fs::write(path, json).expect("write BENCH_selector.json");

@@ -366,14 +366,14 @@ impl SiteSelector {
             }
             (force, unqueued)
         };
-        // Imbalance probe: a cheap relaxed read of the per-site load
-        // attribution; full Eq. 8 scoring runs only when this master looks
-        // overloaded. Partitions are scored individually — moving a whole
-        // co-hot set wholesale never improves balance, spreading it does —
-        // and every verdict is cached in the queue (a "stay put" included)
+        // Imbalance probe: one read of the per-site load attribution; full
+        // Eq. 8 scoring runs only when this master looks overloaded.
+        // Partitions are scored individually — moving a whole co-hot set
+        // wholesale never improves balance, spreading it does — and every
+        // verdict is cached in the queue (a "stay put" included)
         // so each partition is scored once per epoch, not once per route.
         if !force_flush && !unqueued.is_empty() {
-            let load = self.stats.approx_site_load();
+            let load = self.stats.site_load();
             let total: f64 = load.iter().sum();
             let mean = total / load.len().max(1) as f64;
             if total >= REBALANCE_MIN_TOTAL && load[master.as_usize()] > REBALANCE_FACTOR * mean {

@@ -16,104 +16,45 @@
 //!
 //! # Concurrency model
 //!
-//! Every router thread calls [`AccessStats::record_write_set`] on the
-//! selector hot path, so the tracker is lock-striped rather than guarded by
-//! one mutex (see DESIGN.md, "Selector concurrency model"):
+//! One mutex guards all of it (DESIGN.md §7). A record bumps its counts,
+//! appends its sample and expires whatever passed the history capacity
+//! before it unlocks, so every read sees exact counts and expiry happens at
+//! the record that overflows the queue, as in the paper. The work under the
+//! lock stays proportional to what is counted:
 //!
-//! * **Partition shards.** Per-partition state (write counts and co-access
-//!   partner tables) lives in [`SHARD_COUNT`] shards keyed by a Fibonacci
-//!   hash of the partition id. A co-access pair `(from, to)` is stored with
-//!   `from`, so recording touches one shard at a time — shard locks never
-//!   nest and the lock order is trivially acyclic.
-//! * **Per-site load counters** are plain atomics (`fetch_add` on record,
-//!   saturating CAS decrement on expiry/remaster).
 //! * **Client Δt windows.** Each client's in-window write sets are kept as
 //!   a *multiset* (partition → occurrences), maintained incrementally as
 //!   sets are appended and expire, so Eq. 7's pairing costs one bump *by
 //!   that multiplicity* per distinct in-window partition instead of one
 //!   bump per earlier occurrence — count-for-count the same tables at
 //!   `O(distinct in-window partitions × |ws|)` rather than
-//!   `O(rate · Δt · |ws|²)`. The windows are striped by client id; one
-//!   stripe lock covers a record's prune-pair-append, and sets expire from
-//!   a stripe-wide FIFO so a client that never returns is forgotten by its
-//!   stripe neighbours' next record. A zero `inter_window` means the
-//!   inter-transaction feature is not tracked at all (the selector passes
-//!   it when Eq. 8's `inter_txn` weight is zero and the numbers would never
-//!   be read).
-//! * **One probe per pair.** Maps keyed by partition or client id use the
-//!   integer `IntMap` hasher, not SipHash. Pairs travel in runs that share
-//!   their `from` side, so recording and expiring look a `from`
-//!   partition's `PartStats` up once per run and probe its partner table
-//!   once per pair. On TPC-C write sets (≈ 490 pairs a record) that is
-//!   ≈ 15 ns a pair, down from ≈ 57 ns with three SipHash lookups each
-//!   (2-vCPU x86-64 VM; DESIGN.md §7).
-//! * **Epoch-style history flush.** The hot path appends the sample to its
-//!   home shard's pending buffer; history-queue maintenance (FIFO ordering
-//!   and expiry decrements) runs in batched flushes — opportunistic
-//!   (`try_lock`) once enough samples are pending, forced (blocking) by
-//!   every read. Counts are therefore bumped eagerly and decremented
-//!   lazily; any read observes exact post-expiry values because it flushes
-//!   first. Samples carry a global admission sequence number and flushes
-//!   sort by it, so expiry is exactly FIFO for sequential use; under
-//!   concurrent recording a not-yet-parked earlier sample can be overtaken,
-//!   which only reorders *which* sample's counts drop first — the retained
-//!   total is unchanged.
-//! * **Sampling RNGs** are per-shard (seeded from the tracker seed and the
-//!   shard index), so sampling at rates in `(0, 1)` stays deterministic per
-//!   shard but draws no global lock. Rates `0.0` and `1.0` short-circuit
-//!   without touching an RNG.
+//!   `O(rate · Δt · |ws|²)`. Sets expire from one FIFO shared by all
+//!   clients, so a client that never returns is forgotten by the next
+//!   record after Δt. A zero `inter_window` tracks no inter-transaction
+//!   feature (the selector passes it when Eq. 8's `inter_txn` weight is 0).
+//! * **One probe per pair.** Maps use the integer `IntMap` hasher. Pairs
+//!   travel in runs that share their `from` side, so recording and expiring
+//!   look a `from` partition's `PartStats` up once per run and probe its
+//!   partner table once per pair (≈ 15 ns a pair on TPC-C write sets,
+//!   2-vCPU x86-64 VM; DESIGN.md §7).
+//! * **The tracker's master is authoritative.** A router reads masters
+//!   under shared partition-map locks and records after dropping them, so
+//!   a remaster can land in between. [`AccessStats::on_remaster`] runs
+//!   under the exclusive map lock, before any route can read the new
+//!   master, so a record adopts its master only for a partition the
+//!   tracker has none for; otherwise a late record would pull the
+//!   partition back to its old site and leak per-site load.
+//! * **Sampling** draws from one seeded RNG under the lock. Rates `0.0`
+//!   and `1.0` short-circuit without touching it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use dynamast_common::hash::IntMap;
 use dynamast_common::ids::{ClientId, PartitionId, SiteId};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Number of partition-state shards. Power of two; 32 shards keep the
-/// per-shard collision probability low for typical router thread counts
-/// (≤ 16) without bloating the struct.
-const SHARD_COUNT: usize = 32;
-
-/// Number of client-recency stripes (power of two).
-const CLIENT_STRIPES: usize = 16;
-
-/// Pending samples across all shards that trigger an opportunistic
-/// (non-blocking) history flush from the record path.
-const FLUSH_PENDING_THRESHOLD: usize = 256;
-
-/// Backlog at which the record path flushes *blocking* instead. Opportunistic
-/// flushing alone is unbounded when the flushing thread is starved of CPU
-/// (oversubscribed cores): every other recorder's `try_lock` skips while the
-/// backlog grows. Backpressure at 64× the opportunistic threshold caps both
-/// the memory held in pending buffers and the size of any single drain.
-const FLUSH_BACKPRESSURE_CAP: usize = 64 * FLUSH_PENDING_THRESHOLD;
-
-fn shard_of(partition: PartitionId) -> usize {
-    // Fibonacci hashing: multiply by 2^64/φ and keep the top bits.
-    (partition.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SHARD_COUNT.trailing_zeros()))
-        as usize
-}
-
-fn stripe_of(client: ClientId) -> usize {
-    (client.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - CLIENT_STRIPES.trailing_zeros()))
-        as usize
-}
-
-/// Decrements an atomic counter without wrapping below zero.
-fn saturating_dec(counter: &AtomicU64, amount: u64) {
-    let mut current = counter.load(Ordering::Relaxed);
-    loop {
-        let next = current.saturating_sub(amount);
-        match counter.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => current = actual,
-        }
-    }
-}
 
 /// Co-access partners of one partition with conditional probabilities,
 /// produced for the strategy model.
@@ -144,9 +85,6 @@ struct PartStats {
 }
 
 struct Sample {
-    /// Global admission order, assigned at record time so flushes can
-    /// restore FIFO across shards.
-    seq: u64,
     partitions: Vec<PartitionId>,
     /// `(from, to)`, in runs that share a `from`.
     intra_pairs: Vec<(PartitionId, PartitionId)>,
@@ -154,14 +92,6 @@ struct Sample {
     /// bumped by `weight`, the number of times `from` occurred in the
     /// client's Δt window.
     inter_pairs: Vec<(PartitionId, PartitionId, u64)>,
-}
-
-/// One lock-striped shard of partition state plus its pending sample buffer
-/// and sampling RNG.
-struct Shard {
-    rng: SmallRng,
-    parts: IntMap<PartitionId, PartStats>,
-    pending: Vec<Sample>,
 }
 
 /// Configuration for [`AccessStats`].
@@ -178,20 +108,20 @@ pub struct StatsConfig {
     pub max_partners: usize,
 }
 
-/// One stripe of the per-client Δt windows.
+/// The per-client Δt windows.
 #[derive(Default)]
-struct ClientStripe {
+struct ClientWindows {
     /// `(time, client, set length)` of every in-window write set in append
-    /// order. Stripe-wide rather than per client, so expiry needs no visit
-    /// from the set's own client.
+    /// order. Shared by all clients, so expiry needs no visit from the
+    /// set's own client.
     sets: VecDeque<(Instant, ClientId, usize)>,
     /// The partitions of those sets, flattened in the same order.
     members: VecDeque<PartitionId>,
     /// Per client: partition → occurrences among its in-window sets.
-    windows: IntMap<ClientId, IntMap<PartitionId, u64>>,
+    per_client: IntMap<ClientId, IntMap<PartitionId, u64>>,
 }
 
-impl ClientStripe {
+impl ClientWindows {
     /// Expires sets older than `window`, pairs every distinct in-window
     /// partition of `client` with the new write set — `(p_old, p_new,
     /// occurrences of p_old)`, one run per `p_old` — then appends the new
@@ -210,7 +140,7 @@ impl ClientStripe {
             }
             self.sets.pop_front();
             let counts = self
-                .windows
+                .per_client
                 .get_mut(&owner)
                 .expect("a queued set is counted in its client's window");
             for p in self.members.drain(..len) {
@@ -223,10 +153,10 @@ impl ClientStripe {
                 }
             }
             if counts.is_empty() {
-                self.windows.remove(&owner);
+                self.per_client.remove(&owner);
             }
         }
-        let counts = self.windows.entry(client).or_default();
+        let counts = self.per_client.entry(client).or_default();
         let mut pairs = Vec::with_capacity(counts.len() * partitions.len());
         for (&p_old, &occurrences) in counts.iter() {
             for &p_new in partitions {
@@ -244,37 +174,49 @@ impl ClientStripe {
     }
 }
 
-/// Holds at most one shard lock while a record walks its partitions, so
-/// consecutive partitions of one shard share an acquisition and shard locks
-/// still never nest.
-struct ShardCursor<'a> {
-    shards: &'a [Mutex<Shard>],
-    held: Option<(usize, MutexGuard<'a, Shard>)>,
+/// Everything the tracker counts, under its one lock.
+struct Inner {
+    rng: SmallRng,
+    parts: IntMap<PartitionId, PartStats>,
+    site_load: Vec<u64>,
+    windows: ClientWindows,
+    history: VecDeque<Sample>,
 }
 
-impl ShardCursor<'_> {
-    fn at(&mut self, index: usize) -> &mut Shard {
-        if self.held.as_ref().map(|(held, _)| *held) != Some(index) {
-            // Release before acquiring.
-            self.held = None;
+impl Inner {
+    /// Decrements every count a retired sample contributed; a pair run
+    /// costs one `PartStats` lookup.
+    fn expire(&mut self, sample: &Sample) {
+        for p in &sample.partitions {
+            if let Some(stats) = self.parts.get_mut(p) {
+                stats.count = stats.count.saturating_sub(1);
+                if let Some(m) = stats.master {
+                    let load = &mut self.site_load[m.as_usize()];
+                    *load = load.saturating_sub(1);
+                }
+            }
         }
-        let shards = self.shards;
-        &mut self
-            .held
-            .get_or_insert_with(|| (index, shards[index].lock()))
-            .1
+        for run in sample.intra_pairs.chunk_by(|a, b| a.0 == b.0) {
+            if let Some(stats) = self.parts.get_mut(&run[0].0) {
+                for (_, to) in run {
+                    decrement_partner(&mut stats.intra, to, 1);
+                }
+            }
+        }
+        for run in sample.inter_pairs.chunk_by(|a, b| a.0 == b.0) {
+            if let Some(stats) = self.parts.get_mut(&run[0].0) {
+                for (_, to, weight) in run {
+                    decrement_partner(&mut stats.inter, to, *weight);
+                }
+            }
+        }
     }
 }
 
 /// The selector's statistics tracker.
 pub struct AccessStats {
     config: StatsConfig,
-    shards: Vec<Mutex<Shard>>,
-    site_load: Vec<AtomicU64>,
-    recent: Vec<Mutex<ClientStripe>>,
-    history: Mutex<VecDeque<Sample>>,
-    pending_total: AtomicUsize,
-    next_seq: AtomicU64,
+    inner: Mutex<Inner>,
 }
 
 impl AccessStats {
@@ -282,27 +224,20 @@ impl AccessStats {
     pub fn new(config: StatsConfig, num_sites: usize, seed: u64) -> Self {
         AccessStats {
             config,
-            shards: (0..SHARD_COUNT)
-                .map(|i| {
-                    Mutex::new(Shard {
-                        rng: SmallRng::seed_from_u64(seed.wrapping_add(i as u64)),
-                        parts: IntMap::default(),
-                        pending: Vec::new(),
-                    })
-                })
-                .collect(),
-            site_load: (0..num_sites).map(|_| AtomicU64::new(0)).collect(),
-            recent: (0..CLIENT_STRIPES)
-                .map(|_| Mutex::new(ClientStripe::default()))
-                .collect(),
-            history: Mutex::new(VecDeque::with_capacity(config.history_capacity + 1)),
-            pending_total: AtomicUsize::new(0),
-            next_seq: AtomicU64::new(0),
+            inner: Mutex::new(Inner {
+                rng: SmallRng::seed_from_u64(seed),
+                parts: IntMap::default(),
+                site_load: vec![0; num_sites],
+                windows: ClientWindows::default(),
+                history: VecDeque::with_capacity(config.history_capacity + 1),
+            }),
         }
     }
 
-    /// Records one routed write set. `masters[i]` is the current master of
-    /// `partitions[i]` (the selector's view at routing time).
+    /// Records one routed write set. `masters[i]` is the master of
+    /// `partitions[i]` in the selector's view at routing time; it is
+    /// adopted only for a partition the tracker knows no master of (see
+    /// the module doc).
     pub fn record_write_set(
         &self,
         client: ClientId,
@@ -315,64 +250,41 @@ impl AccessStats {
         if rate <= 0.0 {
             return;
         }
-        let home = shard_of(partitions.first().copied().unwrap_or(PartitionId::new(0)));
-        if rate < 1.0 && !self.shards[home].lock().rng.gen_bool(rate) {
+        let max_partners = self.config.max_partners;
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if rate < 1.0 && !inner.rng.gen_bool(rate) {
             return;
         }
 
-        // The client's write sets within Δt predict this one; one stripe lock
-        // covers the prune, the pairing, and the append.
+        // The client's write sets within Δt predict this one.
         let window = self.config.inter_window;
         let candidates = if window.is_zero() {
             Vec::new()
         } else {
-            self.recent[stripe_of(client)]
-                .lock()
-                .advance(client, now, partitions, window)
+            inner.windows.advance(client, now, partitions, window)
         };
-
-        // Count the sample BEFORE parking it: a concurrent flusher subtracts
-        // exactly the samples it drains, and every drained sample must
-        // already be counted or the counter would underflow and wedge the
-        // threshold check at "always flush".
-        self.pending_total.fetch_add(1, Ordering::Relaxed);
-
-        let max_partners = self.config.max_partners;
-        // Allocate before any shard lock is taken; the critical sections
-        // stay counter bumps and pushes.
         let n = partitions.len();
-        let sample_partitions = partitions.to_vec();
         let mut intra_pairs = Vec::with_capacity(n * n.saturating_sub(1));
         let mut inter_pairs = Vec::with_capacity(candidates.len());
-        let mut cursor = ShardCursor {
-            shards: &self.shards,
-            held: None,
-        };
         // Pairs are keyed by their `from` side and arrive in runs of one
         // `from`: one lookup per run, then keep the admitted pairs.
         for run in candidates.chunk_by(|a, b| a.0 == b.0) {
-            let from = run[0].0;
-            let table = &mut cursor
-                .at(shard_of(from))
-                .parts
-                .entry(from)
-                .or_default()
-                .inter;
+            let table = &mut inner.parts.entry(run[0].0).or_default().inter;
             inter_pairs.extend(
                 run.iter()
                     .copied()
                     .filter(|&(_, to, weight)| bump_partner(table, to, weight, max_partners)),
             );
         }
-        // Write-set partitions last and in reverse, so the walk ends on the
-        // home shard and the sample parks under the lock already held — one
-        // acquisition in all for a write set that stays within one shard.
-        for (&p1, master) in partitions.iter().zip(masters).rev() {
-            let stats = cursor.at(shard_of(p1)).parts.entry(p1).or_default();
+        for (&p1, master) in partitions.iter().zip(masters) {
+            let stats = inner.parts.entry(p1).or_default();
             stats.count += 1;
-            stats.master = *master;
-            if let Some(m) = master {
-                self.site_load[m.as_usize()].fetch_add(1, Ordering::Relaxed);
+            if stats.master.is_none() {
+                stats.master = *master;
+            }
+            if let Some(m) = stats.master {
+                inner.site_load[m.as_usize()] += 1;
             }
             for &p2 in partitions {
                 if p1 != p2 && bump_partner(&mut stats.intra, p2, 1, max_partners) {
@@ -380,202 +292,65 @@ impl AccessStats {
                 }
             }
         }
-        // Defer history maintenance: a batched flush applies FIFO expiry.
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        cursor.at(home).pending.push(Sample {
-            seq,
-            partitions: sample_partitions,
+        inner.history.push_back(Sample {
+            partitions: partitions.to_vec(),
             intra_pairs,
             inter_pairs,
         });
-        drop(cursor);
-
-        let pending = self.pending_total.load(Ordering::Relaxed);
-        if pending >= FLUSH_BACKPRESSURE_CAP {
-            self.flush();
-        } else if pending >= FLUSH_PENDING_THRESHOLD {
-            self.try_flush();
+        while inner.history.len() > self.config.history_capacity {
+            let old = inner.history.pop_front().expect("history is over capacity");
+            inner.expire(&old);
         }
     }
 
-    /// The selector's view of a partition's master must move when the
-    /// partition is remastered, so the per-site load aggregate stays
-    /// consistent.
+    /// Moves a partition's counted load to its new master. Callers hold
+    /// the partition's exclusive map lock, so no route has read `to` yet.
     pub fn on_remaster(&self, partition: PartitionId, to: SiteId) {
-        let (count, old) = {
-            let mut shard = self.shards[shard_of(partition)].lock();
-            let Some(stats) = shard.parts.get_mut(&partition) else {
-                return;
-            };
-            let old = stats.master;
-            stats.master = Some(to);
-            (stats.count, old)
-        };
-        if let Some(m) = old {
-            saturating_dec(&self.site_load[m.as_usize()], count);
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let stats = inner.parts.entry(partition).or_default();
+        if let Some(old) = stats.master.replace(to) {
+            let load = &mut inner.site_load[old.as_usize()];
+            *load = load.saturating_sub(stats.count);
         }
-        self.site_load[to.as_usize()].fetch_add(count, Ordering::Relaxed);
+        inner.site_load[to.as_usize()] += stats.count;
     }
 
     /// Scoring snapshot for the write-set partitions plus the per-site load
     /// aggregate.
     pub fn snapshot(&self, partitions: &[PartitionId]) -> (Vec<PartitionSnapshot>, Vec<f64>) {
-        self.flush();
+        let inner = self.inner.lock();
         let snaps = partitions
             .iter()
-            .map(|p| {
-                let shard = self.shards[shard_of(*p)].lock();
-                match shard.parts.get(p) {
-                    None => PartitionSnapshot::default(),
-                    Some(stats) => PartitionSnapshot {
-                        load: stats.count as f64,
-                        intra: probs(&stats.intra, stats.count),
-                        inter: probs(&stats.inter, stats.count),
-                    },
-                }
+            .map(|p| match inner.parts.get(p) {
+                None => PartitionSnapshot::default(),
+                Some(stats) => PartitionSnapshot {
+                    load: stats.count as f64,
+                    intra: probs(&stats.intra, stats.count),
+                    inter: probs(&stats.inter, stats.count),
+                },
             })
             .collect();
-        let load = self
-            .site_load
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed) as f64)
-            .collect();
+        let load = inner.site_load.iter().map(|&c| c as f64).collect();
         (snaps, load)
     }
 
-    /// Cheap unflushed per-site load read for trigger heuristics (the epoch
-    /// batcher's imbalance probe). Sampled writes still buffered in the
-    /// history window are not included; callers needing exact figures use
-    /// [`AccessStats::snapshot`].
-    pub fn approx_site_load(&self) -> Vec<f64> {
-        self.site_load
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed) as f64)
-            .collect()
+    /// The per-site load aggregate alone (the epoch batcher's imbalance
+    /// probe).
+    pub fn site_load(&self) -> Vec<f64> {
+        let inner = self.inner.lock();
+        inner.site_load.iter().map(|&c| c as f64).collect()
     }
 
     /// The tracked write count of one partition (tests/diagnostics).
     pub fn partition_count(&self, partition: PartitionId) -> u64 {
-        self.flush();
-        self.shards[shard_of(partition)]
-            .lock()
-            .parts
-            .get(&partition)
-            .map_or(0, |s| s.count)
+        let inner = self.inner.lock();
+        inner.parts.get(&partition).map_or(0, |s| s.count)
     }
 
     /// Current history-queue length (tests/diagnostics).
     pub fn history_len(&self) -> usize {
-        self.flush();
-        self.history.lock().len()
-    }
-
-    /// Blocking flush: drains every shard's pending samples into the
-    /// history queue and applies expiry. Reads call this so they observe
-    /// exact post-expiry counts.
-    fn flush(&self) {
-        let mut history = self.history.lock();
-        self.drain_into(&mut history);
-    }
-
-    /// Non-blocking flush for the record path; skips if another thread is
-    /// already flushing (that thread will pick up these samples).
-    fn try_flush(&self) {
-        if let Some(mut history) = self.history.try_lock() {
-            self.drain_into(&mut history);
-        }
-    }
-
-    fn drain_into(&self, history: &mut VecDeque<Sample>) {
-        let mut drained = Vec::new();
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            drained.append(&mut shard.pending);
-        }
-        if drained.is_empty() {
-            return;
-        }
-        // Saturating: a racing recorder may have parked a sample between
-        // our shard sweeps and its own (already-counted) increment, but the
-        // counter must never wrap below zero.
-        let n = drained.len();
-        let _ = self
-            .pending_total
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(n))
-            });
-        // Restore global admission order across shards so expiry stays
-        // FIFO; exact whenever all earlier samples have been parked, which
-        // sequential use and forced reads always guarantee.
-        drained.sort_unstable_by_key(|s| s.seq);
-        let mut expired = Vec::new();
-        for sample in drained {
-            history.push_back(sample);
-            while history.len() > self.config.history_capacity {
-                if let Some(old) = history.pop_front() {
-                    expired.push(old);
-                }
-            }
-        }
-        self.expire_batch(&expired);
-    }
-
-    /// Decrements every count the retired samples contributed. Cold path:
-    /// runs only inside flushes. Decrements are bucketed by shard so each
-    /// shard is locked once per batch rather than once per sample — routing
-    /// threads contend with at most one short lock hold per shard per flush
-    /// — and a pair run costs one `PartStats` lookup.
-    fn expire_batch(&self, expired: &[Sample]) {
-        enum Dec<'a> {
-            Count(PartitionId),
-            Intra(&'a [(PartitionId, PartitionId)]),
-            Inter(&'a [(PartitionId, PartitionId, u64)]),
-        }
-        // Decrements commute, so ordering within a shard is irrelevant.
-        let mut buckets: Vec<Vec<Dec>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-        for sample in expired {
-            for &p in &sample.partitions {
-                buckets[shard_of(p)].push(Dec::Count(p));
-            }
-            for run in sample.intra_pairs.chunk_by(|a, b| a.0 == b.0) {
-                buckets[shard_of(run[0].0)].push(Dec::Intra(run));
-            }
-            for run in sample.inter_pairs.chunk_by(|a, b| a.0 == b.0) {
-                buckets[shard_of(run[0].0)].push(Dec::Inter(run));
-            }
-        }
-        for (shard, decs) in self.shards.iter().zip(&buckets) {
-            if decs.is_empty() {
-                continue;
-            }
-            let mut shard = shard.lock();
-            for dec in decs {
-                match *dec {
-                    Dec::Count(p) => {
-                        if let Some(stats) = shard.parts.get_mut(&p) {
-                            stats.count = stats.count.saturating_sub(1);
-                            if let Some(m) = stats.master {
-                                saturating_dec(&self.site_load[m.as_usize()], 1);
-                            }
-                        }
-                    }
-                    Dec::Intra(run) => {
-                        if let Some(stats) = shard.parts.get_mut(&run[0].0) {
-                            for (_, to) in run {
-                                decrement_partner(&mut stats.intra, to, 1);
-                            }
-                        }
-                    }
-                    Dec::Inter(run) => {
-                        if let Some(stats) = shard.parts.get_mut(&run[0].0) {
-                            for (_, to, weight) in run {
-                                decrement_partner(&mut stats.inter, to, *weight);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        self.inner.lock().history.len()
     }
 }
 
@@ -798,13 +573,12 @@ mod tests {
         let (snaps, _) = stats.snapshot(&[pid(1)]);
         assert_eq!(snaps[0].intra.partners, vec![(pid(2), 1.0)]);
         assert!(snaps[0].inter.partners.is_empty());
-        assert!(stats.recent.iter().all(|s| s.lock().windows.is_empty()));
+        assert!(stats.inner.lock().windows.per_client.is_empty());
     }
 
     /// Regression: the per-client window map kept one stale set per client
-    /// id forever. Sets now expire from a stripe-wide FIFO, so clients that
-    /// never return are forgotten by the next record that lands on their
-    /// stripe after Δt.
+    /// id forever. Sets now expire from one FIFO shared by all clients, so
+    /// clients that never return are forgotten by the next record after Δt.
     #[test]
     fn one_shot_clients_are_forgotten_after_the_window() {
         let stats = AccessStats::new(config(), 1, 1);
@@ -813,42 +587,157 @@ mod tests {
         for c in 0..10_000 {
             stats.record_write_set(client(c), t0, &[pid(c % 7), pid(7)], &[m, m]);
         }
-        let tracked = || -> usize { stats.recent.iter().map(|s| s.lock().windows.len()).sum() };
+        let tracked = || stats.inner.lock().windows.per_client.len();
         assert_eq!(tracked(), 10_000);
-        // One later record per stripe sweeps the stripe.
+        // One later record sweeps the window.
         let later = t0 + Duration::from_millis(250);
-        let mut swept = [false; CLIENT_STRIPES];
-        let mut sweepers = 0;
-        for c in 10_000.. {
-            if swept.iter().all(|s| *s) {
-                break;
-            }
-            if !std::mem::replace(&mut swept[stripe_of(client(c))], true) {
-                stats.record_write_set(client(c), later, &[pid(1)], &[m]);
-                sweepers += 1;
-            }
+        stats.record_write_set(client(10_000), later, &[pid(1)], &[m]);
+        assert_eq!(tracked(), 1);
+        {
+            let inner = stats.inner.lock();
+            assert_eq!(inner.windows.sets.len(), 1);
+            assert_eq!(inner.windows.members.len(), 1);
         }
-        assert_eq!(tracked(), sweepers);
-        for stripe in &stats.recent {
-            let stripe = stripe.lock();
-            assert_eq!(stripe.sets.len(), 1);
-            assert_eq!(stripe.members.len(), 1);
-        }
-        // And the sweepers go the same way once their own Δt has passed.
+        // And the sweeper goes the same way once its own Δt has passed.
         let much_later = later + Duration::from_millis(250);
-        for stripe in &stats.recent {
-            let mut stripe = stripe.lock();
-            stripe.advance(client(0), much_later, &[], Duration::from_millis(100));
-            assert_eq!(stripe.windows.len(), 1, "only the empty probe set remains");
-            assert!(stripe.members.is_empty());
+        let mut inner = stats.inner.lock();
+        let windows = &mut inner.windows;
+        windows.advance(client(0), much_later, &[], Duration::from_millis(100));
+        assert_eq!(
+            windows.per_client.len(),
+            1,
+            "only the empty probe set remains"
+        );
+        assert!(windows.members.is_empty());
+    }
+
+    /// Regression: a router reads masters under shared map locks and
+    /// records after dropping them. A record carrying the master from
+    /// before a remaster used to pull the partition back to its old site,
+    /// and expiry then decremented the new one, so per-site load leaked.
+    #[test]
+    fn a_stale_master_in_a_record_does_not_leak_site_load() {
+        let mut cfg = config();
+        cfg.history_capacity = 4;
+        let stats = AccessStats::new(cfg, 2, 1);
+        let (s0, s1) = (Some(SiteId::new(0)), Some(SiteId::new(1)));
+        let now = Instant::now();
+        stats.record_write_set(client(1), now, &[pid(1)], &[s0]);
+        stats.record_write_set(client(1), now, &[pid(1)], &[s0]);
+        stats.on_remaster(pid(1), SiteId::new(1));
+        // Routed before the move, recorded after it.
+        stats.record_write_set(client(1), now, &[pid(1)], &[s0]);
+        stats.record_write_set(client(1), now, &[pid(1)], &[s1]);
+        assert_eq!(stats.site_load(), vec![0.0, 4.0]);
+        // Four records of another partition expire all of pid(1)'s.
+        for _ in 0..4 {
+            stats.record_write_set(client(2), now, &[pid(2)], &[s0]);
         }
+        assert_eq!(stats.partition_count(pid(1)), 0);
+        assert_eq!(stats.history_len(), 4);
+        assert_eq!(stats.site_load(), vec![4.0, 0.0]);
+    }
+
+    /// The same race with threads: routers read a master under a shared
+    /// lock, drop it and record, while a mover remasters under the
+    /// exclusive lock and tells the tracker before releasing it. Per-site
+    /// load must end equal to each partition's count at its final master.
+    #[test]
+    fn racing_remasters_keep_site_load_equal_to_counts_at_current_masters() {
+        use parking_lot::RwLock;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+
+        const SITES: usize = 3;
+        const PARTS: usize = 8;
+        const ROUTERS: usize = 3;
+        let mut cfg = config();
+        cfg.history_capacity = 64;
+        cfg.inter_window = Duration::ZERO;
+        let stats = AccessStats::new(cfg, SITES, 1);
+        let map = RwLock::new(
+            (0..PARTS)
+                .map(|p| SiteId::new(p % SITES))
+                .collect::<Vec<_>>(),
+        );
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(ROUTERS + 1);
+        let t0 = Instant::now();
+        std::thread::scope(|scope| {
+            for r in 0..ROUTERS {
+                let (stats, map, done, start) = (&stats, &map, &done, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut i = r;
+                    while !done.load(Ordering::Relaxed) {
+                        let p = i % PARTS;
+                        let master = map.read()[p];
+                        // The gap between dropping the map lock and
+                        // recording, where a remaster can land.
+                        std::thread::yield_now();
+                        stats.record_write_set(client(r), t0, &[pid(p)], &[Some(master)]);
+                        i += 1;
+                    }
+                });
+            }
+            start.wait();
+            let mut rng = SmallRng::seed_from_u64(9);
+            for _ in 0..20_000 {
+                let p = rng.gen_range(0..PARTS);
+                {
+                    let mut masters = map.write();
+                    masters[p] = SiteId::new((masters[p].as_usize() + 1) % SITES);
+                    stats.on_remaster(pid(p), masters[p]);
+                }
+                std::thread::yield_now();
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        let masters = map.read();
+        let mut want = vec![0.0; SITES];
+        for (p, m) in masters.iter().enumerate() {
+            want[m.as_usize()] += stats.partition_count(pid(p)) as f64;
+        }
+        assert_eq!(stats.site_load(), want);
+    }
+
+    /// At a rate strictly between 0 and 1 the one seeded RNG decides which
+    /// records are sampled: the same seed and records give the same
+    /// tracker, and the retained fraction is the rate.
+    #[test]
+    fn fractional_sample_rate_is_seeded_and_keeps_that_fraction() {
+        const RECORDS: usize = 10_000;
+        let mut cfg = config();
+        cfg.sample_rate = 0.3;
+        cfg.history_capacity = RECORDS;
+        let trackers = [AccessStats::new(cfg, 2, 5), AccessStats::new(cfg, 2, 5)];
+        let m = Some(SiteId::new(0));
+        let now = Instant::now();
+        for stats in &trackers {
+            for i in 0..RECORDS {
+                stats.record_write_set(client(1), now, &[pid(i % 16)], &[m]);
+            }
+        }
+        let all: Vec<PartitionId> = (0..16).map(pid).collect();
+        let counts = |stats: &AccessStats| -> Vec<u64> {
+            all.iter().map(|&p| stats.partition_count(p)).collect()
+        };
+        assert_eq!(trackers[0].history_len(), trackers[1].history_len());
+        assert_eq!(counts(&trackers[0]), counts(&trackers[1]));
+        assert_eq!(trackers[0].site_load(), trackers[1].site_load());
+        let kept = trackers[0].history_len() as f64 / RECORDS as f64;
+        assert!((kept - 0.3).abs() <= 0.03, "kept {kept}");
+        assert_eq!(
+            counts(&trackers[0]).iter().sum::<u64>() as usize,
+            trackers[0].history_len()
+        );
     }
 
     /// Satellite #3: hammer `record_write_set` from 8 threads over
     /// overlapping write sets and check the merged counts equal a
     /// sequential replay of the same records. At `sample_rate = 1.0` with
     /// capacity bounds that never bind, every operation commutes, so the
-    /// sharded tracker must converge to the single-threaded ground truth.
+    /// tracker must converge to the single-threaded ground truth.
     #[test]
     fn concurrent_records_merge_to_sequential_ground_truth() {
         use std::sync::Arc;

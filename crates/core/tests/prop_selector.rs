@@ -9,6 +9,7 @@ use dynamast_common::{StrategyWeights, VersionVector};
 use dynamast_core::stats::{AccessStats, StatsConfig};
 use dynamast_core::strategy::{best_site, score_sites, CoAccess, ScoreInputs};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn weights_strategy() -> impl Strategy<Value = StrategyWeights> {
     (0.0..10_000.0f64, 0.0..2.0f64, 0.0..5.0f64, 0.0..5.0f64).prop_map(
@@ -160,17 +161,35 @@ fn model_master(p: PartitionId) -> SiteId {
 type PartnerTables = HashMap<PartitionId, HashMap<PartitionId, u64>>;
 type Pair = (PartitionId, PartitionId);
 
+/// The model's partition → master map: `model_master` until a remaster op
+/// moves a partition.
+#[derive(Default)]
+struct ModelMasters(HashMap<PartitionId, SiteId>);
+
+impl ModelMasters {
+    fn of(&self, p: PartitionId) -> SiteId {
+        self.0.get(&p).copied().unwrap_or_else(|| model_master(p))
+    }
+
+    /// Moves `p` to `to` in the model and in the tracker, as the remaster
+    /// executor does under the partition's exclusive lock.
+    fn remaster(&mut self, stats: &AccessStats, p: PartitionId, to: SiteId) {
+        self.0.insert(p, to);
+        stats.on_remaster(p, to);
+    }
+}
+
 /// Naive reference for `AccessStats`: pairs a write set with every earlier
 /// in-window *occurrence* of the client's partitions, one bump each, and
 /// expires the same way — the pairing the tracker did before it kept the
-/// window as a multiset.
+/// window as a multiset. Expiry follows the paper: the record that pushes
+/// the history past capacity takes back what the oldest sample added.
 #[derive(Default)]
 struct NaiveStats {
     count: HashMap<PartitionId, u64>,
     intra: PartnerTables,
     inter: PartnerTables,
     recent: HashMap<u64, Vec<(Duration, Vec<PartitionId>)>>,
-    pending: Vec<(Vec<PartitionId>, Vec<Pair>, Vec<Pair>)>,
     history: VecDeque<(Vec<PartitionId>, Vec<Pair>, Vec<Pair>)>,
 }
 
@@ -212,27 +231,19 @@ impl NaiveStats {
                 }
             }
         }
-        self.pending.push((parts.to_vec(), intra, inter));
-    }
-
-    /// What every `AccessStats` read does first: queue the parked samples
-    /// and take back whatever the ones past capacity contributed.
-    fn flush(&mut self, capacity: usize) {
-        for sample in std::mem::take(&mut self.pending) {
-            self.history.push_back(sample);
-            while self.history.len() > capacity {
-                let (parts, intra, inter) = self.history.pop_front().expect("over capacity");
-                for p in parts {
-                    *self.count.get_mut(&p).expect("counted") -= 1;
-                }
-                for (tables, pairs) in [(&mut self.intra, intra), (&mut self.inter, inter)] {
-                    for (from, to) in pairs {
-                        let table = tables.get_mut(&from).expect("bumped");
-                        let c = table.get_mut(&to).expect("bumped");
-                        *c -= 1;
-                        if *c == 0 {
-                            table.remove(&to);
-                        }
+        self.history.push_back((parts.to_vec(), intra, inter));
+        while self.history.len() > config.history_capacity {
+            let (parts, intra, inter) = self.history.pop_front().expect("over capacity");
+            for p in parts {
+                *self.count.get_mut(&p).expect("counted") -= 1;
+            }
+            for (tables, pairs) in [(&mut self.intra, intra), (&mut self.inter, inter)] {
+                for (from, to) in pairs {
+                    let table = tables.get_mut(&from).expect("bumped");
+                    let c = table.get_mut(&to).expect("bumped");
+                    *c -= 1;
+                    if *c == 0 {
+                        table.remove(&to);
                     }
                 }
             }
@@ -251,6 +262,43 @@ impl NaiveStats {
         out.sort_by_key(|(to, _)| *to);
         out
     }
+
+    /// Asserts the tracker matches the model over `all` partitions:
+    /// loads, partner probabilities, history length, and per-site load
+    /// equal to the counts grouped by the model's masters.
+    fn check(
+        &self,
+        stats: &AccessStats,
+        masters: &ModelMasters,
+        all: &[PartitionId],
+        op: usize,
+    ) -> Result<(), TestCaseError> {
+        let (snaps, site_load) = stats.snapshot(all);
+        let mut want_load = vec![0.0; MODEL_SITES];
+        for (p, snap) in all.iter().zip(&snaps) {
+            let count = self.count.get(p).copied().unwrap_or(0);
+            prop_assert_eq!(snap.load, count as f64, "load of {:?} after op {}", p, op);
+            want_load[masters.of(*p).as_usize()] += count as f64;
+            prop_assert_eq!(
+                &snap.intra.partners,
+                &self.probabilities(&self.intra, *p),
+                "intra of {:?} after op {}",
+                p,
+                op
+            );
+            prop_assert_eq!(
+                &snap.inter.partners,
+                &self.probabilities(&self.inter, *p),
+                "inter of {:?} after op {}",
+                p,
+                op
+            );
+        }
+        prop_assert_eq!(&site_load, &want_load, "site load after op {}", op);
+        prop_assert_eq!(stats.site_load(), want_load);
+        prop_assert_eq!(stats.history_len(), self.history.len());
+        Ok(())
+    }
 }
 
 proptest! {
@@ -260,13 +308,17 @@ proptest! {
     /// per-occurrence pairing: identical loads, intra and inter partner
     /// probabilities and per-site load at every read, across several
     /// clients, windows that expire mid-sequence, a history small enough to
-    /// expire samples and partner tables small enough to saturate. (Below
-    /// 256 parked samples the tracker flushes only on reads, which is where
-    /// the model flushes too.)
+    /// expire samples, partner tables small enough to saturate, and
+    /// remasters between records.
     #[test]
     fn multiset_window_matches_per_occurrence_reference(
         ops in prop::collection::vec(
-            (0u64..4, 0u64..40, prop::collection::vec(0usize..MODEL_PARTITIONS, 1..5), any::<bool>()),
+            (
+                (0u64..4, 0u64..40),
+                prop::collection::vec(0usize..MODEL_PARTITIONS, 1..5),
+                any::<bool>(),
+                (0u8..4, 0usize..MODEL_PARTITIONS, 0usize..MODEL_SITES),
+            ),
             1..150,
         ),
         capacity in 1usize..30,
@@ -280,42 +332,25 @@ proptest! {
         };
         let stats = AccessStats::new(config, MODEL_SITES, 7);
         let mut model = NaiveStats::default();
+        let mut masters = ModelMasters::default();
         let all: Vec<PartitionId> = (0..MODEL_PARTITIONS).map(PartitionId::new).collect();
         let t0 = Instant::now();
         let mut at = Duration::ZERO;
         let last = ops.len() - 1;
-        for (i, (client, dt_ms, parts, read)) in ops.iter().enumerate() {
+        for (i, ((client, dt_ms), parts, read, (remaster, p, to))) in ops.iter().enumerate() {
+            if *remaster == 0 {
+                masters.remaster(&stats, PartitionId::new(*p), SiteId::new(*to));
+            }
             at += Duration::from_millis(*dt_ms);
             // Sorted like a routed write set, but repeats are left in.
             let mut parts: Vec<PartitionId> = parts.iter().map(|p| PartitionId::new(*p)).collect();
             parts.sort_unstable();
-            let masters: Vec<Option<SiteId>> = parts.iter().map(|p| Some(model_master(*p))).collect();
-            stats.record_write_set(ClientId::new(*client as usize), t0 + at, &parts, &masters);
+            let routed: Vec<Option<SiteId>> = parts.iter().map(|p| Some(masters.of(*p))).collect();
+            stats.record_write_set(ClientId::new(*client as usize), t0 + at, &parts, &routed);
             model.record(*client, at, &parts, &config);
-            if !*read && i != last {
-                continue;
+            if *read || i == last {
+                model.check(&stats, &masters, &all, i)?;
             }
-            model.flush(capacity);
-            let (snaps, site_load) = stats.snapshot(&all);
-            let mut want_load = vec![0.0; MODEL_SITES];
-            for (p, snap) in all.iter().zip(&snaps) {
-                let count = model.count.get(p).copied().unwrap_or(0);
-                prop_assert_eq!(snap.load, count as f64, "load of {:?} after op {}", p, i);
-                want_load[model_master(*p).as_usize()] += count as f64;
-                prop_assert_eq!(
-                    &snap.intra.partners,
-                    &model.probabilities(&model.intra, *p),
-                    "intra of {:?} after op {}", p, i
-                );
-                prop_assert_eq!(
-                    &snap.inter.partners,
-                    &model.probabilities(&model.inter, *p),
-                    "inter of {:?} after op {}", p, i
-                );
-            }
-            prop_assert_eq!(&site_load, &want_load);
-            prop_assert_eq!(stats.approx_site_load(), want_load);
-            prop_assert_eq!(stats.history_len(), model.history.len());
         }
     }
 }
@@ -330,17 +365,18 @@ proptest! {
     /// index)` ids over six tables (72 partitions, so 64-wide partner tables
     /// saturate), sorted and deduplicated write sets of 5–20 partitions,
     /// and two to four clients that each put 20+ sets inside one 100 ms Δt
-    /// window (≈ 1 ms between records), with windows expiring mid-sequence
-    /// and a history small enough to expire samples.
+    /// window (≈ 1 ms between records), with windows expiring mid-sequence,
+    /// a history small enough to expire samples, and remasters between
+    /// records.
     #[test]
     fn multiset_window_matches_per_occurrence_reference_at_tpcc_shape(
         clients in 2u64..5,
         ops in prop::collection::vec(
             (
-                0u64..4,
-                0u64..3,
+                (0u64..4, 0u64..3),
                 prop::collection::btree_set((0usize..TPCC_TABLES, 0u64..TPCC_INDEXES), 5..21),
                 0u8..8,
+                (0u8..4, (0usize..TPCC_TABLES, 0u64..TPCC_INDEXES), 0usize..MODEL_SITES),
             ),
             60..140,
         ),
@@ -355,13 +391,20 @@ proptest! {
         };
         let stats = AccessStats::new(config, MODEL_SITES, 7);
         let mut model = NaiveStats::default();
+        let mut masters = ModelMasters::default();
         let all: Vec<PartitionId> = (0..TPCC_TABLES)
             .flat_map(|t| (0..TPCC_INDEXES).map(move |i| partition_id(TableId::new(t), i)))
             .collect();
         let t0 = Instant::now();
         let mut at = Duration::ZERO;
         let last = ops.len() - 1;
-        for (i, (client, dt_ms, set, read)) in ops.iter().enumerate() {
+        for (i, ((client, dt_ms), set, read, (remaster, (table, index), to))) in
+            ops.iter().enumerate()
+        {
+            if *remaster == 0 {
+                let p = partition_id(TableId::new(*table), *index);
+                masters.remaster(&stats, p, SiteId::new(*to));
+            }
             at += Duration::from_millis(*dt_ms);
             let client = client % clients;
             // A routed write set: sorted by packed id, no repeats.
@@ -369,33 +412,12 @@ proptest! {
                 .iter()
                 .map(|&(t, index)| partition_id(TableId::new(t), index))
                 .collect();
-            let masters: Vec<Option<SiteId>> = parts.iter().map(|p| Some(model_master(*p))).collect();
-            stats.record_write_set(ClientId::new(client as usize), t0 + at, &parts, &masters);
+            let routed: Vec<Option<SiteId>> = parts.iter().map(|p| Some(masters.of(*p))).collect();
+            stats.record_write_set(ClientId::new(client as usize), t0 + at, &parts, &routed);
             model.record(client, at, &parts, &config);
-            if *read != 0 && i != last {
-                continue;
+            if *read == 0 || i == last {
+                model.check(&stats, &masters, &all, i)?;
             }
-            model.flush(capacity);
-            let (snaps, site_load) = stats.snapshot(&all);
-            let mut want_load = vec![0.0; MODEL_SITES];
-            for (p, snap) in all.iter().zip(&snaps) {
-                let count = model.count.get(p).copied().unwrap_or(0);
-                prop_assert_eq!(snap.load, count as f64, "load of {:?} after op {}", p, i);
-                want_load[model_master(*p).as_usize()] += count as f64;
-                prop_assert_eq!(
-                    &snap.intra.partners,
-                    &model.probabilities(&model.intra, *p),
-                    "intra of {:?} after op {}", p, i
-                );
-                prop_assert_eq!(
-                    &snap.inter.partners,
-                    &model.probabilities(&model.inter, *p),
-                    "inter of {:?} after op {}", p, i
-                );
-            }
-            prop_assert_eq!(&site_load, &want_load);
-            prop_assert_eq!(stats.approx_site_load(), want_load);
-            prop_assert_eq!(stats.history_len(), model.history.len());
         }
     }
 }

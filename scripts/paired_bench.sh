@@ -17,8 +17,9 @@
 #     first, odd pairs the change first;
 #   - prints one TSV row per run: side, seed, correct, failed and the four
 #     end-to-end metrics;
-#   - ends with each side's median and interquartile range per metric, and
-#     how many pairs the change won on each.
+#   - ends with each side's median and interquartile range per metric, how
+#     many pairs the change won on each, the parent's spread and a verdict;
+#   - exits non-zero if any run is not `correct` or has `failed > 0`.
 #
 # Extra arguments go to every benchmark run; the default is
 # `--seconds 15 --trace 0`, the benchmark's own window. Every run's full
@@ -26,8 +27,14 @@
 # results.jsonl in the work directory, ${TMPDIR:-/tmp}/dynamast-paired-<rev>.
 # Builds there are reused by later invocations against the same revision.
 #
-# The verdict stays with the reader: a gain needs the change to win at
-# least 9 of 10 pairs and medians further apart than the parent's IQR.
+# The verdict column applies EXPERIMENTS.md's rules, with each metric's
+# bound and direction read from BENCHMARK.json's `end_to_end` entries:
+#   - spread = the parent's IQR / its median; spread > bound: "unresolved";
+#   - "better": the change wins >= 90 % of pairs and the medians are further
+#     apart than the parent's IQR;
+#   - "worse": the parent wins >= 90 % of pairs and the medians are further
+#     apart than the parent's IQR;
+#   - anything else: "within bound".
 # Run nothing else on the host meanwhile.
 set -euo pipefail
 
@@ -96,18 +103,20 @@ for ((i = 0; i < pairs; i++)); do
     fi
 done
 
-python3 - "$tsv" <<'EOF'
-import csv, statistics, sys
+status=0
+python3 - "$tsv" "$repo/BENCHMARK.json" <<'EOF' || status=$?
+import csv, json, math, statistics, sys
 
 rows = list(csv.DictReader(open(sys.argv[1]), delimiter="\t"))
+gated = {m["name"]: m for m in json.load(open(sys.argv[2]))["end_to_end"]}
 names = [n for n in rows[0] if n not in ("side", "seed", "correct", "failed")]
-lower_is_better = {"latency_p50_us", "update_p50_us", "setup_s"}
 by = {(r["side"], r["seed"]): r for r in rows}
 seeds = sorted({r["seed"] for r in rows}, key=int)
 bad = [r for r in rows if r["correct"] != "true" or r["failed"] != "0"]
 print(f"\n{len(seeds)} pairs; runs not correct or with failures: {len(bad)}")
 print(f"{'metric':<16} {'parent median':>14} {'parent IQR':>11} "
-      f"{'change median':>14} {'change IQR':>11} {'ratio':>7} {'change wins':>12}")
+      f"{'change median':>14} {'change IQR':>11} {'ratio':>7} {'change wins':>12} "
+      f"{'spread':>7}  verdict")
 
 
 def quartiles(values):
@@ -117,20 +126,41 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def verdict(parent_median, parent_iqr, change_median, wins, losses, pairs, bound):
+    """EXPERIMENTS.md's rules; returns (spread, verdict)."""
+    spread = parent_iqr / parent_median if parent_median else float("inf")
+    apart = abs(change_median - parent_median) > parent_iqr
+    if spread > bound:
+        return spread, "unresolved"
+    if wins >= 0.9 * pairs and apart:
+        return spread, "better"
+    if losses >= 0.9 * pairs and apart:
+        return spread, "worse"
+    return spread, "within bound"
+
+
 for name in names:
     stats = {}
     for side in ("parent", "change"):
         values = [float(by[(side, s)][name]) for s in seeds if (side, s) in by]
         q1, q2, q3 = quartiles(values)
         stats[side] = (q2, q3 - q1)
-    wins = 0
+    higher = gated[name]["better"] == "higher"
+    wins = losses = pairs = 0
     for s in seeds:
         if ("parent", s) in by and ("change", s) in by:
             p, c = float(by[("parent", s)][name]), float(by[("change", s)][name])
-            wins += c < p if name in lower_is_better else c > p
+            pairs += 1
+            wins += c > p if higher else c < p
+            losses += c < p if higher else c > p
     (pm, piqr), (cm, ciqr) = stats["parent"], stats["change"]
     ratio = cm / pm if pm else float("nan")
+    spread, call = verdict(pm, piqr, cm, wins, losses, pairs, gated[name]["bound"])
+    if math.isnan(pm) or math.isnan(cm):
+        call = "no data"  # a traced run reports no end-to-end metrics
     print(f"{name:<16} {pm:>14.2f} {piqr:>11.2f} {cm:>14.2f} {ciqr:>11.2f} "
-          f"{ratio:>7.3f} {wins:>7}/{len(seeds)}")
+          f"{ratio:>7.3f} {wins:>7}/{pairs:<4} {spread:>7.2f}  {call}")
+sys.exit(1 if bad else 0)
 EOF
 echo "rows: $tsv; result lines: $work/results.jsonl" >&2
+exit "$status"
