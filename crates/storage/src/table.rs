@@ -1,14 +1,20 @@
 //! Multi-versioned row tables.
 //!
 //! A [`Table`] is a block-sharded ordered primary-key index mapping record
-//! ids to version chains: 32 consecutive ids form a block, a block lives in
-//! one shard (chosen by a hash of the block id), and each shard is an
-//! ordered map — so a contiguous range is served by one lock and one
-//! ordered walk per block. Each version carries a
-//! [`VersionStamp`] — `(origin site, sequence)` — identifying the committing
-//! transaction's slot in its origin site's commit order. Chains keep at most
-//! `max_versions` entries (default four, §V-A1), pruning the oldest version
-//! when a new one is installed.
+//! ids to version chains. 32 consecutive ids form a block: one allocation
+//! holding a chain slot per id (indexed by `record & 31`) and a `u32`
+//! occupancy mask. A block lives in one shard, chosen by a hash of the
+//! block id, and each shard is an ordered map from block id to block — so a
+//! contiguous range is served by one lock, one map lookup and one array walk
+//! per block. A block that a purge empties is dropped.
+//!
+//! Each version carries a [`VersionStamp`] — `(origin site, sequence)` —
+//! identifying the committing transaction's slot in its origin site's
+//! commit order. A chain keeps its newest version inline in the slot and
+//! older ones, oldest first, in a vector that is allocated only once the
+//! record has a second version. Chains keep at most `max_versions` entries
+//! (default four, §V-A1), pruning the oldest version when a new one is
+//! installed.
 //!
 //! Versions are read in place: [`Table::visit`] (one record) and
 //! [`Table::visit_range`] (a range, ascending) hand a closure the chosen
@@ -26,8 +32,9 @@ use parking_lot::RwLock;
 
 const SHARD_BITS: u32 = 6;
 const SHARDS: usize = 1 << SHARD_BITS;
-/// `1 << BLOCK_SHIFT` consecutive record ids share a shard.
+/// `1 << BLOCK_SHIFT` consecutive record ids share a block.
 const BLOCK_SHIFT: u32 = 5;
+const BLOCK_LEN: usize = 1 << BLOCK_SHIFT;
 
 dynamast_common::wire! {
     /// Identifies the transaction that created a record version. On the
@@ -115,42 +122,119 @@ struct Version {
     row: Row,
 }
 
-/// One record's version chain, newest last.
-#[derive(Default)]
+/// One record's version chain: the newest version inline, older versions
+/// oldest first.
 struct Chain {
-    versions: Vec<Version>,
+    newest: Version,
+    older: Vec<Version>,
 }
 
 impl Chain {
+    fn new(version: Version) -> Self {
+        Chain {
+            newest: version,
+            older: Vec::new(),
+        }
+    }
+
     /// Installs a version, returning the net change in resident payload
     /// bytes (installed bytes minus any evicted version's bytes).
-    fn install(&mut self, stamp: VersionStamp, row: Row, max_versions: usize) -> i64 {
-        let mut delta = row.payload_size() as i64;
-        self.versions.push(Version { stamp, row });
-        if self.versions.len() > max_versions {
-            delta -= self.versions.remove(0).row.payload_size() as i64;
+    fn install(&mut self, version: Version, max_versions: usize) -> i64 {
+        let mut delta = version.row.payload_size() as i64;
+        let previous = std::mem::replace(&mut self.newest, version);
+        let evicted = if self.len() < max_versions {
+            self.older.push(previous);
+            None
+        } else if self.older.is_empty() {
+            Some(previous)
+        } else {
+            self.older.push(previous);
+            Some(self.older.remove(0))
+        };
+        if let Some(evicted) = evicted {
+            delta -= evicted.row.payload_size() as i64;
         }
         delta
     }
 
-    fn payload_size(&self) -> usize {
-        self.versions.iter().map(|v| v.row.payload_size()).sum()
+    /// Number of retained versions.
+    fn len(&self) -> usize {
+        1 + self.older.len()
     }
 
-    /// The version `at` chooses, scanning from the tail.
+    fn payload_size(&self) -> usize {
+        self.newest.row.payload_size()
+            + self
+                .older
+                .iter()
+                .map(|v| v.row.payload_size())
+                .sum::<usize>()
+    }
+
+    /// The version `at` chooses, newest first.
     fn choose(&self, at: ReadAt<'_>) -> Option<&Version> {
         match at {
-            ReadAt::Begin(begin) => self
-                .versions
-                .iter()
-                .rev()
-                .find(|v| v.stamp.visible_to(begin)),
-            ReadAt::Latest => self.versions.last(),
+            ReadAt::Begin(begin) if !self.newest.stamp.visible_to(begin) => {
+                self.older.iter().rev().find(|v| v.stamp.visible_to(begin))
+            }
+            ReadAt::Begin(_) | ReadAt::Latest => Some(&self.newest),
         }
     }
 }
 
-type Shard = RwLock<BTreeMap<RecordId, Chain>>;
+/// The chain slots of `1 << BLOCK_SHIFT` consecutive record ids.
+struct Block {
+    /// Bit `slot` is set iff `chains[slot]` holds a chain.
+    occupied: u32,
+    chains: [Option<Chain>; BLOCK_LEN],
+}
+
+impl Block {
+    fn new() -> Box<Self> {
+        Box::new(Block {
+            occupied: 0,
+            chains: [const { None }; BLOCK_LEN],
+        })
+    }
+
+    /// The occupied slots among `mask`'s bits, ascending, with their chains.
+    fn chains(&self, mask: u32) -> impl Iterator<Item = (usize, &Chain)> {
+        set_bits(self.occupied & mask).filter_map(|slot| Some((slot, self.chains[slot].as_ref()?)))
+    }
+}
+
+/// The slot of `record` in its block.
+fn slot(record: RecordId) -> usize {
+    (record & (BLOCK_LEN as RecordId - 1)) as usize
+}
+
+/// Mask of the slots of block `block` whose record ids lie in `first..=last`.
+fn slots_in(block: RecordId, first: RecordId, last: RecordId) -> u32 {
+    let start = if block == first >> BLOCK_SHIFT {
+        slot(first)
+    } else {
+        0
+    };
+    let end = if block == last >> BLOCK_SHIFT {
+        slot(last)
+    } else {
+        BLOCK_LEN - 1
+    };
+    (u32::MAX << start) & (u32::MAX >> (BLOCK_LEN - 1 - end))
+}
+
+/// The set bits of `bits`, ascending.
+fn set_bits(mut bits: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            bit
+        })
+    })
+}
+
+type Shard = RwLock<BTreeMap<RecordId, Box<Block>>>;
 
 /// A block-sharded, ordered, multi-versioned, primary-key-indexed table.
 pub struct Table {
@@ -184,24 +268,24 @@ impl Table {
         self.resident_bytes.load(Ordering::Relaxed)
     }
 
-    fn shard(&self, record: RecordId) -> &Shard {
+    /// The shard holding block `block` (a record id `>> BLOCK_SHIFT`).
+    fn shard(&self, block: RecordId) -> &Shard {
         // Fibonacci hashing of the block id: TPC-C builds keys from shifted
         // fields (`district << 20 | order`), and a plain modulus would put
         // every district's newest orders behind one lock.
-        let block = record >> BLOCK_SHIFT;
         &self.shards[(block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SHARD_BITS)) as usize]
     }
 
     /// Walks `range` one block at a time in ascending order. `run` gets the
-    /// block's shard and the part of the range inside that block, and says
-    /// whether it met any record there. After an empty run the walk seeks
-    /// the next record instead of stepping through empty blocks: TPC-C
-    /// partitions span 2^24 ids and hold a few thousand, and a walk must
-    /// cost what the range holds, not what it spans.
+    /// block's shard, its id and the mask of its slots inside the range, and
+    /// says whether it met any record there. After an empty run the walk
+    /// seeks the next record instead of stepping through empty blocks:
+    /// TPC-C partitions span 2^24 ids and hold a few thousand, and a walk
+    /// must cost what the range holds, not what it spans.
     fn walk_blocks(
         &self,
         range: impl RangeBounds<RecordId>,
-        mut run: impl FnMut(&Shard, RangeInclusive<RecordId>) -> bool,
+        mut run: impl FnMut(&Shard, RecordId, u32) -> bool,
     ) {
         let first = match range.start_bound() {
             Bound::Included(&r) => Some(r),
@@ -217,12 +301,12 @@ impl Table {
             return;
         };
         while cursor <= last {
-            let block_last = (cursor | ((1 << BLOCK_SHIFT) - 1)).min(last);
-            let populated = run(self.shard(cursor), cursor..=block_last);
-            if block_last == last {
+            let block = cursor >> BLOCK_SHIFT;
+            let populated = run(self.shard(block), block, slots_in(block, cursor, last));
+            if block == last >> BLOCK_SHIFT {
                 return;
             }
-            cursor = block_last + 1;
+            cursor = (block + 1) << BLOCK_SHIFT;
             if !populated {
                 match self.next_record(cursor..=last) {
                     Some(record) => cursor = record,
@@ -234,9 +318,17 @@ impl Table {
 
     /// The smallest record id in `range` that has a chain.
     fn next_record(&self, range: RangeInclusive<RecordId>) -> Option<RecordId> {
+        let (first, last) = (*range.start(), *range.end());
         self.shards
             .iter()
-            .filter_map(|s| s.read().range(range.clone()).next().map(|(r, _)| *r))
+            .filter_map(|s| {
+                s.read()
+                    .range(first >> BLOCK_SHIFT..=last >> BLOCK_SHIFT)
+                    .find_map(|(&block, b)| {
+                        let slot = set_bits(b.occupied & slots_in(block, first, last)).next()?;
+                        Some(block << BLOCK_SHIFT | slot as RecordId)
+                    })
+            })
             .min()
     }
 
@@ -244,12 +336,21 @@ impl Table {
     /// for refresh-transaction application; caller guarantees apply-order
     /// correctness (write locks locally, Eq. 1 for refreshes).
     pub fn install(&self, record: RecordId, stamp: VersionStamp, row: Row) {
+        let version = Version { stamp, row };
+        let block = record >> BLOCK_SHIFT;
         let delta = {
-            let mut shard = self.shard(record).write();
-            shard
-                .entry(record)
-                .or_default()
-                .install(stamp, row, self.max_versions)
+            let mut shard = self.shard(block).write();
+            let block = shard.entry(block).or_insert_with(Block::new);
+            let slot = slot(record);
+            match &mut block.chains[slot] {
+                Some(chain) => chain.install(version, self.max_versions),
+                empty => {
+                    let delta = version.row.payload_size() as i64;
+                    *empty = Some(Chain::new(version));
+                    block.occupied |= 1 << slot;
+                    delta
+                }
+            }
         };
         self.charge(delta);
     }
@@ -262,19 +363,26 @@ impl Table {
     pub fn purge_range(&self, start: RecordId, end: RecordId) -> (usize, u64) {
         let mut removed = 0usize;
         let mut freed = 0u64;
-        let mut doomed = Vec::new();
-        self.walk_blocks(start..end, |shard, run| {
+        self.walk_blocks(start..end, |shard, block, mask| {
             let mut shard = shard.write();
-            doomed.extend(shard.range(run).map(|(record, _)| *record));
-            for record in &doomed {
-                if let Some(chain) = shard.remove(record) {
+            let Some(doomed) = shard.get_mut(&block) else {
+                return false;
+            };
+            let bits = doomed.occupied & mask;
+            if bits == 0 {
+                return false;
+            }
+            doomed.occupied &= !bits;
+            for slot in set_bits(bits) {
+                if let Some(chain) = doomed.chains[slot].take() {
                     freed += chain.payload_size() as u64;
+                    removed += 1;
                 }
             }
-            removed += doomed.len();
-            let populated = !doomed.is_empty();
-            doomed.clear();
-            populated
+            if doomed.occupied == 0 {
+                shard.remove(&block);
+            }
+            true
         });
         self.charge(-(freed as i64));
         (removed, freed)
@@ -288,12 +396,16 @@ impl Table {
         at: ReadAt<'_>,
         f: impl FnOnce(&Row, VersionStamp) -> T,
     ) -> Visit<T> {
-        let shard = self.shard(record).read();
-        match shard.get(&record) {
+        let block = record >> BLOCK_SHIFT;
+        let shard = self.shard(block).read();
+        let chain = shard
+            .get(&block)
+            .and_then(|b| b.chains[slot(record)].as_ref());
+        match chain {
             None => Visit::Absent,
             Some(chain) => match chain.choose(at) {
                 Some(v) => Visit::Hit(f(&v.row, v.stamp)),
-                None if chain.versions.len() >= self.max_versions => Visit::Evicted,
+                None if chain.len() >= self.max_versions => Visit::Evicted,
                 None => Visit::Absent,
             },
         }
@@ -312,29 +424,43 @@ impl Table {
         mut f: impl FnMut(RecordId, &Row, VersionStamp),
     ) -> bool {
         let mut evicted = false;
-        self.walk_blocks(range, |shard, run| {
+        self.walk_blocks(range, |shard, block, mask| {
             let shard = shard.read();
-            let mut populated = false;
-            for (record, chain) in shard.range(run) {
-                populated = true;
+            let Some(b) = shard.get(&block) else {
+                return false;
+            };
+            let base = block << BLOCK_SHIFT;
+            for (slot, chain) in b.chains(mask) {
                 match chain.choose(at) {
-                    Some(v) => f(*record, &v.row, v.stamp),
-                    None => evicted |= chain.versions.len() >= self.max_versions,
+                    Some(v) => f(base | slot as RecordId, &v.row, v.stamp),
+                    None => evicted |= chain.len() >= self.max_versions,
                 }
             }
-            populated
+            b.occupied & mask != 0
         });
         evicted
     }
 
     /// `true` iff the record exists (any version).
     pub fn contains(&self, record: RecordId) -> bool {
-        self.shard(record).read().contains_key(&record)
+        let block = record >> BLOCK_SHIFT;
+        self.shard(block)
+            .read()
+            .get(&block)
+            .is_some_and(|b| b.occupied & 1 << slot(record) != 0)
     }
 
     /// Number of records (not versions).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| {
+                s.read()
+                    .values()
+                    .map(|b| b.occupied.count_ones() as usize)
+                    .sum::<usize>()
+            })
+            .sum()
     }
 
     /// `true` if no records exist.
@@ -347,7 +473,13 @@ impl Table {
     pub fn version_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().values().map(|c| c.versions.len()).sum::<usize>())
+            .map(|s| {
+                s.read()
+                    .values()
+                    .flat_map(|b| b.chains(u32::MAX))
+                    .map(|(_, chain)| chain.len())
+                    .sum::<usize>()
+            })
             .sum()
     }
 }

@@ -2,7 +2,7 @@
 //! version pruning, the block-sharded index against a model, and
 //! lock-manager exclusion.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -30,6 +30,8 @@ enum Op {
         record: RecordId,
         origin: usize,
     },
+    /// One `Store::install_batch`; the batch names its first record twice.
+    InstallBatch(Vec<(RecordId, usize)>),
     PurgePartition(u64),
     Point {
         record: RecordId,
@@ -44,11 +46,22 @@ enum Op {
     },
 }
 
+/// TPC-C keys its orders `district << 20 | order`: each district a short
+/// dense run, with gaps between them wider than a block and than all 64
+/// shards' worth of blocks.
+const DISTRICT_SHIFT: u32 = 20;
+
 /// Record ids clustered around block (32), partition (100) and
 /// all-shards (64 × 32 = 2048) boundaries, so runs start and end mid-block
-/// and ranges wrap the shard array.
+/// and ranges wrap the shard array, plus TPC-C-shaped sparse ids.
 fn record_id() -> impl Strategy<Value = RecordId> {
-    prop_oneof![0u64..70, 90u64..135, 2_030u64..2_120, 4_090u64..4_200]
+    prop_oneof![
+        0u64..70,
+        90u64..135,
+        2_030u64..2_120,
+        4_090u64..4_200,
+        (1u64..4, 0u64..40).prop_map(|(district, order)| district << DISTRICT_SHIFT | order),
+    ]
 }
 
 fn snap() -> impl Strategy<Value = [u64; 2]> {
@@ -58,10 +71,14 @@ fn snap() -> impl Strategy<Value = [u64; 2]> {
 fn op() -> impl Strategy<Value = Op> {
     let install =
         || (record_id(), 0usize..2).prop_map(|(record, origin)| Op::Install { record, origin });
+    let batch = prop::collection::vec((record_id(), 0usize..2), 1..6).prop_map(|mut entries| {
+        entries.push((entries[0].0, 1 - entries[0].1));
+        Op::InstallBatch(entries)
+    });
     let range = || {
         (
             prop_oneof![record_id(), 0u64..1],
-            prop_oneof![0u64..140, 2_000u64..4_300],
+            prop_oneof![0u64..140, 2_000u64..4_300, 0u64..4 << DISTRICT_SHIFT],
             prop::option::of(snap()),
         )
             .prop_map(|(start, len, snap)| Op::Range { start, len, snap })
@@ -71,10 +88,19 @@ fn op() -> impl Strategy<Value = Op> {
         install(),
         install(),
         install(),
-        install(),
+        batch,
         range(),
         range(),
-        prop_oneof![0u64..2, 20u64..22, 40u64..42].prop_map(Op::PurgePartition),
+        // Partitions 10 485 and 20 971 hold the first orders of districts
+        // 1 and 2.
+        prop_oneof![
+            0u64..2,
+            20u64..22,
+            40u64..42,
+            10_485u64..10_486,
+            20_971u64..20_972
+        ]
+        .prop_map(Op::PurgePartition),
         (record_id(), snap()).prop_map(|(record, snap)| Op::Point { record, snap }),
         record_id().prop_map(Op::Latest),
     ]
@@ -115,18 +141,35 @@ proptest! {
         let store = Store::new(catalog(), max_versions);
         let mut model = Model::new();
         let mut seqs = [0u64; 2];
+        let mut touched = BTreeSet::new();
+        let mut model_install = |model: &mut Model, record, origin: usize, value| {
+            seqs[origin] += 1;
+            let stamp = VersionStamp::new(SiteId::new(origin), seqs[origin]);
+            let row = sized_row(value);
+            let chain = model.entry(record).or_default();
+            chain.push((stamp, row.clone()));
+            if chain.len() > max_versions {
+                chain.remove(0);
+            }
+            (Key::new(T, record), stamp, row)
+        };
         for (step, op) in ops.into_iter().enumerate() {
             match op {
                 Op::Install { record, origin } => {
-                    seqs[origin] += 1;
-                    let stamp = VersionStamp::new(SiteId::new(origin), seqs[origin]);
-                    let row = sized_row(step as u64);
-                    store.install(Key::new(T, record), stamp, row.clone()).unwrap();
-                    let chain = model.entry(record).or_default();
-                    chain.push((stamp, row));
-                    if chain.len() > max_versions {
-                        chain.remove(0);
-                    }
+                    touched.insert(record);
+                    let (key, stamp, row) = model_install(&mut model, record, origin, step as u64);
+                    store.install(key, stamp, row).unwrap();
+                }
+                Op::InstallBatch(entries) => {
+                    let batch = entries
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(record, origin))| {
+                            touched.insert(record);
+                            model_install(&mut model, record, origin, (step * 8 + i) as u64)
+                        })
+                        .collect();
+                    store.install_batch(batch).unwrap();
                 }
                 Op::PurgePartition(index) => {
                     let doomed: Vec<RecordId> =
@@ -140,6 +183,7 @@ proptest! {
                     prop_assert_eq!(purged, (doomed.len(), freed as u64));
                 }
                 Op::Point { record, snap } => {
+                    touched.insert(record);
                     let begin = VersionVector::from_counts(snap.to_vec());
                     let got = store
                         .visit(Key::new(T, record), ReadAt::Begin(&begin), |row, stamp| {
@@ -157,6 +201,7 @@ proptest! {
                     prop_assert_eq!(got, want);
                 }
                 Op::Latest(record) => {
+                    touched.insert(record);
                     let got = store.read_latest(Key::new(T, record)).unwrap();
                     let want = model
                         .get(&record)
@@ -199,6 +244,14 @@ proptest! {
                 .sum();
             prop_assert_eq!(store.resident_bytes(), resident as u64);
             prop_assert_eq!(store.record_count(), model.len());
+            prop_assert_eq!(store.version_count(), model.values().map(Vec::len).sum::<usize>());
+            for &record in &touched {
+                prop_assert_eq!(
+                    store.contains(Key::new(T, record)).unwrap(),
+                    model.contains_key(&record),
+                    "record {}", record
+                );
+            }
         }
     }
 

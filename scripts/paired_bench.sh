@@ -3,9 +3,15 @@
 #
 # Usage:
 #   scripts/paired_bench.sh <parent-rev> <workload> <first-seed> <pairs> [benchmark args...]
+#   scripts/paired_bench.sh --aa <rev> <workload> <first-seed> <pairs> [benchmark args...]
 #
 # Example (ten pairs of tpcc_durable, seeds 101..110, 15 s windows):
 #   scripts/paired_bench.sh HEAD~1 tpcc_durable 101 10
+#
+# With --aa the "change" side is not the working tree but a second copy of
+# <rev>, extracted into another directory and built there: the A/A control.
+# Its verdicts show how far two builds of one revision drift apart on this
+# host; a real comparison should move further than that.
 #
 # What it does:
 #   - extracts <parent-rev> with `git archive` into a work directory (no
@@ -20,6 +26,8 @@
 #   - ends with each side's median and interquartile range per metric, how
 #     many pairs the change won on each, the parent's spread and a verdict;
 #   - exits non-zero if any run is not `correct` or has `failed > 0`.
+#
+# A/A runs keep their rows and result lines apart (file names end in -aa).
 #
 # Extra arguments go to every benchmark run; the default is
 # `--seconds 15 --trace 0`, the benchmark's own window. Every run's full
@@ -38,8 +46,13 @@
 # Run nothing else on the host meanwhile.
 set -euo pipefail
 
+aa=
+if [ "${1:-}" = --aa ]; then
+    aa=-aa
+    shift
+fi
 if [ "$#" -lt 4 ]; then
-    sed -n '2,8p' "$0" >&2
+    sed -n '2,9p' "$0" >&2
     exit 2
 fi
 parent_rev=$1
@@ -57,29 +70,37 @@ rev=$(git -C "$repo" rev-parse --short "$parent_rev")
 work="${TMPDIR:-/tmp}/dynamast-paired-$rev"
 mkdir -p "$work"
 
-if [ ! -f "$work/parent/Cargo.toml" ]; then
-    mkdir -p "$work/parent"
-    git -C "$repo" archive "$rev" | tar -x -C "$work/parent"
-fi
-
 declare -A src=([parent]="$work/parent" [change]="$repo")
+declare -A target=([parent]="$work/parent-target" [change]="$work/change-target")
+if [ -n "$aa" ]; then
+    src[change]="$work/aa"
+    target[change]="$work/aa-target"
+fi
+for dir in "${src[parent]}" "${src[change]}"; do
+    if [ ! -f "$dir/Cargo.toml" ]; then
+        mkdir -p "$dir"
+        git -C "$repo" archive "$rev" | tar -x -C "$dir"
+    fi
+done
+
 for side in parent change; do
-    echo "building $side ..." >&2
-    CARGO_TARGET_DIR="$work/$side-target" cargo build --release --quiet --offline \
+    echo "building $side (${src[$side]}) ..." >&2
+    CARGO_TARGET_DIR="${target[$side]}" cargo build --release --quiet --offline \
         --manifest-path "${src[$side]}/examples/benchmark/Cargo.toml" >&2
 done
 
-tsv="$work/results-$workload-$first_seed.tsv"
+tsv="$work/results$aa-$workload-$first_seed.tsv"
+jsonl="$work/results$aa.jsonl"
 metrics="throughput_tps latency_p50_us update_p50_us setup_s"
 printf 'side\tseed\tcorrect\tfailed\t%s\n' "${metrics// /$'\t'}" | tee "$tsv"
 
 run() { # side seed
     local side=$1 seed=$2 line
     line=$(cd "${src[$side]}" &&
-        CARGO_TARGET_DIR="$work/$side-target" "$work/$side-target/release/benchmark" \
+        CARGO_TARGET_DIR="${target[$side]}" "${target[$side]}/release/benchmark" \
             --workload "$workload" --seed "$seed" "${bench_args[@]}" | tail -n 1) || true
     printf '{"side":"%s","seed":%s,"result":%s}\n' "$side" "$seed" "${line:-null}" \
-        >>"$work/results.jsonl"
+        >>"$jsonl"
     python3 - "$side" "$seed" "$metrics" "$line" <<'EOF' | tee -a "$tsv"
 import json, sys
 side, seed, names, line = sys.argv[1], sys.argv[2], sys.argv[3].split(), sys.argv[4]
@@ -162,5 +183,5 @@ for name in names:
           f"{ratio:>7.3f} {wins:>7}/{pairs:<4} {spread:>7.2f}  {call}")
 sys.exit(1 if bad else 0)
 EOF
-echo "rows: $tsv; result lines: $work/results.jsonl" >&2
+echo "rows: $tsv; result lines: $jsonl" >&2
 exit "$status"
