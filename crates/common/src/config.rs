@@ -335,25 +335,6 @@ pub struct SystemConfig {
     /// them ("parallel execution of release and grant operations greatly
     /// speed up remastering"); enabling this quantifies that claim.
     pub sequential_remastering: bool,
-    /// The epoch policy (off by default): the sole-master fast path may
-    /// queue a rebalancing move, route the transaction to the current
-    /// master, and execute the queue at the epoch boundary — one `Release`
-    /// and one `Grant` per (source, destination) site pair. A write set
-    /// split across masters is co-located at once either way.
-    pub remaster_batching: bool,
-    /// Epoch boundary by count: the pending-move queue flushes once it
-    /// holds this many distinct partitions.
-    pub epoch_max_moves: usize,
-    /// Epoch boundary by time: the queue also flushes once this much time
-    /// has passed since the first move was queued. `Duration::ZERO`
-    /// disables the time trigger (count-only epochs — what deterministic
-    /// replay tests need, since flush timing then depends only on the
-    /// route sequence).
-    pub epoch_interval: Duration,
-    /// No-stall guarantee: how many transactions may route to the *old*
-    /// master of a queued partition before the selector gives up on the
-    /// epoch and flushes it on the routing path.
-    pub remaster_wait_budget: u32,
     /// Fixed simulated CPU cost per stored-procedure execution (parsing,
     /// plan dispatch). Occupies an RPC worker, modelling the paper's
     /// 12-core data-site machines; ~45% of transaction latency is
@@ -390,10 +371,6 @@ impl SystemConfig {
             inter_txn_window: Duration::from_millis(100),
             max_coaccess_partners: 64,
             sequential_remastering: false,
-            remaster_batching: false,
-            epoch_max_moves: 32,
-            epoch_interval: Duration::ZERO,
-            remaster_wait_budget: 64,
             service_base: Duration::from_micros(800),
             service_per_op: Duration::from_micros(2),
             seed: 0x000D_A11A_5EED,
@@ -464,17 +441,6 @@ impl SystemConfig {
     #[must_use]
     pub fn with_frozen_replica_sets(mut self) -> Self {
         self.replica_provisioning = false;
-        self
-    }
-
-    /// Enables epoch-batched group remastering with a count-triggered
-    /// epoch boundary (`epoch_interval` stays as configured; the default
-    /// `Duration::ZERO` keeps epochs count-only and replay-deterministic).
-    #[must_use]
-    pub fn with_epoch_batching(mut self, max_moves: usize, wait_budget: u32) -> Self {
-        self.remaster_batching = true;
-        self.epoch_max_moves = max_moves;
-        self.remaster_wait_budget = wait_budget;
         self
     }
 }
@@ -551,16 +517,5 @@ mod tests {
         assert_eq!(ReplicationMode::Partial { floor: 0 }.effective_floor(4), 2);
         assert_eq!(ReplicationMode::Partial { floor: 9 }.effective_floor(4), 4);
         assert_eq!(ReplicationMode::Partial { floor: 2 }.effective_floor(1), 1);
-    }
-
-    #[test]
-    fn epoch_batching_builder_sets_knobs() {
-        let cfg = SystemConfig::new(3);
-        assert!(!cfg.remaster_batching);
-        let cfg = cfg.with_epoch_batching(8, 16);
-        assert!(cfg.remaster_batching);
-        assert_eq!(cfg.epoch_max_moves, 8);
-        assert_eq!(cfg.remaster_wait_budget, 16);
-        assert_eq!(cfg.epoch_interval, Duration::ZERO);
     }
 }

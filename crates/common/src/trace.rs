@@ -287,8 +287,7 @@ pub enum TracePayload {
         /// Number of write-set partitions being co-located.
         partitions: u32,
         /// Remastering epoch the decision belongs to: the next epoch the
-        /// selector will allocate for an inline move, or the first epoch
-        /// of an epoch-batched group flush (0 = not yet assigned).
+        /// selector will allocate.
         epoch: u64,
         /// Per-candidate scores of all four features.
         candidates: Arc<Vec<CandidateScore>>,

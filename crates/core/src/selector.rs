@@ -23,12 +23,9 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use dynamast_common::codec::encode_to_vec;
-use dynamast_common::hash::IntMap;
 use dynamast_common::ids::{ClientId, Key, PartitionId, SiteId};
 use dynamast_common::metrics::{Counter, LatencyHistogram};
-use dynamast_common::trace::{
-    next_trace_id, CandidateScore, FlightRecorder, TraceKind, TracePayload, TraceSite,
-};
+use dynamast_common::trace::{next_trace_id, FlightRecorder, TraceKind, TracePayload, TraceSite};
 use dynamast_common::{DynaError, Result, SystemConfig, VersionVector};
 use dynamast_network::{CrashPoint, CrashSwitch, EndpointId, Network, TrafficCategory};
 use dynamast_site::messages::{expect_ok, SiteRequest, SiteResponse};
@@ -42,7 +39,6 @@ mod provision;
 #[path = "remaster.rs"]
 mod remaster;
 
-use self::remaster::EpochQueue;
 use crate::freshness::FreshnessCache;
 use crate::partition_map::PartitionMap;
 use crate::replica_map::ReplicaMap;
@@ -145,12 +141,8 @@ pub struct SiteSelector {
     /// First-touch placements (no release involved; the paper's DynaMast
     /// starts unplaced, so early transactions *place* rather than remaster).
     pub placements: Arc<Counter>,
-    /// Pending epoch-batched moves (empty unless `remaster_batching`).
-    pending: Mutex<EpochQueue>,
-    /// Single-flight guard: one epoch flush at a time, late callers skip.
-    flush_in_progress: AtomicBool,
     /// Release/Grant RPCs sent, by every caller of the executor: routing,
-    /// epoch flush, back-grants, the standby's repair grants.
+    /// back-grants, the standby's repair grants.
     pub remaster_rpcs: Arc<Counter>,
     /// Round trips avoided by moves sharing an RPC, whoever sent it: every
     /// move a Release or Grant carried beyond its first.
@@ -221,8 +213,6 @@ impl SiteSelector {
             remaster_ops: Arc::new(Counter::new()),
             partitions_moved: Arc::new(Counter::new()),
             placements: Arc::new(Counter::new()),
-            pending: Mutex::new(EpochQueue::default()),
-            flush_in_progress: AtomicBool::new(false),
             remaster_rpcs: Arc::new(Counter::new()),
             remaster_rpcs_saved: Arc::new(Counter::new()),
             remaster_batch_size: Arc::new(LatencyHistogram::new()),
@@ -336,11 +326,6 @@ impl SiteSelector {
                             }
                         }
                     }
-                    // The probe doubles as the epoch clock: an idle workload
-                    // must not strand a queued move past `epoch_interval`.
-                    if selector.config.remaster_batching {
-                        let _ = selector.flush_epoch_if_due();
-                    }
                     // Replica provisioning rides the same cadence: between
                     // probe rounds the planner widens hot partitions and
                     // shrinks cold ones back toward the floor.
@@ -404,7 +389,6 @@ impl SiteSelector {
         };
 
         // Fast path: shared locks; one master for everything → route there.
-        let mut recorded = false;
         {
             let guards = self.map.lock_shared(&entries);
             let masters: Vec<Option<SiteId>> = guards.iter().map(|g| g.master).collect();
@@ -413,20 +397,8 @@ impl SiteSelector {
                 let lookup = t0.elapsed();
                 self.stats
                     .record_write_set(client, Instant::now(), &partitions, &masters);
-                recorded = true;
-                // Epoch batching: the group stays where it is for now; the
-                // tick may queue a move for the epoch boundary, and only a
-                // blown wait budget forces the flush (and a re-route) here.
-                let site = if self.config.remaster_batching {
-                    self.epoch_tick(txn_id, cvv, &partitions, site)?
-                } else {
-                    Some(site)
-                };
-                if let Some(site) = site {
-                    let decision = no_remaster(site, lookup, Duration::ZERO);
-                    return Ok(self.reply(txn_id, partitions.len(), true, decision));
-                }
-                // The forced flush split the group: co-locate it below.
+                let decision = no_remaster(site, lookup, Duration::ZERO);
+                return Ok(self.reply(txn_id, partitions.len(), true, decision));
             }
         }
 
@@ -437,10 +409,8 @@ impl SiteSelector {
         let lookup = t0.elapsed();
         let t_route = Instant::now();
         // Recorded before scoring, so frequencies include this transaction.
-        if !recorded {
-            self.stats
-                .record_write_set(client, Instant::now(), &partitions, &masters);
-        }
+        self.stats
+            .record_write_set(client, Instant::now(), &partitions, &masters);
         if let Some(site) = sole_master(&masters) {
             drop(guards);
             let decision = no_remaster(site, lookup, t_route.elapsed());
@@ -472,15 +442,8 @@ impl SiteSelector {
         for &(i, _) in &moves {
             self.ensure_replica(dest, partitions[i])?;
         }
-        let (min_vv, moved, failed) = self.execute_moves(
-            txn_id,
-            &partitions,
-            &entries,
-            &mut guards,
-            &moves,
-            dest,
-            CrashPoint::BeforeGrantSend,
-        )?;
+        let (min_vv, moved, failed) =
+            self.execute_moves(txn_id, &partitions, &entries, &mut guards, &moves, dest)?;
         drop(guards);
         self.retire_followed(&moved);
         if !moved.is_empty() {
@@ -524,9 +487,10 @@ impl SiteSelector {
         decision
     }
 
-    /// Strategy evaluation (Eq. 8) over all candidate sites, recording a
-    /// [`TraceKind::RemasterDecision`] event with every candidate's feature
-    /// scores.
+    /// Strategy evaluation (Eq. 8) over all candidate sites: builds the
+    /// feature inputs, takes the group scorer's argmax under the current
+    /// reachability mask, and records a [`TraceKind::RemasterDecision`]
+    /// event with every candidate's feature scores.
     fn decide_destination(
         &self,
         txn_id: u64,
@@ -534,32 +498,6 @@ impl SiteSelector {
         masters: &[Option<SiteId>],
         cvv: &VersionVector,
     ) -> SiteId {
-        let (dest, cands) = self.score_candidates(partitions, masters, cvv);
-        // Decision explainability: the full per-candidate feature breakdown
-        // (Eq. 8's four terms) behind this choice, on the flight recorder.
-        self.trace(
-            txn_id,
-            TraceKind::RemasterDecision,
-            TracePayload::Decision {
-                chosen: dest.raw(),
-                partitions: partitions.len() as u32,
-                epoch: self.epoch.load(Ordering::Relaxed) + 1,
-                candidates: Arc::new(cands),
-            },
-        );
-        dest
-    }
-
-    /// Eq. 8 evaluation of one partition set, for slow-path decisions and
-    /// the epoch tick's per-partition verdicts: builds the feature inputs
-    /// once and delegates to the strategy's group scorer with the current
-    /// reachability mask.
-    fn score_candidates(
-        &self,
-        partitions: &[PartitionId],
-        masters: &[Option<SiteId>],
-        cvv: &VersionVector,
-    ) -> (SiteId, Vec<CandidateScore>) {
         let (snaps, site_load) = self.stats.snapshot(partitions);
         let placed: Vec<(PartitionId, Option<SiteId>)> = partitions
             .iter()
@@ -567,14 +505,13 @@ impl SiteSelector {
             .map(|(p, m)| (*p, *m))
             .collect();
         let partition_load: Vec<f64> = snaps.iter().map(|s| s.load).collect();
-        let unassigned = IntMap::default();
         let intra: Vec<Vec<CoAccess>> = snaps
             .iter()
-            .map(|s| self.coaccess(&s.intra.partners, partitions, &unassigned))
+            .map(|s| self.coaccess(&s.intra.partners, partitions))
             .collect();
         let inter: Vec<Vec<CoAccess>> = snaps
             .iter()
-            .map(|s| self.coaccess(&s.inter.partners, partitions, &unassigned))
+            .map(|s| self.coaccess(&s.inter.partners, partitions))
             .collect();
         let site_vvs = self.freshness.all();
         // Never remaster TOWARD an unreachable site: a grant to a crashed
@@ -628,18 +565,28 @@ impl SiteSelector {
                 }
             }
         }
-        (dest, cands)
+        // Decision explainability: the full per-candidate feature breakdown
+        // (Eq. 8's four terms) behind this choice, on the flight recorder.
+        self.trace(
+            txn_id,
+            TraceKind::RemasterDecision,
+            TracePayload::Decision {
+                chosen: dest.raw(),
+                partitions: partitions.len() as u32,
+                epoch: self.epoch.load(Ordering::Relaxed) + 1,
+                candidates: Arc::new(cands),
+            },
+        );
+        dest
     }
 
     /// Co-access partners as Eq. 8 inputs. A partner inside the (sorted)
     /// `write_set` moves with it, so scoring fills in its master; any other
-    /// sits where `assigned` (an epoch flush's plan so far) or else the map
-    /// says.
+    /// sits where the map says.
     fn coaccess(
         &self,
         partners: &[(PartitionId, f64)],
         write_set: &[PartitionId],
-        assigned: &IntMap<PartitionId, SiteId>,
     ) -> Vec<CoAccess> {
         let mapped = self.map.masters_relaxed(partners.iter().map(|&(p, _)| p));
         partners
@@ -647,11 +594,7 @@ impl SiteSelector {
             .zip(mapped)
             .map(|(&(partner, probability), mapped)| {
                 let in_write_set = write_set.binary_search(&partner).is_ok();
-                let partner_master = if in_write_set {
-                    None
-                } else {
-                    assigned.get(&partner).copied().or(mapped)
-                };
+                let partner_master = if in_write_set { None } else { mapped };
                 CoAccess {
                     partner,
                     probability,
@@ -878,6 +821,7 @@ impl Drop for ProbeHandle {
 mod tests {
     use super::*;
     use dynamast_common::config::NetworkConfig;
+    use dynamast_common::trace::CandidateScore;
     use dynamast_common::StrategyWeights;
 
     const SITES: usize = 4;
@@ -889,7 +833,32 @@ mod tests {
             .with_instant_network()
             .with_weights(weights);
         let net = Network::new(NetworkConfig::instant(), 1);
+        net.set_recorder(Some(FlightRecorder::new(64)));
         SiteSelector::new(config, catalog, SelectorMode::Adaptive, net)
+    }
+
+    /// One Eq. 8 decision and the per-candidate table it put on the flight
+    /// recorder.
+    fn decide(
+        selector: &SiteSelector,
+        partitions: &[PartitionId],
+        masters: &[Option<SiteId>],
+    ) -> (SiteId, Vec<CandidateScore>) {
+        let txn_id = next_trace_id();
+        let cvv = VersionVector::zero(SITES);
+        let dest = selector.decide_destination(txn_id, partitions, masters, &cvv);
+        let recorder = selector.recorder.as_ref().expect("recorder attached");
+        let cands = recorder
+            .snapshot()
+            .into_iter()
+            .find_map(|e| match e.payload {
+                TracePayload::Decision { candidates, .. } if e.txn_id == txn_id => {
+                    Some(candidates.to_vec())
+                }
+                _ => None,
+            })
+            .expect("the decision is on the recorder");
+        (dest, cands)
     }
 
     fn pid(i: usize) -> PartitionId {
@@ -946,14 +915,13 @@ mod tests {
         assert_eq!(inter_partners(&skipping), 0);
         assert!(inter_partners(&tracking) > 0);
 
-        let cvv = VersionVector::zero(SITES);
         for partitions in [vec![pid(0), pid(5)], vec![pid(1), pid(2), pid(6)]] {
             let masters: Vec<Option<SiteId>> = partitions
                 .iter()
                 .map(|p| Some(SiteId::new(p.raw() as usize % SITES)))
                 .collect();
-            let (dest_a, a) = skipping.score_candidates(&partitions, &masters, &cvv);
-            let (dest_b, b) = tracking.score_candidates(&partitions, &masters, &cvv);
+            let (dest_a, a) = decide(&skipping, &partitions, &masters);
+            let (dest_b, b) = decide(&tracking, &partitions, &masters);
             assert_eq!(dest_a, dest_b);
             let bits = |cands: &[CandidateScore]| -> Vec<[u64; 5]> {
                 cands

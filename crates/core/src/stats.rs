@@ -335,13 +335,6 @@ impl AccessStats {
         (snaps, load)
     }
 
-    /// The per-site load aggregate alone (the epoch batcher's imbalance
-    /// probe).
-    pub fn site_load(&self) -> Vec<f64> {
-        let inner = self.inner.lock();
-        inner.site_load.iter().map(|&c| c as f64).collect()
-    }
-
     /// The tracked write count of one partition (tests/diagnostics).
     pub fn partition_count(&self, partition: PartitionId) -> u64 {
         let inner = self.inner.lock();
@@ -628,14 +621,14 @@ mod tests {
         // Routed before the move, recorded after it.
         stats.record_write_set(client(1), now, &[pid(1)], &[s0]);
         stats.record_write_set(client(1), now, &[pid(1)], &[s1]);
-        assert_eq!(stats.site_load(), vec![0.0, 4.0]);
+        assert_eq!(stats.snapshot(&[]).1, vec![0.0, 4.0]);
         // Four records of another partition expire all of pid(1)'s.
         for _ in 0..4 {
             stats.record_write_set(client(2), now, &[pid(2)], &[s0]);
         }
         assert_eq!(stats.partition_count(pid(1)), 0);
         assert_eq!(stats.history_len(), 4);
-        assert_eq!(stats.site_load(), vec![4.0, 0.0]);
+        assert_eq!(stats.snapshot(&[]).1, vec![4.0, 0.0]);
     }
 
     /// The same race with threads: routers read a master under a shared
@@ -698,7 +691,7 @@ mod tests {
         for (p, m) in masters.iter().enumerate() {
             want[m.as_usize()] += stats.partition_count(pid(p)) as f64;
         }
-        assert_eq!(stats.site_load(), want);
+        assert_eq!(stats.snapshot(&[]).1, want);
     }
 
     /// At a rate strictly between 0 and 1 the one seeded RNG decides which
@@ -724,7 +717,7 @@ mod tests {
         };
         assert_eq!(trackers[0].history_len(), trackers[1].history_len());
         assert_eq!(counts(&trackers[0]), counts(&trackers[1]));
-        assert_eq!(trackers[0].site_load(), trackers[1].site_load());
+        assert_eq!(trackers[0].snapshot(&[]).1, trackers[1].snapshot(&[]).1);
         let kept = trackers[0].history_len() as f64 / RECORDS as f64;
         assert!((kept - 0.3).abs() <= 0.03, "kept {kept}");
         assert_eq!(

@@ -206,22 +206,18 @@ pub fn score_sites(inputs: &ScoreInputs<'_>) -> Vec<f64> {
         .collect()
 }
 
-/// Scores a *group* of queued partitions as one remastering unit
-/// (epoch-batched group remastering) and confirms its destination.
+/// Scores a write set as one remastering unit and confirms its destination
+/// (the routing slow path's Eq. 8 decision).
 ///
-/// The group is handed in through the same [`ScoreInputs`] as a write set:
-/// `partitions` holds every queued partition, and partners inside the group
-/// use `in_write_set: true` so localization treats them as moving together.
-/// The shared Eq. 8 feature inputs — the before/after balance distance, the
-/// candidate's svv lag target, the localization sums — are therefore
-/// computed once per candidate site for the whole group instead of once per
-/// routed transaction, which is what makes the epoch flush cheaper than the
-/// per-transaction decisions it replaces.
+/// Partners inside the write set use `in_write_set: true`, so localization
+/// treats them as moving together, and the shared Eq. 8 feature inputs —
+/// the before/after balance distance, the candidate's svv lag target, the
+/// localization sums — are computed once per candidate site for the whole
+/// set.
 ///
 /// `unreachable[i]` masks site `i` out of the argmax; if every site is
-/// masked the mask is ignored (matching the selector's inline behaviour:
-/// with nowhere reachable, pick on merit and let the RPC layer surface the
-/// failure). Returns the confirmed destination and the per-candidate table
+/// masked the mask is ignored (with nowhere reachable, pick on merit and
+/// let the RPC layer surface the failure). Returns the confirmed destination and the per-candidate table
 /// for the flight recorder.
 pub fn confirm_group_destination(
     inputs: &ScoreInputs<'_>,
@@ -494,7 +490,7 @@ mod tests {
             intra_txn: 1.0,
             inter_txn: 0.0,
         };
-        // A queued group of two partitions, both at the overloaded site 0,
+        // A write set of two partitions, both at the overloaded site 0,
         // co-accessed with each other (in-group partners move together).
         let partitions = [(pid(1), Some(site(0))), (pid(2), Some(site(0)))];
         let load = [3.0, 3.0];

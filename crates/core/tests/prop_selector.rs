@@ -295,7 +295,7 @@ impl NaiveStats {
             );
         }
         prop_assert_eq!(&site_load, &want_load, "site load after op {}", op);
-        prop_assert_eq!(stats.site_load(), want_load);
+        prop_assert_eq!(stats.snapshot(&[]).1, want_load);
         prop_assert_eq!(stats.history_len(), self.history.len());
         Ok(())
     }

@@ -195,28 +195,16 @@ pub enum CrashPoint {
     /// After the remaster fully settled, before the routing decision is
     /// returned: mastership moved but the client never learns where to.
     BeforeClientReply,
-    /// Between the (src, dst) pairs of an epoch flush, before a pair's
-    /// `Release` leaves: earlier pairs have moved their whole partition
-    /// group, later ones have not been contacted at all — a torn flush on
-    /// the release half.
-    MidBatchRelease,
-    /// Inside an epoch flush, between a pair's settled `Release` and its
-    /// `Grant`: earlier pairs are fully granted at their destinations while
-    /// this one sits in the release-without-grant window — a torn flush on
-    /// the grant half.
-    MidBatchGrant,
 }
 
 impl CrashPoint {
     /// Every enumerated crash point, in protocol order (drives sweep tests).
-    pub const ALL: [CrashPoint; 7] = [
+    pub const ALL: [CrashPoint; 5] = [
         CrashPoint::BeforeReleaseSend,
         CrashPoint::AfterReleaseAck,
         CrashPoint::BeforeGrantSend,
         CrashPoint::AfterGrantSend,
         CrashPoint::BeforeClientReply,
-        CrashPoint::MidBatchRelease,
-        CrashPoint::MidBatchGrant,
     ];
 
     /// Stable numeric code mixed into the trigger hash.
@@ -227,8 +215,6 @@ impl CrashPoint {
             CrashPoint::BeforeGrantSend => 3,
             CrashPoint::AfterGrantSend => 4,
             CrashPoint::BeforeClientReply => 5,
-            CrashPoint::MidBatchRelease => 6,
-            CrashPoint::MidBatchGrant => 7,
         }
     }
 }

@@ -116,14 +116,9 @@ pub fn arm_watchdog(
 /// A small-cluster config with a compressed retry policy so lost messages
 /// cost milliseconds, not the production half-second attempt timeout.
 pub fn chaos_config(num_sites: usize) -> SystemConfig {
-    // Epoch batching is on across the chaos suite (small count-only epochs:
-    // `epoch_interval` stays ZERO so flush timing is a pure function of the
-    // route sequence, which the replay-determinism test depends on). The
-    // tight wait budget keeps the fast-path flush trigger exercised too.
     let mut config = SystemConfig::new(num_sites)
         .with_instant_network()
-        .with_instant_service()
-        .with_epoch_batching(8, 16);
+        .with_instant_service();
     config.network = config.network.with_retry(RetryPolicy {
         attempt_timeout: Duration::from_millis(100),
         max_attempts: 3,

@@ -134,16 +134,6 @@ fn run_crash_point(point: CrashPoint) {
     let seed = chaos_seed() ^ point.code().wrapping_mul(0x517C_C1B7_2722_0A95);
     eprintln!("[failover] crash_point={point:?} CHAOS_SEED={seed:#x}");
 
-    // The two batch crash points sit on the epoch-flush path only (between
-    // its (src, dst) pairs; between a pair's release and its grant), not
-    // the routing slow path: reaching them needs the flash-crowd shape
-    // (every client hammering a small hot range) that keeps the imbalance
-    // probe queueing moves.
-    let hot_mix = matches!(
-        point,
-        CrashPoint::MidBatchRelease | CrashPoint::MidBatchGrant
-    );
-
     let switch = Arc::new(CrashSwitch::new(seed, point));
     let system = build_smallbank(Some(Arc::clone(&switch)));
     let _watchdog = arm_watchdog(
@@ -177,21 +167,6 @@ fn run_crash_point(point: CrashPoint) {
                 while !stop.load(Ordering::Relaxed) {
                     let was_promoted = promoted.load(Ordering::Acquire);
                     let result = match rng.next() % 3 {
-                        0 | 1 if hot_mix => {
-                            // Flash crowd: same-partition transfers over a
-                            // two-partition hot set, so routing stays on the
-                            // sole-master fast path while the hot master's
-                            // load imbalance feeds the pending-move queue.
-                            let from = rng.next() % 200;
-                            let mut to = rng.next() % 200;
-                            if to == from {
-                                to = (to + 1) % 200;
-                            }
-                            let amount = (rng.next() % 200) as i64 + 1;
-                            system
-                                .update(&mut session, &transfer(from, to, amount))
-                                .map(|_| ())
-                        }
                         0 => {
                             // Contended transfers across the shared range
                             // keep mastership moving, so every remaster
