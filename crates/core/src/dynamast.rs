@@ -70,12 +70,6 @@ fn recover_placement(
     Ok((map, watermarks.into_iter().fold(retained, u64::max)))
 }
 
-/// Every Nth checkpoint per site is a full (self-contained) image; those in
-/// between are incremental over the last full, carrying only partitions
-/// dirtied since that base. The periodic full rebase bounds the incremental
-/// chain recovery has to resolve.
-const FULL_CHECKPOINT_PERIOD: u64 = 4;
-
 /// Snapshot-time gauge: resident store bytes per live site plus their total
 /// (the partial-replication footprint claim). Holds the system weakly so the
 /// registry never keeps a dropped deployment alive.
@@ -598,21 +592,12 @@ impl DynaMastSystem {
                 "checkpoint requires a configured durable log directory",
             ));
         };
-        let (counter, base_counter) = {
+        let counter = {
             let mut counters = self.ckpt_counters.lock();
             counters[site] += 1;
-            let counter = counters[site];
-            // Full rebase on the first checkpoint of each period; the rest
-            // of the period ships incrementals over that full (only
-            // partitions dirtied since its cut).
-            let base = if (counter - 1).is_multiple_of(FULL_CHECKPOINT_PERIOD) {
-                0
-            } else {
-                counter - ((counter - 1) % FULL_CHECKPOINT_PERIOD)
-            };
-            (counter, base)
+            counters[site]
         };
-        let ckpt = self.sites.read()[site].build_checkpoint(counter, base_counter)?;
+        let ckpt = self.sites.read()[site].build_checkpoint(counter)?;
         checkpoint::write(&checkpoint_dir(&root, site), &ckpt)?;
         let prev = self.last_ckpt_offsets.lock()[site].replace(ckpt.offsets.clone());
         if let Some(prev) = prev {

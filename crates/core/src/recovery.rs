@@ -160,7 +160,6 @@ pub fn recover_site(
         offsets: vec![0; m],
         mastered: Vec::new(),
         epoch: 0,
-        base_counter: 0,
         hosted: None,
         image: Vec::new(),
     });
@@ -178,10 +177,11 @@ pub fn recover_site(
     let hosted_set: Option<HashSet<PartitionId>> =
         hosted.as_ref().map(|h| h.iter().copied().collect());
     let store = Store::new(catalog, mvcc_versions);
-    // Under partial replication the merged image may carry stale entries of
-    // partitions dropped between the incremental and its base; the hosted
-    // set is the cut's truth, so filter. A record of an unknown table is
-    // kept, so the batch refuses it.
+    // Under partial replication the image is the whole store at the cut, so
+    // it also holds the rows of a copy that was mid-install (`Buffering`)
+    // then: the snapshot installs before the partition is `Hosted`, and the
+    // hosted set excludes such a copy. The hosted set is the cut's truth, so
+    // filter. A record of an unknown table is kept, so the batch refuses it.
     let hosts = |record: &ImageRecord| match &hosted_set {
         None => true,
         Some(hosted) => store
@@ -305,7 +305,6 @@ mod tests {
             offsets: offsets.to_vec(),
             mastered: Vec::new(),
             epoch: 0,
-            base_counter: 0,
             hosted: None,
             image: image
                 .iter()
@@ -403,9 +402,9 @@ mod tests {
     }
 
     /// Partial-replication restart: the checkpoint's hosted set filters both
-    /// the image restore (stale dropped-partition entries in a merged
-    /// incremental) and the suffix replay (foreign writes skipped, svv still
-    /// advanced), and is surfaced for selector-side reconciliation.
+    /// the image restore (rows of a copy that was mid-install at the cut)
+    /// and the suffix replay (foreign writes skipped, svv still advanced),
+    /// and is surfaced for selector-side reconciliation.
     #[test]
     fn checkpointed_recovery_respects_the_hosted_set() {
         let logs = LogSet::new(2);
@@ -415,8 +414,8 @@ mod tests {
         logs.log(S0)
             .append(&commit(S0, &[1, 0], &[(hosted_key, 2), (foreign_key, 9)]));
 
-        // The image's second entry is stale: its partition was dropped
-        // before the cut.
+        // The image's second entry belongs to a copy that was mid-install
+        // at the cut, so the hosted set does not list its partition.
         let ckpt = Checkpoint {
             mastered: vec![p0],
             hosted: Some(vec![p0]),

@@ -25,12 +25,12 @@
 //! records on disk would make restart re-allocate sequence numbers the
 //! checkpoint already accounted for, breaking the slot = sequence invariant.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::fs::File;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use dynamast_common::codec::{self, Buf, BufMut, Decode, Encode};
-use dynamast_common::ids::{Key, PartitionId, SiteId};
+use dynamast_common::ids::{PartitionId, SiteId};
 use dynamast_common::{DynaError, Result, VersionVector};
 use dynamast_storage::ImageRecord;
 
@@ -38,13 +38,15 @@ use crate::segment::crc32;
 
 const MAGIC: u32 = 0x444B_4350; // "DKCP"
 /// Version 2 added the remaster-epoch watermark; version 3 added the
-/// hosted-partition set (partial replication) and incremental images chained
-/// to a base full checkpoint. A file of another version fails the header
-/// check and is skipped like a corrupt one. That is no fallback to full log
-/// replay: once checkpoint-gated truncation has deleted segments, recovery
-/// without a usable checkpoint is refused (the cut it needs lies outside the
-/// retained log), and bulk-loaded rows were never in the log at all. A
-/// format change must therefore ship a reader for the version before it.
+/// hosted-partition set (partial replication) and a reserved `u64` after the
+/// epoch, written as `0`. A nonzero word marks an image that is not the full
+/// cut (an older writer's incremental); decoding refuses it, so such a file
+/// is skipped like a corrupt one, as is a file of another version. That is
+/// no fallback to full log replay: once checkpoint-gated truncation has
+/// deleted segments, recovery without a usable checkpoint is refused (the
+/// cut it needs lies outside the retained log), and bulk-loaded rows were
+/// never in the log at all. A format change must therefore ship a reader
+/// for the version before it.
 const VERSION: u32 = 3;
 
 /// One site's durable consistent cut.
@@ -68,51 +70,13 @@ pub struct Checkpoint {
     /// without it, a recovering selector whose logs were truncated past the
     /// last Release/Grant record could re-allocate already-used epochs.
     pub epoch: u64,
-    /// Counter of the full checkpoint this one's image is incremental
-    /// over: the image covers only partitions dirtied since that base, and
-    /// [`load_latest`] merges it onto the base image. `0` = this is a full
-    /// (self-contained) image.
-    pub base_counter: u64,
     /// Partitions this site held a copy of at the cut. `None` = full
     /// replication (the site hosts everything) — the seed behavior.
     /// Recovery replays only these partitions' write suffixes and the
     /// selector reconciles its replica map rows for the site against it.
     pub hosted: Option<Vec<PartitionId>>,
-    /// Store image: every record version visible at the cut (full), or the
-    /// visible versions of partitions dirtied since `base_counter`
-    /// (incremental).
+    /// Store image: every record version visible at the cut.
     pub image: Vec<ImageRecord>,
-}
-
-impl Checkpoint {
-    /// Whether this checkpoint's image is incremental over a base.
-    pub fn is_incremental(&self) -> bool {
-        self.base_counter != 0
-    }
-
-    /// Overlays an incremental checkpoint onto its base full image: entries
-    /// merge by key (the incremental's newer cut wins) and all cut metadata
-    /// (svv, offsets, mastered, epoch, hosted) comes from the incremental.
-    /// Keys of partitions *dropped* between the two cuts survive the merge;
-    /// restore filters the image by `hosted`, which excludes them.
-    pub fn merge_onto(self, base: Checkpoint) -> Checkpoint {
-        debug_assert!(self.is_incremental() && !base.is_incremental());
-        let mut by_key: std::collections::HashMap<Key, ImageRecord> = base
-            .image
-            .into_iter()
-            .map(|entry| (entry.key, entry))
-            .collect();
-        for entry in self.image {
-            by_key.insert(entry.key, entry);
-        }
-        let mut image: Vec<ImageRecord> = by_key.into_values().collect();
-        image.sort_by_key(|entry| entry.key);
-        Checkpoint {
-            base_counter: 0,
-            image,
-            ..self
-        }
-    }
 }
 
 /// The file counts its id and offset sequences in `u64`s (the wire's
@@ -141,7 +105,7 @@ impl Encode for Checkpoint {
         put_seq(&self.offsets, buf);
         put_seq(&self.mastered, buf);
         buf.put_u64(self.epoch);
-        buf.put_u64(self.base_counter);
+        buf.put_u64(0); // reserved
         match &self.hosted {
             None => buf.put_u8(0),
             Some(hosted) => {
@@ -174,10 +138,11 @@ impl Decode for Checkpoint {
             offsets: get_seq(buf)?,
             mastered: get_seq(buf)?,
             epoch: codec::get_u64(buf)?,
-            base_counter: codec::get_u64(buf)?,
-            hosted: match codec::get_u8(buf)? {
-                0 => None,
-                _ => Some(get_seq(buf)?),
+            // The reserved word, then the hosted tag.
+            hosted: match (codec::get_u64(buf)?, codec::get_u8(buf)?) {
+                (0, 0) => None,
+                (0, _) => Some(get_seq(buf)?),
+                _ => return Err(DynaError::Internal("checkpoint image is not a full cut")),
             },
             image: Vec::decode(buf)?,
         })
@@ -189,157 +154,94 @@ fn io_err(what: &'static str, err: &std::io::Error) -> DynaError {
     DynaError::Internal(what)
 }
 
-/// Full checkpoints are `ckpt-<counter>.ckpt`; incrementals encode their
-/// base in the name (`ckpt-<counter>-inc-<base>.ckpt`) so pruning and chain
-/// resolution never need to read file bodies.
-fn checkpoint_path(dir: &Path, counter: u64, base_counter: u64) -> PathBuf {
-    if base_counter == 0 {
-        dir.join(format!("ckpt-{counter:016x}.ckpt"))
-    } else {
-        dir.join(format!("ckpt-{counter:016x}-inc-{base_counter:016x}.ckpt"))
-    }
+fn checkpoint_path(dir: &Path, counter: u64) -> PathBuf {
+    dir.join(format!("ckpt-{counter:016x}.ckpt"))
 }
 
-/// Parses a checkpoint filename into `(counter, base_counter)`
-/// (`base_counter == 0` for fulls).
-fn parse_counter(path: &Path) -> Option<(u64, u64)> {
+/// The counter a checkpoint file name carries (`None` for any other file).
+fn parse_counter(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
     let hex = name.strip_prefix("ckpt-")?.strip_suffix(".ckpt")?;
-    match hex.split_once("-inc-") {
-        None => Some((u64::from_str_radix(hex, 16).ok()?, 0)),
-        Some((counter, base)) => Some((
-            u64::from_str_radix(counter, 16).ok()?,
-            u64::from_str_radix(base, 16).ok()?,
-        )),
-    }
+    u64::from_str_radix(hex, 16).ok()
+}
+
+fn header() -> Vec<u8> {
+    [MAGIC.to_le_bytes(), VERSION.to_le_bytes()].concat()
+}
+
+/// The file around an encoded body: magic, version, body, body CRC-32.
+fn frame(body: &[u8]) -> Vec<u8> {
+    [&header(), body, &crc32(body).to_le_bytes()].concat()
 }
 
 /// Durably writes `ckpt` into `dir` (tmp + fsync + rename + dir fsync) and
 /// prunes all but the newest two checkpoints.
 pub fn write(dir: &Path, ckpt: &Checkpoint) -> Result<()> {
     std::fs::create_dir_all(dir).map_err(|e| io_err("create checkpoint dir", &e))?;
-    let body = codec::encode_to_vec(ckpt);
-    let mut file_bytes = Vec::with_capacity(8 + body.len() + 4);
-    file_bytes.extend_from_slice(&MAGIC.to_le_bytes());
-    file_bytes.extend_from_slice(&VERSION.to_le_bytes());
-    file_bytes.extend_from_slice(&body);
-    file_bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-
     let tmp = dir.join(format!("ckpt-{:016x}.tmp", ckpt.counter));
     {
-        let mut f = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(|e| io_err("create checkpoint tmp", &e))?;
-        f.write_all(&file_bytes)
+        let mut f = File::create(&tmp).map_err(|e| io_err("create checkpoint tmp", &e))?;
+        f.write_all(&frame(&codec::encode_to_vec(ckpt)))
             .map_err(|e| io_err("write checkpoint", &e))?;
         f.sync_all().map_err(|e| io_err("fsync checkpoint", &e))?;
     }
-    std::fs::rename(&tmp, checkpoint_path(dir, ckpt.counter, ckpt.base_counter))
+    std::fs::rename(&tmp, checkpoint_path(dir, ckpt.counter))
         .map_err(|e| io_err("rename checkpoint", &e))?;
     // Sync the directory so the rename itself is durable.
     File::open(dir)
         .and_then(|d| d.sync_all())
         .map_err(|e| io_err("fsync checkpoint dir", &e))?;
-    prune(dir)?;
-    Ok(())
+    prune(dir)
 }
 
-/// Deletes stale tmps, all but the two newest *full* checkpoints, and any
-/// incremental whose base full was pruned (an orphan increment is
-/// unloadable). Incrementals chained to a retained full are kept — they are
-/// the newest cuts.
+/// The checkpoint counters in `dir`, ascending (none if `dir` is missing).
+fn counters(dir: &Path) -> Vec<u64> {
+    let mut counters: Vec<u64> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .filter_map(|entry| parse_counter(&entry.ok()?.path()))
+        .collect();
+    counters.sort_unstable();
+    counters
+}
+
+/// Deletes stale tmps and all but the two newest checkpoints.
 fn prune(dir: &Path) -> Result<()> {
-    let mut files: Vec<(u64, u64)> = Vec::new();
-    for entry in std::fs::read_dir(dir).map_err(|e| io_err("list checkpoint dir", &e))? {
-        let Ok(entry) = entry else { continue };
-        let path = entry.path();
-        if path.extension().is_some_and(|e| e == "tmp") {
-            let _ = std::fs::remove_file(&path);
-        } else if let Some(parsed) = parse_counter(&path) {
-            files.push(parsed);
+    let entries = std::fs::read_dir(dir).map_err(|e| io_err("list checkpoint dir", &e))?;
+    for entry in entries.flatten() {
+        if entry.path().extension().is_some_and(|e| e == "tmp") {
+            let _ = std::fs::remove_file(entry.path());
         }
     }
-    let mut fulls: Vec<u64> = files
-        .iter()
-        .filter(|(_, base)| *base == 0)
-        .map(|(c, _)| *c)
-        .collect();
-    fulls.sort_unstable();
-    let kept_fulls: std::collections::HashSet<u64> = fulls.iter().rev().take(2).copied().collect();
-    for (counter, base) in files {
-        let keep = if base == 0 {
-            kept_fulls.contains(&counter)
-        } else {
-            kept_fulls.contains(&base)
-        };
-        if !keep {
-            std::fs::remove_file(checkpoint_path(dir, counter, base))
-                .map_err(|e| io_err("prune old checkpoint", &e))?;
-        }
+    for &counter in counters(dir).iter().rev().skip(2) {
+        std::fs::remove_file(checkpoint_path(dir, counter))
+            .map_err(|e| io_err("prune old checkpoint", &e))?;
     }
     Ok(())
 }
 
 fn try_load(path: &Path) -> Result<Checkpoint> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| io_err("read checkpoint", &e))?;
-    if bytes.len() < 12 {
-        return Err(DynaError::Internal("checkpoint file too short"));
+    let bytes = std::fs::read(path).map_err(|e| io_err("read checkpoint", &e))?;
+    let (head, rest) = bytes.split_at(bytes.len().min(8));
+    let (body, crc) = rest.split_at(rest.len().saturating_sub(4));
+    if head != header() || crc != crc32(body).to_le_bytes() {
+        return Err(DynaError::Internal("checkpoint header or crc mismatch"));
     }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().expect("sliced"));
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("sliced"));
-    if magic != MAGIC || version != VERSION {
-        return Err(DynaError::Internal("checkpoint header mismatch"));
-    }
-    let body = &bytes[8..bytes.len() - 4];
-    let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("sliced"));
-    if crc32(body) != crc {
-        return Err(DynaError::Internal("checkpoint crc mismatch"));
-    }
-    let mut slice = body;
-    Checkpoint::decode(&mut slice)
+    Checkpoint::decode(&mut &body[..])
 }
 
 /// Loads the newest valid checkpoint in `dir`, skipping corrupt files (a
-/// torn newest checkpoint falls back to its predecessor). An incremental
-/// checkpoint is resolved against its base full image ([`Checkpoint::merge_onto`]);
-/// if the base is missing or corrupt the incremental is skipped the same way
-/// a corrupt file is. `Ok(None)` if the directory holds no usable
-/// checkpoint. The returned checkpoint is always self-contained
-/// (`base_counter == 0`).
+/// torn newest checkpoint falls back to its predecessor). `Ok(None)` if the
+/// directory is missing (a fresh site) or holds no usable checkpoint.
 pub fn load_latest(dir: &Path) -> Result<Option<Checkpoint>> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Ok(None); // no directory yet: a fresh site
-    };
-    let mut files: Vec<(u64, u64)> = entries
-        .filter_map(|e| e.ok())
-        .filter_map(|e| parse_counter(&e.path()))
-        .collect();
-    files.sort_unstable();
-    for &(counter, base) in files.iter().rev() {
-        let Ok(ckpt) = try_load(&checkpoint_path(dir, counter, base)) else {
-            continue; // corrupt: fall back to the previous one
-        };
-        if !ckpt.is_incremental() {
-            return Ok(Some(ckpt));
-        }
-        match try_load(&checkpoint_path(dir, ckpt.base_counter, 0)) {
-            Ok(full) if !full.is_incremental() => return Ok(Some(ckpt.merge_onto(full))),
-            _ => continue, // orphaned/corrupt base: fall back further
-        }
-    }
-    Ok(None)
+    let mut newest_first = counters(dir).into_iter().rev();
+    Ok(newest_first.find_map(|counter| try_load(&checkpoint_path(dir, counter)).ok()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynamast_common::ids::TableId;
+    use dynamast_common::ids::{Key, TableId};
     use dynamast_common::{Row, Value};
     use dynamast_storage::VersionStamp;
 
@@ -364,21 +266,12 @@ mod tests {
             offsets: vec![3, 7, 0],
             mastered: vec![PartitionId::new(4), PartitionId::new(9)],
             epoch: 12,
-            base_counter: 0,
             hosted: Some(vec![PartitionId::new(4), PartitionId::new(7)]),
             image: vec![ImageRecord {
                 key: Key::new(TableId::new(0), 42),
                 stamp: VersionStamp::new(SiteId::new(1), 7),
                 row: Row::new(vec![Value::I64(100)]),
             }],
-        }
-    }
-
-    fn entry(record: u64, seq: u64, v: i64) -> ImageRecord {
-        ImageRecord {
-            key: Key::new(TableId::new(0), record),
-            stamp: VersionStamp::new(SiteId::new(1), seq),
-            row: Row::new(vec![Value::I64(v)]),
         }
     }
 
@@ -410,7 +303,7 @@ mod tests {
         write(&dir, &sample(1)).unwrap();
         write(&dir, &sample(2)).unwrap();
         // Corrupt the newest file's tail.
-        let newest = checkpoint_path(&dir, 2, 0);
+        let newest = checkpoint_path(&dir, 2);
         let mut bytes = std::fs::read(&newest).unwrap();
         let n = bytes.len();
         bytes[n - 6] ^= 0xFF;
@@ -420,65 +313,41 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn incremental_merges_onto_its_base_full() {
-        let dir = tmp_dir("inc-merge");
-        let mut full = sample(1);
-        full.image = vec![entry(1, 1, 10), entry(2, 1, 20)];
-        write(&dir, &full).unwrap();
-        let mut inc = sample(2);
-        inc.base_counter = 1;
-        inc.svv = VersionVector::from_counts(vec![3, 9, 0]);
-        inc.offsets = vec![3, 9, 0];
-        inc.epoch = 14;
-        inc.image = vec![entry(2, 9, 99), entry(3, 9, 30)];
-        write(&dir, &inc).unwrap();
-
-        let loaded = load_latest(&dir).unwrap().unwrap();
-        assert!(!loaded.is_incremental(), "resolved image is self-contained");
-        assert_eq!(loaded.counter, 2);
-        assert_eq!(loaded.epoch, 14, "cut metadata comes from the incremental");
-        assert_eq!(loaded.svv, VersionVector::from_counts(vec![3, 9, 0]));
-        assert_eq!(
-            loaded.image,
-            vec![entry(1, 1, 10), entry(2, 9, 99), entry(3, 9, 30)],
-            "incremental entries override the base by key"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
+    /// `ckpt`'s body built field by field in the version 3 order, with
+    /// `reserved` as the word after the epoch.
+    fn layout(ckpt: &Checkpoint, reserved: u64) -> Vec<u8> {
+        let mut body = ckpt.counter.to_be_bytes().to_vec();
+        body.extend(ckpt.site.raw().to_be_bytes());
+        ckpt.svv.encode(&mut body);
+        // A file sequence: a u64 count, then the items.
+        let seq = |items: Vec<u64>| std::iter::once(items.len() as u64).chain(items);
+        let raw = |parts: &[PartitionId]| -> Vec<u64> { parts.iter().map(|p| p.raw()).collect() };
+        let words = seq(ckpt.offsets.clone())
+            .chain(seq(raw(&ckpt.mastered)))
+            .chain([ckpt.epoch, reserved]);
+        body.extend(words.flat_map(u64::to_be_bytes));
+        body.push(1); // hosted tag: a set follows
+        let hosted = raw(ckpt.hosted.as_deref().expect("sample hosts a set"));
+        body.extend(seq(hosted).flat_map(u64::to_be_bytes));
+        ckpt.image.encode(&mut body);
+        body
     }
 
     #[test]
-    fn orphaned_incremental_falls_back_to_older_full() {
-        let dir = tmp_dir("inc-orphan");
-        write(&dir, &sample(1)).unwrap();
-        // An incremental claiming a base that never existed on disk.
-        let mut inc = sample(3);
-        inc.base_counter = 2;
-        write(&dir, &inc).unwrap();
-        let loaded = load_latest(&dir).unwrap().unwrap();
-        assert_eq!(loaded.counter, 1, "orphaned incremental must be skipped");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
+    fn layout_is_pinned_and_a_nonzero_reserved_word_is_refused() {
+        assert_eq!(codec::encode_to_vec(&sample(1)), layout(&sample(1), 0));
+        assert!(Checkpoint::decode(&mut &layout(&sample(1), 1)[..]).is_err());
 
-    #[test]
-    fn prune_keeps_incrementals_chained_to_retained_fulls() {
-        let dir = tmp_dir("inc-prune");
+        // A full ckpt-1, a newer ckpt-2 whose reserved word is set, an
+        // incremental named the way an older writer named it, and a ckpt-4
+        // shorter than a header: only the full one loads.
+        let dir = tmp_dir("reserved");
         write(&dir, &sample(1)).unwrap();
-        write(&dir, &sample(2)).unwrap();
-        let mut inc = sample(3);
-        inc.base_counter = 2;
-        write(&dir, &inc).unwrap();
-        write(&dir, &sample(4)).unwrap();
-        // Fulls kept: {2, 4}; inc 3 rides on full 2.
-        assert!(checkpoint_path(&dir, 2, 0).exists());
-        assert!(checkpoint_path(&dir, 3, 2).exists());
-        assert!(!checkpoint_path(&dir, 1, 0).exists());
-        write(&dir, &sample(5)).unwrap();
-        // Fulls kept: {4, 5}; full 2 and its incremental both go.
-        assert!(!checkpoint_path(&dir, 2, 0).exists());
-        assert!(!checkpoint_path(&dir, 3, 2).exists());
-        let loaded = load_latest(&dir).unwrap().unwrap();
-        assert_eq!(loaded.counter, 5);
+        std::fs::write(checkpoint_path(&dir, 2), frame(&layout(&sample(2), 1))).unwrap();
+        let parent_inc = dir.join(format!("ckpt-{:016x}-inc-{:016x}.ckpt", 3, 1));
+        std::fs::write(parent_inc, frame(&layout(&sample(3), 1))).unwrap();
+        std::fs::write(checkpoint_path(&dir, 4), [0u8; 5]).unwrap();
+        assert_eq!(load_latest(&dir).unwrap().unwrap().counter, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

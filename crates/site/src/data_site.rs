@@ -893,18 +893,11 @@ impl DataSite {
     /// in-flight remasters; recovery reconciles by replaying the own-log
     /// suffix's Release/Grant records as idempotent set removals/insertions.
     ///
-    /// `base_counter == 0` builds a **full** checkpoint: the complete
-    /// visible image, and the store's dirty-partition set is cleared
-    /// *before* the cut is taken (a write concurrent with the dump that
-    /// misses the cut re-dirties its partition after the clear, so the next
-    /// incremental still covers it). `base_counter != 0` builds an
-    /// **incremental** image on top of that full: only partitions dirtied
-    /// since the base, with the dirty set left intact so every incremental
-    /// is cumulative against the same base.
-    pub fn build_checkpoint(&self, counter: u64, base_counter: u64) -> Result<Checkpoint> {
-        if base_counter == 0 {
-            self.store.clear_dirty();
-        }
+    /// The image is the whole store at the cut, so under partial
+    /// replication it also holds the rows of a copy that was mid-install
+    /// (`Buffering`) at the cut, which the hosted set excludes; restore
+    /// keeps only the hosted partitions' rows.
+    pub fn build_checkpoint(&self, counter: u64) -> Result<Checkpoint> {
         let cut = self.clock.current();
         self.logs.log(self.id).sync_for_checkpoint()?;
         let offsets = cut.as_slice().to_vec();
@@ -914,11 +907,9 @@ impl DataSite {
             .into_iter()
             .filter(|p| p.raw() & (1 << 63) == 0)
             .collect();
-        let dirty = (base_counter != 0).then(|| self.store.dirty_partitions());
-        let image = self.store.image(ReadAt::Begin(&cut), dirty.as_deref())?;
+        let image = self.store.image(ReadAt::Begin(&cut), None)?;
         Ok(Checkpoint {
             counter,
-            base_counter,
             site: self.id,
             svv: cut,
             offsets,

@@ -9,10 +9,8 @@ use std::ops::Bound::{self, Excluded, Included, Unbounded};
 use std::ops::RangeBounds;
 use std::sync::Arc;
 
-use dynamast_common::hash::IntSet;
 use dynamast_common::ids::{unpack_partition_id, Key, PartitionId, RecordId, TableId};
 use dynamast_common::{Result, Row, VersionVector};
-use parking_lot::Mutex;
 
 use crate::lock::{LockGuard, LockManager};
 use crate::schema::Catalog;
@@ -24,10 +22,6 @@ pub struct Store {
     catalog: Catalog,
     tables: Vec<Table>,
     locks: Arc<LockManager>,
-    /// Partitions written since the last full checkpoint image (incremental
-    /// checkpointing reads this set; [`Store::clear_dirty`] resets it when
-    /// a full rebase image is cut).
-    dirty: Mutex<IntSet<PartitionId>>,
 }
 
 impl Store {
@@ -43,27 +37,7 @@ impl Store {
             catalog,
             tables,
             locks: Arc::new(LockManager::new()),
-            dirty: Mutex::new(IntSet::default()),
         }
-    }
-
-    fn mark_dirty(&self, key: Key) {
-        if let Ok(schema) = self.catalog.table(key.table) {
-            self.dirty.lock().insert(schema.partition_of(key.record));
-        }
-    }
-
-    /// Partitions written since the dirty set was last cleared, sorted.
-    pub fn dirty_partitions(&self) -> Vec<PartitionId> {
-        let mut out: Vec<PartitionId> = self.dirty.lock().iter().copied().collect();
-        out.sort();
-        out
-    }
-
-    /// Clears the dirty-partition set (called when a full checkpoint image
-    /// captures the entire store).
-    pub fn clear_dirty(&self) {
-        self.dirty.lock().clear();
     }
 
     /// The shared catalog.
@@ -132,7 +106,6 @@ impl Store {
     /// Installs a new version of `key`.
     pub fn install(&self, key: Key, stamp: VersionStamp, row: Row) -> Result<()> {
         self.table(key.table)?.install(key.record, stamp, row);
-        self.mark_dirty(key);
         Ok(())
     }
 
@@ -149,7 +122,6 @@ impl Store {
     /// returning `(records removed, payload bytes freed)`.
     pub fn purge_partition(&self, partition: PartitionId) -> Result<(usize, u64)> {
         let (table, start, end) = self.partition_range(partition)?;
-        self.dirty.lock().remove(&partition);
         Ok(self.tables[table.as_usize()].purge_range(start, end))
     }
 
@@ -219,14 +191,6 @@ impl Store {
     pub fn install_batch(&self, entries: Vec<(Key, VersionStamp, Row)>) -> Result<()> {
         for (key, _, _) in &entries {
             self.catalog.table(key.table)?;
-        }
-        {
-            let mut dirty = self.dirty.lock();
-            for (key, _, _) in &entries {
-                if let Ok(schema) = self.catalog.table(key.table) {
-                    dirty.insert(schema.partition_of(key.record));
-                }
-            }
         }
         for (key, stamp, row) in entries {
             self.tables[key.table.as_usize()].install(key.record, stamp, row);
@@ -419,31 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_partitions_track_installs_and_clear() {
-        let store = Store::new(catalog(), 4);
-        let s0 = SiteId::new(0);
-        assert!(store.dirty_partitions().is_empty());
-        store
-            .install(
-                Key::new(TableId::new(0), 5),
-                VersionStamp::new(s0, 1),
-                row(1),
-            )
-            .unwrap();
-        store
-            .install_batch(vec![(
-                Key::new(TableId::new(0), 150),
-                VersionStamp::new(s0, 2),
-                row(2),
-            )])
-            .unwrap();
-        let dirty = store.dirty_partitions();
-        assert_eq!(dirty.len(), 2, "keys 5 and 150 are in distinct partitions");
-        store.clear_dirty();
-        assert!(store.dirty_partitions().is_empty());
-    }
-
-    #[test]
     fn purge_partition_evicts_its_key_range_only() {
         let store = Store::new(catalog(), 4);
         let s0 = SiteId::new(0);
@@ -463,8 +402,6 @@ mod tests {
         assert_eq!(store.resident_bytes(), before - freed);
         assert!(!store.contains(Key::new(t0, 5)).unwrap());
         assert!(store.contains(Key::new(t0, 150)).unwrap());
-        // The purged partition is no longer dirty; p1 still is.
-        assert_eq!(store.dirty_partitions().len(), 1);
     }
 
     #[test]
@@ -492,6 +429,7 @@ mod tests {
         let store = Store::new(cat, 2);
         let s0 = SiteId::new(0);
         let mut seq = 0;
+        let mut written = Vec::new();
         for (table, records) in [
             (0usize, vec![5u64, 99, 100, 150, 450]),
             (1, vec![0, 9, 10, 35]),
@@ -507,18 +445,25 @@ mod tests {
                     store
                         .install(key, VersionStamp::new(s0, seq), row(seq))
                         .unwrap();
+                    written.push(store.catalog().partition_of(key).unwrap());
                 }
             }
         }
+        written.sort();
+        written.dedup();
         let cut = VersionVector::from_counts(vec![seq - 2]);
-        let dirty = store.dirty_partitions();
         // At the cut one record's version is evicted; the latest version of
         // every record exists.
         for (at, missing) in [(ReadAt::Begin(&cut), 1), (ReadAt::Latest, 0)] {
             let full = store.image(at, None).unwrap();
             assert_eq!(full.len(), store.record_count() - missing);
             assert!(full.windows(2).all(|w| w[0].key < w[1].key), "key order");
-            for wanted in [&dirty[..], &dirty[1..4], &dirty[dirty.len() - 1..], &[]] {
+            for wanted in [
+                &written[..],
+                &written[1..4],
+                &written[written.len() - 1..],
+                &[],
+            ] {
                 let filtered: Vec<_> = full
                     .iter()
                     .filter(|r| wanted.contains(&store.catalog().partition_of(r.key).unwrap()))
