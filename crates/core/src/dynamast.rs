@@ -597,9 +597,14 @@ impl DynaMastSystem {
             counters[site] += 1;
             counters[site]
         };
-        let ckpt = self.sites.read()[site].build_checkpoint(counter)?;
-        checkpoint::write(&checkpoint_dir(&root, site), &ckpt)?;
-        let prev = self.last_ckpt_offsets.lock()[site].replace(ckpt.offsets.clone());
+        // Clone the site out of the table first: the image walk must not
+        // hold `sites` read-locked, or a `restart_site` of another site
+        // (and every reader queued behind its write lock) waits it out.
+        let data_site = Arc::clone(&self.sites.read()[site]);
+        let file = data_site.build_checkpoint(counter)?;
+        let offsets = file.offsets().to_vec();
+        file.write(&checkpoint_dir(&root, site))?;
+        let prev = self.last_ckpt_offsets.lock()[site].replace(offsets);
         if let Some(prev) = prev {
             for (origin, &floor) in prev.iter().enumerate() {
                 self.logs

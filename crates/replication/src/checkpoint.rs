@@ -10,29 +10,36 @@
 //! and once every site's checkpoint has durably passed a segment, the
 //! segment can be deleted, closing the unbounded-log hole.
 //!
-//! **Write protocol.** The checkpoint is encoded into `ckpt-<counter>.tmp`,
-//! `fsync`ed, renamed to `ckpt-<counter:016x>.ckpt`, and the directory
-//! `fsync`ed — a crash at any point leaves either the previous checkpoint or
-//! a complete new one, never a half-written file that parses. The newest two
-//! checkpoints are retained (the previous one is the fallback if the newest
-//! is torn mid-rename); older ones are pruned. Decoding verifies a trailing
-//! CRC-32 over the whole body, so [`load_latest`] skips a corrupt newest
-//! file and falls back.
+//! **Write protocol.** A [`Writer`] builds the file in one buffer while the
+//! store walk visits the image: the header and the fields before the image
+//! first, then each record as it is visited, then the image count patched
+//! in place and one CRC-32 over the body. No image is collected and the
+//! body is never copied. The buffer goes to `ckpt-<counter>.tmp` in one
+//! write, is `fsync`ed, renamed to `ckpt-<counter:016x>.ckpt`, and the
+//! directory `fsync`ed — a crash at any point leaves either the previous
+//! checkpoint or a complete new one, never a half-written file that parses.
+//! The newest two checkpoints are retained (the previous one is the
+//! fallback if the newest is torn mid-rename); older ones are pruned.
+//! Loading verifies the trailing CRC-32 over the whole body, so
+//! [`load_latest`] skips a corrupt newest file and falls back; the decoded
+//! form is a [`Checkpoint`].
 //!
 //! **Ordering.** The caller must force the site's own log durable through
-//! the cut (`DurableLog::sync_for_checkpoint`) *before* writing the
-//! checkpoint: a checkpoint claiming `svv[self] = n` with fewer than `n`
-//! records on disk would make restart re-allocate sequence numbers the
-//! checkpoint already accounted for, breaking the slot = sequence invariant.
+//! the cut (`DurableLog::sync_for_checkpoint`, which returns at once when
+//! the log's fsync mode has already synced every published record) *before*
+//! writing the checkpoint: a checkpoint claiming `svv[self] = n` with fewer
+//! than `n` records on disk would make restart re-allocate sequence numbers
+//! the checkpoint already accounted for, breaking the slot = sequence
+//! invariant.
 
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use dynamast_common::codec::{self, Buf, BufMut, Decode, Encode};
-use dynamast_common::ids::{PartitionId, SiteId};
-use dynamast_common::{DynaError, Result, VersionVector};
-use dynamast_storage::ImageRecord;
+use dynamast_common::ids::{Key, PartitionId, SiteId};
+use dynamast_common::{DynaError, Result, Row, VersionVector};
+use dynamast_storage::{ImageRecord, VersionStamp};
 
 use crate::segment::crc32;
 
@@ -49,7 +56,8 @@ const MAGIC: u32 = 0x444B_4350; // "DKCP"
 /// for the version before it.
 const VERSION: u32 = 3;
 
-/// One site's durable consistent cut.
+/// One site's durable consistent cut, as [`load_latest`] decodes it
+/// ([`Writer`] writes it).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
     /// Monotone per-site checkpoint counter (newest wins).
@@ -88,44 +96,108 @@ fn put_seq<T: Encode>(items: &[T], buf: &mut impl BufMut) {
     }
 }
 
-fn seq_len<T: Encode>(items: &[T]) -> usize {
-    8 + items.iter().map(Encode::encoded_len).sum::<usize>()
-}
-
 fn get_seq<T: Decode>(buf: &mut impl Buf) -> Result<Vec<T>> {
     let n = codec::check_count(codec::get_u64(buf)?, buf, "checkpoint count")?;
     (0..n).map(|_| T::decode(buf)).collect()
 }
 
-impl Encode for Checkpoint {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u64(self.counter);
-        self.site.encode(buf);
-        self.svv.encode(buf);
-        put_seq(&self.offsets, buf);
-        put_seq(&self.mastered, buf);
-        buf.put_u64(self.epoch);
-        buf.put_u64(0); // reserved
-        match &self.hosted {
-            None => buf.put_u8(0),
+/// One checkpoint file, built in one buffer while the store walk yields the
+/// image: [`Writer::new`] puts the header and the fields before the image,
+/// [`Writer::record`] appends each image record as it is visited, and
+/// [`Writer::write`] patches in the image count, appends the CRC and makes
+/// the file durable. The bytes are what [`Checkpoint`] decodes.
+pub struct Writer {
+    counter: u64,
+    offsets: Vec<u64>,
+    /// Header, then the body so far.
+    file: Vec<u8>,
+    /// Position of the body's `u32` image count.
+    count_at: usize,
+    records: usize,
+}
+
+impl Writer {
+    /// Starts the file of one cut; the arguments are [`Checkpoint`]'s
+    /// fields of the same names, the image still to come.
+    pub fn new(
+        counter: u64,
+        site: SiteId,
+        svv: &VersionVector,
+        offsets: Vec<u64>,
+        mastered: &[PartitionId],
+        epoch: u64,
+        hosted: Option<&[PartitionId]>,
+    ) -> Self {
+        let mut file = header();
+        file.put_u64(counter);
+        site.encode(&mut file);
+        svv.encode(&mut file);
+        put_seq(&offsets, &mut file);
+        put_seq(mastered, &mut file);
+        file.put_u64(epoch);
+        file.put_u64(0); // reserved
+        match hosted {
+            None => file.put_u8(0),
             Some(hosted) => {
-                buf.put_u8(1);
-                put_seq(hosted, buf);
+                file.put_u8(1);
+                put_seq(hosted, &mut file);
             }
         }
-        self.image.encode(buf);
+        let count_at = file.len();
+        file.put_u32(0); // the image count, patched in by `into_file`
+        Writer {
+            counter,
+            offsets,
+            file,
+            count_at,
+            records: 0,
+        }
     }
 
-    fn encoded_len(&self) -> usize {
-        8 + 4
-            + self.svv.encoded_len()
-            + seq_len(&self.offsets)
-            + seq_len(&self.mastered)
-            + 8
-            + 8
-            + 1
-            + self.hosted.as_deref().map_or(0, seq_len)
-            + self.image.encoded_len()
+    /// Appends one image record, in [`ImageRecord`]'s layout.
+    pub fn record(&mut self, key: Key, stamp: VersionStamp, row: &Row) {
+        key.encode(&mut self.file);
+        stamp.encode(&mut self.file);
+        row.encode(&mut self.file);
+        self.records += 1;
+    }
+
+    /// The per-origin log offsets this checkpoint's cut corresponds to.
+    pub fn offsets(&self) -> &[u64] {
+        &self.offsets
+    }
+
+    /// The finished file: the image count patched in, the body's CRC-32
+    /// appended. An image of more than `u32::MAX` records is an error.
+    fn into_file(mut self) -> Result<Vec<u8>> {
+        let count = u32::try_from(self.records)
+            .map_err(|_| DynaError::Internal("checkpoint image exceeds u32::MAX records"))?;
+        self.file[self.count_at..self.count_at + 4].copy_from_slice(&count.to_be_bytes());
+        let crc = crc32(&self.file[HEADER_LEN..]);
+        self.file.extend(crc.to_le_bytes());
+        Ok(self.file)
+    }
+
+    /// Durably writes the file into `dir` (tmp + fsync + rename + dir
+    /// fsync) and prunes all but the newest two checkpoints.
+    pub fn write(self, dir: &Path) -> Result<()> {
+        let counter = self.counter;
+        let file = self.into_file()?;
+        std::fs::create_dir_all(dir).map_err(|e| io_err("create checkpoint dir", &e))?;
+        let tmp = dir.join(format!("ckpt-{counter:016x}.tmp"));
+        {
+            let mut f = File::create(&tmp).map_err(|e| io_err("create checkpoint tmp", &e))?;
+            f.write_all(&file)
+                .map_err(|e| io_err("write checkpoint", &e))?;
+            f.sync_all().map_err(|e| io_err("fsync checkpoint", &e))?;
+        }
+        std::fs::rename(&tmp, checkpoint_path(dir, counter))
+            .map_err(|e| io_err("rename checkpoint", &e))?;
+        // Sync the directory so the rename itself is durable.
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err("fsync checkpoint dir", &e))?;
+        prune(dir)
     }
 }
 
@@ -165,33 +237,11 @@ fn parse_counter(path: &Path) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
+const HEADER_LEN: usize = 8;
+
+/// Magic and version: the file's first [`HEADER_LEN`] bytes.
 fn header() -> Vec<u8> {
     [MAGIC.to_le_bytes(), VERSION.to_le_bytes()].concat()
-}
-
-/// The file around an encoded body: magic, version, body, body CRC-32.
-fn frame(body: &[u8]) -> Vec<u8> {
-    [&header(), body, &crc32(body).to_le_bytes()].concat()
-}
-
-/// Durably writes `ckpt` into `dir` (tmp + fsync + rename + dir fsync) and
-/// prunes all but the newest two checkpoints.
-pub fn write(dir: &Path, ckpt: &Checkpoint) -> Result<()> {
-    std::fs::create_dir_all(dir).map_err(|e| io_err("create checkpoint dir", &e))?;
-    let tmp = dir.join(format!("ckpt-{:016x}.tmp", ckpt.counter));
-    {
-        let mut f = File::create(&tmp).map_err(|e| io_err("create checkpoint tmp", &e))?;
-        f.write_all(&frame(&codec::encode_to_vec(ckpt)))
-            .map_err(|e| io_err("write checkpoint", &e))?;
-        f.sync_all().map_err(|e| io_err("fsync checkpoint", &e))?;
-    }
-    std::fs::rename(&tmp, checkpoint_path(dir, ckpt.counter))
-        .map_err(|e| io_err("rename checkpoint", &e))?;
-    // Sync the directory so the rename itself is durable.
-    File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(|e| io_err("fsync checkpoint dir", &e))?;
-    prune(dir)
 }
 
 /// The checkpoint counters in `dir`, ascending (none if `dir` is missing).
@@ -222,7 +272,7 @@ fn prune(dir: &Path) -> Result<()> {
 
 fn try_load(path: &Path) -> Result<Checkpoint> {
     let bytes = std::fs::read(path).map_err(|e| io_err("read checkpoint", &e))?;
-    let (head, rest) = bytes.split_at(bytes.len().min(8));
+    let (head, rest) = bytes.split_at(bytes.len().min(HEADER_LEN));
     let (body, crc) = rest.split_at(rest.len().saturating_sub(4));
     if head != header() || crc != crc32(body).to_le_bytes() {
         return Err(DynaError::Internal("checkpoint header or crc mismatch"));
@@ -241,9 +291,9 @@ pub fn load_latest(dir: &Path) -> Result<Option<Checkpoint>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynamast_common::ids::{Key, TableId};
-    use dynamast_common::{Row, Value};
-    use dynamast_storage::VersionStamp;
+    use dynamast_common::ids::TableId;
+    use dynamast_common::Value;
+    use dynamast_storage::{Catalog, ReadAt, Store};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -273,6 +323,32 @@ mod tests {
                 row: Row::new(vec![Value::I64(100)]),
             }],
         }
+    }
+
+    /// `ckpt` written through a [`Writer`], the way a site writes its cut.
+    fn writer(ckpt: &Checkpoint) -> Writer {
+        let mut w = Writer::new(
+            ckpt.counter,
+            ckpt.site,
+            &ckpt.svv,
+            ckpt.offsets.clone(),
+            &ckpt.mastered,
+            ckpt.epoch,
+            ckpt.hosted.as_deref(),
+        );
+        for r in &ckpt.image {
+            w.record(r.key, r.stamp, &r.row);
+        }
+        w
+    }
+
+    fn write(dir: &Path, ckpt: &Checkpoint) -> Result<()> {
+        writer(ckpt).write(dir)
+    }
+
+    /// The file around a body: magic, version, body, body CRC-32.
+    fn frame(body: &[u8]) -> Vec<u8> {
+        [&header(), body, &crc32(body).to_le_bytes()].concat()
     }
 
     #[test]
@@ -326,16 +402,23 @@ mod tests {
             .chain(seq(raw(&ckpt.mastered)))
             .chain([ckpt.epoch, reserved]);
         body.extend(words.flat_map(u64::to_be_bytes));
-        body.push(1); // hosted tag: a set follows
-        let hosted = raw(ckpt.hosted.as_deref().expect("sample hosts a set"));
-        body.extend(seq(hosted).flat_map(u64::to_be_bytes));
+        match ckpt.hosted.as_deref() {
+            None => body.push(0), // hosted tag: full replication
+            Some(hosted) => {
+                body.push(1); // hosted tag: a set follows
+                body.extend(seq(raw(hosted)).flat_map(u64::to_be_bytes));
+            }
+        }
         ckpt.image.encode(&mut body);
         body
     }
 
     #[test]
     fn layout_is_pinned_and_a_nonzero_reserved_word_is_refused() {
-        assert_eq!(codec::encode_to_vec(&sample(1)), layout(&sample(1), 0));
+        assert_eq!(
+            writer(&sample(1)).into_file().unwrap(),
+            frame(&layout(&sample(1), 0))
+        );
         assert!(Checkpoint::decode(&mut &layout(&sample(1), 1)[..]).is_err());
 
         // A full ckpt-1, a newer ckpt-2 whose reserved word is set, an
@@ -353,12 +436,97 @@ mod tests {
 
     #[test]
     fn a_count_the_body_cannot_hold_is_refused() {
-        let mut body = codec::encode_to_vec(&sample(1));
+        let mut body = layout(&sample(1), 0);
         // counter, site, then a 3-dimension svv: the offsets count follows.
         let at = 8 + 4 + (4 + 3 * 8);
         assert_eq!(body[at..at + 8], 3u64.to_be_bytes());
         body[at..at + 8].copy_from_slice(&u64::MAX.to_be_bytes());
         assert!(Checkpoint::decode(&mut &body[..]).is_err());
+    }
+
+    #[test]
+    fn an_image_past_u32_records_is_refused_unwritten() {
+        let dir = tmp_dir("overflow");
+        let mut w = writer(&sample(1));
+        w.records = u32::MAX as usize + 1;
+        assert!(w.write(&dir).is_err());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store shaped like TPC-C's sparse keys over three tables (districts
+    /// dense, orders at `district << 20 | order`, order lines at
+    /// `order << 4 | line`), every record rewritten into a depth-2 chain,
+    /// and the cut that goes with it: the last three rewrites lie past the
+    /// cut (their records show their older version), and one record is
+    /// rewritten twice more past the cut, evicting its cut version.
+    fn tpcc_shaped_store() -> (Store, VersionVector) {
+        let mut catalog = Catalog::new();
+        let district = catalog.add_table("district", 2, 10);
+        let orders = catalog.add_table("orders", 3, 1 << 20);
+        let order_line = catalog.add_table("order_line", 4, 1 << 24);
+        let mut keys = Vec::new();
+        for d in 0..3u64 {
+            keys.push(Key::new(district, d));
+            for o in [1u64, 2, 3000] {
+                keys.push(Key::new(orders, d << 20 | o));
+                keys.extend((1..=3).map(|l| Key::new(order_line, (d << 20 | o) << 4 | l)));
+            }
+        }
+        let store = Store::new(catalog, 2);
+        let mut seq = 0;
+        let mut install = |key: Key| {
+            seq += 1;
+            let row = Row::new(vec![Value::U64(seq), Value::Str(format!("v{seq}"))]);
+            store
+                .install(key, VersionStamp::new(SiteId::new(0), seq), row)
+                .unwrap();
+            seq
+        };
+        let last = keys.iter().chain(&keys).map(|&key| install(key)).last();
+        let cut = VersionVector::from_counts(vec![last.unwrap() - 3]);
+        install(keys[4]);
+        install(keys[4]);
+        (store, cut)
+    }
+
+    #[test]
+    fn a_store_walk_writes_the_version_3_layout_of_its_image() {
+        let (store, cut) = tpcc_shaped_store();
+        let image = store.image(ReadAt::Begin(&cut), None).unwrap();
+        assert_eq!(
+            image.len(),
+            store.record_count() - 1,
+            "one cut version evicted"
+        );
+        let partition = |at: usize| store.catalog().partition_of(image[at].key).unwrap();
+        for hosted in [None, Some(vec![partition(0), partition(20)])] {
+            let ckpt = Checkpoint {
+                counter: 9,
+                site: SiteId::new(2),
+                svv: cut.clone(),
+                offsets: cut.as_slice().to_vec(),
+                mastered: vec![partition(1)],
+                epoch: 5,
+                hosted,
+                image: image.clone(),
+            };
+            let mut w = writer(&Checkpoint {
+                image: Vec::new(),
+                ..ckpt.clone()
+            });
+            store
+                .visit_image(ReadAt::Begin(&cut), None, |key, stamp, row| {
+                    w.record(key, stamp, row)
+                })
+                .unwrap();
+            let file = w.into_file().unwrap();
+            assert_eq!(file, frame(&layout(&ckpt, 0)));
+            let dir = tmp_dir("walk");
+            std::fs::write(checkpoint_path(&dir, 9), &file).unwrap();
+            assert_eq!(load_latest(&dir).unwrap().unwrap(), ckpt);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

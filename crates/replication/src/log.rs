@@ -336,9 +336,17 @@ impl DurableLog {
     /// fsync mode. Checkpoints call this before claiming an svv cut: a
     /// checkpoint must never reference offsets the disk does not hold
     /// (restart would re-allocate sequences the checkpoint already used).
+    ///
+    /// Returns at once when the durable watermark already covers every
+    /// published record — always, under `Group`/`Always`, unless a run's
+    /// write or sync failed — so the checkpoint takes no fsync under the
+    /// lock every commit at this site needs. `Off` logs still sync here.
     pub fn sync_for_checkpoint(&self) -> Result<()> {
         let mut inner = self.inner.lock();
         let visible = inner.visible;
+        if inner.synced >= visible {
+            return Ok(());
+        }
         if let Some(disk) = inner.disk.as_mut() {
             disk.sync_for_checkpoint()?;
             inner.synced = visible;
@@ -715,6 +723,25 @@ mod tests {
         log.fill(s1, &commit(0, 1));
         assert_eq!(log.synced_len(), 2, "gap-closing fill syncs the run");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint's sync covers what the fsync mode left unsynced: all
+    /// of an `Off` log; nothing of a `Group` log, whose runs each synced
+    /// before they published.
+    #[test]
+    fn sync_for_checkpoint_covers_what_the_fsync_mode_left_unsynced() {
+        for (mode, synced_before) in [(FsyncMode::Off, 0), (FsyncMode::Group, 4)] {
+            let dir = tmp_dir("ckpt-sync");
+            let log =
+                DurableLog::open_persistent(SiteId::new(0), dir.clone(), 1 << 16, mode, 1).unwrap();
+            for i in 1..=4 {
+                log.append(&commit(0, i));
+            }
+            assert_eq!(log.synced_len(), synced_before, "{mode:?}");
+            log.sync_for_checkpoint().unwrap();
+            assert_eq!(log.synced_len(), log.len(), "{mode:?}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// A remaster RPC's records go in together, in any order: one

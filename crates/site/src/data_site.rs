@@ -12,7 +12,7 @@ use dynamast_common::ids::{Key, PartitionId, SiteId};
 use dynamast_common::trace::{FlightRecorder, TraceKind, TracePayload, TraceSite};
 use dynamast_common::{DynaError, Result, Row, SystemConfig, VersionVector};
 use dynamast_network::{wait_until, EndpointId, Network, RpcHandler, ServerHandle};
-use dynamast_replication::checkpoint::Checkpoint;
+use dynamast_replication::checkpoint;
 use dynamast_replication::record::{LogRecord, WriteEntry};
 use dynamast_replication::{LogSet, Propagator, RefreshApplier};
 use dynamast_storage::{Catalog, ImageRecord, LockGuard, ReadAt, Store, VersionStamp, Visit};
@@ -874,17 +874,19 @@ impl DataSite {
         Ok((self.clock.current(), mastered))
     }
 
-    /// Builds this site's durable checkpoint at the current svv cut: the
-    /// cut vector, the per-origin log offsets it corresponds to (equal to
-    /// the cut by the slot = sequence invariant), the store image of every
-    /// version visible at the cut, and the live mastered set (draining
-    /// sentinels excluded).
+    /// Builds this site's durable checkpoint file at the current svv cut:
+    /// the cut vector, the per-origin log offsets it corresponds to (equal
+    /// to the cut by the slot = sequence invariant), the live mastered set
+    /// (draining sentinels excluded), and the store image of every version
+    /// visible at the cut, encoded into the file as the store walk visits
+    /// it (no image is collected first).
     ///
     /// The site's own log is forced durable through the cut *after* the cut
-    /// is taken (sync covers everything published, which includes the cut),
-    /// so the checkpoint never claims a sequence the disk does not hold —
-    /// restart would otherwise re-allocate sequences the checkpoint already
-    /// accounted for. Other origins' dimensions are safe without an extra
+    /// is taken (sync covers everything published, which includes the cut;
+    /// a no-op when the log is already durable that far), so the checkpoint
+    /// never claims a sequence the disk does not hold — restart would
+    /// otherwise re-allocate sequences the checkpoint already accounted
+    /// for. Other origins' dimensions are safe without an extra
     /// sync: under `fsync=group|always` a record is synced in the same
     /// gap-closing fill that publishes it, so any sequence in this site's
     /// svv is already durable at its origin.
@@ -897,27 +899,29 @@ impl DataSite {
     /// replication it also holds the rows of a copy that was mid-install
     /// (`Buffering`) at the cut, which the hosted set excludes; restore
     /// keeps only the hosted partitions' rows.
-    pub fn build_checkpoint(&self, counter: u64) -> Result<Checkpoint> {
+    pub fn build_checkpoint(&self, counter: u64) -> Result<checkpoint::Writer> {
         let cut = self.clock.current();
         self.logs.log(self.id).sync_for_checkpoint()?;
-        let offsets = cut.as_slice().to_vec();
         let mastered: Vec<PartitionId> = self
             .ownership
             .mastered_partitions()
             .into_iter()
             .filter(|p| p.raw() & (1 << 63) == 0)
             .collect();
-        let image = self.store.image(ReadAt::Begin(&cut), None)?;
-        Ok(Checkpoint {
+        let mut file = checkpoint::Writer::new(
             counter,
-            site: self.id,
-            svv: cut,
-            offsets,
-            mastered,
-            epoch: self.max_epoch_seen.load(Ordering::Acquire),
-            hosted: self.hosted_partitions(),
-            image,
-        })
+            self.id,
+            &cut,
+            cut.as_slice().to_vec(),
+            &mastered,
+            self.max_epoch_seen.load(Ordering::Acquire),
+            self.hosted_partitions().as_deref(),
+        );
+        self.store
+            .visit_image(ReadAt::Begin(&cut), None, |key, stamp, row| {
+                file.record(key, stamp, row)
+            })?;
+        Ok(file)
     }
 
     /// Seeds the fence watermark on a freshly (re)built site, so a restarted

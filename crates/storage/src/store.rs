@@ -2,8 +2,8 @@
 //!
 //! Every read is [`Store::visit`] or [`Store::visit_range`]: a closure run
 //! on the chosen version in place. The readers that return rows (`read`,
-//! `read_latest`, `scan`, the cut [`Store::image`]) are wrappers whose
-//! closure keeps the shared row.
+//! `read_latest`, `scan`, the cut [`Store::image`] over
+//! [`Store::visit_image`]) are wrappers whose closure keeps the shared row.
 
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
 use std::ops::RangeBounds;
@@ -147,13 +147,29 @@ impl Store {
         partitions: Option<&[PartitionId]>,
     ) -> Result<Vec<ImageRecord>> {
         let mut out = Vec::new();
+        self.visit_image(at, partitions, |key, stamp, row| {
+            out.push(ImageRecord {
+                key,
+                stamp,
+                row: row.clone(),
+            })
+        })?;
+        Ok(out)
+    }
+
+    /// Runs `f` in place on every record of the cut [`Store::image`]
+    /// collects, in the same order, under one shard read lock per block. A
+    /// checkpoint encodes each record into its file buffer here instead of
+    /// collecting the image first.
+    pub fn visit_image(
+        &self,
+        at: ReadAt<'_>,
+        partitions: Option<&[PartitionId]>,
+        mut f: impl FnMut(Key, VersionStamp, &Row),
+    ) -> Result<()> {
         let mut walk = |table: TableId, range: (Bound<RecordId>, Bound<RecordId>)| {
             self.tables[table.as_usize()].visit_range(range, at, |record, row, stamp| {
-                out.push(ImageRecord {
-                    key: Key::new(table, record),
-                    stamp,
-                    row: row.clone(),
-                })
+                f(Key::new(table, record), stamp, row)
             });
         };
         match partitions {
@@ -167,7 +183,7 @@ impl Store {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// [`Store::image`] of every table at `begin`, as tuples.
@@ -238,6 +254,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynamast_common::codec::{self, Encode};
     use dynamast_common::ids::SiteId;
     use dynamast_common::{DynaError, Value};
 
@@ -422,8 +439,10 @@ mod tests {
         assert_eq!(image[0].key, Key::new(t0, 150));
     }
 
-    #[test]
-    fn partition_images_equal_the_filtered_full_image() {
+    /// Sparse ids over three tables in depth-2 chains, the partitions
+    /// written, and a cut at which every record is visible but one, whose
+    /// version at the cut is already evicted.
+    fn sparse_store() -> (Store, Vec<PartitionId>, VersionVector) {
         let mut cat = catalog();
         cat.add_table("sparse", 1, 1 << 24);
         let store = Store::new(cat, 2);
@@ -436,7 +455,7 @@ mod tests {
             (2, vec![3, 4, (1 << 24) - 1, 1 << 24, (3 << 24) + 77]),
         ] {
             for record in records {
-                // Three installs into depth-2 chains: the cut below sees
+                // Three installs into depth-2 chains: the returned cut sees
                 // every record but the last, whose version at the cut is
                 // already evicted.
                 for _ in 0..3 {
@@ -451,7 +470,12 @@ mod tests {
         }
         written.sort();
         written.dedup();
-        let cut = VersionVector::from_counts(vec![seq - 2]);
+        (store, written, VersionVector::from_counts(vec![seq - 2]))
+    }
+
+    #[test]
+    fn partition_images_equal_the_filtered_full_image() {
+        let (store, written, cut) = sparse_store();
         // At the cut one record's version is evicted; the latest version of
         // every record exists.
         for (at, missing) in [(ReadAt::Begin(&cut), 1), (ReadAt::Latest, 0)] {
@@ -475,6 +499,32 @@ mod tests {
         let image = store.image(ReadAt::Begin(&cut), None).unwrap();
         let tuples: Vec<(Key, VersionStamp, Row)> = image.into_iter().map(Into::into).collect();
         assert_eq!(store.dump_visible(&cut), tuples);
+    }
+
+    /// A sink that encodes each visited record straight into one buffer
+    /// (as a checkpoint does) writes the bytes of the collected image: the
+    /// wire's `Vec<ImageRecord>` after its `u32` count.
+    #[test]
+    fn an_encoding_walk_writes_the_bytes_of_the_collected_image() {
+        let (store, written, cut) = sparse_store();
+        for at in [ReadAt::Begin(&cut), ReadAt::Latest] {
+            for partitions in [None, Some(&written[..]), Some(&written[2..3])] {
+                let mut records = 0u32;
+                let mut bytes = Vec::new();
+                store
+                    .visit_image(at, partitions, |key, stamp, row| {
+                        key.encode(&mut bytes);
+                        stamp.encode(&mut bytes);
+                        row.encode(&mut bytes);
+                        records += 1;
+                    })
+                    .unwrap();
+                let image = store.image(at, partitions).unwrap();
+                let mut expected = records.to_be_bytes().to_vec();
+                expected.extend(bytes);
+                assert_eq!(codec::encode_to_vec(&image), expected);
+            }
+        }
     }
 
     #[test]
