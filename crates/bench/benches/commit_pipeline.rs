@@ -24,6 +24,7 @@ use dynamast_common::ids::{Key, SiteId, TableId};
 use dynamast_common::{FlightRecorder, FsyncMode, Row, Value, VersionVector};
 use dynamast_replication::record::{LogRecord, WriteEntry};
 use dynamast_replication::DurableLog;
+use dynamast_site::pipeline::{collect_all, Install};
 use dynamast_site::{apply_refresh_batch, apply_refresh_batch_with, CommitPipeline, SiteClock};
 use dynamast_storage::{Catalog, ReadAt, Store, VersionStamp, Visit};
 use parking_lot::Mutex;
@@ -334,34 +335,39 @@ impl Committer for AuditedCommitter {
         let audit_values = recorder.audit_values();
         const EFFECT_CHUNK: usize = 64;
         let mut batch = audit::EffectBatch::with_capacity(EFFECT_CHUNK);
-        let mut observer = |key: Key, row: &Row, origin: SiteId, sequence: u64| {
-            batch.write_effect(
-                0,
-                1,
-                0,
-                key.table.raw(),
-                key.record,
-                None,
-                if audit_values {
-                    audit::value_signature(row)
-                } else {
-                    0
-                },
-                origin.raw(),
-                sequence,
-                0,
-                0,
-                true,
-            );
-            if batch.len() >= EFFECT_CHUNK {
-                batch.flush(&recorder);
+        let mut collect = |run: &[LogRecord], installs: &mut Vec<Install>| {
+            let first = installs.len();
+            collect_all(run, installs);
+            for (key, stamp, row) in &installs[first..] {
+                batch.write_effect(
+                    0,
+                    1,
+                    0,
+                    key.table.raw(),
+                    key.record,
+                    None,
+                    if audit_values {
+                        audit::value_signature(row)
+                    } else {
+                        0
+                    },
+                    stamp.origin.raw(),
+                    stamp.sequence,
+                    0,
+                    0,
+                    true,
+                );
+                if batch.len() >= EFFECT_CHUNK {
+                    batch.flush(&recorder);
+                }
             }
         };
         apply_refresh_batch_with(
             &inner.replica_clock,
             &inner.replica,
-            records,
-            Some(&mut observer),
+            &records,
+            None,
+            Some(&mut collect),
         )
         .unwrap();
         batch.flush(&recorder);

@@ -109,8 +109,14 @@ pub fn get_i64(buf: &mut impl Buf) -> Result<i64> {
 pub fn get_bytes(buf: &mut impl Buf) -> Result<Vec<u8>> {
     let len = get_u32(buf)? as usize;
     need(buf, len, "bytes body")?;
-    let mut out = vec![0u8; len];
-    buf.copy_to_slice(&mut out);
+    // Appended chunk by chunk: no zero fill ahead of the copy.
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        let chunk = buf.chunk();
+        let n = chunk.len().min(len - out.len());
+        out.extend_from_slice(&chunk[..n]);
+        buf.advance(n);
+    }
     Ok(out)
 }
 

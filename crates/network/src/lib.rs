@@ -904,10 +904,12 @@ pub fn wait_until(deadline: Instant) {
 
 /// Sets the calling thread's timer slack to 1 ns, once per thread. Linux
 /// otherwise lets every timed wait of a normal thread (sleep, condvar or
-/// channel timeout) run up to 50 µs past its deadline, which on a 100 µs
-/// hop is half the configured delay. A side effect on the whole thread:
-/// every later timed wait on it is precise too. Does nothing off Linux.
-fn precise_timers() {
+/// channel timeout, `park_timeout`) run up to 50 µs past its deadline,
+/// which on a 100 µs hop is half the configured delay. A side effect on the
+/// whole thread: every later timed wait on it is precise too. A thread that
+/// waits out simulated time in its own timed waits (a replication feeder)
+/// calls it once. Does nothing off Linux.
+pub fn precise_timers() {
     thread_local! {
         static PRECISE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     }

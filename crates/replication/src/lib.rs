@@ -8,7 +8,7 @@
 //! persistent redo log for recovery.
 //!
 //! This crate substitutes Kafka with [`DurableLog`]: an append-only,
-//! offset-addressed record log with blocking reads — exactly the two
+//! offset-addressed record log whose feeder wakes on every publish — exactly the two
 //! properties the paper relies on (per-origin FIFO ordered delivery and
 //! replayable persistence). Opened persistently, a log is backed by a
 //! directory of CRC-checksummed [`segment`] files with group fsync riding
@@ -21,8 +21,9 @@
 //!   truncation, retention).
 //! * [`checkpoint`] — durable site checkpoints (svv cut + store image +
 //!   per-origin offsets) bounding replay to a segment suffix.
-//! * [`propagate::Propagator`] — subscriber threads that pull records from
-//!   peer logs and hand them to a site's refresh applier.
+//! * [`propagate::Propagator`] — a site's subscriptions to its peers' logs,
+//!   served by one feeder thread per origin log that decodes each published
+//!   run once and hands it to every subscriber's refresh applier.
 //! * [`recovery`] — replay recovery (full or from a checkpoint) and
 //!   mastership-map reconstruction from grant/release records.
 
@@ -35,5 +36,5 @@ pub mod segment;
 
 pub use checkpoint::Checkpoint;
 pub use log::{DurableLog, LogSet};
-pub use propagate::{Propagator, RefreshApplier};
+pub use propagate::{Propagator, RefreshApplier, Wake};
 pub use record::LogRecord;

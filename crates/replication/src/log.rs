@@ -1,8 +1,8 @@
 //! The offset-addressed record log (Kafka substitute) — durable for real
 //! when opened on a segment directory, purely in-memory when volatile.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 
 use bytes::Bytes;
 use dynamast_common::codec::{encode_to_vec, Decode};
@@ -11,6 +11,7 @@ use dynamast_common::ids::SiteId;
 use dynamast_common::{DynaError, Result};
 use parking_lot::{Condvar, Mutex};
 
+use crate::propagate::Feeder;
 use crate::record::LogRecord;
 use crate::segment::SegmentLog;
 
@@ -46,11 +47,11 @@ use crate::segment::SegmentLog;
 /// but never synced ([`FsyncMode::Off`], today's behavior for benches).
 /// [`DurableLog::new`] keeps no disk state at all.
 ///
-/// Tail reads are event-driven: [`DurableLog::wait_read_from`] parks on a
-/// condvar that the publishing fill signals, so subscribers wake as soon as
-/// a contiguous run lands instead of on a polling interval. A blocked tail
-/// read is released by its caller-owned cancel flag via
-/// [`DurableLog::notify_waiters`].
+/// **Tailing.** Subscribers do not read the log themselves: the log runs
+/// one feeder thread ([`crate::propagate`]) for all of them, started at the
+/// first subscription and joined at the last. The fill that publishes a run
+/// unparks the feeder once, so it wakes as soon as a contiguous run lands
+/// instead of on a polling interval, and an idle log costs no wake-ups.
 ///
 /// **Retention.** Persistent logs track a durable floor per consumer site
 /// ([`DurableLog::record_consumer_floor`], advanced only once that
@@ -61,10 +62,11 @@ use crate::segment::SegmentLog;
 pub struct DurableLog {
     site: SiteId,
     inner: Mutex<LogInner>,
-    appended: Condvar,
     /// Signalled when the durable watermark (`synced`) advances; only
     /// [`FsyncMode::Always`] committers ever wait on it.
     durable: Condvar,
+    /// The feeder serving this log's subscriptions, while it has any.
+    pub(crate) feeder: Mutex<Option<Feeder>>,
 }
 
 struct LogInner {
@@ -84,6 +86,10 @@ struct LogInner {
     fsync: FsyncMode,
     /// Per-consumer-site durable floors gating segment truncation.
     floors: Vec<u64>,
+    /// Committers parked on `durable`; an advance with none notifies no one.
+    durable_waiters: usize,
+    /// The feeder thread, unparked once per published run.
+    tail: Option<Thread>,
 }
 
 impl Default for DurableLog {
@@ -111,9 +117,11 @@ impl DurableLog {
                 disk: None,
                 fsync: FsyncMode::Off,
                 floors: Vec::new(),
+                durable_waiters: 0,
+                tail: None,
             }),
-            appended: Condvar::new(),
             durable: Condvar::new(),
+            feeder: Mutex::new(None),
         }
     }
 
@@ -140,9 +148,11 @@ impl DurableLog {
                 disk: Some(recovered.disk),
                 fsync,
                 floors: vec![0; num_consumers],
+                durable_waiters: 0,
+                tail: None,
             }),
-            appended: Condvar::new(),
             durable: Condvar::new(),
+            feeder: Mutex::new(None),
         })
     }
 
@@ -164,7 +174,7 @@ impl DurableLog {
     /// Fills a reserved slot. Serialization happens outside the log lock;
     /// if this fill closes the gap at the visible watermark, the whole
     /// contiguous run of filled slots behind it publishes at once (group
-    /// commit) with one reader wake-up. Returns the new visible length when
+    /// commit) with one feeder wake-up. Returns the new visible length when
     /// this fill advanced the watermark (`None` if an earlier slot is still
     /// open), so the gap-closing filler can publish the run downstream.
     pub fn fill(&self, offset: u64, record: &LogRecord) -> Option<u64> {
@@ -220,17 +230,18 @@ impl DurableLog {
         if must_wait_durable {
             // Wait for a later gap-closing fill to sync past us. The
             // reserve/fill-or-abort discipline guarantees that fill comes.
+            inner.durable_waiters += 1;
             while inner.synced <= last {
                 self.durable.wait(&mut inner);
             }
+            inner.durable_waiters -= 1;
         }
+        let tail = if advanced { inner.tail.clone() } else { None };
         drop(inner);
-        if advanced {
-            self.appended.notify_all();
-            Some(visible)
-        } else {
-            None
+        if let Some(feeder) = tail {
+            feeder.unpark();
         }
+        advanced.then_some(visible)
     }
 
     /// Writes the newly published run `[from, to)` to disk under the log
@@ -258,7 +269,9 @@ impl DurableLog {
                     return;
                 }
                 inner.synced = to;
-                self.durable.notify_all();
+                if inner.durable_waiters > 0 {
+                    self.durable.notify_all();
+                }
             }
         }
     }
@@ -350,7 +363,9 @@ impl DurableLog {
         if let Some(disk) = inner.disk.as_mut() {
             disk.sync_for_checkpoint()?;
             inner.synced = visible;
-            self.durable.notify_all();
+            if inner.durable_waiters > 0 {
+                self.durable.notify_all();
+            }
         }
         Ok(())
     }
@@ -385,39 +400,19 @@ impl DurableLog {
     /// `(records, total encoded bytes)`. Returns immediately (an empty batch
     /// if nothing new). Reading below the truncated base is an error.
     pub fn read_from(&self, offset: u64) -> Result<(Vec<LogRecord>, usize)> {
-        let run = visible_run(&self.inner.lock(), offset)?;
+        self.read_range(offset, None)
+    }
+
+    /// [`DurableLog::read_from`] stopping before offset `to` (`None`: the
+    /// published end). The records are decoded after the log lock drops.
+    pub fn read_range(&self, from: u64, to: Option<u64>) -> Result<(Vec<LogRecord>, usize)> {
+        let run = visible_run(&self.inner.lock(), from, to)?;
         decode_run(run)
     }
 
-    /// Like [`DurableLog::read_from`] but blocks until at least one record
-    /// is published at or past `offset`, or `cancel` becomes `true`. Returns
-    /// an empty batch only when cancelled.
-    ///
-    /// `cancel` is re-checked under the log lock on every wakeup, so a
-    /// cancellation signalled through [`DurableLog::notify_waiters`] cannot
-    /// be lost between the check and the park.
-    pub fn wait_read_from(
-        &self,
-        offset: u64,
-        cancel: &AtomicBool,
-    ) -> Result<(Vec<LogRecord>, usize)> {
-        let run = {
-            let mut inner = self.inner.lock();
-            while inner.visible <= offset && !cancel.load(Ordering::Relaxed) {
-                self.appended.wait(&mut inner);
-            }
-            visible_run(&inner, offset)?
-        };
-        decode_run(run)
-    }
-
-    /// Wakes every blocked [`DurableLog::wait_read_from`] so it can observe
-    /// its cancel flag. Set the flag before calling this; taking the log
-    /// lock here orders the store before any waiter's re-check.
-    pub fn notify_waiters(&self) {
-        let _inner = self.inner.lock();
-        self.appended.notify_all();
-        self.durable.notify_all();
+    /// Sets (or clears) the thread unparked once per published run.
+    pub(crate) fn set_tail(&self, feeder: Option<Thread>) {
+        self.inner.lock().tail = feeder;
     }
 
     /// Reads the single published record at `offset`, if present. Used by
@@ -438,17 +433,17 @@ impl DurableLog {
     }
 }
 
-/// The encoded records published at `offset` and beyond — shared handles,
-/// so the caller can drop the log lock before decoding them: committers
-/// need that lock to reserve and fill, and a tail reader decodes every
-/// record it reads.
-fn visible_run(inner: &LogInner, offset: u64) -> Result<Vec<Bytes>> {
-    let start = offset.min(inner.visible);
+/// The encoded records published in `[from, to)` (`to` capped at the
+/// published end) — shared handles, so the caller can drop the log lock
+/// before decoding them: committers need that lock to reserve and fill.
+fn visible_run(inner: &LogInner, from: u64, to: Option<u64>) -> Result<Vec<Bytes>> {
+    let end = to.map_or(inner.visible, |to| to.min(inner.visible));
+    let start = from.min(end);
     if start < inner.base {
         return Err(DynaError::Internal("log read below truncated base"));
     }
     let lo = (start - inner.base) as usize;
-    let hi = (inner.visible - inner.base) as usize;
+    let hi = (end - inner.base) as usize;
     Ok(inner.slots[lo..hi]
         .iter()
         .map(|encoded| encoded.clone().expect("visible slot filled"))
@@ -617,59 +612,55 @@ mod tests {
         assert_eq!(records[1].sequence(), 2);
     }
 
+    /// A thread registered as the log's tail, parked until `offset` is
+    /// published; returns how many records it then reads and how often it
+    /// woke.
+    fn tail_reader(log: &Arc<DurableLog>, offset: u64) -> thread::JoinHandle<(usize, u32)> {
+        let reader = {
+            let log = Arc::clone(log);
+            thread::spawn(move || {
+                let mut wakes = 0;
+                while log.len() <= offset {
+                    thread::park();
+                    wakes += 1;
+                }
+                (log.read_from(0).unwrap().0.len(), wakes)
+            })
+        };
+        log.set_tail(Some(reader.thread().clone()));
+        reader
+    }
+
     #[test]
     fn gap_fill_wakes_reader_with_whole_run() {
         let log = Arc::new(DurableLog::new());
         let s1 = log.reserve();
         let s2 = log.reserve();
         let s3 = log.reserve();
+        let reader = tail_reader(&log, 2);
         log.fill(s2, &commit(0, 2));
         log.fill(s3, &commit(0, 3));
-        let log2 = Arc::clone(&log);
-        let reader = thread::spawn(move || {
-            let cancel = AtomicBool::new(false);
-            log2.wait_read_from(0, &cancel).unwrap().0
-        });
         thread::sleep(Duration::from_millis(20));
         assert!(!reader.is_finished(), "gapped log must not deliver");
         log.fill(s1, &commit(0, 1));
-        let records = reader.join().unwrap();
-        assert_eq!(records.len(), 3, "one group publish delivers the run");
+        let (records, _) = reader.join().unwrap();
+        assert_eq!(records, 3, "one group publish delivers the run");
     }
 
+    /// The fill that publishes unparks the registered tail; fills that
+    /// publish nothing do not.
     #[test]
     fn wait_read_wakes_on_append() {
         let log = Arc::new(DurableLog::new());
-        let log2 = Arc::clone(&log);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let cancel2 = Arc::clone(&cancel);
-        let reader = thread::spawn(move || log2.wait_read_from(0, &cancel2).unwrap().0);
+        let hidden = log.reserve();
+        let reader = tail_reader(&log, 1);
+        log.append(&commit(1, 2));
         thread::sleep(Duration::from_millis(20));
-        log.append(&commit(1, 1));
-        let records = reader.join().unwrap();
-        assert_eq!(records.len(), 1);
-    }
-
-    #[test]
-    fn wait_read_returns_empty_when_cancelled() {
-        let log = Arc::new(DurableLog::new());
-        let log2 = Arc::clone(&log);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let cancel2 = Arc::clone(&cancel);
-        let reader = thread::spawn(move || log2.wait_read_from(0, &cancel2).unwrap().0);
-        thread::sleep(Duration::from_millis(20));
-        cancel.store(true, Ordering::Relaxed);
-        log.notify_waiters();
-        let records = reader.join().unwrap();
-        assert!(records.is_empty());
-    }
-
-    #[test]
-    fn pre_cancelled_wait_read_returns_immediately() {
-        let log = DurableLog::new();
-        let cancel = AtomicBool::new(true);
-        let (records, _) = log.wait_read_from(0, &cancel).unwrap();
-        assert!(records.is_empty());
+        assert!(!reader.is_finished());
+        log.fill(hidden, &commit(1, 1));
+        let (records, wakes) = reader.join().unwrap();
+        assert_eq!(records, 2);
+        assert!(wakes <= 1, "woken {wakes} times for one publish");
     }
 
     #[test]

@@ -8,18 +8,24 @@
 //! * **freshness waits** — transaction begin blocks until `svv` dominates the
 //!   session's required vector (SSSI, §III-A), and grant blocks until the
 //!   releaser's state has been applied (§III-B);
-//! * **refresh admission** — the batched refresh applier blocks until the
-//!   update application rule (Eq. 1) admits the head of a batch
-//!   ([`SiteClock::wait_admissible`]), installs versions outside the clock
-//!   lock, and publishes one watermark advance per applied run
-//!   ([`SiteClock::publish_refresh`]).
+//! * **refresh admission** — the refresh applier checks the update
+//!   application rule (Eq. 1) for the head of a run without blocking
+//!   ([`SiteClock::admit_or_wake`]): a refused head leaves a [`Wake`] that
+//!   the next svv advance fires, so the origin's feeder offers the run again
+//!   then. Versions are installed outside the clock lock, and one watermark
+//!   advance publishes each applied run ([`SiteClock::publish_refresh`]).
 //!
-//! All waits abort with [`DynaError::ShuttingDown`] once [`SiteClock::shut_down`]
-//! is called, so propagator threads and blocked clients drain cleanly.
+//! An advance notifies the condvar only when a thread is parked on it (a
+//! `notify_all` with no waiter is still a futex syscall), and fires the
+//! wakes left since the last advance. All waits abort with
+//! [`DynaError::ShuttingDown`] once [`SiteClock::shut_down`] is called, which
+//! also fires every pending wake, so feeders and blocked clients drain
+//! cleanly.
 
 use dynamast_common::ids::SiteId;
 use dynamast_common::{DynaError, Result, VersionVector};
-use parking_lot::{Condvar, Mutex};
+use dynamast_replication::Wake;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 struct ClockState {
     svv: VersionVector,
@@ -27,6 +33,10 @@ struct ClockState {
     /// are in flight).
     next_seq: u64,
     shutting_down: bool,
+    /// Threads parked on `changed`.
+    parked: usize,
+    /// Refresh subscriptions waiting for the next advance.
+    wakes: Vec<Wake>,
 }
 
 /// A site's version-vector clock.
@@ -39,15 +49,7 @@ pub struct SiteClock {
 impl SiteClock {
     /// Creates a zeroed clock for `site` in an `m`-site system.
     pub fn new(site: SiteId, num_sites: usize) -> Self {
-        SiteClock {
-            site,
-            state: Mutex::new(ClockState {
-                svv: VersionVector::zero(num_sites),
-                next_seq: 1,
-                shutting_down: false,
-            }),
-            changed: Condvar::new(),
-        }
+        Self::from_recovered(site, VersionVector::zero(num_sites))
     }
 
     /// Restores a clock from a recovered svv (replay recovery, §V-C).
@@ -59,6 +61,8 @@ impl SiteClock {
                 svv,
                 next_seq,
                 shutting_down: false,
+                parked: 0,
+                wakes: Vec::new(),
             }),
             changed: Condvar::new(),
         }
@@ -74,20 +78,54 @@ impl SiteClock {
         self.state.lock().svv.clone()
     }
 
-    /// Blocks until the svv dominates `min`, returning the (fresh) svv as
-    /// the caller's begin vector. This is both the SSSI freshness wait and
-    /// the grant wait.
-    pub fn wait_dominates(&self, min: &VersionVector) -> Result<VersionVector> {
+    /// Parks on the condvar, counted so advances know someone listens.
+    fn park(&self, state: &mut MutexGuard<'_, ClockState>) {
+        state.parked += 1;
+        self.changed.wait(state);
+        state.parked -= 1;
+    }
+
+    /// Wakes whoever waits on an advance: parked threads, and the wakes
+    /// left by refused refresh heads (fired after the lock drops).
+    fn advanced(&self, mut state: MutexGuard<'_, ClockState>) {
+        if state.parked > 0 {
+            self.changed.notify_all();
+        }
+        if state.wakes.is_empty() {
+            return;
+        }
+        let wakes = std::mem::take(&mut state.wakes);
+        drop(state);
+        for wake in wakes {
+            wake.fire();
+        }
+    }
+
+    /// Blocks until `ready(&svv)` holds, returning the svv at that moment.
+    fn wait_for(&self, ready: impl Fn(&VersionVector) -> bool) -> Result<VersionVector> {
         let mut state = self.state.lock();
         loop {
             if state.shutting_down {
                 return Err(DynaError::ShuttingDown);
             }
-            if state.svv.dominates(min) {
+            if ready(&state.svv) {
                 return Ok(state.svv.clone());
             }
-            self.changed.wait(&mut state);
+            self.park(&mut state);
         }
+    }
+
+    /// Blocks until the svv dominates `min`, returning the (fresh) svv as
+    /// the caller's begin vector. This is both the SSSI freshness wait and
+    /// the grant wait.
+    pub fn wait_dominates(&self, min: &VersionVector) -> Result<VersionVector> {
+        self.wait_for(|svv| svv.dominates(min))
+    }
+
+    /// Blocks until this site's own commits through `seq` are published,
+    /// returning the svv then (a remaster reply covers its own records).
+    pub fn wait_published(&self, seq: u64) -> Result<VersionVector> {
+        self.wait_for(|svv| svv.get(self.site) >= seq)
     }
 
     /// Allocates the next local commit sequence number. The caller must
@@ -118,10 +156,11 @@ impl SiteClock {
             }
             if state.svv.get(self.site) + 1 == seq {
                 state.svv.set(self.site, seq);
-                self.changed.notify_all();
-                return Ok(state.svv.clone());
+                let svv = state.svv.clone();
+                self.advanced(state);
+                return Ok(svv);
             }
-            self.changed.wait(&mut state);
+            self.park(&mut state);
         }
     }
 
@@ -132,38 +171,38 @@ impl SiteClock {
     /// group-committed run, and a racing late call for an earlier run is a
     /// no-op. Monotone under races by construction.
     pub fn publish_up_to(&self, seq: u64) {
-        let mut state = self.state.lock();
-        if state.svv.get(self.site) < seq {
-            state.svv.set(self.site, seq);
-            self.changed.notify_all();
-        }
+        self.publish_refresh(self.site, seq);
     }
 
-    /// Blocks until `admit(&svv)` holds, returning a snapshot of the svv at
-    /// that moment. This is the refresh admission wait: the batched applier
-    /// passes Eq. 1 (commit records) or the next-in-origin-order check
-    /// (release/grant metadata) as the predicate, then installs versions
-    /// *outside* the clock lock and advances the svv afterwards via
-    /// [`SiteClock::publish_refresh`].
+    /// The refresh admission check: a snapshot of the svv if `admit` holds
+    /// now; otherwise `wake` (if any) is left to fire at the next advance
+    /// and `None` is returned. Check and registration share the clock lock,
+    /// so no advance can slip between them.
     ///
-    /// Installing outside the lock is safe: versions stamped `(origin, seq)`
-    /// are invisible to every snapshot until `svv[origin] >= seq`, and begin
-    /// snapshots are cut from the svv — so "install, then advance" is the
-    /// real invariant, not "install atomically with the advance". The svv is
-    /// monotone, so once the predicate holds it holds forever and the
-    /// snapshot cannot be invalidated by concurrent refreshes from other
-    /// origins.
-    pub fn wait_admissible(&self, admit: impl Fn(&VersionVector) -> bool) -> Result<VersionVector> {
+    /// The applier installs versions *outside* the clock lock and advances
+    /// the svv afterwards via [`SiteClock::publish_refresh`]. That is safe:
+    /// versions stamped `(origin, seq)` are invisible to every snapshot
+    /// until `svv[origin] >= seq`, and begin snapshots are cut from the svv
+    /// — so "install, then advance" is the real invariant, not "install
+    /// atomically with the advance". The svv is monotone, so once `admit`
+    /// holds it holds forever and the snapshot cannot be invalidated by
+    /// concurrent refreshes from other origins.
+    pub fn admit_or_wake(
+        &self,
+        admit: impl Fn(&VersionVector) -> bool,
+        wake: Option<&Wake>,
+    ) -> Result<Option<VersionVector>> {
         let mut state = self.state.lock();
-        loop {
-            if state.shutting_down {
-                return Err(DynaError::ShuttingDown);
-            }
-            if admit(&state.svv) {
-                return Ok(state.svv.clone());
-            }
-            self.changed.wait(&mut state);
+        if state.shutting_down {
+            return Err(DynaError::ShuttingDown);
         }
+        if admit(&state.svv) {
+            return Ok(Some(state.svv.clone()));
+        }
+        if let Some(wake) = wake {
+            state.wakes.push(wake.clone());
+        }
+        Ok(None)
     }
 
     /// Advances `svv[origin]` to `seq` after the corresponding versions have
@@ -180,14 +219,16 @@ impl SiteClock {
         let mut state = self.state.lock();
         if state.svv.get(origin) < seq {
             state.svv.set(origin, seq);
-            self.changed.notify_all();
+            self.advanced(state);
         }
     }
 
-    /// Wakes every waiter with [`DynaError::ShuttingDown`].
+    /// Wakes every waiter with [`DynaError::ShuttingDown`] and fires every
+    /// pending wake.
     pub fn shut_down(&self) {
-        self.state.lock().shutting_down = true;
-        self.changed.notify_all();
+        let mut state = self.state.lock();
+        state.shutting_down = true;
+        self.advanced(state);
     }
 }
 
@@ -242,53 +283,86 @@ mod tests {
         assert!(begin.dominates(&min));
     }
 
+    /// A wake on this thread with a flag the test can read.
+    fn test_wake() -> Wake {
+        Wake::new(thread::current())
+    }
+
     #[test]
-    fn wait_admissible_respects_update_application_rule() {
+    fn admission_respects_update_application_rule() {
         let c = clock();
         let origin = SiteId::new(1);
         // tvv [0, 2, 0]: needs svv[1] == 1 first.
         let tvv2 = VersionVector::from_counts(vec![0, 2, 0]);
-        let c2 = Arc::clone(&c);
-        let blocked = thread::spawn(move || {
-            let svv = c2
-                .wait_admissible(|svv| svv.can_apply_refresh(&tvv2, origin))
-                .unwrap();
-            c2.publish_refresh(origin, 2);
-            svv
-        });
-        thread::sleep(Duration::from_millis(20));
-        assert!(!blocked.is_finished(), "seq 2 must wait for seq 1");
         let tvv1 = VersionVector::from_counts(vec![0, 1, 0]);
+        let admit2 = |svv: &VersionVector| svv.can_apply_refresh(&tvv2, origin);
+        assert_eq!(c.admit_or_wake(admit2, None).unwrap(), None, "seq 2 waits");
         let snap = c
-            .wait_admissible(|svv| svv.can_apply_refresh(&tvv1, origin))
-            .unwrap();
+            .admit_or_wake(|svv| svv.can_apply_refresh(&tvv1, origin), None)
+            .unwrap()
+            .expect("seq 1 admitted");
         assert_eq!(snap.get(origin), 0, "snapshot cut at admission time");
         c.publish_refresh(origin, 1);
-        let unblocked_snap = blocked.join().unwrap();
-        assert_eq!(unblocked_snap.get(origin), 1);
-        assert_eq!(c.current().get(origin), 2);
+        let snap = c.admit_or_wake(admit2, None).unwrap().expect("admitted");
+        assert_eq!(snap.get(origin), 1);
     }
 
+    /// A refused head leaves a wake that the next advance of *any*
+    /// dimension fires once — here the cross-site dependency landing.
     #[test]
-    fn wait_admissible_sees_cross_site_dependencies() {
+    fn refused_admission_wakes_on_the_next_advance() {
         let c = clock();
         // Record from site 1 that depends on site 2's first commit.
         let tvv = VersionVector::from_counts(vec![0, 1, 1]);
-        let c2 = Arc::clone(&c);
-        let tvvc = tvv.clone();
-        let blocked = thread::spawn(move || {
-            c2.wait_admissible(|svv| svv.can_apply_refresh(&tvvc, SiteId::new(1)))
-                .unwrap();
-            c2.publish_refresh(SiteId::new(1), 1);
-        });
-        thread::sleep(Duration::from_millis(20));
-        assert!(!blocked.is_finished());
-        // Publish site 2's first record; the blocked refresh should proceed.
+        let admit = |svv: &VersionVector| svv.can_apply_refresh(&tvv, SiteId::new(1));
+        let wake = test_wake();
+        assert_eq!(c.admit_or_wake(admit, Some(&wake)).unwrap(), None);
+        assert!(!wake.take(), "nothing advanced yet");
         c.publish_refresh(SiteId::new(2), 1);
-        blocked.join().unwrap();
-        assert!(c
-            .current()
-            .dominates(&VersionVector::from_counts(vec![0, 1, 1])));
+        assert!(wake.take(), "the advance fires the wake");
+        assert!(c.admit_or_wake(admit, Some(&wake)).unwrap().is_some());
+        c.publish_refresh(SiteId::new(1), 1);
+        assert!(!wake.take(), "an admitted head leaves no wake");
+        // Shutdown fires pending wakes and refuses admission.
+        let blocked = VersionVector::from_counts(vec![0, 3, 0]);
+        let admit = |svv: &VersionVector| svv.can_apply_refresh(&blocked, SiteId::new(1));
+        assert_eq!(c.admit_or_wake(admit, Some(&wake)).unwrap(), None);
+        c.shut_down();
+        assert!(wake.take());
+        assert_eq!(
+            c.admit_or_wake(admit, Some(&wake)).unwrap_err(),
+            DynaError::ShuttingDown
+        );
+    }
+
+    /// Advances skip the condvar when nobody is parked, so a waiter that
+    /// parks before an advance must still be counted and woken — by every
+    /// kind of advance, and by shutdown.
+    #[test]
+    fn parked_waiters_wake_on_every_advance_and_on_shutdown() {
+        let c = clock();
+        let parked_wait = |min: Vec<u64>| {
+            let c2 = Arc::clone(&c);
+            let waiter = thread::spawn(move || c2.wait_dominates(&VersionVector::from_counts(min)));
+            while c.state.lock().parked == 0 {
+                thread::yield_now();
+            }
+            waiter
+        };
+        let w = parked_wait(vec![1, 0, 0]);
+        let seq = c.allocate();
+        c.publish(seq).unwrap();
+        assert!(w.join().unwrap().is_ok());
+        let w = parked_wait(vec![2, 0, 0]);
+        c.publish_up_to(2);
+        assert!(w.join().unwrap().is_ok());
+        let w = parked_wait(vec![2, 1, 0]);
+        c.publish_refresh(SiteId::new(1), 1);
+        assert!(w.join().unwrap().is_ok());
+        let w = parked_wait(vec![9, 0, 0]);
+        c.shut_down();
+        assert_eq!(w.join().unwrap().unwrap_err(), DynaError::ShuttingDown);
+        assert_eq!(c.state.lock().parked, 0);
     }
 
     #[test]

@@ -14,13 +14,13 @@ use dynamast_common::{DynaError, Result, Row, SystemConfig, VersionVector};
 use dynamast_network::{wait_until, EndpointId, Network, RpcHandler, ServerHandle};
 use dynamast_replication::checkpoint;
 use dynamast_replication::record::{LogRecord, WriteEntry};
-use dynamast_replication::{LogSet, Propagator, RefreshApplier};
+use dynamast_replication::{LogSet, Propagator, RefreshApplier, Wake};
 use dynamast_storage::{Catalog, ImageRecord, LockGuard, ReadAt, Store, VersionStamp, Visit};
 
 use crate::clock::SiteClock;
 use crate::messages::{ExecTimings, RemoteError, SiteRequest, SiteResponse};
 use crate::ownership::Ownership;
-use crate::pipeline::{apply_refresh_batch, CommitPipeline};
+use crate::pipeline::{apply_refresh_batch_with, collect_all, CommitPipeline, Install};
 use crate::proc::{LocalCtx, ProcCall, ProcExecutor, ReadMode};
 
 /// Static owner lookup for statically partitioned systems (multi-master,
@@ -303,8 +303,8 @@ impl SiteRuntime {
 
 impl Drop for SiteRuntime {
     fn drop(&mut self) {
-        // Unblock any waiters (freshness waits, refresh admission) before
-        // the server handle joins its workers.
+        // Unblock any waiters (freshness waits) and fire pending refresh
+        // wakes before the server handle joins its workers.
         self.site.clock.shut_down();
     }
 }
@@ -1077,7 +1077,7 @@ impl DataSite {
             .collect();
         self.pipeline.commit_all(fills);
         let last = tickets.iter().flatten().map(|ticket| ticket.seq).max();
-        let visible = last.map(|seq| self.clock.wait_admissible(|svv| svv.get(self.id) >= seq));
+        let visible = last.map(|seq| self.clock.wait_published(seq));
         let ledger = if granted {
             &self.granted
         } else {
@@ -1461,83 +1461,129 @@ impl DataSite {
         }
     }
 
+    /// Chooses an admissible run's installs: the subscription filter under
+    /// partial replication, then the audit plane's refresh-side
+    /// `WriteEffect` for each version about to install.
+    fn collect_refresh(&self, run: &[LogRecord], installs: &mut Vec<Install>) {
+        let first = installs.len();
+        match &self.hosted {
+            Some(hosted) => self.filter_refresh(hosted, run, installs),
+            None => collect_all(run, installs),
+        }
+        let Some(rec) = self.recorder.as_deref().filter(|r| r.audit_enabled()) else {
+            return;
+        };
+        let audit_values = rec.audit_values();
+        let generation = self.selector_generation.load(Ordering::Relaxed);
+        let epoch = self.max_epoch_seen.load(Ordering::Relaxed);
+        // Chunked batching: one clock read + ring acquisition per
+        // EFFECT_CHUNK installs instead of per install, without holding the
+        // ring across an arbitrarily long refresh run.
+        const EFFECT_CHUNK: usize = 64;
+        let mut batch = dynamast_common::audit::EffectBatch::with_capacity(EFFECT_CHUNK);
+        for (key, stamp, row) in &installs[first..] {
+            batch.write_effect(
+                0,
+                self.id.raw(),
+                self.store
+                    .catalog()
+                    .partition_of(*key)
+                    .map(|p| p.raw())
+                    .unwrap_or(u64::MAX),
+                key.table.raw(),
+                key.record,
+                None,
+                if audit_values {
+                    dynamast_common::audit::value_signature(row)
+                } else {
+                    0
+                },
+                stamp.origin.raw(),
+                stamp.sequence,
+                generation,
+                epoch,
+                true,
+            );
+            if batch.len() >= EFFECT_CHUNK {
+                batch.flush(rec);
+            }
+        }
+        batch.flush(rec);
+    }
+
     /// The subscription filter (partial replication): one mutex hold per
-    /// refresh batch. Writes to unhosted partitions are stripped — the
-    /// record itself still applies and advances the svv, because Eq. 1
-    /// admission is per-origin and gap-free, so dropping whole records
-    /// would wedge the site — writes to partitions mid-install are diverted
-    /// into the install buffer, and the per-origin frontier advances for
-    /// every record kind so a concurrent [`DataSite::add_replica`] knows
-    /// exactly which prefix the filter already settled.
-    fn filter_refresh(&self, records: &mut [LogRecord]) {
-        let Some(hosted) = &self.hosted else { return };
+    /// admissible run, deciding per write without touching the shared
+    /// records. Writes to hosted partitions (and replicated tables) install;
+    /// writes to unhosted partitions are stripped — the record itself still
+    /// applies and advances the svv, because Eq. 1 admission is per-origin
+    /// and gap-free, so dropping whole records would wedge the site —
+    /// writes to partitions mid-install are diverted into the install
+    /// buffer, and the per-origin frontier advances for every record kind so
+    /// a concurrent [`DataSite::add_replica`] knows exactly which prefix the
+    /// filter already settled.
+    fn filter_refresh(
+        &self,
+        hosted: &parking_lot::Mutex<HostedState>,
+        run: &[LogRecord],
+        installs: &mut Vec<Install>,
+    ) {
         // Declared to the audit plane after the lock drops: a stripped
         // write that is neither installed nor declared would (rightly)
         // read as a missing install to the completeness checker.
         let audit = self.recorder.as_deref().filter(|r| r.audit_enabled());
         let mut skips: Vec<(Key, SiteId, u64, u64)> = Vec::new();
+        let mut skipped = 0u64;
         let mut state = hosted.lock();
-        for record in records.iter_mut() {
-            match record {
-                LogRecord::Commit {
-                    origin,
-                    tvv,
-                    writes,
-                } => {
-                    let origin = *origin;
-                    let seq = tvv.get(origin);
-                    let sum: u64 = tvv.as_slice().iter().sum();
-                    let mut skipped = 0u64;
-                    writes.retain_mut(|w| {
-                        if self.replicated_tables.contains(&w.key.table) {
-                            return true;
-                        }
-                        let Ok(p) = self.store.catalog().partition_of(w.key) else {
-                            return true;
-                        };
-                        match state.map.get_mut(&p) {
-                            Some(ReplicaState::Hosted) => true,
-                            Some(ReplicaState::Buffering(buf)) => {
-                                buf.push((
-                                    sum,
-                                    ImageRecord {
-                                        key: w.key,
-                                        stamp: VersionStamp::new(origin, seq),
-                                        row: w.row.clone(),
-                                    },
-                                ));
-                                false
-                            }
-                            None => {
-                                skipped += 1;
-                                if audit.is_some() {
-                                    skips.push((w.key, origin, seq, p.raw()));
+        for record in run {
+            if let LogRecord::Commit {
+                origin,
+                tvv,
+                writes,
+            } = record
+            {
+                let (origin, seq) = (*origin, tvv.get(*origin));
+                let stamp = VersionStamp::new(origin, seq);
+                let sum: u64 = tvv.as_slice().iter().sum();
+                for w in writes {
+                    let install = self.replicated_tables.contains(&w.key.table)
+                        || match self.store.catalog().partition_of(w.key) {
+                            Err(_) => true,
+                            Ok(p) => match state.map.get_mut(&p) {
+                                Some(ReplicaState::Hosted) => true,
+                                Some(ReplicaState::Buffering(buf)) => {
+                                    buf.push((
+                                        sum,
+                                        ImageRecord {
+                                            key: w.key,
+                                            stamp,
+                                            row: w.row.clone(),
+                                        },
+                                    ));
+                                    false
                                 }
-                                false
-                            }
-                        }
-                    });
-                    if skipped > 0 {
-                        if let Some(counter) = &self.refresh_skipped {
-                            counter.add(skipped);
-                        }
+                                None => {
+                                    skipped += 1;
+                                    if audit.is_some() {
+                                        skips.push((w.key, origin, seq, p.raw()));
+                                    }
+                                    false
+                                }
+                            },
+                        };
+                    if install {
+                        installs.push((w.key, stamp, w.row.clone()));
                     }
-                    let f = &mut state.frontier[origin.raw() as usize];
-                    *f = (*f).max(seq);
-                }
-                LogRecord::Release {
-                    origin, sequence, ..
-                }
-                | LogRecord::Grant {
-                    origin, sequence, ..
-                }
-                | LogRecord::Noop { origin, sequence } => {
-                    let f = &mut state.frontier[origin.raw() as usize];
-                    *f = (*f).max(*sequence);
                 }
             }
+            let f = &mut state.frontier[record.origin().as_usize()];
+            *f = (*f).max(record.sequence());
         }
         drop(state);
+        if skipped > 0 {
+            if let Some(counter) = &self.refresh_skipped {
+                counter.add(skipped);
+            }
+        }
         if let Some(rec) = audit {
             if !skips.is_empty() {
                 let mut batch = dynamast_common::audit::EffectBatch::with_capacity(skips.len());
@@ -1558,59 +1604,16 @@ impl DataSite {
 }
 
 impl RefreshApplier for DataSite {
-    fn apply(&self, record: LogRecord) -> Result<()> {
-        self.apply_batch(vec![record])
-    }
-
-    fn apply_batch(&self, mut records: Vec<LogRecord>) -> Result<()> {
-        self.filter_refresh(&mut records);
-        if let Some(rec) = self.recorder.as_deref().filter(|r| r.audit_enabled()) {
-            let audit_values = rec.audit_values();
-            let generation = self.selector_generation.load(Ordering::Relaxed);
-            let epoch = self.max_epoch_seen.load(Ordering::Relaxed);
-            // Chunked batching: one clock read + ring acquisition per
-            // EFFECT_CHUNK installs instead of per install, without holding
-            // the ring across an arbitrarily long refresh batch.
-            const EFFECT_CHUNK: usize = 64;
-            let mut batch = dynamast_common::audit::EffectBatch::with_capacity(EFFECT_CHUNK);
-            let mut observer = |key: Key, row: &Row, origin: SiteId, sequence: u64| {
-                batch.write_effect(
-                    0,
-                    self.id.raw(),
-                    self.store
-                        .catalog()
-                        .partition_of(key)
-                        .map(|p| p.raw())
-                        .unwrap_or(u64::MAX),
-                    key.table.raw(),
-                    key.record,
-                    None,
-                    if audit_values {
-                        dynamast_common::audit::value_signature(row)
-                    } else {
-                        0
-                    },
-                    origin.raw(),
-                    sequence,
-                    generation,
-                    epoch,
-                    true,
-                );
-                if batch.len() >= EFFECT_CHUNK {
-                    batch.flush(rec);
-                }
-            };
-            let result = crate::pipeline::apply_refresh_batch_with(
-                &self.clock,
-                &self.store,
-                records,
-                Some(&mut observer),
-            );
-            batch.flush(rec);
-            result
-        } else {
-            apply_refresh_batch(&self.clock, &self.store, records)
-        }
+    fn apply_batch(&self, records: &[LogRecord], wake: &Wake) -> Result<usize> {
+        let mut collect =
+            |run: &[LogRecord], installs: &mut Vec<Install>| self.collect_refresh(run, installs);
+        apply_refresh_batch_with(
+            &self.clock,
+            &self.store,
+            records,
+            Some(wake),
+            Some(&mut collect),
+        )
     }
 }
 

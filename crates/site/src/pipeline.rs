@@ -30,20 +30,20 @@
 //! [`CommitPipeline::abort`], so the sequence space stays gap-free and the
 //! watermark keeps moving.
 //!
-//! The consume side lives here too: [`apply_refresh_batch`] applies a whole
-//! drained batch of one origin's records — admission-wait once per
-//! contiguous admissible run, installs batched outside the clock lock with
-//! rows moved out of the records, and one svv watermark publication per
-//! run.
+//! The consume side lives here too: [`apply_refresh_batch_with`] applies
+//! the admissible prefix of one origin's batch — one admission check per
+//! contiguous admissible run, installs batched outside the clock lock, one
+//! svv watermark publication per run — and returns how far it got, never
+//! blocking. The batch is shared by every subscriber of the origin, so rows
+//! are cloned (a reference-count bump) into storage.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use dynamast_common::ids::{Key, SiteId};
 use dynamast_common::{Result, Row, VersionVector};
 use dynamast_replication::record::LogRecord;
-use dynamast_replication::DurableLog;
+use dynamast_replication::{DurableLog, Wake};
 use dynamast_storage::{Store, VersionStamp};
 use parking_lot::Mutex;
 
@@ -191,86 +191,101 @@ impl Drop for CommitGuard<'_> {
     }
 }
 
-/// Applies one origin's drained log batch as refresh transactions.
+/// One version to install: key, stamp, row.
+pub type Install = (Key, VersionStamp, Row);
+
+/// Chooses a run's installs: called once per admissible run with its
+/// records, it pushes the versions to install. A site's subscription filter
+/// and audit hook go here; without one every write of every commit record
+/// installs ([`collect_all`]).
+pub type RunCollector<'a> = &'a mut dyn FnMut(&[LogRecord], &mut Vec<Install>);
+
+/// Applies the admissible prefix of one origin's batch at a site with no
+/// subscription filter, returning how many records applied (all of them
+/// when each record's Eq. 1 dependencies are already applied).
+pub fn apply_refresh_batch(
+    clock: &SiteClock,
+    store: &Store,
+    records: impl AsRef<[LogRecord]>,
+) -> Result<usize> {
+    apply_refresh_batch_with(clock, store, records.as_ref(), None, None)
+}
+
+/// Applies the admissible prefix of one origin's batch as refresh
+/// transactions and returns its length, never blocking.
 ///
 /// Splits the batch into maximal contiguous admissible runs: the head of a
-/// run blocks on `SiteClock::wait_admissible` (the update application rule,
-/// Eq. 1, for commit records; next-in-origin-order for release/grant
-/// metadata), the run is extended greedily while each following record is
-/// admissible given the admission-time svv snapshot plus the run's own
-/// origin progress, the run's rows are moved into one
-/// `Store::install_batch`, and the svv advances once over the whole run.
+/// run is checked against the live svv ([`SiteClock::admit_or_wake`]: the
+/// update application rule, Eq. 1, for commit records; next-in-origin-order
+/// for release/grant metadata), the run is extended greedily while each
+/// following record is admissible given the admission-time svv snapshot
+/// plus the run's own origin progress, `collect` chooses the run's
+/// installs, they go into one `Store::install_batch`, and the svv advances
+/// once over the whole run. A refused head ends the call; `wake`, if
+/// given, fires at the site's next svv advance.
 ///
 /// Installing outside the clock lock is safe for the same reason the commit
 /// pipeline's installs are: a version stamped `(origin, seq)` is invisible
 /// to snapshots until `svv[origin] >= seq`, which only `publish_refresh`
 /// makes true — in run order, after the installs.
-pub fn apply_refresh_batch(
-    clock: &SiteClock,
-    store: &Store,
-    records: Vec<LogRecord>,
-) -> Result<()> {
-    apply_refresh_batch_with(clock, store, records, None)
-}
-
-/// Per-install observer for [`apply_refresh_batch_with`]: called with each
-/// write's key, row, and `(origin, sequence)` stamp before the row is
-/// moved into the batch install.
-pub type InstallObserver<'a> = &'a mut dyn FnMut(Key, &Row, SiteId, u64);
-
-/// [`apply_refresh_batch`] with an optional per-install observer. The
-/// invariant audit plane hooks here to emit refresh-side `WriteEffect`
-/// events.
 pub fn apply_refresh_batch_with(
     clock: &SiteClock,
     store: &Store,
-    records: Vec<LogRecord>,
-    mut on_install: Option<InstallObserver<'_>>,
-) -> Result<()> {
-    let mut records = VecDeque::from(records);
-    while let Some(head) = records.front() {
+    records: &[LogRecord],
+    wake: Option<&Wake>,
+    mut collect: Option<RunCollector<'_>>,
+) -> Result<usize> {
+    let mut applied = 0;
+    while let Some(head) = records.get(applied) {
         let origin = head.origin();
-        let svv = clock.wait_admissible(|svv| head_admissible(svv, head))?;
+        let Some(mut svv) = clock.admit_or_wake(|svv| head_admissible(svv, head), wake)? else {
+            break;
+        };
         // Extend the run while the next record stays admissible under the
-        // snapshot, accounting for the origin sequence the run itself
-        // advances.
+        // snapshot, with the origin's dimension at the run's own progress
+        // (other origins' dimensions cannot regress, so the snapshot stays
+        // valid for cross-origin dependency checks for the whole run).
         let mut cursor = head.sequence();
         let mut run = 1;
-        for next in records.iter().skip(1) {
-            if next.origin() != origin || !run_admissible(&svv, origin, cursor, next) {
+        for next in &records[applied + 1..] {
+            svv.set(origin, cursor);
+            if next.origin() != origin || !head_admissible(&svv, next) {
                 break;
             }
             cursor = next.sequence();
             run += 1;
         }
-        // Move the run's rows out of the records into one batch install.
-        let mut entries = Vec::new();
-        for _ in 0..run {
-            let record = records.pop_front().expect("run within batch");
-            if let LogRecord::Commit {
-                origin: o,
-                tvv,
-                writes,
-            } = record
-            {
-                let stamp = VersionStamp::new(o, tvv.get(o));
-                if let Some(observer) = on_install.as_deref_mut() {
-                    for w in &writes {
-                        observer(w.key, &w.row, o, tvv.get(o));
-                    }
-                }
-                entries.extend(writes.into_iter().map(|w| (w.key, stamp, w.row)));
-            }
+        let run_records = &records[applied..applied + run];
+        let mut installs = Vec::new();
+        match collect.as_deref_mut() {
+            Some(collect) => collect(run_records, &mut installs),
+            None => collect_all(run_records, &mut installs),
         }
         // Refresh application has no caller to propagate to (it matches a
         // crashed subscriber in the paper's Kafka deployment), so a failed
         // install means a corrupted record.
         store
-            .install_batch(entries)
+            .install_batch(installs)
             .expect("refresh install failed: corrupted log record");
         clock.publish_refresh(origin, cursor);
+        applied += run;
     }
-    Ok(())
+    Ok(applied)
+}
+
+/// Every write of every commit record in `run`, stamped with its commit.
+pub fn collect_all(run: &[LogRecord], installs: &mut Vec<Install>) {
+    for record in run {
+        if let LogRecord::Commit {
+            origin,
+            tvv,
+            writes,
+        } = record
+        {
+            let stamp = VersionStamp::new(*origin, tvv.get(*origin));
+            installs.extend(writes.iter().map(|w| (w.key, stamp, w.row.clone())));
+        }
+    }
 }
 
 /// Admission check for the head of a run against the live svv.
@@ -289,16 +304,6 @@ fn head_admissible(svv: &VersionVector, record: &LogRecord) -> bool {
     }
 }
 
-/// Admission check for a follow-up record, given the admission-time svv
-/// snapshot and the origin sequence (`cursor`) the run has reached. Other
-/// origins' dimensions cannot regress, so the snapshot stays valid for
-/// cross-origin dependency checks for the whole run.
-fn run_admissible(svv: &VersionVector, origin: SiteId, cursor: u64, record: &LogRecord) -> bool {
-    let mut effective = svv.clone();
-    effective.set(origin, cursor);
-    head_admissible(&effective, record)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,7 +313,6 @@ mod tests {
     use dynamast_replication::record::WriteEntry;
     use dynamast_storage::Catalog;
     use std::thread;
-    use std::time::Duration;
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -414,7 +418,7 @@ mod tests {
             },
             commit_record(1, &[0, 3], vec![(1, 30)]),
         ];
-        apply_refresh_batch(&clock, &store, batch).unwrap();
+        assert_eq!(apply_refresh_batch(&clock, &store, batch).unwrap(), 3);
         let svv = clock.current();
         assert_eq!(svv.get(SiteId::new(1)), 3);
         assert_eq!(store.read(key(1), &svv).unwrap().unwrap(), row(30));
@@ -430,7 +434,7 @@ mod tests {
             commit_record(origin, &[0, 2], vec![(2, 20)]),
             commit_record(origin, &[0, 3], vec![(1, 30)]),
         ];
-        apply_refresh_batch(&clock, &store, batch).unwrap();
+        assert_eq!(apply_refresh_batch(&clock, &store, batch).unwrap(), 3);
         let svv = clock.current();
         assert_eq!(svv.get(SiteId::new(origin)), 3);
         assert_eq!(store.read(key(1), &svv).unwrap().unwrap(), row(30));
@@ -439,33 +443,28 @@ mod tests {
 
     #[test]
     fn refresh_batch_stops_run_at_unsatisfied_cross_dependency() {
-        let clock = Arc::new(SiteClock::new(SiteId::new(2), 3));
-        let store = Arc::new(Store::new(catalog(), 4));
+        let clock = SiteClock::new(SiteId::new(2), 3);
+        let store = Store::new(catalog(), 4);
         // Second record depends on site 1's first commit, which has not
-        // arrived: the applier must publish the first record, then block.
+        // arrived: the applier must publish the first record, then stop
+        // and leave the wake for the dependency's advance.
         let batch = vec![
             commit_record(0, &[1, 0, 0], vec![(1, 10)]),
             commit_record(0, &[2, 1, 0], vec![(2, 20)]),
         ];
-        let c2 = Arc::clone(&clock);
-        let s2 = Arc::clone(&store);
-        let applier = thread::spawn(move || apply_refresh_batch(&c2, &s2, batch));
-        for _ in 0..200 {
-            if clock.current().get(SiteId::new(0)) == 1 {
-                break;
-            }
-            thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(
-            clock.current().get(SiteId::new(0)),
-            1,
-            "first run published independently"
-        );
-        assert!(!applier.is_finished(), "second run must block on the dep");
-        // Satisfy the dependency; the applier finishes the batch.
+        let wake = Wake::new(thread::current());
+        let applied = apply_refresh_batch_with(&clock, &store, &batch, Some(&wake), None);
+        assert_eq!(applied.unwrap(), 1, "first run applied alone");
+        assert_eq!(clock.current().get(SiteId::new(0)), 1);
+        assert!(!wake.take(), "blocked on the dependency");
+        // Satisfy the dependency: the wake fires and the rest applies.
         clock.publish_refresh(SiteId::new(1), 1);
-        applier.join().unwrap().unwrap();
+        assert!(wake.take());
+        let rest = apply_refresh_batch_with(&clock, &store, &batch[1..], Some(&wake), None);
+        assert_eq!(rest.unwrap(), 1);
         assert_eq!(clock.current().get(SiteId::new(0)), 2);
+        let svv = clock.current();
+        assert_eq!(store.read(key(2), &svv).unwrap().unwrap(), row(20));
     }
 
     #[test]
@@ -487,7 +486,7 @@ mod tests {
                 epoch: 2,
             },
         ];
-        apply_refresh_batch(&clock, &store, batch).unwrap();
+        assert_eq!(apply_refresh_batch(&clock, &store, batch).unwrap(), 3);
         assert_eq!(clock.current().get(SiteId::new(1)), 3);
     }
 }

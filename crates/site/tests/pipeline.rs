@@ -25,7 +25,7 @@ use dynamast_common::ids::{Key, PartitionId, SiteId};
 use dynamast_common::{SystemConfig, VersionVector};
 use dynamast_network::{EndpointId, Network, TrafficCategory};
 use dynamast_replication::record::LogRecord;
-use dynamast_replication::{LogSet, RefreshApplier};
+use dynamast_replication::{LogSet, RefreshApplier, Wake};
 use dynamast_site::messages::{expect_ok, RemoteError, SiteRequest, SiteResponse};
 use dynamast_site::tests_support::{deployment, write_call, ConstExec, TestDeployment, TABLE};
 use dynamast_site::{DataSite, DataSiteConfig};
@@ -409,12 +409,12 @@ fn quiet_pair() -> (Vec<Arc<DataSite>>, LogSet) {
 /// refresh batch, returning the advanced offset.
 fn drain(logs: &LogSet, from: &Arc<DataSite>, to: &Arc<DataSite>, offset: u64, max: usize) -> u64 {
     let (records, _) = logs.log(from.id()).read_from(offset).unwrap();
-    let batch: Vec<_> = records.into_iter().take(max).collect();
-    let applied = batch.len() as u64;
-    if !batch.is_empty() {
-        to.apply_batch(batch).unwrap();
-    }
-    offset + applied
+    let batch = &records[..records.len().min(max)];
+    let applied = to
+        .apply_batch(batch, &Wake::new(std::thread::current()))
+        .unwrap();
+    assert_eq!(applied, batch.len(), "two sites never block on Eq. 1");
+    offset + applied as u64
 }
 
 proptest! {
