@@ -2,9 +2,10 @@
 //!
 //! `std`'s default SipHash costs tens of nanoseconds per probe and guards
 //! against adversarial keys the system never sees: partition, client and
-//! site ids are internal. [`IntHasher`] hashes one integer with a single
-//! 64 × 64 → 128-bit multiply by an odd constant, folding the high half of the
-//! product into the low half. The fold matters for packed
+//! site ids and record keys are internal. [`IntHasher`] hashes one integer
+//! with a single 64 × 64 → 128-bit multiply by an odd constant, folding the
+//! high half of the product into the low half (a record [`crate::ids::Key`]
+//! is two such mixes, table then record id). The fold matters for packed
 //! [`crate::ids::partition_id`]s: a plain multiply only carries bits
 //! upward, so the table bits (48..63) would never reach the low bits a
 //! hash table indexes by, and equal partition indexes of different tables

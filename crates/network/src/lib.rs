@@ -38,9 +38,10 @@
 //! synchronous call ([`Network::rpc`], each attempt of
 //! [`Network::rpc_with_retry`]) whose request owes no transit time, on a
 //! fabric with no [`FaultPlan`], to an endpoint with nothing queued for its
-//! workers and a free slot, runs the handler on the caller's own thread: the
-//! caller would only block for the reply anyway, so the two thread hand-offs
-//! of a pooled call are pure overhead. Every other call — and every
+//! workers and a free slot, runs the handler on the caller's own thread and
+//! keeps the reply in its [`PendingReply`], with no channel: the caller
+//! would only block for the reply anyway, so the two thread hand-offs of a
+//! pooled call are pure overhead. Every other call — and every
 //! asynchronous one, whose caller overlaps requests and bounds each wait
 //! with `wait_timeout` — goes through the endpoint's worker pool. Either
 //! way the request, the reply hop, the trace events and the traffic
@@ -62,7 +63,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use dynamast_common::config::{NetworkConfig, RetryPolicy};
 use dynamast_common::trace::{FlightRecorder, TraceKind, TracePayload, TraceSite};
 use dynamast_common::{DynaError, Result};
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -113,15 +114,31 @@ struct Envelope {
     /// Sender identity, when the caller has one (sites, the selector).
     /// Anonymous clients send `None`; partitions never apply to them.
     from: Option<EndpointId>,
-    reply: Sender<Envelope>,
+    /// Where the reply goes: `None` for a request run inline, whose caller
+    /// takes the reply from [`Network::deliver`]'s return value.
+    reply: Option<Sender<Reply>>,
 }
 
-struct Registered {
+/// A reply hop: the handler's payload and its simulated arrival.
+#[derive(Clone)]
+struct Reply {
+    payload: Bytes,
+    deliver_at: Instant,
+}
+
+/// An endpoint's two request queues.
+struct Queues {
     /// The wire thread's queue: messages with transit time left.
     wire: Sender<Envelope>,
     /// The worker pool's queue, which the wire feeds; a message already due
     /// when it is sent is enqueued here directly.
     workers: Sender<Envelope>,
+}
+
+struct Registered {
+    /// Shared so a caller takes one reference, not a clone of each sender;
+    /// while a caller holds it the pool's workers stay alive.
+    queues: Arc<Queues>,
     endpoint: Arc<Endpoint>,
     /// Distinguishes successive registrations of the same endpoint so a
     /// stale [`ServerHandle`] cannot deregister its restarted replacement.
@@ -149,8 +166,6 @@ struct Slots {
     /// inline call waits its turn behind them: it never overtakes a request
     /// already sent.
     queued: usize,
-    /// Threads parked on `freed`.
-    waiting: usize,
     /// The handle was dropped: no new inline call is admitted.
     closed: bool,
 }
@@ -183,7 +198,7 @@ impl Endpoint {
     fn take_queued(&self) -> Slot<'_> {
         let mut slots = self.slots.lock();
         while slots.running == self.workers {
-            self.park(&mut slots);
+            self.freed.wait(&mut slots);
         }
         slots.running += 1;
         slots.queued -= 1;
@@ -197,14 +212,8 @@ impl Endpoint {
         let mut slots = self.slots.lock();
         slots.closed = true;
         while slots.running > 0 {
-            self.park(&mut slots);
+            self.freed.wait(&mut slots);
         }
-    }
-
-    fn park(&self, slots: &mut MutexGuard<'_, Slots>) {
-        slots.waiting += 1;
-        self.freed.wait(slots);
-        slots.waiting -= 1;
     }
 }
 
@@ -213,13 +222,8 @@ struct Slot<'a>(&'a Endpoint);
 
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        let mut slots = self.0.slots.lock();
-        slots.running -= 1;
-        let wake = slots.waiting > 0;
-        drop(slots);
-        if wake {
-            self.0.freed.notify_one();
-        }
+        self.0.slots.lock().running -= 1;
+        self.0.freed.notify_one();
     }
 }
 
@@ -458,8 +462,10 @@ impl Network {
         let previous = self.registry.write().insert(
             id,
             Registered {
-                wire,
-                workers: rx_tx.clone(),
+                queues: Arc::new(Queues {
+                    wire,
+                    workers: rx_tx.clone(),
+                }),
                 endpoint: Arc::clone(&endpoint),
                 generation,
             },
@@ -533,8 +539,10 @@ impl Network {
     /// Delivers one request: runs the endpoint's handler and sends the
     /// reply hop back, with its own deadline and fault decision. The one
     /// delivery path, whether a pool worker or a blocking caller runs it;
-    /// the caller holds one of the endpoint's slots.
-    fn deliver(&self, endpoint: &Endpoint, env: Envelope) {
+    /// the caller holds one of the endpoint's slots. A request with no
+    /// reply channel (run inline) gets its reply returned instead, `None`
+    /// if the reply hop lost it.
+    fn deliver(&self, endpoint: &Endpoint, env: Envelope) -> Option<Reply> {
         let id = Some(endpoint.id);
         self.trace_net(
             TraceKind::NetDeliver,
@@ -563,7 +571,7 @@ impl Network {
                     env.category,
                     reply_payload.len(),
                 );
-                return;
+                return None;
             }
         }
         if duplicate {
@@ -578,15 +586,22 @@ impl Network {
         let copies = if duplicate { 2 } else { 1 };
         for _ in 0..copies {
             self.stats.record(env.category, reply_payload.len());
-            let reply = Envelope {
-                deliver_at,
-                payload: reply_payload.clone(),
-                category: env.category,
-                from: id,
-                reply: dead_letter(),
-            };
-            // Callers that no longer wait are fine.
-            let _ = env.reply.send(reply);
+        }
+        let reply = Reply {
+            payload: reply_payload,
+            deliver_at,
+        };
+        match env.reply {
+            // An inline caller takes the reply itself (a duplicate would be
+            // a copy it discards).
+            None => Some(reply),
+            Some(tx) => {
+                // Callers that no longer wait are fine.
+                for _ in 0..copies {
+                    let _ = tx.send(reply.clone());
+                }
+                None
+            }
         }
     }
 
@@ -628,21 +643,17 @@ impl Network {
         payload: Bytes,
         blocking: bool,
     ) -> Result<PendingReply> {
-        let (wire, workers, endpoint) = self
+        let (queues, endpoint) = self
             .registry
             .read()
             .get(&to)
-            .map(|r| (r.wire.clone(), r.workers.clone(), Arc::clone(&r.endpoint)))
+            .map(|r| (Arc::clone(&r.queues), Arc::clone(&r.endpoint)))
             .ok_or(DynaError::Network("endpoint not registered"))?;
         let track = self
             .inflight
             .enabled
             .load(Ordering::Acquire)
             .then(|| self.inflight.register(from, to, category));
-        // Replies may be duplicated (and so may requests, each of whose
-        // copies produces replies): leave room so a worker never blocks on a
-        // full reply channel.
-        let (reply_tx, reply_rx) = bounded(4);
         let mut deliver_at = self.deadline(payload.len());
         let mut duplicate = false;
         let faults = self.faults();
@@ -661,11 +672,7 @@ impl Network {
                 // The bytes left the sender; they just never arrive.
                 self.stats.record(category, payload.len());
                 self.trace_net(TraceKind::NetDrop, from, Some(to), category, payload.len());
-                return Ok(PendingReply {
-                    reply: reply_rx,
-                    lost: true,
-                    _track: track,
-                });
+                return Ok(PendingReply::new(Awaited::Lost, track));
             }
             if duplicate {
                 self.trace_net(
@@ -687,44 +694,47 @@ impl Network {
             }
         }
         self.trace_net(TraceKind::NetSend, from, Some(to), category, payload.len());
-        let pending = PendingReply {
-            reply: reply_rx,
-            lost: false,
-            _track: track,
-        };
         // Each copy is accounted as it leaves the sender.
-        let envelope = || {
+        let envelope = |reply: Option<Sender<Reply>>| {
             self.stats.record(category, payload.len());
             Envelope {
                 deliver_at,
                 payload: payload.clone(),
                 category,
                 from,
-                reply: reply_tx.clone(),
+                reply,
             }
         };
         // A message that owes no transit time (no configured delay, jitter
         // or spike) skips the wire thread's hand-off and does not queue
         // behind another message's delay. If its caller blocks for the
         // reply and no fault can touch it, it skips the worker's hand-off
-        // too when the endpoint has a slot free.
+        // too when the endpoint has a slot free, and its reply needs no
+        // channel: it is ready when this returns.
         let due = deliver_at <= Instant::now();
         if blocking && due && faults.is_none() {
             if let Some(_slot) = endpoint.try_inline() {
-                // Holding a queue sender would keep the workers alive; the
+                // Holding the queues would keep the workers alive; the
                 // handle's drop waits for this handler through its slot.
-                drop((wire, workers));
-                self.deliver(&endpoint, envelope());
-                return Ok(pending);
+                drop(queues);
+                let awaited = match self.deliver(&endpoint, envelope(None)) {
+                    Some(reply) => Awaited::Ready(reply),
+                    None => Awaited::Lost,
+                };
+                return Ok(PendingReply::new(awaited, track));
             }
         }
+        // Replies may be duplicated (and so may requests, each of whose
+        // copies produces replies): leave room so a worker never blocks on a
+        // full reply channel.
+        let (reply_tx, reply_rx) = bounded(4);
         let copies = if duplicate { 2 } else { 1 };
         for copy in 0..copies {
-            let env = envelope();
+            let env = envelope(Some(reply_tx.clone()));
             let sent = if due {
-                endpoint.enqueue(&workers, env)
+                endpoint.enqueue(&queues.workers, env)
             } else {
-                wire.send(env).is_ok()
+                queues.wire.send(env).is_ok()
             };
             if !sent {
                 if copy == 0 {
@@ -733,7 +743,7 @@ impl Network {
                 break;
             }
         }
-        Ok(pending)
+        Ok(PendingReply::new(Awaited::Channel(reply_rx), track))
     }
 
     /// Issues an RPC and blocks for the reply. A call that owes no transit
@@ -881,11 +891,6 @@ fn site_mask_bit(endpoint: EndpointId) -> Option<u64> {
     }
 }
 
-fn dead_letter() -> Sender<Envelope> {
-    let (tx, _rx) = bounded(1);
-    tx
-}
-
 /// Waits out simulated time — a message's transit, a site's service charge
 /// — until `deadline`. Never returns early; on Linux it returns within the
 /// scheduler's wake-up latency (a few µs) after the deadline, because the
@@ -937,32 +942,50 @@ fn set_timer_slack_ns(_nanos: std::ffi::c_ulong) {}
 
 /// An in-flight RPC.
 pub struct PendingReply {
-    reply: Receiver<Envelope>,
-    /// The request was dropped or partitioned away: no reply can ever
-    /// arrive. Waits fail with [`DynaError::Timeout`] immediately instead of
-    /// idling out the full timeout (wall-clock compression; the fault
-    /// schedule itself is unaffected).
-    lost: bool,
+    reply: Awaited,
     /// In-flight-table entry, removed when the reply resolves (drop).
     _track: Option<InflightGuard>,
 }
 
+/// Where an RPC's reply comes from.
+enum Awaited {
+    /// Produced on the caller's thread before `send` returned (an inline
+    /// call); only its simulated arrival is left to wait out.
+    Ready(Reply),
+    /// Sent by a pool worker on this channel.
+    Channel(Receiver<Reply>),
+    /// The request (or an inline call's reply) was dropped or partitioned
+    /// away: no reply can ever arrive. Waits fail with [`DynaError::Timeout`]
+    /// immediately instead of idling out the full timeout (wall-clock
+    /// compression; the fault schedule itself is unaffected).
+    Lost,
+}
+
 impl PendingReply {
+    fn new(reply: Awaited, track: Option<InflightGuard>) -> Self {
+        PendingReply {
+            reply,
+            _track: track,
+        }
+    }
+
     /// Blocks until the reply arrives (respecting its simulated transit
     /// delay) and returns its payload.
     pub fn wait(self) -> Result<Bytes> {
-        if self.lost {
-            return Err(DynaError::Timeout {
-                op: "rpc reply (message lost)",
-                ms: 0,
-            });
-        }
-        let env = self
-            .reply
-            .recv()
-            .map_err(|_| DynaError::Network("server dropped request"))?;
-        wait_until(env.deliver_at);
-        Ok(env.payload)
+        let reply = match self.reply {
+            Awaited::Ready(reply) => reply,
+            Awaited::Channel(rx) => rx
+                .recv()
+                .map_err(|_| DynaError::Network("server dropped request"))?,
+            Awaited::Lost => {
+                return Err(DynaError::Timeout {
+                    op: "rpc reply (message lost)",
+                    ms: 0,
+                })
+            }
+        };
+        wait_until(reply.deliver_at);
+        Ok(reply.payload)
     }
 
     /// Like [`PendingReply::wait`] but gives up with [`DynaError::Timeout`]
@@ -970,26 +993,29 @@ impl PendingReply {
     /// but would land after the deadline.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Bytes> {
         let timeout_ms = timeout.as_millis() as u64;
-        if self.lost {
-            return Err(DynaError::Timeout {
-                op: "rpc reply (message lost)",
-                ms: timeout_ms,
-            });
-        }
         let deadline = Instant::now() + timeout;
-        let env = match self.reply.recv_timeout(timeout) {
-            Ok(env) => env,
-            Err(RecvTimeoutError::Timeout) => {
+        let reply = match self.reply {
+            Awaited::Ready(reply) => reply,
+            Awaited::Channel(rx) => match rx.recv_timeout(timeout) {
+                Ok(reply) => reply,
+                Err(RecvTimeoutError::Timeout) => {
+                    return Err(DynaError::Timeout {
+                        op: "rpc reply",
+                        ms: timeout_ms,
+                    })
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(DynaError::Network("server dropped request"))
+                }
+            },
+            Awaited::Lost => {
                 return Err(DynaError::Timeout {
-                    op: "rpc reply",
+                    op: "rpc reply (message lost)",
                     ms: timeout_ms,
                 })
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(DynaError::Network("server dropped request"))
-            }
         };
-        if env.deliver_at > deadline {
+        if reply.deliver_at > deadline {
             // The reply exists but its simulated arrival misses the
             // deadline; the caller has already given up by then.
             return Err(DynaError::Timeout {
@@ -997,8 +1023,8 @@ impl PendingReply {
                 ms: timeout_ms,
             });
         }
-        wait_until(env.deliver_at);
-        Ok(env.payload)
+        wait_until(reply.deliver_at);
+        Ok(reply.payload)
     }
 }
 
@@ -1916,6 +1942,99 @@ mod tests {
         assert!(reply.is_ok());
         assert!(matches!(ping(&net), Err(DynaError::Network(_))));
         assert_eq!(calls.load(Ordering::SeqCst), 1);
+    }
+
+    /// A blocking call, as `rpc` issues it.
+    fn send_blocking(net: &Network) -> PendingReply {
+        net.send(
+            None,
+            EndpointId::Site(0),
+            TrafficCategory::ClientSite,
+            Bytes::from_static(b"x"),
+            true,
+        )
+        .unwrap()
+    }
+
+    /// An inline call's reply is produced before `send` returns and needs
+    /// no channel; the request and the reply hop are still accounted.
+    #[test]
+    fn an_inline_call_returns_a_ready_reply_without_a_channel() {
+        let net = Network::new(NetworkConfig::instant(), 1);
+        let _server = net.serve(EndpointId::Site(0), echo_handler(), 1);
+        let pending = send_blocking(&net);
+        assert!(matches!(pending.reply, Awaited::Ready(_)));
+        assert_eq!(&pending.wait().unwrap()[..], b"x");
+        let totals = net.stats().snapshot().get(TrafficCategory::ClientSite);
+        assert_eq!((totals.messages, totals.bytes), (2, 2));
+        let pending = net
+            .rpc_async(
+                EndpointId::Site(0),
+                TrafficCategory::ClientSite,
+                Bytes::from_static(b"y"),
+            )
+            .unwrap();
+        assert!(matches!(pending.reply, Awaited::Channel(_)));
+        assert_eq!(&pending.wait().unwrap()[..], b"y");
+    }
+
+    /// Transit time, a fault plan or a busy endpoint keeps a blocking call
+    /// on its reply channel, which still replies, drops, duplicates and
+    /// times out.
+    #[test]
+    fn calls_off_the_inline_route_keep_their_reply_channel() {
+        let lan = Network::new(NetworkConfig::lan(), 1);
+        let planned = Network::new(NetworkConfig::instant(), 1);
+        planned.set_faults(Some(Arc::new(FaultPlan::new(7))));
+        for net in [lan, planned] {
+            let _server = net.serve(EndpointId::Site(0), echo_handler(), 1);
+            let pending = send_blocking(&net);
+            assert!(matches!(pending.reply, Awaited::Channel(_)));
+            assert_eq!(&pending.wait().unwrap()[..], b"x");
+        }
+
+        let dropping = Network::new(NetworkConfig::instant(), 1);
+        dropping.set_faults(Some(Arc::new(FaultPlan::new(7).with_drops(1.0))));
+        let _server = dropping.serve(EndpointId::Site(0), echo_handler(), 1);
+        let pending = send_blocking(&dropping);
+        assert!(matches!(pending.reply, Awaited::Lost));
+        let err = pending.wait().unwrap_err();
+        assert!(matches!(err, DynaError::Timeout { .. }), "got {err}");
+
+        let duplicating = Network::new(NetworkConfig::instant(), 1);
+        duplicating.set_faults(Some(Arc::new(FaultPlan::new(7).with_duplication(1.0))));
+        let _server = duplicating.serve(EndpointId::Site(0), echo_handler(), 1);
+        let pending = send_blocking(&duplicating);
+        assert!(matches!(pending.reply, Awaited::Channel(_)));
+        assert_eq!(&pending.wait().unwrap()[..], b"x");
+
+        // One slot, held by a slow (empty) async call: the blocking call
+        // queues behind it, and its reply wait can time out.
+        let busy = Network::new(NetworkConfig::instant(), 1);
+        let slow: Arc<dyn RpcHandler> = Arc::new(|payload: Bytes| {
+            if payload.is_empty() {
+                thread::sleep(Duration::from_millis(100));
+            }
+            payload
+        });
+        let _server = busy.serve(EndpointId::Site(0), slow, 1);
+        let first = busy
+            .rpc_async(
+                EndpointId::Site(0),
+                TrafficCategory::ClientSite,
+                Bytes::new(),
+            )
+            .unwrap();
+        let pending = send_blocking(&busy);
+        assert!(matches!(pending.reply, Awaited::Channel(_)));
+        let err = pending.wait_timeout(Duration::from_millis(20)).unwrap_err();
+        assert!(matches!(err, DynaError::Timeout { .. }), "got {err}");
+        assert!(first.wait().is_ok());
+        // The worker then answers the abandoned call at once.
+        thread::sleep(Duration::from_millis(20));
+        let pending = send_blocking(&busy);
+        assert!(matches!(pending.reply, Awaited::Ready(_)), "idle again");
+        assert_eq!(&pending.wait().unwrap()[..], b"x");
     }
 
     #[test]

@@ -86,8 +86,6 @@ struct LogInner {
     fsync: FsyncMode,
     /// Per-consumer-site durable floors gating segment truncation.
     floors: Vec<u64>,
-    /// Committers parked on `durable`; an advance with none notifies no one.
-    durable_waiters: usize,
     /// The feeder thread, unparked once per published run.
     tail: Option<Thread>,
 }
@@ -117,7 +115,6 @@ impl DurableLog {
                 disk: None,
                 fsync: FsyncMode::Off,
                 floors: Vec::new(),
-                durable_waiters: 0,
                 tail: None,
             }),
             durable: Condvar::new(),
@@ -148,7 +145,6 @@ impl DurableLog {
                 disk: Some(recovered.disk),
                 fsync,
                 floors: vec![0; num_consumers],
-                durable_waiters: 0,
                 tail: None,
             }),
             durable: Condvar::new(),
@@ -230,11 +226,9 @@ impl DurableLog {
         if must_wait_durable {
             // Wait for a later gap-closing fill to sync past us. The
             // reserve/fill-or-abort discipline guarantees that fill comes.
-            inner.durable_waiters += 1;
             while inner.synced <= last {
                 self.durable.wait(&mut inner);
             }
-            inner.durable_waiters -= 1;
         }
         let tail = if advanced { inner.tail.clone() } else { None };
         drop(inner);
@@ -269,9 +263,7 @@ impl DurableLog {
                     return;
                 }
                 inner.synced = to;
-                if inner.durable_waiters > 0 {
-                    self.durable.notify_all();
-                }
+                self.durable.notify_all();
             }
         }
     }
@@ -363,9 +355,7 @@ impl DurableLog {
         if let Some(disk) = inner.disk.as_mut() {
             disk.sync_for_checkpoint()?;
             inner.synced = visible;
-            if inner.durable_waiters > 0 {
-                self.durable.notify_all();
-            }
+            self.durable.notify_all();
         }
         Ok(())
     }

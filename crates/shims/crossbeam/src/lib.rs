@@ -5,14 +5,18 @@
 //! fails once all receivers are gone; recv fails once the queue is empty and
 //! all senders are gone). Built on a mutex + condvars rather than lock-free
 //! queues — throughput is a few million ops/s, ample for the simulated RPC
-//! fabric.
+//! fabric. The condvars are the `parking_lot` shim's, which count their
+//! waiters: a send, a receive or a last drop that finds no thread parked
+//! on the other side wakes no one and makes no syscall.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, PoisonError};
+    use std::sync::Arc;
     use std::time::Duration;
+
+    use parking_lot::{Condvar, Mutex};
 
     struct Shared<T> {
         queue: Mutex<VecDeque<T>>,
@@ -23,12 +27,6 @@ pub mod channel {
         capacity: Option<usize>,
         senders: AtomicUsize,
         receivers: AtomicUsize,
-    }
-
-    impl<T> Shared<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-            self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-        }
     }
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
@@ -108,18 +106,13 @@ pub mod channel {
         /// Enqueues a message, blocking if the channel is bounded and full.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let shared = &self.shared;
-            let mut queue = shared.lock();
+            let mut queue = shared.queue.lock();
             loop {
                 if shared.receivers.load(Ordering::Acquire) == 0 {
                     return Err(SendError(value));
                 }
                 match shared.capacity {
-                    Some(cap) if queue.len() >= cap.max(1) => {
-                        queue = shared
-                            .writable
-                            .wait(queue)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
+                    Some(cap) if queue.len() >= cap.max(1) => shared.writable.wait(&mut queue),
                     _ => break,
                 }
             }
@@ -135,7 +128,7 @@ pub mod channel {
         /// disconnect.
         pub fn recv(&self) -> Result<T, RecvError> {
             let shared = &self.shared;
-            let mut queue = shared.lock();
+            let mut queue = shared.queue.lock();
             loop {
                 if let Some(value) = queue.pop_front() {
                     drop(queue);
@@ -145,10 +138,7 @@ pub mod channel {
                 if shared.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvError);
                 }
-                queue = shared
-                    .readable
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
+                shared.readable.wait(&mut queue);
             }
         }
 
@@ -156,7 +146,7 @@ pub mod channel {
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let shared = &self.shared;
             let deadline = std::time::Instant::now() + timeout;
-            let mut queue = shared.lock();
+            let mut queue = shared.queue.lock();
             loop {
                 if let Some(value) = queue.pop_front() {
                     drop(queue);
@@ -170,18 +160,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (q, _) = shared
-                    .readable
-                    .wait_timeout(queue, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = q;
+                shared.readable.wait_for(&mut queue, deadline - now);
             }
         }
 
         /// Dequeues a message if one is ready.
         pub fn try_recv(&self) -> Result<T, RecvError> {
             let shared = &self.shared;
-            let mut queue = shared.lock();
+            let mut queue = shared.queue.lock();
             match queue.pop_front() {
                 Some(value) => {
                     drop(queue);
@@ -217,7 +203,7 @@ pub mod channel {
                 // Wake receivers so they observe the disconnect. Take the
                 // queue lock so the notification cannot race ahead of a
                 // receiver that has checked `senders` but not yet parked.
-                let _guard = self.shared.lock();
+                let _guard = self.shared.queue.lock();
                 self.shared.readable.notify_all();
             }
         }
@@ -226,7 +212,7 @@ pub mod channel {
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             if self.shared.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let _guard = self.shared.lock();
+                let _guard = self.shared.queue.lock();
                 self.shared.writable.notify_all();
             }
         }
@@ -296,6 +282,75 @@ pub mod channel {
             }
             seen.sort_unstable();
             assert_eq!(seen, (0..10).collect::<Vec<_>>());
+        }
+
+        /// Long enough for a spawned thread to park in its wait.
+        const PARK: Duration = Duration::from_millis(20);
+
+        #[derive(Clone, Copy)]
+        enum RecvKind {
+            Blocking,
+            Timed,
+        }
+
+        fn recv_with(rx: &Receiver<u8>, kind: RecvKind) -> Result<u8, RecvError> {
+            match kind {
+                RecvKind::Blocking => rx.recv(),
+                RecvKind::Timed => match rx.recv_timeout(Duration::from_secs(30)) {
+                    Ok(v) => Ok(v),
+                    Err(RecvTimeoutError::Disconnected) => Err(RecvError),
+                    Err(RecvTimeoutError::Timeout) => panic!("woken by the timeout"),
+                },
+            }
+        }
+
+        #[test]
+        fn parked_receiver_wakes_on_send_and_on_last_sender_drop() {
+            for kind in [RecvKind::Blocking, RecvKind::Timed] {
+                let (tx, rx) = unbounded::<u8>();
+                let receiver = thread::spawn(move || {
+                    let first = recv_with(&rx, kind);
+                    let second = recv_with(&rx, kind);
+                    (first, second)
+                });
+                thread::sleep(PARK);
+                tx.send(7).unwrap();
+                thread::sleep(PARK);
+                // Dropping one of two senders disconnects nothing.
+                let tx2 = tx.clone();
+                drop(tx);
+                thread::sleep(PARK);
+                assert!(
+                    !receiver.is_finished(),
+                    "woken by a sender that was not the last"
+                );
+                drop(tx2);
+                assert_eq!(receiver.join().unwrap(), (Ok(7), Err(RecvError)));
+            }
+        }
+
+        #[test]
+        fn parked_bounded_sender_wakes_on_recv_and_on_last_receiver_drop() {
+            let (tx, rx) = bounded::<u8>(1);
+            tx.send(1).unwrap();
+            let sender = thread::spawn(move || {
+                let first = tx.send(2).map_err(|e| e.0);
+                // The queue is full again: this one waits for a receiver.
+                let second = tx.send(3).map_err(|e| e.0);
+                (first, second)
+            });
+            thread::sleep(PARK);
+            assert_eq!(rx.recv().unwrap(), 1);
+            thread::sleep(PARK);
+            let rx2 = rx.clone();
+            drop(rx);
+            thread::sleep(PARK);
+            assert!(
+                !sender.is_finished(),
+                "woken by a receiver that was not the last"
+            );
+            drop(rx2);
+            assert_eq!(sender.join().unwrap(), (Ok(()), Err(3)));
         }
 
         #[test]

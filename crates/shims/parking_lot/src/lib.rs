@@ -9,6 +9,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::PoisonError;
 use std::time::Duration;
 
@@ -188,9 +189,22 @@ impl WaitTimeoutResult {
 }
 
 /// A condition variable usable with this module's [`MutexGuard`].
+///
+/// Like upstream's, it knows whether any thread waits on it: a notify with
+/// no waiter costs one atomic load and makes no syscall (std's futex
+/// condvar makes a `FUTEX_WAKE` call for every notify). That holds under
+/// the condvar contract callers already keep — the state a waiter waits on
+/// is changed under the mutex it waits with — because a waiter is counted
+/// under that mutex before it checks and sleeps.
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
+    /// Threads inside [`Condvar::wait`] / [`Condvar::wait_for`]. Changed
+    /// only under the waiter's mutex, so a notifier that changed the state
+    /// under that mutex reads every waiter that could still be asleep
+    /// (release/acquire of the mutex orders the increment before the
+    /// notifier's load; `Relaxed` suffices, as upstream).
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -198,16 +212,19 @@ impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Blocks until notified. Spurious wakeups are possible.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let std_guard = guard.inner.take().expect("guard present");
+        self.waiters.fetch_add(1, Ordering::Relaxed);
         let std_guard = self
             .inner
             .wait(std_guard)
             .unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
         guard.inner = Some(std_guard);
     }
 
@@ -218,24 +235,30 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let std_guard = guard.inner.take().expect("guard present");
+        self.waiters.fetch_add(1, Ordering::Relaxed);
         let (std_guard, result) = self
             .inner
             .wait_timeout(std_guard, timeout)
             .unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
         guard.inner = Some(std_guard);
         WaitTimeoutResult {
             timed_out: result.timed_out(),
         }
     }
 
-    /// Wakes one blocked waiter.
+    /// Wakes one blocked waiter, if any.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::Relaxed) > 0 {
+            self.inner.notify_one();
+        }
     }
 
-    /// Wakes all blocked waiters.
+    /// Wakes all blocked waiters, if any.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::Relaxed) > 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -281,6 +304,129 @@ mod tests {
         *lock.lock() = true;
         cvar.notify_all();
         t.join().unwrap();
+    }
+
+    /// Spins until `n` threads are counted inside a wait on `cvar`.
+    fn until_parked(cvar: &Condvar, n: usize) {
+        while cvar.waiters.load(Ordering::Relaxed) != n {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn notify_without_a_waiter_is_not_remembered() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let (lock, cvar) = &*pair;
+        cvar.notify_one();
+        cvar.notify_all();
+        let mut ready = lock.lock();
+        // The skipped notifies leave nothing behind: this wait sleeps out
+        // its timeout.
+        assert!(cvar
+            .wait_for(&mut ready, Duration::from_millis(20))
+            .timed_out());
+        let pair2 = Arc::clone(&pair);
+        let notifier = thread::spawn(move || {
+            let (lock, cvar) = &*pair2;
+            until_parked(cvar, 1);
+            *lock.lock() = true;
+            cvar.notify_one();
+        });
+        while !*ready {
+            cvar.wait(&mut ready);
+        }
+        drop(ready);
+        notifier.join().unwrap();
+        assert_eq!(cvar.waiters.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn parked_waiter_wakes_on_each_notify_kind_and_wait_kind() {
+        for notify_all in [false, true] {
+            for timed in [false, true] {
+                let pair = Arc::new((Mutex::new(false), Condvar::new()));
+                let pair2 = Arc::clone(&pair);
+                let waiter = thread::spawn(move || {
+                    let (lock, cvar) = &*pair2;
+                    let mut ready = lock.lock();
+                    while !*ready {
+                        if timed {
+                            let res = cvar.wait_for(&mut ready, Duration::from_secs(30));
+                            assert!(!res.timed_out(), "woken by the notify, not the timeout");
+                        } else {
+                            cvar.wait(&mut ready);
+                        }
+                    }
+                });
+                let (lock, cvar) = &*pair;
+                until_parked(cvar, 1);
+                *lock.lock() = true;
+                if notify_all {
+                    cvar.notify_all();
+                } else {
+                    cvar.notify_one();
+                }
+                waiter.join().unwrap();
+                assert_eq!(cvar.waiters.load(Ordering::Relaxed), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn notify_all_wakes_every_parked_waiter() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let pair = Arc::clone(&pair);
+                thread::spawn(move || {
+                    let (lock, cvar) = &*pair;
+                    let mut ready = lock.lock();
+                    while !*ready {
+                        cvar.wait(&mut ready);
+                    }
+                })
+            })
+            .collect();
+        let (lock, cvar) = &*pair;
+        until_parked(cvar, 3);
+        *lock.lock() = true;
+        cvar.notify_all();
+        for w in waiters {
+            w.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn ping_pong_loses_no_wakeup() {
+        // Two threads hand a turn back and forth through one condvar; a
+        // notify skipped while the other side was about to park would hang.
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let pair2 = Arc::clone(&pair);
+        let rounds = 20_000;
+        let odd = thread::spawn(move || {
+            let (lock, cvar) = &*pair2;
+            for i in 0..rounds {
+                let mut turn = lock.lock();
+                while *turn != 2 * i + 1 {
+                    cvar.wait(&mut turn);
+                }
+                *turn += 1;
+                drop(turn);
+                cvar.notify_one();
+            }
+        });
+        let (lock, cvar) = &*pair;
+        for i in 0..rounds {
+            let mut turn = lock.lock();
+            while *turn != 2 * i {
+                cvar.wait(&mut turn);
+            }
+            *turn += 1;
+            drop(turn);
+            cvar.notify_one();
+        }
+        odd.join().unwrap();
+        assert_eq!(*lock.lock(), 2 * rounds);
     }
 
     #[test]

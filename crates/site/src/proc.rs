@@ -15,11 +15,10 @@
 //! fetched from the owning sites.
 
 use bytes::Bytes;
+use dynamast_common::hash::{IntMap, IntSet};
 use dynamast_common::ids::{partition_id, Key, PartitionId, RecordId, TableId};
 use dynamast_common::{DynaError, Result, Row, VersionVector};
 use dynamast_storage::{Catalog, ReadAt, Store, Visit};
-
-use std::collections::HashMap;
 
 dynamast_common::wire! {
     /// A contiguous scan over `[start, end)` record ids of a table.
@@ -155,9 +154,9 @@ pub struct LocalCtx<'a> {
     store: &'a Store,
     begin: &'a VersionVector,
     mode: ReadMode,
-    allowed_writes: HashMap<Key, ()>,
+    allowed_writes: IntSet<Key>,
     writes: Vec<(Key, Row)>,
-    write_index: HashMap<Key, usize>,
+    write_index: IntMap<Key, usize>,
     ops: u64,
     snapshot_too_old: bool,
 }
@@ -175,9 +174,9 @@ impl<'a> LocalCtx<'a> {
             store,
             begin,
             mode,
-            allowed_writes: write_set.iter().map(|k| (*k, ())).collect(),
+            allowed_writes: write_set.iter().copied().collect(),
             writes: Vec::with_capacity(write_set.len()),
-            write_index: HashMap::new(),
+            write_index: IntMap::default(),
             ops: 0,
             snapshot_too_old: false,
         }
@@ -231,7 +230,7 @@ impl TxnCtx for LocalCtx<'_> {
 
     fn write(&mut self, key: Key, row: Row) -> Result<()> {
         self.ops += 1;
-        if !self.allowed_writes.contains_key(&key) {
+        if !self.allowed_writes.contains(&key) {
             return Err(DynaError::Internal("write outside declared write set"));
         }
         match self.write_index.get(&key) {

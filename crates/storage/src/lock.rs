@@ -10,9 +10,9 @@
 //! classic way: transactions acquire their whole write set in sorted key
 //! order (see `acquire_all`).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
+use dynamast_common::hash::IntSet;
 use dynamast_common::ids::Key;
 use parking_lot::{Condvar, Mutex};
 
@@ -29,7 +29,7 @@ fn stripe_of(key: Key) -> usize {
 }
 
 struct Stripe {
-    held: Mutex<HashSet<Key>>,
+    held: Mutex<IntSet<Key>>,
     released: Condvar,
 }
 
@@ -50,7 +50,7 @@ impl LockManager {
         LockManager {
             stripes: (0..STRIPES)
                 .map(|_| Stripe {
-                    held: Mutex::new(HashSet::new()),
+                    held: Mutex::new(IntSet::default()),
                     released: Condvar::new(),
                 })
                 .collect(),
