@@ -36,7 +36,7 @@ use dynamast_site::system::{
     exec_read_at, exec_update_at, Breakdown, ClientSession, ReplicatedSystem, SystemStats,
     TxnOutcome,
 };
-use dynamast_storage::Catalog;
+use dynamast_storage::{Catalog, VersionStamp};
 
 use crate::recovery::{recover_selector_map, recover_site, RecoveredSite};
 use crate::selector::{ProbeHandle, SelectorInit, SelectorMode, SiteSelector};
@@ -693,30 +693,22 @@ impl DynaMastSystem {
         // Restore the bulk-load image beneath the replayed log: version
         // chains are read newest-from-tail, so the base row goes in only
         // where neither the checkpoint nor a logged write ever touched the
-        // record (any replayed version supersedes the load image).
-        {
-            let image = self.base_image.lock();
-            let hosted: Option<HashSet<PartitionId>> = recovered
-                .hosted
-                .as_ref()
-                .map(|h| h.iter().copied().collect());
-            let store = &recovered.state.store;
-            for (key, row) in image.iter() {
-                // Under partial replication only hosted partitions get their
-                // base rows back — foreign rows would inflate the footprint
-                // and leak through later copy installs.
-                if let Some(h) = &hosted {
-                    if !h.contains(&self.catalog.partition_of(*key)?) {
-                        continue;
-                    }
-                }
-                if !store.contains(*key)? {
-                    store.install(
-                        *key,
-                        dynamast_storage::VersionStamp::new(SiteId::new(0), 0),
-                        row.clone(),
-                    )?;
-                }
+        // record (any replayed version supersedes the load image). Under
+        // partial replication only hosted partitions get their base rows
+        // back — foreign rows would inflate the footprint and leak through
+        // later copy installs.
+        let hosted: Option<HashSet<PartitionId>> = recovered
+            .hosted
+            .as_ref()
+            .map(|h| h.iter().copied().collect());
+        let store = &recovered.state.store;
+        for (key, row) in self.base_image.lock().iter() {
+            let hosts = match &hosted {
+                None => true,
+                Some(hosted) => hosted.contains(&self.catalog.partition_of(*key)?),
+            };
+            if hosts && !store.contains(*key)? {
+                store.install(*key, VersionStamp::new(SiteId::new(0), 0), row.clone())?;
             }
         }
         // The rebuilt store was populated by direct log replay, which never
@@ -811,7 +803,8 @@ impl DynaMastSystem {
             .collect();
         // The checkpoints' persisted watermarks cover epochs whose records
         // were truncated away; the fenced sites are live, so their on-disk
-        // checkpoints are the only place those watermarks can be read.
+        // checkpoints are the only place those watermarks can be read (a
+        // load decodes the header fields, no image record).
         let mut watermarks = Vec::new();
         if let Some(root) = &self.config.durability.log_dir {
             for i in 0..self.config.num_sites {

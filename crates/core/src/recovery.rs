@@ -14,7 +14,7 @@ use std::collections::{HashMap, HashSet};
 
 use dynamast_common::ids::{PartitionId, SiteId};
 use dynamast_common::{DynaError, Result, VersionVector};
-use dynamast_replication::checkpoint::Checkpoint;
+use dynamast_replication::checkpoint::{Checkpoint, Image};
 use dynamast_replication::record::LogRecord;
 use dynamast_replication::recovery::{replay, scan_mastership, ReplayedState};
 use dynamast_replication::LogSet;
@@ -109,18 +109,14 @@ fn validate_checkpoint(ckpt: &Checkpoint, site: SiteId, logs: &LogSet) -> Result
             "checkpoint svv or offsets do not match the site count",
         ));
     }
-    for (log, (&offset, &sequence)) in logs
-        .logs()
-        .iter()
-        .zip(ckpt.offsets.iter().zip(ckpt.svv.as_slice()))
-    {
-        if offset != sequence {
-            return Err(DynaError::Internal(
-                "checkpoint offsets diverge from its svv",
-            ));
-        }
-        // Below the base the suffix it needs was truncated; past the end it
-        // references records the disk does not hold.
+    if ckpt.offsets != ckpt.svv.as_slice() {
+        return Err(DynaError::Internal(
+            "checkpoint offsets diverge from its svv",
+        ));
+    }
+    // Below the base the suffix it needs was truncated; past the end it
+    // references records the disk does not hold.
+    for (log, &offset) in logs.logs().iter().zip(&ckpt.offsets) {
         if offset < log.base() || offset > log.len() {
             return Err(DynaError::Internal(
                 "checkpoint offset lies outside the retained log",
@@ -133,11 +129,12 @@ fn validate_checkpoint(ckpt: &Checkpoint, site: SiteId, logs: &LogSet) -> Result
 /// Rebuilds one site from its latest durable checkpoint, if any, plus the
 /// retained log suffix (§V-C: "any data site recovers independently by
 /// [...] replaying redo logs from the positions indicated by the site
-/// version vector"): the store is seeded from the checkpoint image, replay
-/// resumes from the checkpointed offsets, and the claims are the
-/// checkpoint's mastered set rolled forward through the site's own retained
-/// grant/release records (set insert/remove, so double-application across
-/// the checkpoint boundary is harmless).
+/// version vector"): the store is seeded from the checkpoint image, each
+/// record decoded and installed in turn, replay resumes from the
+/// checkpointed offsets, and the claims are the checkpoint's mastered set
+/// rolled forward through the site's own retained grant/release records
+/// (set insert/remove, so double-application across the checkpoint
+/// boundary is harmless).
 ///
 /// No checkpoint is the empty checkpoint — nothing installed, cut at offset
 /// zero — which is safe because a site that never checkpointed never
@@ -161,7 +158,7 @@ pub fn recover_site(
         mastered: Vec::new(),
         epoch: 0,
         hosted: None,
-        image: Vec::new(),
+        image: Image::default(),
     });
     validate_checkpoint(&ckpt, site, logs)?;
     let Checkpoint {
@@ -181,49 +178,50 @@ pub fn recover_site(
     // it also holds the rows of a copy that was mid-install (`Buffering`)
     // then: the snapshot installs before the partition is `Hosted`, and the
     // hosted set excludes such a copy. The hosted set is the cut's truth, so
-    // filter. A record of an unknown table is kept, so the batch refuses it.
-    let hosts = |record: &ImageRecord| match &hosted_set {
-        None => true,
-        Some(hosted) => store
-            .catalog()
-            .partition_of(record.key)
-            .map_or(true, |partition| hosted.contains(&partition)),
-    };
-    store.install_batch(image.into_iter().filter(hosts).map(Into::into).collect())?;
-    let suffix_start = offsets[site.as_usize()];
+    // filter. A record that does not decode, or names an unknown table,
+    // fails the recovery.
+    for record in image.records() {
+        let ImageRecord { key, stamp, row } = record?;
+        let hosts = match &hosted_set {
+            None => true,
+            Some(hosted) => hosted.contains(&store.catalog().partition_of(key)?),
+        };
+        if hosts {
+            store.install(key, stamp, row)?;
+        }
+    }
     let seed = ReplayedState {
         store,
         svv,
         offsets,
     };
-    let state = replay(logs, seed, hosted_set.as_ref())?;
-    // Roll the own-log suffix over the checkpointed claims. The ownership
-    // table applied these records in log order before each was appended, so
-    // replaying them as set operations reconstructs the table exactly (up
-    // to the usual one-record table-updated-but-unlogged crash window).
+    // Roll the own-log suffix over the checkpointed claims as replay applies
+    // it. The ownership table applied these records in log order before each
+    // was appended, so replaying them as set operations reconstructs the
+    // table exactly (up to the usual one-record table-updated-but-unlogged
+    // crash window).
     let mut claims: HashSet<PartitionId> = mastered.into_iter().collect();
-    let (records, _) = logs.log(site).read_from(suffix_start)?;
-    for record in records {
-        match record {
-            LogRecord::Grant {
-                partition,
-                epoch: e,
-                ..
-            } => {
-                claims.insert(partition);
-                epoch = epoch.max(e);
-            }
-            LogRecord::Release {
-                partition,
-                epoch: e,
-                ..
-            } => {
-                claims.remove(&partition);
-                epoch = epoch.max(e);
-            }
-            LogRecord::Commit { .. } | LogRecord::Noop { .. } => {}
+    let state = replay(logs, seed, hosted_set.as_ref(), |record| match *record {
+        LogRecord::Grant {
+            origin,
+            partition,
+            epoch: e,
+            ..
+        } if origin == site => {
+            claims.insert(partition);
+            epoch = epoch.max(e);
         }
-    }
+        LogRecord::Release {
+            origin,
+            partition,
+            epoch: e,
+            ..
+        } if origin == site => {
+            claims.remove(&partition);
+            epoch = epoch.max(e);
+        }
+        _ => {}
+    })?;
     let mut claims: Vec<PartitionId> = claims.into_iter().collect();
     claims.sort();
     Ok(RecoveredSite {
@@ -238,6 +236,7 @@ pub fn recover_site(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynamast_common::codec::{encode_to_vec, Decode, Encode};
     use dynamast_common::ids::{Key, TableId};
     use dynamast_common::{FsyncMode, Row, Value};
     use dynamast_replication::record::WriteEntry;
@@ -298,6 +297,14 @@ mod tests {
     /// A full checkpoint of `S0` cut at `offsets`, holding `image` rows
     /// stamped at the cut's own sequence.
     fn checkpoint(counter: u64, offsets: &[u64], image: &[(Key, u64)]) -> Checkpoint {
+        let records: Vec<ImageRecord> = image
+            .iter()
+            .map(|(key, v)| ImageRecord {
+                key: *key,
+                stamp: VersionStamp::new(S0, offsets[0]),
+                row: row(*v),
+            })
+            .collect();
         Checkpoint {
             counter,
             site: S0,
@@ -306,14 +313,7 @@ mod tests {
             mastered: Vec::new(),
             epoch: 0,
             hosted: None,
-            image: image
-                .iter()
-                .map(|(key, v)| ImageRecord {
-                    key: *key,
-                    stamp: VersionStamp::new(S0, offsets[0]),
-                    row: row(*v),
-                })
-                .collect(),
+            image: Image::decode(&mut &encode_to_vec(&records)[..]).unwrap(),
         }
     }
 
@@ -433,6 +433,24 @@ mod tests {
             recovered.state.store.read(foreign_key, &snap).unwrap(),
             None
         );
+    }
+
+    /// An image is decoded as it is installed: a checkpoint whose image does
+    /// not decode past its first record fails the recovery, and no store
+    /// holding only that first record comes back.
+    #[test]
+    fn an_image_that_does_not_decode_fails_the_recovery() {
+        let logs = LogSet::new(2);
+        let whole = checkpoint(1, &[0, 0], &[(key(7), 1), (key(8), 2)]).image;
+        let mut encoded = Vec::new();
+        whole.encode(&mut encoded);
+        encoded.pop(); // the second record loses its last byte
+        let ckpt = Checkpoint {
+            image: Image::decode(&mut &encoded[..]).unwrap(),
+            ..checkpoint(1, &[0, 0], &[])
+        };
+        assert_eq!(ckpt.image.records().filter(Result::is_ok).count(), 1);
+        assert!(recover_site(S0, &logs, Some(ckpt), catalog(), 4).is_err());
     }
 
     #[test]

@@ -1196,32 +1196,36 @@ mod tests {
 
     /// The same contract for an RPC: two hops per round trip, each never
     /// early, and the pair late by hand-offs rather than by timer slack.
+    /// The bound holds the best of five medians of 40 round trips: a busy
+    /// spell of a shared host lifts one batch's median, while a round trip
+    /// that is late every time lifts all five.
     #[test]
     fn an_rpc_round_trip_costs_two_configured_hops() {
         let net = Network::new(hop_100us(), 1);
         let _server = net.serve(EndpointId::Site(0), echo_handler(), 1);
-        let took: Vec<Duration> = (0..200)
-            .map(|_| {
-                let start = Instant::now();
-                net.rpc(
-                    EndpointId::Site(0),
-                    TrafficCategory::ClientSite,
-                    Bytes::from_static(b"x"),
-                )
-                .unwrap();
-                start.elapsed()
-            })
+        let round_trip = || {
+            let start = Instant::now();
+            net.rpc(
+                EndpointId::Site(0),
+                TrafficCategory::ClientSite,
+                Bytes::from_static(b"x"),
+            )
+            .unwrap();
+            start.elapsed()
+        };
+        let took: Vec<Vec<Duration>> = (0..5)
+            .map(|_| (0..40).map(|_| round_trip()).collect())
             .collect();
         let floor = 2 * hop_100us().one_way_delay;
-        let early: Vec<_> = took.iter().filter(|t| **t < floor).collect();
+        let early: Vec<_> = took.iter().flatten().filter(|t| **t < floor).collect();
         assert!(
             early.is_empty(),
             "round trips shorter than {floor:?}: {early:?}"
         );
-        let median = median(took);
+        let medians: Vec<Duration> = took.into_iter().map(median).collect();
         assert!(
-            !TIMED || median <= Duration::from_micros(240),
-            "median {median:?}"
+            !TIMED || medians.iter().min().unwrap() <= &Duration::from_micros(240),
+            "medians {medians:?}"
         );
     }
 

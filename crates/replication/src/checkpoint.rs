@@ -20,9 +20,11 @@
 //! checkpoint or a complete new one, never a half-written file that parses.
 //! The newest two checkpoints are retained (the previous one is the
 //! fallback if the newest is torn mid-rename); older ones are pruned.
-//! Loading verifies the trailing CRC-32 over the whole body, so
-//! [`load_latest`] skips a corrupt newest file and falls back; the decoded
-//! form is a [`Checkpoint`].
+//!
+//! **Read protocol.** [`load_latest`] reads the file once, checks the header
+//! and body CRC (skipping a corrupt newest file) and decodes the fields
+//! before the image. The [`Image`] stays encoded until the restore decodes
+//! and installs it one record at a time.
 //!
 //! **Ordering.** The caller must force the site's own log durable through
 //! the cut (`DurableLog::sync_for_checkpoint`, which returns at once when
@@ -36,6 +38,7 @@ use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use bytes::Bytes;
 use dynamast_common::codec::{self, Buf, BufMut, Decode, Encode};
 use dynamast_common::ids::{Key, PartitionId, SiteId};
 use dynamast_common::{DynaError, Result, Row, VersionVector};
@@ -48,15 +51,16 @@ const MAGIC: u32 = 0x444B_4350; // "DKCP"
 /// hosted-partition set (partial replication) and a reserved `u64` after the
 /// epoch, written as `0`. A nonzero word marks an image that is not the full
 /// cut (an older writer's incremental); decoding refuses it, so such a file
-/// is skipped like a corrupt one, as is a file of another version. That is
-/// no fallback to full log replay: once checkpoint-gated truncation has
+/// is skipped like a corrupt one, as is a file of another version (an image
+/// record that does not decode fails the restore instead). Skipping is no
+/// fallback to full log replay: once checkpoint-gated truncation has
 /// deleted segments, recovery without a usable checkpoint is refused (the
 /// cut it needs lies outside the retained log), and bulk-loaded rows were
 /// never in the log at all. A format change must therefore ship a reader
 /// for the version before it.
 const VERSION: u32 = 3;
 
-/// One site's durable consistent cut, as [`load_latest`] decodes it
+/// One site's durable consistent cut, as [`load_latest`] loads it
 /// ([`Writer`] writes it).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
@@ -83,8 +87,45 @@ pub struct Checkpoint {
     /// Recovery replays only these partitions' write suffixes and the
     /// selector reconciles its replica map rows for the site against it.
     pub hosted: Option<Vec<PartitionId>>,
-    /// Store image: every record version visible at the cut.
-    pub image: Vec<ImageRecord>,
+    /// Store image: every record version visible at the cut, still encoded.
+    pub image: Image,
+}
+
+/// A checkpoint's image section, encoded as a `Vec<ImageRecord>` is on the
+/// wire; loaded, a view of the file. [`Image::records`] decodes it.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Image {
+    count: usize,
+    records: Bytes,
+}
+
+impl Image {
+    /// The records in file order, each decoded as it is reached.
+    pub fn records(&self) -> impl Iterator<Item = Result<ImageRecord>> + '_ {
+        let mut buf = &self.records[..];
+        (0..self.count).map(move |_| ImageRecord::decode(&mut buf))
+    }
+}
+
+impl Encode for Image {
+    fn encode(&self, buf: &mut impl BufMut) {
+        buf.put_u32(self.count as u32);
+        buf.put_slice(&self.records);
+    }
+
+    fn encoded_len(&self) -> usize {
+        4 + self.records.len()
+    }
+}
+
+/// Takes the rest of `buf` as the records, undecoded.
+impl Decode for Image {
+    fn decode(buf: &mut impl Buf) -> Result<Self> {
+        Ok(Image {
+            count: codec::check_count(codec::get_u32(buf)?.into(), buf, "image count")?,
+            records: buf.copy_to_bytes(buf.remaining()),
+        })
+    }
 }
 
 /// The file counts its id and offset sequences in `u64`s (the wire's
@@ -102,10 +143,10 @@ fn get_seq<T: Decode>(buf: &mut impl Buf) -> Result<Vec<T>> {
 }
 
 /// One checkpoint file, built in one buffer while the store walk yields the
-/// image: [`Writer::new`] puts the header and the fields before the image,
+/// image: [`Writer::new`] puts the header and a [`Checkpoint`]'s fields,
 /// [`Writer::record`] appends each image record as it is visited, and
 /// [`Writer::write`] patches in the image count, appends the CRC and makes
-/// the file durable. The bytes are what [`Checkpoint`] decodes.
+/// the file durable. The bytes are what [`load_latest`] loads.
 pub struct Writer {
     counter: u64,
     offsets: Vec<u64>,
@@ -117,26 +158,18 @@ pub struct Writer {
 }
 
 impl Writer {
-    /// Starts the file of one cut; the arguments are [`Checkpoint`]'s
-    /// fields of the same names, the image still to come.
-    pub fn new(
-        counter: u64,
-        site: SiteId,
-        svv: &VersionVector,
-        offsets: Vec<u64>,
-        mastered: &[PartitionId],
-        epoch: u64,
-        hosted: Option<&[PartitionId]>,
-    ) -> Self {
+    /// Starts the file of `cut`: its fields, then its image, which
+    /// [`Writer::record`] extends (a site's walk starts from an empty one).
+    pub fn new(cut: Checkpoint) -> Self {
         let mut file = header();
-        file.put_u64(counter);
-        site.encode(&mut file);
-        svv.encode(&mut file);
-        put_seq(&offsets, &mut file);
-        put_seq(mastered, &mut file);
-        file.put_u64(epoch);
+        file.put_u64(cut.counter);
+        cut.site.encode(&mut file);
+        cut.svv.encode(&mut file);
+        put_seq(&cut.offsets, &mut file);
+        put_seq(&cut.mastered, &mut file);
+        file.put_u64(cut.epoch);
         file.put_u64(0); // reserved
-        match hosted {
+        match &cut.hosted {
             None => file.put_u8(0),
             Some(hosted) => {
                 file.put_u8(1);
@@ -144,13 +177,13 @@ impl Writer {
             }
         }
         let count_at = file.len();
-        file.put_u32(0); // the image count, patched in by `into_file`
+        cut.image.encode(&mut file); // its count is patched by `into_file`
         Writer {
-            counter,
-            offsets,
+            counter: cut.counter,
+            offsets: cut.offsets,
             file,
             count_at,
-            records: 0,
+            records: cut.image.count,
         }
     }
 
@@ -201,6 +234,7 @@ impl Writer {
     }
 }
 
+/// Decodes the fields before the image; the image stays encoded.
 impl Decode for Checkpoint {
     fn decode(buf: &mut impl Buf) -> Result<Self> {
         Ok(Checkpoint {
@@ -216,7 +250,7 @@ impl Decode for Checkpoint {
                 (0, _) => Some(get_seq(buf)?),
                 _ => return Err(DynaError::Internal("checkpoint image is not a full cut")),
             },
-            image: Vec::decode(buf)?,
+            image: Image::decode(buf)?,
         })
     }
 }
@@ -271,18 +305,19 @@ fn prune(dir: &Path) -> Result<()> {
 }
 
 fn try_load(path: &Path) -> Result<Checkpoint> {
-    let bytes = std::fs::read(path).map_err(|e| io_err("read checkpoint", &e))?;
-    let (head, rest) = bytes.split_at(bytes.len().min(HEADER_LEN));
+    let file = Bytes::from(std::fs::read(path).map_err(|e| io_err("read checkpoint", &e))?);
+    let (head, rest) = file.split_at(file.len().min(HEADER_LEN));
     let (body, crc) = rest.split_at(rest.len().saturating_sub(4));
     if head != header() || crc != crc32(body).to_le_bytes() {
         return Err(DynaError::Internal("checkpoint header or crc mismatch"));
     }
-    Checkpoint::decode(&mut &body[..])
+    Checkpoint::decode(&mut file.slice(HEADER_LEN..file.len() - 4))
 }
 
 /// Loads the newest valid checkpoint in `dir`, skipping corrupt files (a
 /// torn newest checkpoint falls back to its predecessor). `Ok(None)` if the
-/// directory is missing (a fresh site) or holds no usable checkpoint.
+/// directory is missing (a fresh site) or holds no usable checkpoint. No
+/// image record is decoded here.
 pub fn load_latest(dir: &Path) -> Result<Option<Checkpoint>> {
     let mut newest_first = counters(dir).into_iter().rev();
     Ok(newest_first.find_map(|counter| try_load(&checkpoint_path(dir, counter)).ok()))
@@ -317,26 +352,32 @@ mod tests {
             mastered: vec![PartitionId::new(4), PartitionId::new(9)],
             epoch: 12,
             hosted: Some(vec![PartitionId::new(4), PartitionId::new(7)]),
-            image: vec![ImageRecord {
+            image: encoded(vec![ImageRecord {
                 key: Key::new(TableId::new(0), 42),
                 stamp: VersionStamp::new(SiteId::new(1), 7),
                 row: Row::new(vec![Value::I64(100)]),
-            }],
+            }]),
         }
     }
 
-    /// `ckpt` written through a [`Writer`], the way a site writes its cut.
+    /// An image of `records`: its layout is a `Vec<ImageRecord>`'s.
+    fn encoded(records: Vec<ImageRecord>) -> Image {
+        Image::decode(&mut &codec::encode_to_vec(&records)[..]).unwrap()
+    }
+
+    /// `ckpt`'s image, decoded.
+    fn records(ckpt: &Checkpoint) -> Vec<ImageRecord> {
+        ckpt.image.records().collect::<Result<_>>().unwrap()
+    }
+
+    /// `ckpt` written through a [`Writer`], its image record by record, the
+    /// way a site writes its cut.
     fn writer(ckpt: &Checkpoint) -> Writer {
-        let mut w = Writer::new(
-            ckpt.counter,
-            ckpt.site,
-            &ckpt.svv,
-            ckpt.offsets.clone(),
-            &ckpt.mastered,
-            ckpt.epoch,
-            ckpt.hosted.as_deref(),
-        );
-        for r in &ckpt.image {
+        let mut w = Writer::new(Checkpoint {
+            image: Image::default(),
+            ..ckpt.clone()
+        });
+        for r in records(ckpt) {
             w.record(r.key, r.stamp, &r.row);
         }
         w
@@ -357,6 +398,7 @@ mod tests {
         write(&dir, &sample(1)).unwrap();
         let loaded = load_latest(&dir).unwrap().unwrap();
         assert_eq!(loaded, sample(1));
+        assert_eq!(records(&loaded), records(&sample(1)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -419,6 +461,9 @@ mod tests {
             writer(&sample(1)).into_file().unwrap(),
             frame(&layout(&sample(1), 0))
         );
+        // A writer started from a cut with an image carries that image.
+        let file = Writer::new(sample(1)).into_file().unwrap();
+        assert_eq!(file, frame(&layout(&sample(1), 0)));
         assert!(Checkpoint::decode(&mut &layout(&sample(1), 1)[..]).is_err());
 
         // A full ckpt-1, a newer ckpt-2 whose reserved word is set, an
@@ -431,6 +476,37 @@ mod tests {
         std::fs::write(parent_inc, frame(&layout(&sample(3), 1))).unwrap();
         std::fs::write(checkpoint_path(&dir, 4), [0u8; 5]).unwrap();
         assert_eq!(load_latest(&dir).unwrap().unwrap().counter, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The image is decoded by the restore, not by the load: a file whose
+    /// header and CRC hold loads with its header fields even when a record
+    /// does not decode, and decoding stops with an error at that record.
+    #[test]
+    fn an_image_that_does_not_decode_loads_its_header_and_fails_at_the_record() {
+        let good = sample(1);
+        let mut bytes = good.image.records.to_vec();
+        bytes.extend(&bytes.clone()[..bytes.len() - 1]); // a torn second record
+        let torn = Checkpoint {
+            image: Image {
+                count: 2,
+                records: bytes.into(),
+            },
+            ..good.clone()
+        };
+        let dir = tmp_dir("torn-image");
+        std::fs::write(checkpoint_path(&dir, 1), frame(&layout(&torn, 0))).unwrap();
+        let loaded = load_latest(&dir).unwrap().unwrap();
+        // Every field before the image is the good checkpoint's.
+        let header = Checkpoint {
+            image: good.image.clone(),
+            ..loaded.clone()
+        };
+        assert_eq!(header, good);
+        assert_eq!(loaded.image, torn.image);
+        let mut decoded = loaded.image.records();
+        assert_eq!(decoded.next().unwrap().unwrap(), records(&good)[0]);
+        assert!(decoded.next().unwrap().is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -509,10 +585,10 @@ mod tests {
                 mastered: vec![partition(1)],
                 epoch: 5,
                 hosted,
-                image: image.clone(),
+                image: encoded(image.clone()),
             };
             let mut w = writer(&Checkpoint {
-                image: Vec::new(),
+                image: Image::default(),
                 ..ckpt.clone()
             });
             store
@@ -524,7 +600,9 @@ mod tests {
             assert_eq!(file, frame(&layout(&ckpt, 0)));
             let dir = tmp_dir("walk");
             std::fs::write(checkpoint_path(&dir, 9), &file).unwrap();
-            assert_eq!(load_latest(&dir).unwrap().unwrap(), ckpt);
+            let loaded = load_latest(&dir).unwrap().unwrap();
+            assert_eq!(loaded, ckpt);
+            assert_eq!(records(&loaded), image);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

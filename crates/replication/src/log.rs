@@ -397,7 +397,11 @@ impl DurableLog {
     /// published end). The records are decoded after the log lock drops.
     pub fn read_range(&self, from: u64, to: Option<u64>) -> Result<(Vec<LogRecord>, usize)> {
         let run = visible_run(&self.inner.lock(), from, to)?;
-        decode_run(run)
+        let bytes = run.iter().map(Bytes::len).sum();
+        let records = run
+            .into_iter()
+            .map(|mut encoded| LogRecord::decode(&mut encoded));
+        Ok((records.collect::<Result<_>>()?, bytes))
     }
 
     /// Sets (or clears) the thread unparked once per published run.
@@ -405,21 +409,11 @@ impl DurableLog {
         self.inner.lock().tail = feeder;
     }
 
-    /// Reads the single published record at `offset`, if present. Used by
-    /// recovery's replay scheduler, which needs cheap random access.
+    /// Reads the single published record at `offset`, if present, decoded
+    /// after the log lock drops. Recovery's replay scheduler reads its
+    /// origins' heads this way.
     pub fn get(&self, offset: u64) -> Result<Option<LogRecord>> {
-        let inner = self.inner.lock();
-        if offset >= inner.visible {
-            return Ok(None);
-        }
-        if offset < inner.base {
-            return Err(DynaError::Internal("log read below truncated base"));
-        }
-        let encoded = inner.slots[(offset - inner.base) as usize]
-            .as_ref()
-            .expect("visible slot filled");
-        let mut slice = encoded.clone();
-        Ok(Some(LogRecord::decode(&mut slice)?))
+        Ok(self.read_range(offset, Some(offset + 1))?.0.pop())
     }
 }
 
@@ -438,17 +432,6 @@ fn visible_run(inner: &LogInner, from: u64, to: Option<u64>) -> Result<Vec<Bytes
         .iter()
         .map(|encoded| encoded.clone().expect("visible slot filled"))
         .collect())
-}
-
-/// Decodes a run from [`visible_run`], returning `(records, total encoded
-/// bytes)`.
-fn decode_run(run: Vec<Bytes>) -> Result<(Vec<LogRecord>, usize)> {
-    let bytes = run.iter().map(Bytes::len).sum();
-    let records = run
-        .into_iter()
-        .map(|mut encoded| LogRecord::decode(&mut encoded))
-        .collect::<Result<_>>()?;
-    Ok((records, bytes))
 }
 
 /// One log per site (one Kafka topic per site in the paper).

@@ -7,14 +7,14 @@
 //! sequence of release and grant operations in the redo logs."
 //!
 //! [`replay`] rolls a seeded state forward through the union of all logs. The
-//! seed is either [`ReplayedState::empty`] (the degenerate but
-//! always-available form of "initialize from a replica at offset zero") or a
-//! durable [`crate::checkpoint::Checkpoint`]'s store image, svv cut and
-//! per-origin offsets, so only the retained segment suffix replays. The
+//! seed is a durable [`crate::checkpoint::Checkpoint`]'s store image, svv
+//! cut and per-origin offsets — or, with no checkpoint, an empty store cut
+//! at offset zero, the degenerate form of "initialize from a replica" — so
+//! only the retained segment suffix replays, each record decoded once. The
 //! returned svv and per-origin offsets let the caller resume propagation
-//! exactly where replay stopped. [`scan_mastership`] recovers the selector's
-//! partition→master map from grant/release records using their per-partition
-//! epochs, and the highest epoch among them.
+//! exactly where replay stopped. [`scan_mastership`] recovers the
+//! selector's partition→master map from grant/release records using their
+//! per-partition epochs, and the highest epoch among them.
 //!
 //! These routines are honest about their inputs: replaying volatile logs
 //! only survives in-process site crashes, while replaying persistently
@@ -25,7 +25,7 @@ use std::collections::{HashMap, HashSet};
 
 use dynamast_common::ids::{PartitionId, SiteId};
 use dynamast_common::{DynaError, Result, VersionVector};
-use dynamast_storage::{Catalog, Store, VersionStamp};
+use dynamast_storage::{Store, VersionStamp};
 
 use crate::log::LogSet;
 use crate::record::LogRecord;
@@ -41,27 +41,18 @@ pub struct ReplayedState {
     pub offsets: Vec<u64>,
 }
 
-impl ReplayedState {
-    /// The seed of a replay from offset zero: an empty store, a zero svv and
-    /// zero offsets.
-    pub fn empty(catalog: Catalog, mvcc_versions: usize, num_sites: usize) -> Self {
-        ReplayedState {
-            store: Store::new(catalog, mvcc_versions),
-            svv: VersionVector::zero(num_sites),
-            offsets: vec![0; num_sites],
-        }
-    }
-}
-
 /// Rolls `seed` forward by replaying every log, from the seed's offsets, in
 /// dependency order.
 ///
 /// The scheduler round-robins over origins, applying each origin's next
 /// record when the update application rule admits it (commit records) or
 /// when it is next in the origin's commit order (grant/release records,
-/// which carry no data dependencies of their own). Errors if the logs are
-/// mutually stuck, which indicates corruption, or if the seed was not cut
-/// for this many sites.
+/// which carry no data dependencies of their own). Each origin's head is
+/// read when it is reached, since the logs may still grow (a site restarts
+/// while others commit), and kept decoded until it is admitted. `applied`
+/// sees each record as it is applied. Errors if the logs are mutually
+/// stuck, which indicates corruption, or if the seed was not cut for this
+/// many sites.
 ///
 /// Under partial replication only writes to partitions in `hosted` are
 /// installed. Every record still advances the svv — a site that skips a
@@ -72,6 +63,7 @@ pub fn replay(
     logs: &LogSet,
     seed: ReplayedState,
     hosted: Option<&HashSet<PartitionId>>,
+    mut applied: impl FnMut(&LogRecord),
 ) -> Result<ReplayedState> {
     let m = logs.num_sites();
     let ReplayedState {
@@ -84,22 +76,23 @@ pub fn replay(
             "replay seed does not match the log set's site count",
         ));
     }
+    let mut heads: Vec<Option<LogRecord>> = (0..m).map(|_| None).collect();
     loop {
         let mut progressed = false;
         let mut exhausted = 0;
-        #[allow(clippy::needless_range_loop)] // origin_idx names both the site and its cursor slot
-        for origin_idx in 0..m {
-            let origin = SiteId::new(origin_idx);
-            let Some(record) = logs.log(origin).get(offsets[origin_idx])? else {
-                exhausted += 1;
-                continue;
-            };
-            if !admissible(&svv, &record) {
-                continue;
+        for (origin_idx, head) in heads.iter_mut().enumerate() {
+            if head.is_none() {
+                *head = logs.log(SiteId::new(origin_idx)).get(offsets[origin_idx])?;
             }
-            apply(&store, &mut svv, record, hosted)?;
-            offsets[origin_idx] += 1;
-            progressed = true;
+            match head.take_if(|record| admissible(&svv, record)) {
+                Some(record) => {
+                    applied(&record);
+                    apply(&store, &mut svv, record, hosted)?;
+                    offsets[origin_idx] += 1;
+                    progressed = true;
+                }
+                None => exhausted += usize::from(head.is_none()),
+            }
         }
         if exhausted == m {
             return Ok(ReplayedState {
@@ -205,6 +198,7 @@ mod tests {
     use crate::record::WriteEntry;
     use dynamast_common::ids::{Key, TableId};
     use dynamast_common::{Row, Value};
+    use dynamast_storage::Catalog;
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -252,9 +246,18 @@ mod tests {
         }
     }
 
+    /// An empty store cut at offset zero of `m` logs.
+    fn empty(m: usize) -> ReplayedState {
+        ReplayedState {
+            store: Store::new(catalog(), 4),
+            svv: VersionVector::zero(m),
+            offsets: vec![0; m],
+        }
+    }
+
     fn from_zero(logs: &LogSet) -> Result<ReplayedState> {
-        let seed = ReplayedState::empty(catalog(), 4, logs.num_sites());
-        replay(logs, seed, None)
+        let seed = empty(logs.num_sites());
+        replay(logs, seed, None, |_| {})
     }
 
     #[test]
@@ -302,13 +305,10 @@ mod tests {
             Ok(_) => panic!("replay should report: {why}"),
         };
         let mis_sized = "replay seed does not match the log set's site count";
-        refused(
-            replay(&logs, ReplayedState::empty(catalog(), 4, 3), None),
-            mis_sized,
-        );
-        let mut seed = ReplayedState::empty(catalog(), 4, 2);
+        refused(replay(&logs, empty(3), None, |_| {}), mis_sized);
+        let mut seed = empty(2);
         seed.offsets.pop();
-        refused(replay(&logs, seed, None), mis_sized);
+        refused(replay(&logs, seed, None, |_| {}), mis_sized);
         // Depends on svv[1] >= 5, which never arrives.
         logs.log(SiteId::new(0))
             .append(&commit(0, &[1, 5], vec![(1, 1)]));
@@ -361,7 +361,7 @@ mod tests {
             svv: VersionVector::from_counts(vec![1, 0]),
             offsets: vec![1, 0],
         };
-        let state = replay(&logs, seed, None).unwrap();
+        let state = replay(&logs, seed, None, |_| {}).unwrap();
         assert_eq!(state.svv.as_slice(), &[2, 0]);
         assert_eq!(state.offsets, vec![2, 0]);
         let snap = state.svv.clone();
@@ -380,8 +380,8 @@ mod tests {
         logs.log(SiteId::new(1))
             .append(&commit(1, &[1, 1], vec![(151, 20)]));
         let hosted: HashSet<PartitionId> = [PartitionId::new(0)].into_iter().collect();
-        let seed = ReplayedState::empty(catalog(), 4, 2);
-        let state = replay(&logs, seed, Some(&hosted)).unwrap();
+        let seed = empty(2);
+        let state = replay(&logs, seed, Some(&hosted), |_| {}).unwrap();
         assert_eq!(state.svv.as_slice(), &[1, 1]);
         let snap = state.svv.clone();
         assert_eq!(state.store.read(key(1), &snap).unwrap().unwrap(), row(10));

@@ -23,7 +23,11 @@ fn catalog() -> Catalog {
 }
 
 fn empty_seed() -> ReplayedState {
-    ReplayedState::empty(catalog(), usize::MAX >> 1, 3)
+    ReplayedState {
+        store: Store::new(catalog(), usize::MAX >> 1),
+        svv: VersionVector::zero(3),
+        offsets: vec![0; 3],
+    }
 }
 
 /// One generated step: which site commits, which keys it writes, and how
@@ -78,8 +82,8 @@ proptest! {
         for (n, step) in history.iter().enumerate() {
             if n == cut {
                 prefix = Some((
-                    replay(&logs, empty_seed(), None).unwrap(),
-                    replay(&logs, empty_seed(), Some(&hosted)).unwrap(),
+                    replay(&logs, empty_seed(), None, |_| {}).unwrap(),
+                    replay(&logs, empty_seed(), Some(&hosted), |_| {}).unwrap(),
                 ));
             }
             let origin = SiteId::new(step.site);
@@ -108,7 +112,7 @@ proptest! {
         }
 
         // Recovery replay from the logs alone.
-        let replayed = replay(&logs, empty_seed(), None).unwrap();
+        let replayed = replay(&logs, empty_seed(), None, |_| {}).unwrap();
         prop_assert_eq!(replayed.svv.clone(), svv.clone());
         for key in 0..40u64 {
             let k = Key::new(TableId::new(0), key);
@@ -121,13 +125,13 @@ proptest! {
 
         // Split replay: the state the prefix left, taken as the seed, rolled
         // through the rest equals the one-shot replay under the same filter.
-        let one_shot_hosted = replay(&logs, empty_seed(), Some(&hosted)).unwrap();
+        let one_shot_hosted = replay(&logs, empty_seed(), Some(&hosted), |_| {}).unwrap();
         let (prefix_full, prefix_hosted) = prefix.expect("the cut lies inside the history");
         for (seed, filter, one_shot) in [
             (prefix_full, None, &replayed),
             (prefix_hosted, Some(&hosted), &one_shot_hosted),
         ] {
-            let resumed = replay(&logs, seed, filter).unwrap();
+            let resumed = replay(&logs, seed, filter, |_| {}).unwrap();
             prop_assert_eq!(&resumed.svv, &one_shot.svv);
             prop_assert_eq!(&resumed.offsets, &one_shot.offsets);
             prop_assert_eq!(resumed.store.version_count(), one_shot.store.version_count());

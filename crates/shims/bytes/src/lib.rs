@@ -229,6 +229,15 @@ pub trait Buf {
         }
     }
 
+    /// Takes the next `len` bytes as a [`Bytes`]: a copy, except from a
+    /// [`Bytes`] cursor, which hands out a view of its own allocation (as
+    /// upstream's does).
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        let mut out = vec![0; len];
+        self.copy_to_slice(&mut out);
+        Bytes::from(out)
+    }
+
     /// Reads one byte.
     #[inline]
     fn get_u8(&mut self) -> u8 {
@@ -286,6 +295,12 @@ impl Buf for Bytes {
         assert!(n <= self.len(), "advance past end");
         self.start += n;
     }
+
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        let out = self.slice(..len);
+        self.start += len;
+        out
+    }
 }
 
 impl Buf for &[u8] {
@@ -319,6 +334,10 @@ impl<T: Buf + ?Sized> Buf for &mut T {
     #[inline]
     fn advance(&mut self, n: usize) {
         (**self).advance(n)
+    }
+
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        (**self).copy_to_bytes(len)
     }
 }
 
@@ -413,6 +432,17 @@ mod tests {
         let c = s.clone();
         assert_eq!(c, s);
         assert_eq!(b.len(), 5);
+    }
+
+    #[test]
+    fn copy_to_bytes_views_a_bytes_cursor_and_copies_a_slice() {
+        let mut b = Bytes::from(vec![1, 2, 3, 4]);
+        let head = b.copy_to_bytes(3);
+        assert_eq!((&head[..], &b[..]), (&[1, 2, 3][..], &[4][..]));
+        assert!(Arc::ptr_eq(&head.data, &b.data), "a view, not a copy");
+        let mut s: &[u8] = &[5, 6, 7];
+        assert_eq!(&s.copy_to_bytes(2)[..], &[5, 6]);
+        assert_eq!(s, &[7]);
     }
 
     #[test]

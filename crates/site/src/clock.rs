@@ -133,8 +133,9 @@ impl SiteClock {
     /// parks until its predecessor's turn completes. The commit pipeline
     /// uses [`SiteClock::publish_up_to`] instead: the durable log's
     /// gap-closing fill publishes a whole contiguous run without any
-    /// committer waiting. Kept for recovery replay and as the faithful
-    /// baseline in the commit microbenchmark.
+    /// committer waiting. No production path calls it: its users are this
+    /// module's tests and the `commit_pipeline` bench's mutex baseline
+    /// (`crates/bench/benches/commit_pipeline.rs`).
     pub fn publish(&self, seq: u64) -> Result<VersionVector> {
         let mut state = self.state.lock();
         loop {

@@ -12,7 +12,7 @@ use dynamast_common::ids::{Key, PartitionId, SiteId};
 use dynamast_common::trace::{FlightRecorder, TraceKind, TracePayload, TraceSite};
 use dynamast_common::{DynaError, Result, Row, SystemConfig, VersionVector};
 use dynamast_network::{wait_until, EndpointId, Network, RpcHandler, ServerHandle};
-use dynamast_replication::checkpoint;
+use dynamast_replication::checkpoint::{self, Checkpoint};
 use dynamast_replication::record::{LogRecord, WriteEntry};
 use dynamast_replication::{LogSet, Propagator, RefreshApplier, Wake};
 use dynamast_storage::{Catalog, ImageRecord, LockGuard, ReadAt, Store, VersionStamp, Visit};
@@ -908,15 +908,16 @@ impl DataSite {
             .into_iter()
             .filter(|p| p.raw() & (1 << 63) == 0)
             .collect();
-        let mut file = checkpoint::Writer::new(
+        let mut file = checkpoint::Writer::new(Checkpoint {
             counter,
-            self.id,
-            &cut,
-            cut.as_slice().to_vec(),
-            &mastered,
-            self.max_epoch_seen.load(Ordering::Acquire),
-            self.hosted_partitions().as_deref(),
-        );
+            site: self.id,
+            offsets: cut.as_slice().to_vec(),
+            svv: cut.clone(),
+            mastered,
+            epoch: self.max_epoch_seen.load(Ordering::Acquire),
+            hosted: self.hosted_partitions(),
+            image: checkpoint::Image::default(),
+        });
         self.store
             .visit_image(ReadAt::Begin(&cut), None, |key, stamp, row| {
                 file.record(key, stamp, row)
@@ -1358,32 +1359,27 @@ impl DataSite {
             // Phase 3: collect the durable-log suffix the filter stripped
             // while the partition was absent — sequences in
             // `(src_svv[o], frontier[o]]` per origin (slot s holds
-            // sequence s + 1).
+            // sequence s + 1), read in one run per origin up to its
+            // published end.
             let mut pending: Vec<(u64, ImageRecord)> = Vec::new();
             for (origin_idx, &ceiling) in frontier.iter().enumerate() {
                 let origin = SiteId::new(origin_idx);
                 let log = self.logs.log(origin);
-                for slot in src_svv.get(origin)..ceiling {
-                    let Some(record) = log.get(slot)? else { break };
-                    if let LogRecord::Commit {
+                let (records, _) = log.read_range(src_svv.get(origin), Some(ceiling))?;
+                for record in records {
+                    let LogRecord::Commit {
                         origin,
                         tvv,
                         writes,
                     } = record
-                    {
-                        let stamp = VersionStamp::new(origin, tvv.get(origin));
-                        let sum: u64 = tvv.as_slice().iter().sum();
-                        for w in writes {
-                            if self.store.catalog().partition_of(w.key)? == partition {
-                                pending.push((
-                                    sum,
-                                    ImageRecord {
-                                        key: w.key,
-                                        stamp,
-                                        row: w.row,
-                                    },
-                                ));
-                            }
+                    else {
+                        continue;
+                    };
+                    let stamp = VersionStamp::new(origin, tvv.get(origin));
+                    let sum: u64 = tvv.as_slice().iter().sum();
+                    for WriteEntry { key, row } in writes {
+                        if self.store.catalog().partition_of(key)? == partition {
+                            pending.push((sum, ImageRecord { key, stamp, row }));
                         }
                     }
                 }

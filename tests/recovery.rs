@@ -491,3 +491,77 @@ fn durable_restart_recovers_from_checkpoint_and_retained_suffix() {
     drop(system);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A promoted standby allocates remaster epochs above every epoch a site
+/// has seen, also once the Release/Grant records that carried them are
+/// truncated: the checkpoints' persisted watermarks are then the only place
+/// those epochs survive, and reissuing one would collide with the sites'
+/// `(partition, epoch)` idempotency ledgers.
+#[test]
+fn a_promoted_standby_allocates_epochs_above_truncated_remasters() {
+    let dir = std::env::temp_dir().join(format!("dynamast-promote-epochs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut catalog = Catalog::new();
+    catalog.add_table("kv", 1, 100);
+    let config = SystemConfig::new(3)
+        .with_instant_network()
+        .with_instant_service()
+        .with_durability(dir.clone(), FsyncMode::Group)
+        .with_segment_bytes(512);
+    let system = DynaMastSystem::build(DynaMastConfig::adaptive(config, catalog), Arc::new(SetApp));
+    const PARTITIONS: u64 = 30;
+    let mut session = ClientSession::new(ClientId::new(1), 3);
+    let write_each_partition = |session: &mut ClientSession, value: u64| {
+        for i in 0..PARTITIONS {
+            system.update(session, &set(&[i * 100], value)).unwrap();
+        }
+    };
+    write_each_partition(&mut session, 0);
+    // The highest remaster epoch the retained logs still hold.
+    let retained_epoch = || recover_selector_map(system.logs(), &[], &[]).unwrap().1;
+    // Joint write sets remaster.
+    for i in 0..10u64 {
+        system
+            .update(&mut session, &set(&[i * 100, (i + 15) * 100], i))
+            .unwrap();
+    }
+    let reached = retained_epoch();
+    assert!(reached > 0, "no remaster happened");
+
+    // Move every log past its Release/Grant records and checkpoint until
+    // truncation has deleted them all (floors lag one checkpoint).
+    for round in 1..=20 {
+        if retained_epoch() == 0 {
+            break;
+        }
+        write_each_partition(&mut session, round);
+        system.checkpoint_all().unwrap();
+    }
+    assert_eq!(
+        retained_epoch(),
+        0,
+        "the remaster records were never truncated"
+    );
+
+    system.crash_selector();
+    system.promote_standby().unwrap();
+    let split: Vec<u64> = [SiteId::new(0), SiteId::new(1)]
+        .iter()
+        .map(|site| {
+            let placements = system.selector().map().placements();
+            let (p, _) = placements
+                .into_iter()
+                .find(|(_, m)| *m == Some(*site))
+                .expect("every site masters a partition");
+            dynamast::common::ids::unpack_partition_id(p).1 * 100
+        })
+        .collect();
+    system.update(&mut session, &set(&split, 99)).unwrap();
+    let next = retained_epoch();
+    assert!(
+        next > reached,
+        "the promoted selector remastered at epoch {next}, not above {reached}"
+    );
+    drop(system);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
