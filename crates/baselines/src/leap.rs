@@ -91,6 +91,7 @@ impl LeapSystem {
                     replicated_tables: static_tables.clone(),
                     hosted: None,
                     refresh_skipped: None,
+                    freshness_parks: None,
                 },
                 catalog.clone(),
                 logs.clone(),

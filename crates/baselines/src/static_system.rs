@@ -116,6 +116,7 @@ impl StaticSystem {
                     replicated_tables: static_tables.clone(),
                     hosted: None,
                     refresh_skipped: None,
+                    freshness_parks: None,
                 },
                 catalog.clone(),
                 logs.clone(),

@@ -41,10 +41,25 @@ use dynamast_storage::{Catalog, VersionStamp};
 use crate::recovery::{recover_selector_map, recover_site, RecoveredSite};
 use crate::selector::{ProbeHandle, SelectorInit, SelectorMode, SiteSelector};
 
+/// Wire size of the site id a client reports on every routing request
+/// (`ClientSession::last_site`).
+const SITE_REPORT_BYTES: usize = 4;
+
 /// Estimated wire size of a `begin_transaction` routing request (write-set
-/// keys plus header); used to charge the client→selector hop.
+/// keys plus header and the reported site); used to charge the
+/// client→selector hop.
 fn route_request_size(proc: &ProcCall) -> usize {
-    32 + proc.write_set.len() * 12
+    32 + SITE_REPORT_BYTES + proc.write_set.len() * 12
+}
+
+/// Folds the client's report into the selector's freshness estimates: the
+/// site that answered the session last has an svv covering its cvv (see
+/// `ClientSession::last_site`), so a read can be routed there without a
+/// freshness wait, and Eq. 5's delay feature sees the fresher estimate.
+fn report_last_site(selector: &SiteSelector, session: &ClientSession) {
+    if let Some(site) = session.last_site {
+        selector.observe_site_vv(site, &session.cvv);
+    }
 }
 
 /// Per-site checkpoint directory under the durable-log root (siblings of the
@@ -148,6 +163,10 @@ fn register_selector_metrics(metrics: &MetricsRegistry, selector: &SiteSelector)
     metrics.register_histogram(
         "selector.remaster_batch_size",
         Arc::clone(&selector.remaster_batch_size),
+    );
+    metrics.register_counter(
+        "selector.reads_unfresh",
+        Arc::clone(&selector.reads_unfresh),
     );
     metrics.register_counter("replica_adds", Arc::clone(&selector.replica_adds));
     metrics.register_counter("replica_drops", Arc::clone(&selector.replica_drops));
@@ -301,6 +320,7 @@ impl DynaMastSystem {
                     static_owner: None,
                     replicated_tables: Vec::new(),
                     refresh_skipped: Some(sys.metrics.counter("refresh_records_skipped")),
+                    freshness_parks: Some(sys.metrics.counter("site.freshness_parks")),
                 },
                 sys.catalog.clone(),
                 sys.logs.clone(),
@@ -509,6 +529,7 @@ impl DynaMastSystem {
                 // replication — means the rebuilt store holds everything.
                 hosted: recovered.hosted,
                 refresh_skipped: Some(self.metrics.counter("refresh_records_skipped")),
+                freshness_parks: Some(self.metrics.counter("site.freshness_parks")),
             },
             recovered.state.store,
             recovered.state.svv,
@@ -991,6 +1012,7 @@ impl ReplicatedSystem for DynaMastSystem {
             // begin_transaction request to the selector (charged hop).
             self.network
                 .charge_one_way(TrafficCategory::ClientSelector, route_request_size(proc));
+            report_last_site(&selector, session);
             // Transport faults during routing or remastering (a crashed
             // master, exhausted retries, a mid-protocol selector crash) are
             // retryable: the next attempt routes around the unreachable
@@ -1094,7 +1116,8 @@ impl ReplicatedSystem for DynaMastSystem {
             }
             let selector = self.selector.read().clone();
             self.network
-                .charge_one_way(TrafficCategory::ClientSelector, 32);
+                .charge_one_way(TrafficCategory::ClientSelector, 32 + SITE_REPORT_BYTES);
+            report_last_site(&selector, session);
             let (site, lookup) = {
                 let start = Instant::now();
                 let site = selector.route_read_partitions_traced(txn_id, &session.cvv, &read_parts);

@@ -3,9 +3,11 @@
 //! The selector keeps an estimate of every site's version vector to route
 //! reads to sufficiently fresh replicas and to feed the strategy model's
 //! delay feature (Eq. 5). These estimates are written on every release,
-//! grant, and probe response, and read on every routed transaction — a hot
-//! enough path that a `Mutex<Vec<VersionVector>>` serializes routers (see
-//! DESIGN.md, "Selector concurrency model").
+//! grant, and probe response and on every client report (the site that
+//! answered the client last, with the client's cvv), and read on every
+//! routed transaction — a hot enough path that a
+//! `Mutex<Vec<VersionVector>>` serializes routers (see DESIGN.md,
+//! "Selector concurrency model").
 //!
 //! [`FreshnessCache`] instead stores an `m × m` matrix of atomic
 //! per-dimension counters. Version vectors are monotone — sites only
@@ -14,11 +16,16 @@
 //!
 //! A multi-dimension read is not a single atomic snapshot: concurrent
 //! observers may interleave between dimensions, so a loaded vector can mix
-//! two observations. Both are (under-)estimates of the true site vv, and
-//! their per-dimension max is too — every mixed read is therefore some
-//! valid under-estimate, which is all SSSI routing needs: a stale cache can
-//! only divert a read to a site that then waits for freshness, never
-//! violate the session guarantee.
+//! two observations; their per-dimension max is again a vector some
+//! observer vouched for. Probe, release and grant replies are
+//! under-estimates of the true site vv. A client report is not always: an
+//! update's commit vector reaches the client before the site's group fill
+//! has published it, so a reported estimate can lead the site's svv by
+//! that one fill. Neither error can violate the session guarantee — every
+//! begin waits at its site until the svv covers the client's cvv
+//! (`SiteClock::wait_dominates`) — so a stale estimate only diverts a read
+//! to a site that then waits, and a leading one only makes the read wait
+//! out the rest of that fill.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -10,9 +10,18 @@
 //!
 //! Read routing (§IV-B) picks a random site whose estimated svv satisfies
 //! the client's session vector, spreading load while minimizing blocking.
-//! The svv estimates come from release/grant responses plus a lightweight
-//! periodic probe (`GetVv`), standing in for whatever heartbeat the paper's
-//! implementation used. The estimates live in a lock-free
+//! The svv estimates come from three sources:
+//!
+//! * release/grant responses;
+//! * the client's report on each routing request: the site that answered
+//!   it last, whose svv covers its cvv ([`SiteSelector::observe_site_vv`],
+//!   called by `DynaMastSystem::update`/`read` before routing). This is
+//!   the source that keeps a busy client's reads off the freshness wait;
+//! * a lightweight periodic probe (`GetVv`), standing in for whatever
+//!   heartbeat the paper's implementation used, which spreads reads that
+//!   every site already covers.
+//!
+//! The estimates live in a lock-free
 //! [`FreshnessCache`](crate::freshness::FreshnessCache) and the read-routing
 //! RNG is thread-local, so routing threads share no locks on this path.
 
@@ -165,6 +174,10 @@ pub struct SiteSelector {
     pub replica_drops: Arc<Counter>,
     /// Update transactions routed, per site.
     routed: Vec<Counter>,
+    /// Reads routed with no reachable candidate whose estimate covers the
+    /// client's cvv (an empty freshness tier): the read waits at its site
+    /// for refresh.
+    pub reads_unfresh: Arc<Counter>,
 }
 
 impl SiteSelector {
@@ -221,6 +234,7 @@ impl SiteSelector {
             replica_adds: Arc::new(Counter::new()),
             replica_drops: Arc::new(Counter::new()),
             routed: (0..m).map(|_| Counter::new()).collect(),
+            reads_unfresh: Arc::new(Counter::new()),
             config,
         })
     }
@@ -292,7 +306,9 @@ impl SiteSelector {
         self.routed.iter().map(Counter::get).collect()
     }
 
-    /// Merges a freshness observation into the svv cache (lock-free).
+    /// Merges a freshness observation into the svv cache (lock-free): a
+    /// probe or remaster reply, or a client's report of the site that
+    /// answered it last together with its cvv.
     pub fn observe_site_vv(&self, site: SiteId, vv: &VersionVector) {
         self.freshness.observe(site, vv);
     }
@@ -724,6 +740,9 @@ impl SiteSelector {
                 break;
             }
         }
+        if tier > 0 {
+            self.reads_unfresh.inc();
+        }
         let pick = with_thread_rng(self.rng_seed, |rng| {
             if count == 0 {
                 return rng.gen_range(0..num_sites);
@@ -938,5 +957,37 @@ mod tests {
         let tpcc = selector(StrategyWeights::tpcc());
         feed(&tpcc);
         assert!(inter_partners(&tpcc) > 0);
+    }
+
+    #[test]
+    fn one_reported_site_is_the_whole_freshness_tier() {
+        let selector = selector(StrategyWeights::ycsb());
+        // Every site is up, and every estimate is stale for the session.
+        let _servers: Vec<_> = (0..SITES as u32)
+            .map(|i| {
+                let echo = |payload: Bytes| payload;
+                selector
+                    .network
+                    .serve(EndpointId::Site(i), Arc::new(echo), 1)
+            })
+            .collect();
+        let stale = VersionVector::from_counts(vec![3; SITES]);
+        for i in 0..SITES {
+            selector.observe_site_vv(SiteId::new(i), &stale);
+        }
+        let cvv = VersionVector::from_counts(vec![3, 3, 9, 4]);
+        for _ in 0..32 {
+            selector.route_read(&cvv);
+        }
+        assert_eq!(selector.reads_unfresh.get(), 32, "no fresh candidate yet");
+        selector.observe_site_vv(SiteId::new(2), &cvv);
+        for _ in 0..32 {
+            assert_eq!(selector.route_read(&cvv), SiteId::new(2));
+        }
+        assert_eq!(
+            selector.reads_unfresh.get(),
+            32,
+            "each read found site 2 fresh"
+        );
     }
 }

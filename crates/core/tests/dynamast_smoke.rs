@@ -236,3 +236,75 @@ fn read_only_transactions_spread_across_sites() {
     assert!(distinct.len() > 1, "reads routed to only {distinct:?}");
     let _ = SiteId::new(0);
 }
+
+/// A deployment with no svv probe, so the freshness estimates move only by
+/// release/grant replies and the clients' reports, with the partition of
+/// records 0–99 mastered at site 0.
+fn build_unprobed(num_sites: usize) -> Arc<DynaMastSystem> {
+    let mut catalog = Catalog::new();
+    catalog.add_table("kv", 1, 100);
+    let partition = catalog.partition_of(Key::new(TABLE, 1)).unwrap();
+    let mut cfg =
+        DynaMastConfig::adaptive(SystemConfig::new(num_sites).with_instant_network(), catalog);
+    cfg.probe_interval = std::time::Duration::ZERO;
+    cfg.initial_placements = vec![(partition, SiteId::new(0))];
+    DynaMastSystem::build(cfg, Arc::new(TestExec))
+}
+
+#[test]
+fn a_read_after_an_update_routes_to_the_updating_site_without_parking() {
+    let system = build_unprobed(3);
+    let parks = system.metrics().counter("site.freshness_parks");
+    let unfresh = || system.selector().reads_unfresh.get();
+    let mut session = ClientSession::new(ClientId::new(1), 3);
+    for round in 1..=20u64 {
+        system.update(&mut session, &add_proc(&[1, 2], 1)).unwrap();
+        assert_eq!(session.last_site, Some(SiteId::new(0)));
+        let outcome = system.read(&mut session, &sum_proc(&[1, 2])).unwrap();
+        assert_eq!(decode_sum(&outcome.result), 2 * round);
+        // Only site 0's estimate covers the session (the others are never
+        // probed), and only the client's report put it there.
+        assert_eq!(session.last_site, Some(SiteId::new(0)), "round {round}");
+    }
+    assert_eq!(unfresh(), 0, "every read had a fresh candidate");
+    assert_eq!(parks.get(), 0, "no begin waited for refresh");
+}
+
+#[test]
+fn a_report_ahead_of_the_sites_svv_still_reads_the_clients_own_write() {
+    use dynamast_network::{EndpointId, FaultPlan};
+    let system = build_unprobed(3);
+    // Hold site 0's refresh stream to site 1.
+    let plan = Arc::new(FaultPlan::new(7));
+    plan.partition(EndpointId::Site(0), EndpointId::Site(1));
+    system.network().set_faults(Some(Arc::clone(&plan)));
+    let mut writer = ClientSession::new(ClientId::new(1), 3);
+    system
+        .update(&mut writer, &add_proc(&[1, 2, 3], 10))
+        .unwrap();
+    assert_eq!(writer.last_site, Some(SiteId::new(0)));
+    // The session claims site 1 covers its cvv, which site 1 has not
+    // applied: the selector believes it and routes the read there.
+    let mut reader = writer.clone();
+    reader.last_site = Some(SiteId::new(1));
+    let parks = system.metrics().counter("site.freshness_parks");
+    let read = {
+        let system = Arc::clone(&system);
+        std::thread::spawn(move || {
+            let outcome = system.read(&mut reader, &sum_proc(&[1, 2, 3])).unwrap();
+            (decode_sum(&outcome.result), reader.last_site)
+        })
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while parks.get() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the read never parked"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    // The begin wait at site 1 holds the read until the write arrives.
+    plan.heal_all();
+    assert_eq!(read.join().unwrap(), (30, Some(SiteId::new(1))));
+    assert_eq!(parks.get(), 1);
+}

@@ -10,11 +10,28 @@ use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply clonable, sliceable, immutable byte buffer.
-#[derive(Clone, Default)]
+///
+/// A view is a pointer and a length into a `Vec` kept alive by the shared
+/// `owner`: converting a `Vec<u8>` moves it behind the `Arc` without
+/// copying its bytes (as upstream's `From<Vec<u8>>` does), and a read
+/// reaches the bytes through `ptr` alone, one pointer chase.
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
-    start: usize,
-    end: usize,
+    ptr: *const u8,
+    len: usize,
+    owner: Arc<Vec<u8>>,
+}
+
+// SAFETY: `ptr` points into `owner`'s heap buffer, which is never written
+// or moved while any view holds the `Arc`, so a `Bytes` is shared,
+// immutable data exactly like the `Vec<u8>` it owns.
+unsafe impl Send for Bytes {}
+unsafe impl Sync for Bytes {}
+
+impl Default for Bytes {
+    fn default() -> Self {
+        Bytes::from(Vec::new())
+    }
 }
 
 impl Bytes {
@@ -31,18 +48,13 @@ impl Bytes {
 
     /// Copies a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        let arc: Arc<[u8]> = Arc::from(data);
-        Bytes {
-            start: 0,
-            end: arc.len(),
-            data: arc,
-        }
+        Bytes::from(data.to_vec())
     }
 
     /// Number of bytes remaining in the view.
     #[inline]
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.len
     }
 
     /// `true` iff no bytes remain.
@@ -65,16 +77,19 @@ impl Bytes {
         };
         assert!(begin <= end && end <= len, "slice out of bounds");
         Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + begin,
-            end: self.start + end,
+            // SAFETY: `begin <= len`, so the pointer stays inside the view.
+            ptr: unsafe { self.ptr.add(begin) },
+            len: end - begin,
+            owner: Arc::clone(&self.owner),
         }
     }
 
     /// The bytes as a plain slice.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        // SAFETY: `ptr..ptr + len` lies inside `owner`'s buffer (every
+        // constructor and cursor step keeps it so), which outlives `self`.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
     /// Copies the remaining bytes into a `Vec`.
@@ -98,12 +113,13 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Moves the vector behind the shared owner; its bytes are not copied.
     fn from(v: Vec<u8>) -> Self {
-        let arc: Arc<[u8]> = Arc::from(v.into_boxed_slice());
+        let owner = Arc::new(v);
         Bytes {
-            start: 0,
-            end: arc.len(),
-            data: arc,
+            ptr: owner.as_ptr(),
+            len: owner.len(),
+            owner,
         }
     }
 }
@@ -292,13 +308,15 @@ impl Buf for Bytes {
 
     #[inline]
     fn advance(&mut self, n: usize) {
-        assert!(n <= self.len(), "advance past end");
-        self.start += n;
+        assert!(n <= self.len, "advance past end");
+        // SAFETY: `n <= len`, so the pointer stays inside the view.
+        self.ptr = unsafe { self.ptr.add(n) };
+        self.len -= n;
     }
 
     fn copy_to_bytes(&mut self, len: usize) -> Bytes {
         let out = self.slice(..len);
-        self.start += len;
+        self.advance(len);
         out
     }
 }
@@ -439,10 +457,22 @@ mod tests {
         let mut b = Bytes::from(vec![1, 2, 3, 4]);
         let head = b.copy_to_bytes(3);
         assert_eq!((&head[..], &b[..]), (&[1, 2, 3][..], &[4][..]));
-        assert!(Arc::ptr_eq(&head.data, &b.data), "a view, not a copy");
+        assert!(Arc::ptr_eq(&head.owner, &b.owner), "a view, not a copy");
         let mut s: &[u8] = &[5, 6, 7];
         assert_eq!(&s.copy_to_bytes(2)[..], &[5, 6]);
         assert_eq!(s, &[7]);
+    }
+
+    #[test]
+    fn from_vec_keeps_the_vec_allocation() {
+        let v = vec![1u8, 2, 3, 4];
+        let heap = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), heap, "moved, not copied");
+        let tail = b.slice(2..);
+        assert_eq!(tail.as_ptr(), heap.wrapping_add(2));
+        assert_eq!(&tail[..], &[3, 4]);
+        assert!(Bytes::default().is_empty());
     }
 
     #[test]

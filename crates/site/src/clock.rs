@@ -21,7 +21,10 @@
 //! [`SiteClock::shut_down`] is called, which also fires every pending wake,
 //! so feeders and blocked clients drain cleanly.
 
+use std::sync::Arc;
+
 use dynamast_common::ids::SiteId;
+use dynamast_common::metrics::Counter;
 use dynamast_common::{DynaError, Result, VersionVector};
 use dynamast_replication::Wake;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -41,6 +44,8 @@ pub struct SiteClock {
     site: SiteId,
     state: Mutex<ClockState>,
     changed: Condvar,
+    /// Freshness waits that had to park (`site.freshness_parks`).
+    parks: Option<Arc<Counter>>,
 }
 
 impl SiteClock {
@@ -61,7 +66,15 @@ impl SiteClock {
                 wakes: Vec::new(),
             }),
             changed: Condvar::new(),
+            parks: None,
         }
+    }
+
+    /// Counts every freshness wait ([`SiteClock::wait_dominates`]) that
+    /// parks in `parks`; a wait the svv already satisfies is not counted.
+    pub fn counting_parks(mut self, parks: Option<Arc<Counter>>) -> Self {
+        self.parks = parks;
+        self
     }
 
     /// This clock's site.
@@ -89,7 +102,12 @@ impl SiteClock {
     }
 
     /// Blocks until `ready(&svv)` holds, returning the svv at that moment.
-    fn wait_for(&self, ready: impl Fn(&VersionVector) -> bool) -> Result<VersionVector> {
+    /// The first park adds one to `parks`, if given.
+    fn wait_for(
+        &self,
+        ready: impl Fn(&VersionVector) -> bool,
+        mut parks: Option<&Counter>,
+    ) -> Result<VersionVector> {
         let mut state = self.state.lock();
         loop {
             if state.shutting_down {
@@ -97,6 +115,9 @@ impl SiteClock {
             }
             if ready(&state.svv) {
                 return Ok(state.svv.clone());
+            }
+            if let Some(parks) = parks.take() {
+                parks.inc();
             }
             self.changed.wait(&mut state);
         }
@@ -106,13 +127,13 @@ impl SiteClock {
     /// the caller's begin vector. This is both the SSSI freshness wait and
     /// the grant wait.
     pub fn wait_dominates(&self, min: &VersionVector) -> Result<VersionVector> {
-        self.wait_for(|svv| svv.dominates(min))
+        self.wait_for(|svv| svv.dominates(min), self.parks.as_deref())
     }
 
     /// Blocks until this site's own commits through `seq` are published,
     /// returning the svv then (a remaster reply covers its own records).
     pub fn wait_published(&self, seq: u64) -> Result<VersionVector> {
-        self.wait_for(|svv| svv.get(self.site) >= seq)
+        self.wait_for(|svv| svv.get(self.site) >= seq, None)
     }
 
     /// Allocates the next local commit sequence number. The caller must
@@ -269,6 +290,26 @@ mod tests {
         c.publish(seq).unwrap();
         let begin = waiter.join().unwrap();
         assert!(begin.dominates(&min));
+    }
+
+    #[test]
+    fn only_a_freshness_wait_that_parks_is_counted_once() {
+        let parks = Arc::new(Counter::new());
+        let c =
+            Arc::new(SiteClock::new(SiteId::new(0), 3).counting_parks(Some(Arc::clone(&parks))));
+        c.wait_dominates(&VersionVector::zero(3)).unwrap();
+        assert_eq!(parks.get(), 0, "a satisfied wait does not park");
+        let min = VersionVector::from_counts(vec![0, 2, 0]);
+        let c2 = Arc::clone(&c);
+        let waiter = thread::spawn(move || c2.wait_dominates(&min).unwrap());
+        while parks.get() == 0 {
+            thread::yield_now();
+        }
+        // Two advances wake the waiter twice; it parked as one wait.
+        c.publish_refresh(SiteId::new(1), 1);
+        c.publish_refresh(SiteId::new(1), 2);
+        waiter.join().unwrap();
+        assert_eq!(parks.get(), 1);
     }
 
     /// A wake on this thread with a flag the test can read.

@@ -56,6 +56,10 @@ pub struct DataSiteConfig {
     /// dropped because this site hosts no copy of their partition
     /// (`refresh_records_skipped` in the metrics snapshot).
     pub refresh_skipped: Option<Arc<dynamast_common::metrics::Counter>>,
+    /// Shared counter of freshness waits that parked because this site's
+    /// svv did not yet cover the required vector (`site.freshness_parks`
+    /// in the metrics snapshot).
+    pub freshness_parks: Option<Arc<dynamast_common::metrics::Counter>>,
 }
 
 struct PreparedTxn {
@@ -350,7 +354,7 @@ impl DataSite {
         executor: Arc<dyn ProcExecutor>,
     ) -> Arc<Self> {
         let recorder = network.recorder();
-        let clock = Arc::new(clock);
+        let clock = Arc::new(clock.counting_parks(cfg.freshness_parks));
         let pipeline =
             CommitPipeline::new(cfg.id, Arc::clone(&clock), Arc::clone(logs.log(cfg.id)));
         let hosted = cfg.hosted.map(|parts| {
@@ -1801,6 +1805,7 @@ mod tests {
                 replicated_tables: Vec::new(),
                 hosted: None,
                 refresh_skipped: None,
+                freshness_parks: None,
             },
             catalog,
             LogSet::new(1),

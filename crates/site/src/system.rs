@@ -17,7 +17,8 @@ use dynamast_network::{EndpointId, Network, TrafficCategory};
 use crate::messages::{expect_ok, ExecTimings, SiteRequest, SiteResponse};
 use crate::proc::{ProcCall, ReadMode};
 
-/// A client session: identity plus SSSI session vector.
+/// A client session: identity, SSSI session vector, and the site that
+/// answered it last.
 #[derive(Clone, Debug)]
 pub struct ClientSession {
     /// Client identity.
@@ -25,6 +26,13 @@ pub struct ClientSession {
     /// Session version vector (`cvv`): the freshest state this client has
     /// observed; transactions must execute on state at least this fresh.
     pub cvv: VersionVector,
+    /// The site whose successful reply last advanced `cvv`, set by
+    /// [`exec_update_at`] and [`exec_read_at`]. Its svv covers `cvv` — a
+    /// read's reply carries its begin svv, an update's its commit vector,
+    /// which the site publishes with the commit's log fill — so the client
+    /// names it on its next routing request and the selector can route a
+    /// read to a site that needs no freshness wait (§IV-B).
+    pub last_site: Option<SiteId>,
 }
 
 impl ClientSession {
@@ -33,13 +41,16 @@ impl ClientSession {
         ClientSession {
             id,
             cvv: VersionVector::zero(num_sites),
+            last_site: None,
         }
     }
 
     /// Merges an observed site state into the session vector ("after the
     /// client accesses the site, it updates its version vector", §III-A).
+    /// Forgets `last_site`, whose svv need not cover the merged vector.
     pub fn observe(&mut self, vv: &VersionVector) {
         self.cvv.merge_max(vv);
+        self.last_site = None;
     }
 }
 
@@ -181,6 +192,7 @@ pub fn exec_update_at(
             timings,
         } => {
             session.observe(&commit_vv);
+            session.last_site = Some(site);
             Ok((result, timings))
         }
         _ => Err(dynamast_common::DynaError::Internal(
@@ -212,6 +224,7 @@ pub fn exec_read_at(
             timings,
         } => {
             session.observe(&site_vv);
+            session.last_site = Some(site);
             Ok((result, timings))
         }
         _ => Err(dynamast_common::DynaError::Internal(

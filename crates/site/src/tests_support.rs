@@ -66,6 +66,7 @@ pub fn deployment(n: usize) -> TestDeployment {
                 replicated_tables: Vec::new(),
                 hosted: None,
                 refresh_skipped: None,
+                freshness_parks: None,
             },
             catalog.clone(),
             logs.clone(),

@@ -394,6 +394,7 @@ fn quiet_pair() -> (Vec<Arc<DataSite>>, LogSet) {
                     replicated_tables: Vec::new(),
                     hosted: None,
                     refresh_skipped: None,
+                    freshness_parks: None,
                 },
                 catalog.clone(),
                 logs.clone(),
