@@ -38,8 +38,7 @@ use dynamast_common::metrics::Counter;
 use dynamast_common::{DynaError, Result, SystemConfig};
 use dynamast_core::partition_map::PartitionMap;
 use dynamast_network::{EndpointId, Network, TrafficCategory};
-use dynamast_replication::LogSet;
-use dynamast_site::data_site::{DataSite, DataSiteConfig, SiteRuntime, StaticOwnerFn};
+use dynamast_site::data_site::{DataSite, StaticOwnerFn};
 use dynamast_site::messages::{expect_ok, SiteRequest, SiteResponse};
 use dynamast_site::proc::{ProcCall, ProcExecutor, ReadMode};
 use dynamast_site::system::{
@@ -48,19 +47,16 @@ use dynamast_site::system::{
 };
 use dynamast_storage::Catalog;
 
+use crate::sites::Sites;
+
 /// A running LEAP deployment.
 pub struct LeapSystem {
     config: SystemConfig,
-    catalog: Catalog,
-    static_tables: Vec<TableId>,
-    network: Arc<Network>,
-    logs: LogSet,
-    sites: Vec<Arc<DataSite>>,
+    sites: Sites,
     map: PartitionMap,
     initial_owner: StaticOwnerFn,
     /// Partitions shipped between sites.
     pub partitions_shipped: Counter,
-    _runtimes: Vec<SiteRuntime>,
 }
 
 impl LeapSystem {
@@ -74,60 +70,32 @@ impl LeapSystem {
         executor: Arc<dyn ProcExecutor>,
         rpc_workers: usize,
     ) -> Arc<Self> {
-        let m = system.num_sites;
-        let network = Network::new(system.network, system.seed);
-        network.set_recorder(Some(dynamast_common::FlightRecorder::from_env()));
-        let logs = LogSet::new(m);
-        let mut sites = Vec::with_capacity(m);
-        let mut runtimes = Vec::with_capacity(m);
-        for i in 0..m {
-            let site = DataSite::new(
-                DataSiteConfig {
-                    id: SiteId::new(i),
-                    system: system.clone(),
-                    replicate: false,
-                    initial_partitions: Vec::new(),
-                    static_owner: None,
-                    replicated_tables: static_tables.clone(),
-                    hosted: None,
-                    refresh_skipped: None,
-                    freshness_parks: None,
-                },
-                catalog.clone(),
-                logs.clone(),
-                Arc::clone(&network),
-                Arc::clone(&executor),
-            );
-            runtimes.push(site.start(rpc_workers));
-            sites.push(site);
-        }
-        Arc::new(LeapSystem {
-            config: system,
+        let sites = Sites::start(
+            &system,
             catalog,
             static_tables,
-            network,
-            logs,
+            &executor,
+            rpc_workers,
+            false,
+            None,
+        );
+        Arc::new(LeapSystem {
+            config: system,
             sites,
             map: PartitionMap::new(),
             initial_owner,
             partitions_shipped: Counter::new(),
-            _runtimes: runtimes,
         })
     }
 
     /// The simulated network (traffic accounting).
     pub fn network(&self) -> &Arc<Network> {
-        &self.network
+        &self.sites.network
     }
 
     /// The data sites.
     pub fn sites(&self) -> &[Arc<DataSite>] {
-        &self.sites
-    }
-
-    /// The durable logs (redo only — LEAP does not replicate).
-    pub fn logs(&self) -> &LogSet {
-        &self.logs
+        &self.sites.all
     }
 
     /// Loads a row at its initial owner, registering ownership.
@@ -136,16 +104,13 @@ impl LeapSystem {
         key: dynamast_common::ids::Key,
         row: dynamast_common::Row,
     ) -> Result<()> {
-        if self.static_tables.contains(&key.table) {
-            for site in &self.sites {
-                site.load_row(key, row.clone())?;
-            }
+        let Some((partition, owner)) = self.sites.load_row(key, row, false, &self.initial_owner)?
+        else {
             return Ok(());
-        }
-        let partition = self.catalog.partition_of(key)?;
-        let owner = (self.initial_owner)(partition);
-        self.sites[owner.as_usize()].load_row(key, row)?;
-        self.sites[owner.as_usize()].ownership().grant(partition);
+        };
+        self.sites.all[owner.as_usize()]
+            .ownership()
+            .grant(partition);
         let entries = self.map.entries_for(&[partition]);
         let mut guards = self.map.lock_exclusive(&entries);
         entries[0].set_master(&mut guards[0], owner);
@@ -168,8 +133,9 @@ impl LeapSystem {
         body: impl FnOnce(SiteId) -> Result<T>,
     ) -> Result<(T, Duration)> {
         // Static tables are replicated everywhere and never localized.
-        let partitions =
-            proc.partitions(&self.catalog, |table| self.static_tables.contains(&table))?;
+        let partitions = proc.partitions(&self.sites.catalog, |table| {
+            self.sites.static_tables.contains(&table)
+        })?;
         if partitions.is_empty() {
             // A transaction over static replicated tables only: execute at
             // the destination without localization.
@@ -195,7 +161,7 @@ impl LeapSystem {
                     let req = SiteRequest::LeapRelease {
                         partitions: parts.clone(),
                     };
-                    let reply = self.network.rpc(
+                    let reply = self.sites.network.rpc(
                         EndpointId::Site(owner.raw()),
                         TrafficCategory::DataShip,
                         Bytes::from(encode_to_vec(&req)),
@@ -210,7 +176,7 @@ impl LeapSystem {
                 partitions: parts.clone(),
                 records,
             };
-            let reply = self.network.rpc(
+            let reply = self.sites.network.rpc(
                 EndpointId::Site(dest.raw()),
                 TrafficCategory::DataShip,
                 Bytes::from(encode_to_vec(&grant)),
@@ -241,7 +207,7 @@ impl ReplicatedSystem for LeapSystem {
         // Client → LEAP transaction manager round trip (localization
         // decisions are not free; DynaMast pays the same hop to its
         // selector).
-        self.network.charge_one_way(
+        self.sites.network.charge_one_way(
             TrafficCategory::ClientSelector,
             32 + proc.write_set.len() * 12,
         );
@@ -251,7 +217,7 @@ impl ReplicatedSystem for LeapSystem {
         let ((result, timings), localize) = self.localized(home, proc, |dest| {
             let mut session_ref = session.clone();
             let out = exec_update_at(
-                &self.network,
+                &self.sites.network,
                 dest,
                 txn_id,
                 &mut session_ref,
@@ -270,7 +236,7 @@ impl ReplicatedSystem for LeapSystem {
 
     fn read(&self, session: &mut ClientSession, proc: &ProcCall) -> Result<TxnOutcome> {
         let t0 = Instant::now();
-        self.network.charge_one_way(
+        self.sites.network.charge_one_way(
             TrafficCategory::ClientSelector,
             32 + proc.read_keys.len() * 12,
         );
@@ -279,7 +245,7 @@ impl ReplicatedSystem for LeapSystem {
         let ((result, timings), localize) = self.localized(home, proc, |dest| {
             let mut session_ref = session.clone();
             let out = exec_read_at(
-                &self.network,
+                &self.sites.network,
                 dest,
                 txn_id,
                 &mut session_ref,
@@ -297,13 +263,10 @@ impl ReplicatedSystem for LeapSystem {
 
     fn stats(&self) -> SystemStats {
         SystemStats {
-            committed_updates: self.sites.iter().map(|s| s.commits.get()).sum(),
-            aborts: self.sites.iter().map(|s| s.aborts.get()).sum(),
             remaster_ops: self.partitions_shipped.get(),
             partitions_moved: self.partitions_shipped.get(),
             masters_per_site: self.map.masters_per_site(self.config.num_sites),
-            updates_routed_per_site: Vec::new(),
-            resident_bytes: self.sites.iter().map(|s| s.store().resident_bytes()).sum(),
+            ..self.sites.stats()
         }
     }
 }

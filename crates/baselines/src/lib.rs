@@ -14,12 +14,18 @@
 //! * [`leap`] — LEAP: partitioned, unreplicated, single-site execution via
 //!   *data shipping*: every transaction localizes the partitions it touches
 //!   (reads included) to one site, moving the records themselves.
+//!
+//! [`build`] is the one way to get any of the five, DynaMast included, as a
+//! populated [`Deployment`] of a [`SystemKind`] over a workload.
 
 pub mod client_coord;
+mod deployment;
 pub mod leap;
 pub mod single_master;
+mod sites;
 pub mod static_system;
 
+pub use deployment::{build, Deployment, SystemKind};
 pub use leap::LeapSystem;
-pub use single_master::{single_master, single_master_with_workers};
+pub use single_master::single_master;
 pub use static_system::{StaticKind, StaticSystem};

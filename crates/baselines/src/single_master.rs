@@ -22,19 +22,10 @@ use dynamast_storage::Catalog;
 /// The site hosting every master copy.
 pub const MASTER_SITE: SiteId = SiteId::new(0);
 
-/// Builds a running single-master deployment.
+/// Builds a running single-master deployment with `rpc_workers` RPC
+/// workers per site: the pool is the site's simulated capacity, so a
+/// comparison gives every architecture the same pool size.
 pub fn single_master(
-    system: SystemConfig,
-    catalog: Catalog,
-    executor: Arc<dyn ProcExecutor>,
-) -> Arc<DynaMastSystem> {
-    single_master_with_workers(system, catalog, executor, 24)
-}
-
-/// Builds a single-master deployment with an explicit per-site RPC worker
-/// count — the worker pool is the site's simulated capacity, so comparisons
-/// must give every system the same pool size.
-pub fn single_master_with_workers(
     system: SystemConfig,
     catalog: Catalog,
     executor: Arc<dyn ProcExecutor>,

@@ -34,13 +34,13 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::client_coord::{fetch, two_phase_commit, ClientCtx, FetchPlan};
+use crate::sites::Sites;
 use dynamast_replication::record::WriteEntry;
 
 use dynamast_common::ids::SiteId;
 use dynamast_common::{Result, SystemConfig};
 use dynamast_network::Network;
-use dynamast_replication::LogSet;
-use dynamast_site::data_site::{DataSite, DataSiteConfig, SiteRuntime, StaticOwnerFn};
+use dynamast_site::data_site::{DataSite, StaticOwnerFn};
 use dynamast_site::proc::{ProcCall, ProcExecutor, ReadMode, ScanRange};
 use dynamast_site::system::{
     exec_read_at, Breakdown, ClientSession, ReplicatedSystem, SystemStats, TxnOutcome,
@@ -76,16 +76,11 @@ impl StaticKind {
 pub struct StaticSystem {
     kind: StaticKind,
     config: SystemConfig,
-    catalog: Catalog,
-    static_tables: Vec<dynamast_common::ids::TableId>,
-    network: Arc<Network>,
-    logs: LogSet,
-    sites: Vec<Arc<DataSite>>,
+    sites: Sites,
     owner: StaticOwnerFn,
     executor: Arc<dyn ProcExecutor>,
     rng: Mutex<SmallRng>,
     txn_counter: AtomicU64,
-    _runtimes: Vec<SiteRuntime>,
 }
 
 impl StaticSystem {
@@ -99,62 +94,34 @@ impl StaticSystem {
         executor: Arc<dyn ProcExecutor>,
         rpc_workers: usize,
     ) -> Arc<Self> {
-        let m = system.num_sites;
-        let network = Network::new(system.network, system.seed);
-        network.set_recorder(Some(dynamast_common::FlightRecorder::from_env()));
-        let logs = LogSet::new(m);
-        let mut sites = Vec::with_capacity(m);
-        let mut runtimes = Vec::with_capacity(m);
-        for i in 0..m {
-            let site = DataSite::new(
-                DataSiteConfig {
-                    id: SiteId::new(i),
-                    system: system.clone(),
-                    replicate: kind.replicate(),
-                    initial_partitions: Vec::new(),
-                    static_owner: Some(Arc::clone(&owner)),
-                    replicated_tables: static_tables.clone(),
-                    hosted: None,
-                    refresh_skipped: None,
-                    freshness_parks: None,
-                },
-                catalog.clone(),
-                logs.clone(),
-                Arc::clone(&network),
-                Arc::clone(&executor),
-            );
-            runtimes.push(site.start(rpc_workers));
-            sites.push(site);
-        }
-        Arc::new(StaticSystem {
-            kind,
+        let sites = Sites::start(
+            &system,
             catalog,
             static_tables,
-            network,
-            logs,
+            &executor,
+            rpc_workers,
+            kind.replicate(),
+            Some(Arc::clone(&owner)),
+        );
+        Arc::new(StaticSystem {
+            kind,
             sites,
             owner,
             executor,
             rng: Mutex::new(SmallRng::seed_from_u64(system.seed ^ 0x0057_A71C)),
             txn_counter: AtomicU64::new(1),
-            _runtimes: runtimes,
             config: system,
         })
     }
 
     /// The simulated network (traffic accounting).
     pub fn network(&self) -> &Arc<Network> {
-        &self.network
-    }
-
-    /// The durable logs.
-    pub fn logs(&self) -> &LogSet {
-        &self.logs
+        &self.sites.network
     }
 
     /// The data sites.
     pub fn sites(&self) -> &[Arc<DataSite>] {
-        &self.sites
+        &self.sites.all
     }
 
     /// Loads one row into the owning site (and all replicas under
@@ -164,19 +131,13 @@ impl StaticSystem {
         key: dynamast_common::ids::Key,
         row: dynamast_common::Row,
     ) -> Result<()> {
-        if self.kind.replicate() || self.static_tables.contains(&key.table) {
-            for site in &self.sites {
-                site.load_row(key, row.clone())?;
-            }
-        } else {
-            let owner = (self.owner)(self.catalog.partition_of(key)?);
-            self.sites[owner.as_usize()].load_row(key, row)?;
-        }
-        Ok(())
+        self.sites
+            .load_row(key, row, self.kind.replicate(), &self.owner)
+            .map(drop)
     }
 
     fn owner_of_key(&self, key: dynamast_common::ids::Key) -> Result<SiteId> {
-        Ok((self.owner)(self.catalog.partition_of(key)?))
+        Ok((self.owner)(self.sites.catalog.partition_of(key)?))
     }
 
     /// Builds per-site fetch plans for everything a transaction reads
@@ -205,7 +166,7 @@ impl StaticSystem {
                 Some(site) => plans.entry(site).or_default().ranges.push(*range),
                 None => {
                     // Split by owner; contiguous same-owner subranges merge.
-                    let schema = self.catalog.table(range.table)?;
+                    let schema = self.sites.catalog.table(range.table)?;
                     let psize = schema.partition_size;
                     let mut cursor = range.start;
                     while cursor < range.end {
@@ -243,14 +204,14 @@ impl ReplicatedSystem for StaticSystem {
         let mut attempt = 0u32;
         loop {
             // 1. Fetch phase (parallel per site; stragglers bound latency).
-            let fetched = fetch(&self.network, self.fetch_plans(proc)?)?;
+            let fetched = fetch(&self.sites.network, self.fetch_plans(proc)?)?;
             // 2. Execute locally over the fetched rows.
             let t_exec0 = Instant::now();
             let mut ctx = ClientCtx::new(fetched, proc.write_set.clone());
             let result = self.executor.execute(&mut ctx, proc)?;
             let (writes, read_stamps) = ctx.into_writes();
             let exec_time = t_exec0.elapsed();
-            if let Some(rec) = self.network.recorder() {
+            if let Some(rec) = self.sites.network.recorder() {
                 use dynamast_common::trace::{TraceKind, TracePayload, TraceSite};
                 rec.record(
                     trace_id,
@@ -273,7 +234,7 @@ impl ReplicatedSystem for StaticSystem {
             }
             let txn_id = (u64::from(self.config.num_sites as u32) << 48)
                 | self.txn_counter.fetch_add(1, Ordering::Relaxed);
-            match two_phase_commit(&self.network, trace_id, txn_id, groups, &read_stamps)? {
+            match two_phase_commit(&self.sites.network, trace_id, txn_id, groups, &read_stamps)? {
                 Some(commit_vv) => {
                     session.observe(&commit_vv);
                     let commit_time = t_commit0.elapsed();
@@ -313,7 +274,7 @@ impl ReplicatedSystem for StaticSystem {
                 let site = SiteId::new(self.rng.lock().gen_range(0..self.config.num_sites));
                 let txn_id = dynamast_common::trace::next_trace_id();
                 let (result, timings) = exec_read_at(
-                    &self.network,
+                    &self.sites.network,
                     site,
                     txn_id,
                     session,
@@ -333,7 +294,7 @@ impl ReplicatedSystem for StaticSystem {
             StaticKind::PartitionStore => {
                 // Multi-site read-only transaction: the client fans out to
                 // every owning site and completes at the slowest response.
-                let fetched = fetch(&self.network, self.fetch_plans(proc)?)?;
+                let fetched = fetch(&self.sites.network, self.fetch_plans(proc)?)?;
                 let mut ctx = ClientCtx::new(fetched, Vec::new());
                 let result = self.executor.execute(&mut ctx, proc)?;
                 Ok(TxnOutcome {
@@ -350,14 +311,6 @@ impl ReplicatedSystem for StaticSystem {
     }
 
     fn stats(&self) -> SystemStats {
-        SystemStats {
-            committed_updates: self.sites.iter().map(|s| s.commits.get()).sum(),
-            aborts: self.sites.iter().map(|s| s.aborts.get()).sum(),
-            remaster_ops: 0,
-            partitions_moved: 0,
-            masters_per_site: Vec::new(),
-            updates_routed_per_site: Vec::new(),
-            resident_bytes: self.sites.iter().map(|s| s.store().resident_bytes()).sum(),
-        }
+        self.sites.stats()
     }
 }

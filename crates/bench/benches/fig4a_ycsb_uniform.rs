@@ -5,9 +5,10 @@
 //! LEAP; single-master saturates as clients grow; multi-master beats
 //! partition-store thanks to replica scans.
 
+use dynamast_baselines::{build, SystemKind};
 use dynamast_bench::{
-    build_system, default_clients, fmt_throughput, measure_secs, print_header, print_row, run,
-    warmup_secs, RunConfig, ALL_SYSTEMS,
+    default_clients, fmt_throughput, measure_secs, print_header, print_row, run, warmup_secs,
+    RunConfig,
 };
 use dynamast_common::SystemConfig;
 use dynamast_workloads::{YcsbConfig, YcsbWorkload};
@@ -38,17 +39,11 @@ fn main() {
         "Figure 4a — YCSB uniform 50/50 RMW/scan, 4 sites (throughput vs clients)",
         &columns,
     );
-    for kind in ALL_SYSTEMS {
+    for kind in SystemKind::ALL {
         for &clients in &client_steps {
             let config = SystemConfig::new(num_sites).with_seed(4001);
-            let built = build_system(
-                kind,
-                &workload,
-                config,
-                dynamast_bench::SITE_WORKERS,
-                Vec::new(),
-            )
-            .expect("build system");
+            let built =
+                build(kind, config, &workload, dynamast_bench::SITE_WORKERS).expect("build system");
             let result = run(
                 &built.system,
                 &workload,

@@ -4,9 +4,10 @@
 //! partition-store (fewer scans to exploit replicas, update propagation
 //! overhead remains); single-master saturates fastest.
 
+use dynamast_baselines::{build, SystemKind};
 use dynamast_bench::{
-    build_system, default_clients, fmt_throughput, measure_secs, print_header, print_row, run,
-    warmup_secs, RunConfig, ALL_SYSTEMS,
+    default_clients, fmt_throughput, measure_secs, print_header, print_row, run, warmup_secs,
+    RunConfig,
 };
 use dynamast_common::SystemConfig;
 use dynamast_workloads::{YcsbConfig, YcsbWorkload};
@@ -29,16 +30,10 @@ fn main() {
         "errors",
     ];
     print_header("Figure 4b — YCSB uniform 90/10 RMW/scan, 4 sites", &columns);
-    for kind in ALL_SYSTEMS {
+    for kind in SystemKind::ALL {
         let config = SystemConfig::new(num_sites).with_seed(4002);
-        let built = build_system(
-            kind,
-            &workload,
-            config,
-            dynamast_bench::SITE_WORKERS,
-            Vec::new(),
-        )
-        .expect("build system");
+        let built =
+            build(kind, config, &workload, dynamast_bench::SITE_WORKERS).expect("build system");
         let result = run(
             &built.system,
             &workload,

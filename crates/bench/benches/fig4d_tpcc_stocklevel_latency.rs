@@ -5,9 +5,10 @@
 //! read-only transactions are straggler-bound); LEAP orders of magnitude
 //! higher (it must localize read sets).
 
+use dynamast_baselines::{build, SystemKind};
 use dynamast_bench::{
-    build_system, default_clients, fmt_duration, measure_secs, print_header, print_row, run,
-    warmup_secs, RunConfig, ALL_SYSTEMS,
+    default_clients, fmt_duration, measure_secs, print_header, print_row, run, warmup_secs,
+    RunConfig,
 };
 use dynamast_common::{StrategyWeights, SystemConfig};
 use dynamast_workloads::{TpccConfig, TpccWorkload};
@@ -28,18 +29,12 @@ fn main() {
         "Figure 4d — TPC-C Stock-Level latency (8 sites, 45/45/10 mix)",
         &columns,
     );
-    for kind in ALL_SYSTEMS {
+    for kind in SystemKind::ALL {
         let config = SystemConfig::new(num_sites)
             .with_weights(StrategyWeights::tpcc())
             .with_seed(4004);
-        let built = build_system(
-            kind,
-            &workload,
-            config,
-            dynamast_bench::SITE_WORKERS,
-            Vec::new(),
-        )
-        .expect("build system");
+        let built =
+            build(kind, config, &workload, dynamast_bench::SITE_WORKERS).expect("build system");
         let result = run(
             &built.system,
             &workload,

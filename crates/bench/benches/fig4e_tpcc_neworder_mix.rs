@@ -4,9 +4,10 @@
 //! throughput of partition-store/multi-master, ≈20× LEAP, and ≈1.64×
 //! single-master.
 
+use dynamast_baselines::{build, SystemKind};
 use dynamast_bench::{
-    build_system, default_clients, fmt_throughput, measure_secs, print_header, print_row, run,
-    warmup_secs, RunConfig, ALL_SYSTEMS,
+    default_clients, fmt_throughput, measure_secs, print_header, print_row, run, warmup_secs,
+    RunConfig,
 };
 use dynamast_common::{StrategyWeights, SystemConfig};
 use dynamast_workloads::{TpccConfig, TpccWorkload};
@@ -22,7 +23,7 @@ fn main() {
         "Figure 4e — TPC-C throughput vs %New-Order (8 sites)",
         &columns,
     );
-    for kind in ALL_SYSTEMS {
+    for kind in SystemKind::ALL {
         for &share in &neworder_shares {
             let workload = TpccWorkload::new(TpccConfig {
                 neworder_fraction: share,
@@ -32,14 +33,8 @@ fn main() {
             let config = SystemConfig::new(num_sites)
                 .with_weights(StrategyWeights::tpcc())
                 .with_seed(4005);
-            let built = build_system(
-                kind,
-                &workload,
-                config,
-                dynamast_bench::SITE_WORKERS,
-                Vec::new(),
-            )
-            .expect("build system");
+            let built =
+                build(kind, config, &workload, dynamast_bench::SITE_WORKERS).expect("build system");
             let result = run(
                 &built.system,
                 &workload,

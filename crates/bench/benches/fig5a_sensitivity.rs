@@ -6,9 +6,10 @@
 //! ≈16% throughput on correlation-heavy workloads (≈10% for
 //! `w_inter_txn`); any non-zero setting stays within ≈8% of the best.
 
+use dynamast_baselines::{build, SystemKind};
 use dynamast_bench::{
-    build_system, default_clients, fmt_throughput, measure_secs, print_header, print_row, run,
-    warmup_secs, RunConfig, SystemKind,
+    default_clients, fmt_throughput, measure_secs, print_header, print_row, run, warmup_secs,
+    RunConfig,
 };
 use dynamast_common::config::WeightKind;
 use dynamast_common::{StrategyWeights, SystemConfig};
@@ -76,12 +77,11 @@ fn main() {
         let config = SystemConfig::new(num_sites)
             .with_weights(weights)
             .with_seed(5001);
-        let built = build_system(
+        let built = build(
             SystemKind::DynaMast,
-            &workload,
             config,
+            &workload,
             dynamast_bench::SITE_WORKERS,
-            Vec::new(),
         )
         .expect("build system");
         let result = run(

@@ -8,13 +8,15 @@
 //! measurement interval, ending ≈1.6× where it started.
 
 use dynamast_bench::{
-    build_system, fmt_throughput, measure_secs, print_header, print_row, run, warmup_secs,
-    RunConfig, SystemKind,
+    fmt_throughput, measure_secs, print_header, print_row, run, warmup_secs, RunConfig,
 };
 use dynamast_common::ids::SiteId;
 use dynamast_common::SystemConfig;
+use dynamast_core::dynamast::{DynaMastConfig, DynaMastSystem};
+use dynamast_site::system::ReplicatedSystem;
 use dynamast_workloads::ycsb::all_partitions;
-use dynamast_workloads::{YcsbConfig, YcsbWorkload};
+use dynamast_workloads::{Workload, YcsbConfig, YcsbWorkload};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
@@ -40,20 +42,24 @@ fn main() {
         .map(|(i, p)| (*p, SiteId::new((i as u64 * num_sites as u64 / n) as usize)))
         .collect();
 
+    // Seeded, so built here rather than by the unplaced-start factory: each
+    // site is granted its seeded partitions as it comes up.
     let config = SystemConfig::new(num_sites).with_seed(5002);
-    let built = build_system(
-        SystemKind::DynaMast,
-        &workload,
-        config,
-        dynamast_bench::SITE_WORKERS,
-        placements,
-    )
-    .expect("build system");
+    let cfg = DynaMastConfig {
+        initial_placements: placements,
+        rpc_workers: dynamast_bench::SITE_WORKERS,
+        ..DynaMastConfig::adaptive(config, workload.catalog())
+    };
+    let dynamast = DynaMastSystem::build(cfg, workload.executor());
+    workload
+        .populate(&mut |key, row| dynamast.load_row(key, row))
+        .expect("load database");
+    let system: Arc<dyn ReplicatedSystem> = dynamast;
 
     let measure = measure_secs() * 4; // the adaptivity curve needs a window
     let mut run_cfg = RunConfig::new(num_sites, clients, warmup_secs() / 2, measure);
     run_cfg.timeline_interval = Some(Duration::from_millis(500));
-    let result = run(&built.system, &workload, &run_cfg);
+    let result = run(&system, &workload, &run_cfg);
 
     let columns = ["interval", "throughput "];
     print_header(

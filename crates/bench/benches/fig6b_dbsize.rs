@@ -4,9 +4,10 @@
 //! mixes; the skewed mix *improves* slightly (skew spreads over more items,
 //! lowering contention).
 
+use dynamast_baselines::{build, SystemKind};
 use dynamast_bench::{
-    build_system, default_clients, fmt_throughput, measure_secs, print_header, print_row, run,
-    warmup_secs, RunConfig, SystemKind,
+    default_clients, fmt_throughput, measure_secs, print_header, print_row, run, warmup_secs,
+    RunConfig,
 };
 use dynamast_common::SystemConfig;
 use dynamast_workloads::{YcsbConfig, YcsbWorkload};
@@ -21,7 +22,7 @@ fn main() {
     ];
     let sizes = [100_000u64, 600_000];
 
-    let columns = ["mix   ", "keys    ", "throughput ", "versions/site"];
+    let columns = ["mix   ", "keys    ", "throughput ", "resident MiB/site"];
     print_header("Figure 6b — DynaMast throughput vs database size", &columns);
     for (label, rmw, zipf) in mixes {
         for &num_keys in &sizes {
@@ -33,12 +34,11 @@ fn main() {
                 ..YcsbConfig::default()
             });
             let config = SystemConfig::new(num_sites).with_seed(6002);
-            let built = build_system(
+            let built = build(
                 SystemKind::DynaMast,
-                &workload,
                 config,
+                &workload,
                 dynamast_bench::SITE_WORKERS,
-                Vec::new(),
             )
             .expect("build system");
             let result = run(
@@ -46,18 +46,15 @@ fn main() {
                 &workload,
                 &RunConfig::new(num_sites, clients, warmup_secs(), measure_secs()),
             );
-            let versions = built
-                .dynamast
-                .as_ref()
-                .map(|d| d.sites()[0].store().version_count())
-                .unwrap_or(0);
+            let resident_mib =
+                result.stats.resident_bytes as f64 / num_sites as f64 / (1024.0 * 1024.0);
             print_row(
                 &columns,
                 &[
                     label.to_string(),
                     num_keys.to_string(),
                     fmt_throughput(result.throughput),
-                    versions.to_string(),
+                    format!("{resident_mib:.1}"),
                 ],
             );
         }

@@ -5,9 +5,10 @@
 //! load grows proportionally (the paper reports maximum throughput per
 //! site count).
 
+use dynamast_baselines::{build, SystemKind};
 use dynamast_bench::{
-    build_system, default_clients, fmt_throughput, measure_secs, print_header, print_row, run,
-    warmup_secs, RunConfig, SystemKind,
+    default_clients, fmt_throughput, measure_secs, print_header, print_row, run, warmup_secs,
+    RunConfig,
 };
 use dynamast_common::SystemConfig;
 use dynamast_workloads::{YcsbConfig, YcsbWorkload};
@@ -31,12 +32,11 @@ fn main() {
         });
         let clients = base_clients * num_sites / site_counts[0];
         let config = SystemConfig::new(num_sites).with_seed(6003);
-        let built = build_system(
+        let built = build(
             SystemKind::DynaMast,
-            &workload,
             config,
+            &workload,
             dynamast_bench::SITE_WORKERS,
-            Vec::new(),
         )
         .expect("build system");
         let result = run(

@@ -6,9 +6,9 @@
 //! <1%, commit ≈1%. Fewer than 1–3% of transactions remaster; replication
 //! traffic dwarfs remastering traffic (155 MB/s vs 3 MB/s in the paper).
 
+use dynamast_baselines::{build, SystemKind};
 use dynamast_bench::{
-    build_system, default_clients, measure_secs, print_header, print_row, run, warmup_secs,
-    RunConfig, SystemKind,
+    default_clients, measure_secs, print_header, print_row, run, warmup_secs, RunConfig,
 };
 use dynamast_common::SystemConfig;
 use dynamast_network::TrafficCategory;
@@ -23,21 +23,20 @@ fn main() {
         ..YcsbConfig::default()
     });
     let config = SystemConfig::new(num_sites).with_seed(7001);
-    let built = build_system(
+    let built = build(
         SystemKind::DynaMast,
-        &workload,
         config,
+        &workload,
         dynamast_bench::SITE_WORKERS,
-        Vec::new(),
     )
     .expect("build system");
-    let before = built.traffic_snapshot();
+    let before = built.network.stats().snapshot();
     let result = run(
         &built.system,
         &workload,
         &RunConfig::new(num_sites, clients, warmup_secs(), measure_secs()),
     );
-    let traffic = built.traffic_snapshot().delta_since(&before);
+    let traffic = built.network.stats().snapshot().delta_since(&before);
 
     let columns = ["category ", "mean     ", "share"];
     print_header(

@@ -4,9 +4,10 @@
 //! multi-master, +40% over single-master, >6× LEAP (which ships data for
 //! every localization).
 
+use dynamast_baselines::{build, SystemKind};
 use dynamast_bench::{
-    build_system, default_clients, fmt_throughput, measure_secs, print_header, print_row, run,
-    warmup_secs, RunConfig, ALL_SYSTEMS,
+    default_clients, fmt_throughput, measure_secs, print_header, print_row, run, warmup_secs,
+    RunConfig,
 };
 use dynamast_common::{StrategyWeights, SystemConfig};
 use dynamast_workloads::{SmallBankConfig, SmallBankWorkload};
@@ -21,18 +22,12 @@ fn main() {
 
     let columns = ["system         ", "throughput ", "aborts", "remaster%"];
     print_header("Figure 8a — SmallBank throughput (4 sites)", &columns);
-    for kind in ALL_SYSTEMS {
+    for kind in SystemKind::ALL {
         let config = SystemConfig::new(num_sites)
             .with_weights(StrategyWeights::smallbank())
             .with_seed(8001);
-        let built = build_system(
-            kind,
-            &workload,
-            config,
-            dynamast_bench::SITE_WORKERS,
-            Vec::new(),
-        )
-        .expect("build system");
+        let built =
+            build(kind, config, &workload, dynamast_bench::SITE_WORKERS).expect("build system");
         let result = run(
             &built.system,
             &workload,

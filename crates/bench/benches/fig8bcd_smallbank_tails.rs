@@ -6,9 +6,10 @@
 //! (data-shipping waits); partition-store's tails ≈4× (uncertainty-window
 //! blocking); read-only Balance is similar across the replicated systems.
 
+use dynamast_baselines::{build, SystemKind};
 use dynamast_bench::{
-    build_system, default_clients, fmt_duration, measure_secs, print_header, print_row, run,
-    warmup_secs, RunConfig, ALL_SYSTEMS,
+    default_clients, fmt_duration, measure_secs, print_header, print_row, run, warmup_secs,
+    RunConfig,
 };
 use dynamast_common::{StrategyWeights, SystemConfig};
 use dynamast_workloads::{SmallBankConfig, SmallBankWorkload};
@@ -34,18 +35,12 @@ fn main() {
         "Figures 8b-8d — SmallBank tail latency per transaction class",
         &columns,
     );
-    for kind in ALL_SYSTEMS {
+    for kind in SystemKind::ALL {
         let config = SystemConfig::new(num_sites)
             .with_weights(StrategyWeights::smallbank())
             .with_seed(8002);
-        let built = build_system(
-            kind,
-            &workload,
-            config,
-            dynamast_bench::SITE_WORKERS,
-            Vec::new(),
-        )
-        .expect("build system");
+        let built =
+            build(kind, config, &workload, dynamast_bench::SITE_WORKERS).expect("build system");
         let result = run(
             &built.system,
             &workload,

@@ -7,9 +7,10 @@
 //! Payment rate rises 0% → 15%, DynaMast/single-master latency stays almost
 //! flat while the 2PC systems' grows by ~10 ms.
 
+use dynamast_baselines::{build, SystemKind};
 use dynamast_bench::{
-    build_system, default_clients, fmt_duration, measure_secs, print_header, print_row, run,
-    warmup_secs, RunConfig, ALL_SYSTEMS,
+    default_clients, fmt_duration, measure_secs, print_header, print_row, run, warmup_secs,
+    RunConfig,
 };
 use dynamast_common::{StrategyWeights, SystemConfig};
 use dynamast_workloads::{TpccConfig, TpccWorkload};
@@ -30,19 +31,13 @@ fn main() {
         "Figures 8e/8f — TPC-C Payment latency (15% cross-warehouse)",
         &columns,
     );
-    for kind in ALL_SYSTEMS {
+    for kind in SystemKind::ALL {
         let workload = TpccWorkload::new(TpccConfig::default());
         let config = SystemConfig::new(num_sites)
             .with_weights(StrategyWeights::tpcc())
             .with_seed(8005);
-        let built = build_system(
-            kind,
-            &workload,
-            config,
-            dynamast_bench::SITE_WORKERS,
-            Vec::new(),
-        )
-        .expect("build system");
+        let built =
+            build(kind, config, &workload, dynamast_bench::SITE_WORKERS).expect("build system");
         let result = run(
             &built.system,
             &workload,
@@ -64,7 +59,7 @@ fn main() {
     // 8g: average Payment latency vs cross-warehouse rate.
     let columns = ["system         ", "cross-wh%", "payment avg"];
     print_header("Figure 8g — Payment latency vs %cross-warehouse", &columns);
-    for kind in ALL_SYSTEMS {
+    for kind in SystemKind::ALL {
         for rate in [0.0f64, 0.15] {
             let workload = TpccWorkload::new(TpccConfig {
                 payment_remote_fraction: rate,
@@ -73,14 +68,8 @@ fn main() {
             let config = SystemConfig::new(num_sites)
                 .with_weights(StrategyWeights::tpcc())
                 .with_seed(8006);
-            let built = build_system(
-                kind,
-                &workload,
-                config,
-                dynamast_bench::SITE_WORKERS,
-                Vec::new(),
-            )
-            .expect("build system");
+            let built =
+                build(kind, config, &workload, dynamast_bench::SITE_WORKERS).expect("build system");
             let result = run(
                 &built.system,
                 &workload,

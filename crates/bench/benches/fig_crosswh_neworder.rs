@@ -6,9 +6,10 @@
 //! avoids overloading one site, ending ≈25% below single-master); LEAP
 //! grows >2.2× from extra data shipping.
 
+use dynamast_baselines::{build, SystemKind};
 use dynamast_bench::{
-    build_system, default_clients, fmt_duration, measure_secs, print_header, print_row, run,
-    warmup_secs, RunConfig, ALL_SYSTEMS,
+    default_clients, fmt_duration, measure_secs, print_header, print_row, run, warmup_secs,
+    RunConfig,
 };
 use dynamast_common::{StrategyWeights, SystemConfig};
 use dynamast_workloads::{TpccConfig, TpccWorkload};
@@ -23,7 +24,7 @@ fn main() {
         "Cross-warehouse sweep — TPC-C New-Order latency (8 sites)",
         &columns,
     );
-    for kind in ALL_SYSTEMS {
+    for kind in SystemKind::ALL {
         for &rate in &cross_rates {
             let workload = TpccWorkload::new(TpccConfig {
                 neworder_remote_fraction: rate,
@@ -32,14 +33,8 @@ fn main() {
             let config = SystemConfig::new(num_sites)
                 .with_weights(StrategyWeights::tpcc())
                 .with_seed(4006);
-            let built = build_system(
-                kind,
-                &workload,
-                config,
-                dynamast_bench::SITE_WORKERS,
-                Vec::new(),
-            )
-            .expect("build system");
+            let built =
+                build(kind, config, &workload, dynamast_bench::SITE_WORKERS).expect("build system");
             let result = run(
                 &built.system,
                 &workload,

@@ -1,27 +1,27 @@
-//! Benchmark harness: builds any of the five evaluated systems over any
-//! workload, drives closed-loop clients, and reports the numbers each paper
-//! figure needs.
+//! Benchmark harness: drives closed-loop clients against a deployment and
+//! reports the numbers each paper figure needs.
 //!
-//! Every figure of the paper's evaluation has a bench target in
-//! `benches/` (see DESIGN.md's experiment index); each target prints the
-//! same rows/series the paper reports. Scales are reduced — the goal is the
-//! *shape* of each result (who wins, by roughly what factor, where
-//! crossovers fall), not the authors' absolute testbed numbers.
+//! Each figure builds the architectures it compares through
+//! `dynamast_baselines::build`, the one factory from a `SystemKind` and a
+//! workload to a populated deployment, with [`SITE_WORKERS`] workers per
+//! site for every kind. Every figure of the paper's evaluation has a bench
+//! target in `benches/` (see DESIGN.md's experiment index); each target
+//! prints the same rows/series the paper reports. Scales are reduced — the
+//! goal is the *shape* of each result (who wins, by roughly what factor,
+//! where crossovers fall), not the authors' absolute testbed numbers.
 //!
 //! Environment knobs (all optional):
 //!
-//! * `DYNA_MEASURE_SECS` — measured window per configuration (default 2).
-//! * `DYNA_WARMUP_SECS` — warmup per configuration (default 1).
+//! * `DYNA_MEASURE_SECS` — measured window per configuration (default 3).
+//! * `DYNA_WARMUP_SECS` — warmup per configuration (default 3).
 //! * `DYNA_CLIENTS` — overrides the default client count where a bench does
 //!   not sweep clients.
 
 pub mod driver;
 pub mod report;
-pub mod setup;
 
 pub use driver::{run, RunConfig, RunResult};
 pub use report::{fmt_duration, fmt_throughput, print_header, print_row};
-pub use setup::{build_system, BuiltSystem, SystemKind};
 
 use std::time::Duration;
 
@@ -61,12 +61,3 @@ fn env_secs(name: &str, default: f64) -> Duration {
 /// a single-master site bottleneck while DynaMast spreads the same load
 /// over every site's pool.
 pub const SITE_WORKERS: usize = 4;
-
-/// The five evaluated systems, in the paper's presentation order.
-pub const ALL_SYSTEMS: [SystemKind; 5] = [
-    SystemKind::DynaMast,
-    SystemKind::SingleMaster,
-    SystemKind::MultiMaster,
-    SystemKind::PartitionStore,
-    SystemKind::Leap,
-];

@@ -345,15 +345,6 @@ impl DynaMastSystem {
     /// checkpointed are *not* recoverable (the load image is not logged) —
     /// checkpoint once after population.
     pub fn recover(cfg: DynaMastConfig, executor: Arc<dyn ProcExecutor>) -> Result<Arc<Self>> {
-        Self::recover_named("dynamast", cfg, executor)
-    }
-
-    /// [`DynaMastSystem::recover`] with an explicit report name.
-    pub fn recover_named(
-        name: &'static str,
-        cfg: DynaMastConfig,
-        executor: Arc<dyn ProcExecutor>,
-    ) -> Result<Arc<Self>> {
         let m = cfg.system.num_sites;
         let root = cfg
             .system
@@ -397,7 +388,7 @@ impl DynaMastSystem {
         let placements = map.iter().map(|(p, s)| (*p, *s)).collect();
         let mut per_site = per_site.into_iter();
         let sys = Self::assemble(
-            name,
+            "dynamast",
             cfg,
             executor,
             logs,
@@ -413,7 +404,7 @@ impl DynaMastSystem {
         Ok(sys)
     }
 
-    /// The assembly `build_named` and `recover_named` share: the fabric and
+    /// The assembly `build_named` and `recover` share: the fabric and
     /// its recorder, the metrics registry, a selector seeded with
     /// `placements` and allocating epochs above `epoch_floor`, the system
     /// itself, then one `start_site` call per site and the svv probe.

@@ -166,7 +166,8 @@ fn pinned_selector_routes_everything_to_one_site() {
     let config = SystemConfig::new(3)
         .with_instant_network()
         .with_instant_service();
-    let system = dynamast_baselines::single_master::single_master(config, catalog, Arc::new(Nop));
+    let system =
+        dynamast_baselines::single_master::single_master(config, catalog, Arc::new(Nop), 24);
     let mut session = ClientSession::new(ClientId::new(1), 3);
     for i in 0..20u64 {
         system.update(&mut session, &write(&[i * 100])).unwrap();

@@ -1,6 +1,9 @@
 //! Architecture shoot-out: run the same YCSB burst on all five systems the
-//! paper evaluates and print a side-by-side comparison — a miniature
-//! Figure 4a you can run in seconds.
+//! paper evaluates, plus DynaMast under floor-2 partial replication, and
+//! print a side-by-side comparison — a miniature Figure 4a you can run in
+//! seconds. Every system is built by the same factory with the same worker
+//! pool per site; `tests/traffic_audit.rs` asserts each one's traffic
+//! matrix, and this program prints its bytes per category.
 //!
 //! Run with: `cargo run --release --example architecture_comparison`
 
@@ -8,55 +11,32 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use dynamast::baselines::leap::LeapSystem;
-use dynamast::baselines::single_master::single_master;
-use dynamast::baselines::static_system::{StaticKind, StaticSystem};
+use dynamast::baselines::{build, SystemKind};
 use dynamast::common::ids::ClientId;
 use dynamast::common::{Result, SystemConfig};
-use dynamast::core::dynamast::{DynaMastConfig, DynaMastSystem};
-use dynamast::network::{Network, TrafficCategory};
-use dynamast::site::system::{ClientSession, ReplicatedSystem};
+use dynamast::network::TrafficCategory;
+use dynamast::site::system::ClientSession;
 use dynamast::workloads::{TxnKind, Workload, YcsbConfig, YcsbWorkload};
 
 const CLIENTS: usize = 8;
 const TXNS_PER_CLIENT: usize = 150;
 const SITES: usize = 4;
+/// RPC workers per site, the same for every architecture.
+const WORKERS: usize = 8;
 
-/// Asserts the traffic matrix matches the architecture: every category in
-/// `expected` saw at least one message, every other category saw none. A
-/// zero where traffic belongs (or traffic where none belongs) means an RPC
-/// path lost its accounting — exactly the regression this example guards.
-fn audit_traffic(name: &str, network: &Arc<Network>, expected: &[TrafficCategory]) {
-    let snapshot = network.stats().snapshot();
-    let mut bad = Vec::new();
-    for category in TrafficCategory::ALL {
-        let messages = snapshot.get(category).messages;
-        let relevant = expected.contains(&category);
-        if relevant && messages == 0 {
-            bad.push(format!("{} expected traffic, saw none", category.label()));
-        } else if !relevant && messages != 0 {
-            bad.push(format!(
-                "{} expected no traffic, saw {messages} msgs",
-                category.label()
-            ));
-        }
-    }
-    assert!(bad.is_empty(), "{name}: traffic audit failed: {bad:?}");
-    let breakdown: Vec<String> = expected
-        .iter()
-        .map(|c| {
-            let totals = snapshot.get(*c);
-            format!("{} {:.1} KiB", c.label(), totals.bytes as f64 / 1024.0)
-        })
-        .collect();
-    println!("{:>16}  traffic: {}", "", breakdown.join(" | "));
-}
-
-fn drive(name: &str, system: Arc<dyn ReplicatedSystem>, workload: &YcsbWorkload) -> Result<()> {
+/// Builds `kind` under `config`, drives the burst, and prints one row of
+/// throughput and statistics plus one row of bytes per traffic category.
+fn drive(
+    name: &str,
+    kind: SystemKind,
+    config: SystemConfig,
+    workload: &YcsbWorkload,
+) -> Result<()> {
+    let deployment = build(kind, config, workload, WORKERS)?;
     let start = Instant::now();
     let mut handles = Vec::new();
     for c in 0..CLIENTS {
-        let system = Arc::clone(&system);
+        let system = Arc::clone(&deployment.system);
         let mut generator = workload.client(ClientId::new(c), 7 + c as u64);
         handles.push(thread::spawn(move || -> Result<()> {
             let mut session = ClientSession::new(ClientId::new(c), SITES);
@@ -75,7 +55,7 @@ fn drive(name: &str, system: Arc<dyn ReplicatedSystem>, workload: &YcsbWorkload)
     }
     let elapsed = start.elapsed();
     let total = (CLIENTS * TXNS_PER_CLIENT) as f64;
-    let stats = system.stats();
+    let stats = deployment.system.stats();
     println!(
         "{name:>16}: {:7.0} txn/s | commits {:5} | aborts {:3} | remasters {:4} | resident {:5.1} MiB",
         total / elapsed.as_secs_f64(),
@@ -84,6 +64,16 @@ fn drive(name: &str, system: Arc<dyn ReplicatedSystem>, workload: &YcsbWorkload)
         stats.remaster_ops,
         stats.resident_bytes as f64 / (1024.0 * 1024.0),
     );
+    let snapshot = deployment.network.stats().snapshot();
+    let traffic: Vec<String> = TrafficCategory::ALL
+        .into_iter()
+        .filter(|c| snapshot.get(*c).messages > 0)
+        .map(|c| {
+            let kib = snapshot.get(c).bytes as f64 / 1024.0;
+            format!("{} {kib:.1} KiB", c.label())
+        })
+        .collect();
+    println!("{:>16}  traffic: {}", "", traffic.join(" | "));
     Ok(())
 }
 
@@ -95,125 +85,20 @@ fn main() -> Result<()> {
     });
     // Small, fast-to-run configuration: real protocol, light service costs.
     let config = || SystemConfig::new(SITES).with_instant_service();
-    println!("YCSB 50/50 RMW/scan, {SITES} sites, {CLIENTS} clients x {TXNS_PER_CLIENT} txns\n");
-
-    let dynamast = DynaMastSystem::build(
-        DynaMastConfig::adaptive(config(), workload.catalog()),
-        workload.executor(),
+    println!(
+        "YCSB 50/50 RMW/scan, {SITES} sites x {WORKERS} workers, \
+         {CLIENTS} clients x {TXNS_PER_CLIENT} txns\n"
     );
-    workload.populate(&mut |k, r| dynamast.load_row(k, r))?;
-    let net = Arc::clone(dynamast.network());
-    drive("dynamast", dynamast as Arc<dyn ReplicatedSystem>, &workload)?;
-    audit_traffic(
-        "dynamast",
-        &net,
-        &[
-            TrafficCategory::ClientSelector,
-            TrafficCategory::ClientSite,
-            TrafficCategory::Remaster,
-            TrafficCategory::Replication,
-        ],
-    );
-
-    // The same system under floor-2 partial replication: the resident
-    // column is the point — the store footprint drops toward 2/4 of full
-    // replication while the client API stays identical. DataShip traffic
-    // appears because grants to sites without a copy install one first
-    // (create-then-grant) and the provisioning planner moves copies.
-    let partial = DynaMastSystem::build(
-        DynaMastConfig::adaptive(config().with_partial_replication(2), workload.catalog()),
-        workload.executor(),
-    );
-    workload.populate(&mut |k, r| partial.load_row(k, r))?;
-    let net = Arc::clone(partial.network());
-    drive(
-        "dynamast-floor2",
-        partial as Arc<dyn ReplicatedSystem>,
-        &workload,
-    )?;
-    audit_traffic(
-        "dynamast-floor2",
-        &net,
-        &[
-            TrafficCategory::ClientSelector,
-            TrafficCategory::ClientSite,
-            TrafficCategory::Remaster,
-            TrafficCategory::Replication,
-            TrafficCategory::DataShip,
-        ],
-    );
-
-    let sm = single_master(config(), workload.catalog(), workload.executor());
-    workload.populate(&mut |k, r| sm.load_row(k, r))?;
-    let net = Arc::clone(sm.network());
-    drive("single-master", sm as Arc<dyn ReplicatedSystem>, &workload)?;
-    // Remaster traffic with zero remaster ops: first-touch placement grants
-    // are charged to the remaster category even under a pinned strategy.
-    audit_traffic(
-        "single-master",
-        &net,
-        &[
-            TrafficCategory::ClientSelector,
-            TrafficCategory::ClientSite,
-            TrafficCategory::Remaster,
-            TrafficCategory::Replication,
-        ],
-    );
-
-    for kind in [StaticKind::MultiMaster, StaticKind::PartitionStore] {
-        let system = StaticSystem::build(
-            kind,
-            config(),
-            workload.catalog(),
-            workload.static_owner(SITES),
-            workload.static_tables(),
-            workload.executor(),
-            8,
-        );
-        workload.populate(&mut |k, r| system.load_row(k, r))?;
-        let name = if kind == StaticKind::MultiMaster {
-            "multi-master"
-        } else {
-            "partition-store"
-        };
-        let net = Arc::clone(system.network());
-        drive(name, system as Arc<dyn ReplicatedSystem>, &workload)?;
-        // Both static systems spread writes through client-coordinated 2PC.
-        // Multi-master additionally tails every commit out to the other
-        // full replicas; partition-store owns each partition exactly once,
-        // so its propagator has nothing to ship.
-        let expected: &[TrafficCategory] = if kind == StaticKind::MultiMaster {
-            &[
-                TrafficCategory::ClientSite,
-                TrafficCategory::TwoPhaseCommit,
-                TrafficCategory::Replication,
-            ]
-        } else {
-            &[TrafficCategory::ClientSite, TrafficCategory::TwoPhaseCommit]
-        };
-        audit_traffic(name, &net, expected);
+    for kind in SystemKind::ALL {
+        drive(kind.name(), kind, config(), &workload)?;
+        if kind == SystemKind::DynaMast {
+            // The same system under floor-2 partial replication: the
+            // resident column is the point — the store footprint drops
+            // toward 2/4 of full replication while the client API stays
+            // identical.
+            let partial = config().with_partial_replication(2);
+            drive("dynamast-floor2", kind, partial, &workload)?;
+        }
     }
-
-    let leap = LeapSystem::build(
-        config(),
-        workload.catalog(),
-        workload.static_owner(SITES),
-        workload.static_tables(),
-        workload.executor(),
-        8,
-    );
-    workload.populate(&mut |k, r| leap.load_row(k, r))?;
-    let net = Arc::clone(leap.network());
-    drive("leap", leap as Arc<dyn ReplicatedSystem>, &workload)?;
-    audit_traffic(
-        "leap",
-        &net,
-        &[
-            TrafficCategory::ClientSelector,
-            TrafficCategory::ClientSite,
-            TrafficCategory::DataShip,
-        ],
-    );
-
     Ok(())
 }

@@ -7,18 +7,19 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use dynamast::baselines::leap::LeapSystem;
-use dynamast::baselines::single_master::single_master;
 use dynamast::baselines::static_system::{StaticKind, StaticSystem};
+use dynamast::baselines::{build, SystemKind};
 use dynamast::common::ids::{unpack_partition_id, ClientId, Key, SiteId};
 use dynamast::common::{Result, Row, SystemConfig, Value};
-use dynamast::core::dynamast::{DynaMastConfig, DynaMastSystem};
 use dynamast::site::data_site::StaticOwnerFn;
 use dynamast::site::proc::{ProcCall, ProcExecutor, TxnCtx};
 use dynamast::site::system::{ClientSession, ReplicatedSystem};
 use dynamast::storage::Catalog;
 use dynamast::workloads::smallbank::{self, SmallBankConfig, SmallBankWorkload};
 use dynamast::workloads::{TxnKind, Workload};
+
+/// RPC workers per site, the same for every architecture.
+const WORKERS: usize = 8;
 
 fn config(num_sites: usize) -> SystemConfig {
     SystemConfig::new(num_sites).with_instant_network()
@@ -31,89 +32,6 @@ fn smallbank_workload() -> SmallBankWorkload {
     })
 }
 
-enum AnySystem {
-    Dyna(Arc<DynaMastSystem>),
-    Static(Arc<StaticSystem>),
-    Leap(Arc<LeapSystem>),
-}
-
-impl AnySystem {
-    fn as_system(&self) -> Arc<dyn ReplicatedSystem> {
-        match self {
-            AnySystem::Dyna(s) => Arc::clone(s) as Arc<dyn ReplicatedSystem>,
-            AnySystem::Static(s) => Arc::clone(s) as Arc<dyn ReplicatedSystem>,
-            AnySystem::Leap(s) => Arc::clone(s) as Arc<dyn ReplicatedSystem>,
-        }
-    }
-
-    fn load(&self, workload: &dyn Workload) -> Result<()> {
-        workload.populate(&mut |key, row| match self {
-            AnySystem::Dyna(s) => s.load_row(key, row),
-            AnySystem::Static(s) => s.load_row(key, row),
-            AnySystem::Leap(s) => s.load_row(key, row),
-        })
-    }
-}
-
-fn build_all(workload: &dyn Workload, num_sites: usize) -> Vec<(&'static str, AnySystem)> {
-    let catalog = workload.catalog();
-    let executor = workload.executor();
-    let owner = workload.static_owner(num_sites);
-    let statics = workload.static_tables();
-    vec![
-        (
-            "dynamast",
-            AnySystem::Dyna(DynaMastSystem::build(
-                DynaMastConfig::adaptive(config(num_sites), catalog.clone()),
-                Arc::clone(&executor),
-            )),
-        ),
-        (
-            "single-master",
-            AnySystem::Dyna(single_master(
-                config(num_sites),
-                catalog.clone(),
-                Arc::clone(&executor),
-            )),
-        ),
-        (
-            "multi-master",
-            AnySystem::Static(StaticSystem::build(
-                StaticKind::MultiMaster,
-                config(num_sites),
-                catalog.clone(),
-                Arc::clone(&owner),
-                statics.clone(),
-                Arc::clone(&executor),
-                8,
-            )),
-        ),
-        (
-            "partition-store",
-            AnySystem::Static(StaticSystem::build(
-                StaticKind::PartitionStore,
-                config(num_sites),
-                catalog.clone(),
-                Arc::clone(&owner),
-                statics.clone(),
-                Arc::clone(&executor),
-                8,
-            )),
-        ),
-        (
-            "leap",
-            AnySystem::Leap(LeapSystem::build(
-                config(num_sites),
-                catalog,
-                owner,
-                statics,
-                executor,
-                8,
-            )),
-        ),
-    ]
-}
-
 /// SmallBank money conservation: transfers move money but the global total
 /// is invariant; every system must preserve it under concurrency.
 #[test]
@@ -121,10 +39,10 @@ fn smallbank_conserves_money_on_every_system() {
     let workload = smallbank_workload();
     let initial_total =
         workload.config().num_customers as i64 * workload.config().initial_balance * 2;
-    for (name, any) in build_all(&workload, 3) {
+    for kind in SystemKind::ALL {
+        let name = kind.name();
         eprintln!("[money] building {name}");
-        any.load(&workload).unwrap();
-        let system = any.as_system();
+        let system = build(kind, config(3), &workload, WORKERS).unwrap().system;
         // Concurrent clients hammer transfers and deposits.
         let mut deposited = 0i64;
         let handles: Vec<_> = (0..6usize)
@@ -195,10 +113,10 @@ fn smallbank_conserves_money_on_every_system() {
 fn deterministic_stream_produces_identical_balances_everywhere() {
     let workload = smallbank_workload();
     let mut totals = Vec::new();
-    for (name, any) in build_all(&workload, 2) {
+    for kind in SystemKind::ALL {
+        let name = kind.name();
         eprintln!("[det] running {name}");
-        any.load(&workload).unwrap();
-        let system = any.as_system();
+        let system = build(kind, config(2), &workload, WORKERS).unwrap().system;
         let mut generator = workload.client(ClientId::new(0), 7);
         let mut session = ClientSession::new(ClientId::new(0), 2);
         let mut checksum = 0i64;
@@ -259,7 +177,7 @@ fn concurrent_two_phase_commits_never_lose_increments() {
             owner,
             Vec::new(),
             Arc::new(Increment),
-            8,
+            WORKERS,
         );
         let keys = [Key::new(table, 10), Key::new(table, 110)];
         for key in keys {

@@ -3,49 +3,47 @@
 //! and every category it must not generate must stay zero. A silent zero
 //! (or a silent nonzero) means an RPC path gained or lost its accounting —
 //! the regression this test pins down for all five systems the paper
-//! compares.
+//! compares, each built through the one factory, and for DynaMast under
+//! floor-2 partial replication.
 
 use std::sync::Arc;
 use std::thread;
 
-use dynamast::baselines::leap::LeapSystem;
-use dynamast::baselines::single_master::single_master;
-use dynamast::baselines::static_system::{StaticKind, StaticSystem};
+use dynamast::baselines::{build, SystemKind};
 use dynamast::common::ids::ClientId;
 use dynamast::common::SystemConfig;
-use dynamast::core::dynamast::{DynaMastConfig, DynaMastSystem};
-use dynamast::network::{Network, TrafficCategory};
-use dynamast::site::system::{ClientSession, ReplicatedSystem};
+use dynamast::network::TrafficCategory::{self, *};
+use dynamast::site::system::ClientSession;
 use dynamast::workloads::{TxnKind, Workload, YcsbConfig, YcsbWorkload};
 
 const SITES: usize = 3;
 const CLIENTS: usize = 4;
 const TXNS_PER_CLIENT: usize = 100;
-
-fn workload() -> YcsbWorkload {
-    YcsbWorkload::new(YcsbConfig {
-        num_keys: 4_000,
-        rmw_fraction: 0.5,
-        ..YcsbConfig::default()
-    })
-}
+const WORKERS: usize = 8;
 
 fn config() -> SystemConfig {
     SystemConfig::new(SITES).with_instant_service()
 }
 
-/// Runs a short burst, then asserts the traffic matrix: nonzero messages
-/// for every expected category, zero for every other.
-fn burst_and_audit(
-    name: &str,
-    system: Arc<dyn ReplicatedSystem>,
-    network: &Arc<Network>,
-    workload: &YcsbWorkload,
-    expected: &[TrafficCategory],
-) {
+/// Builds `kind` over YCSB 50/50, runs a short burst, then asserts the
+/// traffic matrix: nonzero messages for every expected category, zero for
+/// every other.
+fn burst_and_audit(kind: SystemKind, config: SystemConfig, expected: &[TrafficCategory]) {
+    let workload = YcsbWorkload::new(YcsbConfig {
+        num_keys: 4_000,
+        rmw_fraction: 0.5,
+        ..YcsbConfig::default()
+    });
+    let name = kind.name();
+    let deployment = build(kind, config, &workload, WORKERS).unwrap();
+    assert_eq!(
+        deployment.system.name(),
+        name,
+        "the factory built another kind"
+    );
     thread::scope(|scope| {
         for c in 0..CLIENTS {
-            let system = Arc::clone(&system);
+            let system = Arc::clone(&deployment.system);
             let mut generator = workload.client(ClientId::new(c), 31 + c as u64);
             scope.spawn(move || {
                 let mut session = ClientSession::new(ClientId::new(c), SITES);
@@ -60,7 +58,7 @@ fn burst_and_audit(
             });
         }
     });
-    let snapshot = network.stats().snapshot();
+    let snapshot = deployment.network.stats().snapshot();
     for category in TrafficCategory::ALL {
         let totals = snapshot.get(category);
         if expected.contains(&category) {
@@ -88,133 +86,46 @@ fn burst_and_audit(
 
 #[test]
 fn dynamast_traffic_categories() {
-    let workload = workload();
-    let system = DynaMastSystem::build(
-        DynaMastConfig::adaptive(config(), workload.catalog()),
-        workload.executor(),
-    );
-    workload
-        .populate(&mut |k, r| system.load_row(k, r))
-        .unwrap();
-    let net = Arc::clone(system.network());
-    burst_and_audit(
-        "dynamast",
-        system,
-        &net,
-        &workload,
-        &[
-            TrafficCategory::ClientSelector,
-            TrafficCategory::ClientSite,
-            TrafficCategory::Remaster,
-            TrafficCategory::Replication,
-        ],
-    );
+    let expected = [ClientSelector, ClientSite, Remaster, Replication];
+    burst_and_audit(SystemKind::DynaMast, config(), &expected);
 }
 
+/// Floor-2 partial replication adds data shipping: a grant to a site
+/// without a copy installs one first (create-then-grant), and the
+/// provisioning planner moves copies.
+#[test]
+fn dynamast_floor2_traffic_categories() {
+    let expected = [ClientSelector, ClientSite, Remaster, Replication, DataShip];
+    let config = config().with_partial_replication(2);
+    burst_and_audit(SystemKind::DynaMast, config, &expected);
+}
+
+/// Remaster traffic without remaster ops: first-touch placement grants are
+/// charged to the remaster category even under a pinned strategy.
 #[test]
 fn single_master_traffic_categories() {
-    let workload = workload();
-    let system = single_master(config(), workload.catalog(), workload.executor());
-    workload
-        .populate(&mut |k, r| system.load_row(k, r))
-        .unwrap();
-    let net = Arc::clone(system.network());
-    // Remaster traffic without remaster ops: first-touch placement grants
-    // are charged to the remaster category even under a pinned strategy.
-    burst_and_audit(
-        "single-master",
-        system,
-        &net,
-        &workload,
-        &[
-            TrafficCategory::ClientSelector,
-            TrafficCategory::ClientSite,
-            TrafficCategory::Remaster,
-            TrafficCategory::Replication,
-        ],
-    );
+    let expected = [ClientSelector, ClientSite, Remaster, Replication];
+    burst_and_audit(SystemKind::SingleMaster, config(), &expected);
 }
 
+/// Both static systems spread writes through client-coordinated 2PC;
+/// multi-master also tails every commit out to the other full replicas.
 #[test]
 fn multi_master_traffic_categories() {
-    let workload = workload();
-    let system = StaticSystem::build(
-        StaticKind::MultiMaster,
-        config(),
-        workload.catalog(),
-        workload.static_owner(SITES),
-        workload.static_tables(),
-        workload.executor(),
-        8,
-    );
-    workload
-        .populate(&mut |k, r| system.load_row(k, r))
-        .unwrap();
-    let net = Arc::clone(system.network());
-    burst_and_audit(
-        "multi-master",
-        system,
-        &net,
-        &workload,
-        &[
-            TrafficCategory::ClientSite,
-            TrafficCategory::TwoPhaseCommit,
-            TrafficCategory::Replication,
-        ],
-    );
+    let expected = [ClientSite, TwoPhaseCommit, Replication];
+    burst_and_audit(SystemKind::MultiMaster, config(), &expected);
 }
 
+/// Each partition is owned exactly once, so the propagator has nothing to
+/// ship: replication must stay zero.
 #[test]
 fn partition_store_traffic_categories() {
-    let workload = workload();
-    let system = StaticSystem::build(
-        StaticKind::PartitionStore,
-        config(),
-        workload.catalog(),
-        workload.static_owner(SITES),
-        workload.static_tables(),
-        workload.executor(),
-        8,
-    );
-    workload
-        .populate(&mut |k, r| system.load_row(k, r))
-        .unwrap();
-    let net = Arc::clone(system.network());
-    // Each partition is owned exactly once, so the propagator has nothing
-    // to ship: replication must stay zero.
-    burst_and_audit(
-        "partition-store",
-        system,
-        &net,
-        &workload,
-        &[TrafficCategory::ClientSite, TrafficCategory::TwoPhaseCommit],
-    );
+    let expected = [ClientSite, TwoPhaseCommit];
+    burst_and_audit(SystemKind::PartitionStore, config(), &expected);
 }
 
 #[test]
 fn leap_traffic_categories() {
-    let workload = workload();
-    let system = LeapSystem::build(
-        config(),
-        workload.catalog(),
-        workload.static_owner(SITES),
-        workload.static_tables(),
-        workload.executor(),
-        8,
-    );
-    workload
-        .populate(&mut |k, r| system.load_row(k, r))
-        .unwrap();
-    let net = Arc::clone(system.network());
-    burst_and_audit(
-        "leap",
-        system,
-        &net,
-        &workload,
-        &[
-            TrafficCategory::ClientSelector,
-            TrafficCategory::ClientSite,
-            TrafficCategory::DataShip,
-        ],
-    );
+    let expected = [ClientSelector, ClientSite, DataShip];
+    burst_and_audit(SystemKind::Leap, config(), &expected);
 }
