@@ -77,7 +77,7 @@ impl LeapSystem {
             &executor,
             rpc_workers,
             false,
-            None,
+            &initial_owner,
         );
         Arc::new(LeapSystem {
             config: system,

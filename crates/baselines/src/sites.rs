@@ -1,7 +1,8 @@
 //! The site assembly the statically placed comparators (multi-master,
 //! partition-store and LEAP) share: one fabric, volatile logs and one data
-//! site per `SystemConfig::num_sites`, differing only in whether commits
-//! replicate and whether a fixed owner function decides mastership.
+//! site per `SystemConfig::num_sites`, each a 2PC participant over the
+//! deployment's fixed owner function, differing only in whether commits
+//! replicate.
 
 use std::sync::Arc;
 
@@ -33,7 +34,7 @@ impl Sites {
         executor: &Arc<dyn ProcExecutor>,
         workers: usize,
         replicate: bool,
-        static_owner: Option<StaticOwnerFn>,
+        static_owner: &StaticOwnerFn,
     ) -> Self {
         let network = Network::new(system.network, system.seed);
         network.set_recorder(Some(FlightRecorder::from_env()));
@@ -47,10 +48,8 @@ impl Sites {
                     system: system.clone(),
                     replicate,
                     initial_partitions: Vec::new(),
-                    static_owner: static_owner.clone(),
-                    replicated_tables: static_tables.clone(),
+                    static_owner: Some(Arc::clone(static_owner)),
                     hosted: None,
-                    refresh_skipped: None,
                     freshness_parks: None,
                 },
                 catalog.clone(),

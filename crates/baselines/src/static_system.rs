@@ -101,7 +101,7 @@ impl StaticSystem {
             &executor,
             rpc_workers,
             kind.replicate(),
-            Some(Arc::clone(&owner)),
+            &owner,
         );
         Arc::new(StaticSystem {
             kind,

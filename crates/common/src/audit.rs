@@ -1126,26 +1126,13 @@ impl EffectBatch {
         origin: u32,
         sequence: u64,
     ) {
-        self.events.push(TraceEvent {
-            txn_id: 0,
-            site: TraceSite::Site(site),
-            kind: TraceKind::RefreshSkip,
-            micros: 0,
-            payload: TracePayload::WriteEffect {
-                partition,
-                table,
-                record,
-                prev: 0,
-                value: 0,
-                prev_origin: u32::MAX,
-                prev_seq: 0,
-                origin,
-                sequence,
-                generation: 0,
-                epoch: 0,
-                refresh: true,
-            },
-        });
+        // The payload of the refresh install it stands in for.
+        self.write_effect(
+            0, site, partition, table, record, None, 0, origin, sequence, 0, 0, true,
+        );
+        if let Some(event) = self.events.last_mut() {
+            event.kind = TraceKind::RefreshSkip;
+        }
     }
 
     /// Pushes the queued events and leaves the batch empty, retaining its
@@ -1157,9 +1144,8 @@ impl EffectBatch {
     }
 }
 
-/// Emits one version-install event, if auditing is armed. Shared by the
-/// commit pipeline's install loop, the refresh applier, and the bench's
-/// audited committer so the overhead rider measures the production path.
+/// Emits one version-install event, if auditing is armed: an
+/// [`EffectBatch`] of one.
 #[allow(clippy::too_many_arguments)]
 pub fn emit_write_effect(
     recorder: &FlightRecorder,
@@ -1176,26 +1162,12 @@ pub fn emit_write_effect(
     epoch: u64,
     refresh: bool,
 ) {
-    let (prev_sig, prev_origin, prev_seq) = prev.unwrap_or((0, u32::MAX, 0));
-    recorder.record(
-        txn_id,
-        TraceSite::Site(site),
-        TraceKind::WriteEffect,
-        TracePayload::WriteEffect {
-            partition,
-            table,
-            record,
-            prev: prev_sig,
-            value,
-            prev_origin,
-            prev_seq,
-            origin,
-            sequence,
-            generation,
-            epoch,
-            refresh,
-        },
+    let mut batch = EffectBatch::with_capacity(1);
+    batch.write_effect(
+        txn_id, site, partition, table, record, prev, value, origin, sequence, generation, epoch,
+        refresh,
     );
+    batch.flush(recorder);
 }
 
 /// Emits a site-restart marker, if auditing is armed. Crash recovery

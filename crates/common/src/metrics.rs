@@ -422,12 +422,6 @@ impl MetricsRegistry {
         self.histograms.lock().insert(name.to_string(), histogram);
     }
 
-    /// Attaches an existing timing breakdown under `name` (replacing any
-    /// previous registration of that name).
-    pub fn register_timings(&self, name: &str, timings: Arc<TxnTimings>) {
-        self.timings.lock().insert(name.to_string(), timings);
-    }
-
     /// Attaches an externally owned traffic-style aggregate under `name`.
     pub fn register_traffic(&self, name: &str, traffic: Arc<dyn JsonMetric>) {
         self.traffic.lock().insert(name.to_string(), traffic);

@@ -617,37 +617,10 @@ impl ThreadRing {
         self.locked.store(false, Ordering::Release);
     }
 
-    /// Pushes one event, overwriting the oldest once at capacity. Never
-    /// blocks: if the ring is locked (snapshot in progress) the event is
-    /// dropped and `false` returned.
-    #[inline]
-    fn push(&self, capacity: usize, mut ev: TraceEvent) -> bool {
-        if !self.try_acquire() {
-            return false;
-        }
-        // SAFETY: flag held (see `Sync` impl).
-        let inner = unsafe { &mut *self.inner.get() };
-        if ev.micros < inner.last_micros {
-            ev.micros = inner.last_micros;
-        } else {
-            inner.last_micros = ev.micros;
-        }
-        if inner.buf.len() < capacity {
-            inner.buf.push(ev);
-        } else {
-            let slot = (inner.head % capacity as u64) as usize;
-            inner.buf[slot] = ev;
-            inner.overwritten += 1;
-        }
-        inner.head += 1;
-        self.release();
-        true
-    }
-
     /// Pushes a group of events sharing one (clamped) timestamp under a
-    /// single flag acquisition. Returns how many events were dropped (all
-    /// of them if a snapshot holds the ring — same non-blocking contract
-    /// as [`ThreadRing::push`]).
+    /// single flag acquisition, overwriting the oldest once at capacity.
+    /// Never blocks: if a snapshot holds the ring, every event is dropped;
+    /// returns how many were.
     fn push_batch(
         &self,
         capacity: usize,
@@ -824,31 +797,13 @@ impl FlightRecorder {
 
     /// Records one event on the calling thread's ring.
     pub fn record(&self, txn_id: u64, site: TraceSite, kind: TraceKind, payload: TracePayload) {
-        if !self.enabled() {
-            return;
-        }
-        let ev = TraceEvent {
+        self.record_batch([TraceEvent {
             txn_id,
             site,
             kind,
-            micros: self.now_micros(),
+            micros: 0,
             payload,
-        };
-        let pushed = THREAD_RINGS.with(|cell| {
-            let mut rings = cell.borrow_mut();
-            if let Some((_, ring)) = rings.iter().find(|(id, _)| *id == self.id) {
-                ring.push(self.capacity_per_thread, ev)
-            } else {
-                let ring = Arc::new(ThreadRing::new());
-                self.rings.lock().push(Arc::clone(&ring));
-                let pushed = ring.push(self.capacity_per_thread, ev);
-                rings.push((self.id, ring));
-                pushed
-            }
-        });
-        if !pushed {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        }]);
     }
 
     /// Records a group of events on the calling thread's ring with one

@@ -30,6 +30,7 @@ use dynamast_network::{CrashSwitch, EndpointId, Network, TrafficCategory};
 use dynamast_replication::checkpoint;
 use dynamast_replication::LogSet;
 use dynamast_site::data_site::{DataSite, DataSiteConfig, SiteRuntime};
+use dynamast_site::hosting::HostedCopies;
 use dynamast_site::messages::{expect_ok, SiteRequest, SiteResponse};
 use dynamast_site::proc::{ProcCall, ProcExecutor, ReadMode};
 use dynamast_site::system::{
@@ -306,22 +307,13 @@ impl DynaMastSystem {
                     selector.replica_map().add(*p, id);
                 }
             }
+            // Partial replication: a site starts hosting only its seeded
+            // masterships; `load_row` marks the default hosts of each
+            // populated partition, and everything else arrives through the
+            // AddReplica protocol.
+            let hosted = partial.then(|| initial.clone());
             let site = DataSite::new(
-                DataSiteConfig {
-                    id,
-                    system: sys.config.clone(),
-                    replicate: true,
-                    // Partial replication: a site starts hosting only its
-                    // seeded masterships; `load_row` marks the default
-                    // hosts of each populated partition, and everything
-                    // else arrives through the AddReplica protocol.
-                    hosted: partial.then(|| initial.clone()),
-                    initial_partitions: initial,
-                    static_owner: None,
-                    replicated_tables: Vec::new(),
-                    refresh_skipped: Some(sys.metrics.counter("refresh_records_skipped")),
-                    freshness_parks: Some(sys.metrics.counter("site.freshness_parks")),
-                },
+                sys.site_config(id, initial, hosted),
                 sys.catalog.clone(),
                 sys.logs.clone(),
                 Arc::clone(&sys.network),
@@ -438,6 +430,9 @@ impl DynaMastSystem {
         );
         selector.map().seed(placements);
         metrics.register_traffic("network", Arc::clone(network.stats()) as _);
+        // Sites share it only under partial replication; the snapshot
+        // schema wants it under full replication too, at zero.
+        let _ = metrics.counter("refresh_records_skipped");
         register_selector_metrics(&metrics, &selector);
         register_audit_metrics(&metrics);
         let sys = Arc::new(DynaMastSystem {
@@ -506,22 +501,12 @@ impl DynaMastSystem {
             .map(|(p, _)| *p)
             .collect();
         mastered.sort();
+        // The checkpoint's hosted set is the site's post-restart hosting
+        // truth (copies installed after the cut were never checkpointed).
+        // `None` — no checkpoint, or full replication — means the rebuilt
+        // store holds everything.
         let site = DataSite::from_recovered(
-            DataSiteConfig {
-                id,
-                system: self.config.clone(),
-                replicate: true,
-                initial_partitions: mastered,
-                static_owner: None,
-                replicated_tables: Vec::new(),
-                // The checkpoint's hosted set is the site's post-restart
-                // hosting truth (copies installed after the cut were never
-                // checkpointed). `None` — no checkpoint, or full
-                // replication — means the rebuilt store holds everything.
-                hosted: recovered.hosted,
-                refresh_skipped: Some(self.metrics.counter("refresh_records_skipped")),
-                freshness_parks: Some(self.metrics.counter("site.freshness_parks")),
-            },
+            self.site_config(id, mastered, recovered.hosted),
             recovered.state.store,
             recovered.state.svv,
             self.logs.clone(),
@@ -532,8 +517,9 @@ impl DynaMastSystem {
         // The site lost its volatile watermarks; re-arm them so a selector
         // deposed before the crash stays fenced out and no remaster epoch
         // the site already saw is accepted again.
-        site.install_selector_generation(selector.generation());
-        site.install_remaster_epoch(epoch_floor);
+        let remaster = site.remaster();
+        remaster.install_selector_generation(selector.generation());
+        remaster.install_remaster_epoch(epoch_floor);
         // Seed the freshness cache so the first reads route sensibly before
         // the probe's next round trip, and reconcile the replica map with
         // what actually survived: copies installed after the checkpoint cut
@@ -541,13 +527,35 @@ impl DynaMastSystem {
         // whose copy was lost heal lazily through NotReplica repair on the
         // first touch.
         selector.observe_site_vv(id, &site.clock().current());
-        if self.config.replication.is_partial() {
-            if let Some(hosted) = site.hosted_partitions() {
-                selector.replica_map().reconcile_site(id, &hosted);
-            }
+        if let Some(hosting) = site.hosting() {
+            selector
+                .replica_map()
+                .reconcile_site(id, &hosting.partitions());
         }
         let runtime = site.start_with_offsets(self.rpc_workers, recovered.state.offsets);
         (site, runtime)
+    }
+
+    /// A DynaMast site's construction parameters: replicated, dynamically
+    /// mastered, and hosting `hosted` under partial replication.
+    fn site_config(
+        &self,
+        id: SiteId,
+        initial_partitions: Vec<PartitionId>,
+        hosted: Option<Vec<PartitionId>>,
+    ) -> DataSiteConfig {
+        DataSiteConfig {
+            id,
+            system: self.config.clone(),
+            replicate: true,
+            initial_partitions,
+            static_owner: None,
+            hosted: hosted.map(|partitions| HostedCopies {
+                partitions,
+                skipped: self.metrics.counter("refresh_records_skipped"),
+            }),
+            freshness_parks: Some(self.metrics.counter("site.freshness_parks")),
+        }
     }
 
     /// The simulated network (traffic accounting).
@@ -933,7 +941,9 @@ impl DynaMastSystem {
             let selector = self.selector.read();
             for s in hosts {
                 let site = &sites[s.as_usize()];
-                site.host_partition(partition);
+                if let Some(hosting) = site.hosting() {
+                    hosting.host(partition);
+                }
                 site.load_row(key, row.clone())?;
                 selector.replica_map().add(partition, s);
             }

@@ -74,8 +74,8 @@ pub struct Checkpoint {
     /// the slot = sequence invariant; stored separately so the invariant is
     /// checkable on restart).
     pub offsets: Vec<u64>,
-    /// Partitions this site mastered at the cut (draining sentinels
-    /// excluded).
+    /// Partitions this site mastered at the cut (one mid-release is no
+    /// longer mastered).
     pub mastered: Vec<PartitionId>,
     /// Highest remaster epoch this site had participated in at the cut.
     /// Persisting it closes the epoch-reissue window after log truncation:

@@ -18,11 +18,14 @@ use parking_lot::{Condvar, Mutex};
 struct OwnershipInner {
     /// Mastered partitions → number of in-flight writers.
     mastered: HashMap<PartitionId, usize>,
+    /// Partitions being released → writers still to drain. No longer
+    /// mastered: a new writer cannot register, and the partition is not
+    /// reported as mastered.
+    draining: HashMap<PartitionId, usize>,
 }
 
 /// A site's mastership table.
 pub struct Ownership {
-    site_label: &'static str,
     inner: Mutex<OwnershipInner>,
     drained: Condvar,
 }
@@ -31,9 +34,9 @@ impl Ownership {
     /// Creates a table mastering `initial` partitions.
     pub fn new(initial: impl IntoIterator<Item = PartitionId>) -> Self {
         Ownership {
-            site_label: "site",
             inner: Mutex::new(OwnershipInner {
                 mastered: initial.into_iter().map(|p| (p, 0)).collect(),
+                draining: HashMap::new(),
             }),
             drained: Condvar::new(),
         }
@@ -65,22 +68,16 @@ impl Ownership {
     /// release to the wrong site, which indicates corrupted routing state.
     pub fn revoke_and_drain(&self, partition: PartitionId) -> Result<()> {
         let mut inner = self.inner.lock();
-        let Some(mut writers) = inner.mastered.remove(&partition) else {
+        let Some(writers) = inner.mastered.remove(&partition) else {
             return Err(DynaError::Internal("release for unmastered partition"));
         };
-        // Track the removed partition's writer count in a side entry keyed
-        // by the same id but invisible to mastery checks: we re-insert a
-        // sentinel under a parallel map. Simpler: writers were counted in
-        // the removed entry; keep draining via the condvar against a local
-        // count that in-flight guards decrement through `drain_release`.
-        // To keep a single source of truth we re-insert with a tombstone
-        // marker: a `draining` map.
-        while writers > 0 {
-            inner.draining_mark(partition, writers);
-            self.drained.wait(&mut inner);
-            writers = inner.draining_count(partition);
+        if writers > 0 {
+            inner.draining.insert(partition, writers);
+            while inner.draining.get(&partition).is_some_and(|&n| n > 0) {
+                self.drained.wait(&mut inner);
+            }
+            inner.draining.remove(&partition);
         }
-        inner.draining_clear(partition);
         Ok(())
     }
 
@@ -123,52 +120,20 @@ impl Ownership {
     }
 
     fn deregister(&self, partitions: &[PartitionId]) {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         for p in partitions {
-            if let Some(count) = inner.mastered.get_mut(p) {
+            if let Some(count) = inner
+                .mastered
+                .get_mut(p)
+                .or_else(|| inner.draining.get_mut(p))
+            {
                 *count = count.saturating_sub(1);
-            } else {
-                inner.draining_dec(*p);
             }
         }
-        drop(inner);
+        drop(guard);
         self.drained.notify_all();
     }
-
-    /// Diagnostics label (unused placeholder to keep the struct extensible).
-    pub fn label(&self) -> &'static str {
-        self.site_label
-    }
-}
-
-impl OwnershipInner {
-    fn draining_mark(&mut self, partition: PartitionId, writers: usize) {
-        self.mastered.insert(draining_key(partition), writers);
-    }
-
-    fn draining_count(&self, partition: PartitionId) -> usize {
-        self.mastered
-            .get(&draining_key(partition))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    fn draining_dec(&mut self, partition: PartitionId) {
-        if let Some(count) = self.mastered.get_mut(&draining_key(partition)) {
-            *count = count.saturating_sub(1);
-        }
-    }
-
-    fn draining_clear(&mut self, partition: PartitionId) {
-        self.mastered.remove(&draining_key(partition));
-    }
-}
-
-/// Maps a partition to a shadow "draining" slot that never collides with a
-/// real partition id (real ids keep their top bit clear — tables are capped
-/// at 16 bits and partition indices at 48, see `dynamast_common::ids`).
-fn draining_key(partition: PartitionId) -> PartitionId {
-    PartitionId::new((partition.raw() | (1 << 63)) as usize)
 }
 
 /// RAII registration of an in-flight writer; deregisters on drop.
@@ -237,6 +202,23 @@ mod tests {
         drop(guard);
         revoker.join().unwrap();
         assert!(!o.is_mastered(pid(1)));
+    }
+
+    /// A partition whose release waits on a writer is no longer mastered,
+    /// and is reported as such: no placeholder id stands in for it.
+    #[test]
+    fn a_draining_partition_is_not_reported_as_mastered() {
+        let o = Arc::new(Ownership::new([pid(1), pid(2)]));
+        let guard = o.register_writer(site(), &[pid(1)], true).unwrap();
+        let o2 = Arc::clone(&o);
+        let revoker = thread::spawn(move || o2.revoke_and_drain(pid(1)).unwrap());
+        thread::sleep(Duration::from_millis(20));
+        assert!(!revoker.is_finished(), "revoke must wait for the writer");
+        assert_eq!(o.mastered_partitions(), vec![pid(2)]);
+        assert_eq!(o.mastered_count(), 1);
+        drop(guard);
+        revoker.join().unwrap();
+        assert_eq!(o.mastered_partitions(), vec![pid(2)]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared helpers for the site crate's integration tests.
 //!
-//! Provides a minimal single-table deployment: `n` data sites over an
-//! instantaneous network with a pass-through executor that writes a
+//! Provides a minimal single-table deployment: `n` data sites (2PC
+//! participants too) over an instantaneous network with a pass-through executor that writes a
 //! constant row to every write-set key.
 
 use std::sync::Arc;
@@ -44,7 +44,8 @@ pub struct TestDeployment {
 }
 
 /// Builds `n` replicated data sites with zero network latency and zero
-/// simulated service time.
+/// simulated service time. Every site is also a 2PC participant whose
+/// static owner assigns every partition to site 0.
 pub fn deployment(n: usize) -> TestDeployment {
     let mut catalog = Catalog::new();
     catalog.add_table("t", 1, 100);
@@ -62,10 +63,8 @@ pub fn deployment(n: usize) -> TestDeployment {
                 system: system.clone(),
                 replicate: true,
                 initial_partitions: Vec::new(),
-                static_owner: None,
-                replicated_tables: Vec::new(),
+                static_owner: Some(Arc::new(|_| SiteId::new(0))),
                 hosted: None,
-                refresh_skipped: None,
                 freshness_parks: None,
             },
             catalog.clone(),

@@ -138,18 +138,30 @@ fn duplicate_remaster_rpcs_replay_from_a_bounded_ledger() {
     for epoch in 1..=ROUNDS {
         // Mastership ping-pongs: odd epochs a -> b, even epochs b -> a.
         let (rel, gr) = if epoch % 2 == 1 { (a, b) } else { (b, a) };
-        let rel_vv = rel.release_moves(&[(p, epoch)]).remove(0).unwrap();
+        let rel_vv = rel
+            .remaster()
+            .release_moves(&[(p, epoch)])
+            .remove(0)
+            .unwrap();
         // Retransmitted Release RPCs replay the recorded result.
         for _ in 0..3 {
-            assert_eq!(rel.release_moves(&[(p, epoch)]).remove(0).unwrap(), rel_vv);
+            assert_eq!(
+                rel.remaster()
+                    .release_moves(&[(p, epoch)])
+                    .remove(0)
+                    .unwrap(),
+                rel_vv
+            );
         }
         let grant_vv = gr
+            .remaster()
             .grant_moves(&[(p, epoch, rel_vv.clone())])
             .remove(0)
             .unwrap();
         for _ in 0..3 {
             assert_eq!(
-                gr.grant_moves(&[(p, epoch, rel_vv.clone())])
+                gr.remaster()
+                    .grant_moves(&[(p, epoch, rel_vv.clone())])
                     .remove(0)
                     .unwrap(),
                 grant_vv
@@ -161,7 +173,7 @@ fn duplicate_remaster_rpcs_replay_from_a_bounded_ledger() {
     // Bounded memory: 100 remasters (plus 3 duplicates each) retain at most
     // the per-partition window on every ledger, not one entry per epoch.
     for site in [a, b] {
-        let (released, granted) = site.remaster_ledger_sizes();
+        let (released, granted) = site.remaster().ledger_sizes();
         assert!(released <= 8, "released ledger unbounded: {released}");
         assert!(granted <= 8, "granted ledger unbounded: {granted}");
     }
@@ -170,7 +182,7 @@ fn duplicate_remaster_rpcs_replay_from_a_bounded_ledger() {
     // (a released on odd epochs, so its window covers 85, 87, .., 99).
     for epoch in [85, 93, 99] {
         assert_eq!(
-            a.release_moves(&[(p, epoch)]).remove(0).unwrap(),
+            a.remaster().release_moves(&[(p, epoch)]).remove(0).unwrap(),
             release_vvs[&epoch]
         );
     }
@@ -179,23 +191,28 @@ fn duplicate_remaster_rpcs_replay_from_a_bounded_ledger() {
     // is mastered at a, so a selector retrying b's epoch-100 release under a
     // new epoch gets the latest settled release replayed, not an error.
     assert_eq!(
-        b.release_moves(&[(p, 999)]).remove(0).unwrap(),
+        b.remaster().release_moves(&[(p, 999)]).remove(0).unwrap(),
         release_vvs[&100]
     );
 
     // Concurrent duplicates of one release (racing RPC retries) all settle
     // on the same recorded vv and add one ledger entry.
-    let before = a.remaster_ledger_sizes().0;
+    let before = a.remaster().ledger_sizes().0;
     let racers: Vec<_> = (0..4)
         .map(|_| {
             let site = Arc::clone(a);
-            thread::spawn(move || site.release_moves(&[(p, 101)]).remove(0).unwrap())
+            thread::spawn(move || {
+                site.remaster()
+                    .release_moves(&[(p, 101)])
+                    .remove(0)
+                    .unwrap()
+            })
         })
         .collect();
     let mut results: Vec<_> = racers.into_iter().map(|r| r.join().unwrap()).collect();
     results.dedup();
     assert_eq!(results.len(), 1, "racing duplicates must agree");
-    assert!(a.remaster_ledger_sizes().0 <= before + 1);
+    assert!(a.remaster().ledger_sizes().0 <= before + 1);
 }
 
 /// Four copies of one Grant arrive at once (a selector retry racing its
@@ -216,7 +233,10 @@ fn racing_duplicate_grants_log_once_and_agree() {
                 let (site, start, rel_vv) = (Arc::clone(b), Arc::clone(&start), rel_vv.clone());
                 thread::spawn(move || {
                     start.wait();
-                    site.grant_moves(&[(p, epoch, rel_vv)]).remove(0).unwrap()
+                    site.remaster()
+                        .grant_moves(&[(p, epoch, rel_vv)])
+                        .remove(0)
+                        .unwrap()
                 })
             })
             .collect();
@@ -229,7 +249,7 @@ fn racing_duplicate_grants_log_once_and_agree() {
             .filter(|r| matches!(r, LogRecord::Grant { partition, .. } if *partition == p))
             .count();
         assert_eq!(grants, 1, "one Grant record for one move");
-        assert_eq!(b.remaster_ledger_sizes().1, 1);
+        assert_eq!(b.remaster().ledger_sizes().1, 1);
     }
 }
 
@@ -275,7 +295,7 @@ fn a_retransmitted_k_move_release_rpc_replays_the_same_result_vector() {
         assert_eq!(send(), first);
     }
     assert_eq!(d.logs.log(a.id()).len(), 2, "duplicates log nothing");
-    assert_eq!(a.remaster_ledger_sizes().0, 2);
+    assert_eq!(a.remaster().ledger_sizes().0, 2);
 }
 
 /// Reserves `site`'s next commit sequence and log slot by hand — a committer
@@ -324,8 +344,9 @@ fn a_remaster_reply_waits_for_earlier_open_slots_and_covers_its_own_records() {
     }
 
     // One release: its record is the sequence after the open one.
-    let (open, rel_vv) =
-        blocked_by_open_slot(&d, a, || a.release_moves(&[(p0, 1)]).remove(0).unwrap());
+    let (open, rel_vv) = blocked_by_open_slot(&d, a, || {
+        a.remaster().release_moves(&[(p0, 1)]).remove(0).unwrap()
+    });
     assert!(
         rel_vv.get(a.id()) > open,
         "{rel_vv:?} misses its own record"
@@ -333,7 +354,10 @@ fn a_remaster_reply_waits_for_earlier_open_slots_and_covers_its_own_records() {
 
     // The grant half, at the other site, behind an open slot of its own.
     let (open, grant_vv) = blocked_by_open_slot(&d, b, || {
-        b.grant_moves(&[(p0, 1, rel_vv.clone())]).remove(0).unwrap()
+        b.remaster()
+            .grant_moves(&[(p0, 1, rel_vv.clone())])
+            .remove(0)
+            .unwrap()
     });
     assert!(
         grant_vv.get(b.id()) > open,
@@ -391,9 +415,7 @@ fn quiet_pair() -> (Vec<Arc<DataSite>>, LogSet) {
                     replicate: true,
                     initial_partitions: Vec::new(),
                     static_owner: None,
-                    replicated_tables: Vec::new(),
                     hosted: None,
-                    refresh_skipped: None,
                     freshness_parks: None,
                 },
                 catalog.clone(),
@@ -459,11 +481,11 @@ proptest! {
                 // Remaster: release at the master, catch the peer up, grant.
                 _ => {
                     epoch += 1;
-                    let rel_vv = sites[master].release_moves(&[(p, epoch)]).remove(0).unwrap();
-                    prop_assert_eq!(&sites[master].release_moves(&[(p, epoch)]).remove(0).unwrap(), &rel_vv);
+                    let rel_vv = sites[master].remaster().release_moves(&[(p, epoch)]).remove(0).unwrap();
+                    prop_assert_eq!(&sites[master].remaster().release_moves(&[(p, epoch)]).remove(0).unwrap(), &rel_vv);
                     offsets[master] =
                         drain(&logs, &sites[master], &sites[1 - master], offsets[master], usize::MAX);
-                    sites[1 - master].grant_moves(&[(p, epoch, rel_vv.clone())]).remove(0).unwrap();
+                    sites[1 - master].remaster().grant_moves(&[(p, epoch, rel_vv.clone())]).remove(0).unwrap();
                     master = 1 - master;
                 }
             }

@@ -2,11 +2,15 @@
 //! semantics, 2PC participant behaviour, and LEAP data shipping — exercised
 //! through the direct API over a live multi-site deployment.
 
+use std::sync::{Arc, Barrier};
+use std::thread;
+
 use dynamast_common::ids::{Key, PartitionId, SiteId, TableId};
 use dynamast_common::{DynaError, Row, Value, VersionVector};
 use dynamast_replication::record::WriteEntry;
 use dynamast_site::messages::ExpectedVersion;
 use dynamast_site::tests_support::{deployment, write_call, TABLE};
+use dynamast_site::DataSite;
 use dynamast_storage::{ImageRecord, VersionStamp};
 
 fn pid(table_partition: u64) -> PartitionId {
@@ -22,9 +26,14 @@ fn release_then_grant_transfers_mastership() {
     let min = VersionVector::zero(2);
     a.run_update(0, &min, &write_call(&[5]), true).unwrap();
 
-    let rel_vv = a.release_moves(&[(pid(0), 1)]).remove(0).unwrap();
+    let rel_vv = a
+        .remaster()
+        .release_moves(&[(pid(0), 1)])
+        .remove(0)
+        .unwrap();
     assert!(!a.ownership().is_mastered(pid(0)));
     let grant_vv = b
+        .remaster()
         .grant_moves(&[(pid(0), 1, rel_vv.clone())])
         .remove(0)
         .unwrap();
@@ -54,7 +63,11 @@ fn updates_on_unmastered_partitions_are_rejected() {
 #[test]
 fn release_of_unmastered_partition_errors() {
     let d = deployment(2);
-    assert!(d.sites[0].release_moves(&[(pid(9), 1)]).remove(0).is_err());
+    assert!(d.sites[0]
+        .remaster()
+        .release_moves(&[(pid(9), 1)])
+        .remove(0)
+        .is_err());
 }
 
 #[test]
@@ -70,7 +83,11 @@ fn prepare_votes_no_on_lock_conflict_and_validation_failure() {
 
     // Lock conflict: holding the record lock forces a no-vote.
     let guard = site.store().locks().try_acquire(key).unwrap();
-    assert!(!site.prepare(100, vec![entry.clone()], &[]).unwrap());
+    assert!(!site
+        .participant()
+        .unwrap()
+        .prepare(100, vec![entry.clone()], &[])
+        .unwrap());
     drop(guard);
 
     // Validation failure: expect a version that does not exist.
@@ -78,12 +95,20 @@ fn prepare_votes_no_on_lock_conflict_and_validation_failure() {
         key,
         stamp: Some(VersionStamp::new(SiteId::new(1), 42)),
     };
-    assert!(!site.prepare(101, vec![entry.clone()], &[stale]).unwrap());
+    assert!(!site
+        .participant()
+        .unwrap()
+        .prepare(101, vec![entry.clone()], &[stale])
+        .unwrap());
 
     // Matching expectation (absent row) passes and decide commits.
     let expect_absent = ExpectedVersion { key, stamp: None };
-    assert!(site.prepare(102, vec![entry], &[expect_absent]).unwrap());
-    let vv = site.decide(102, true).unwrap();
+    assert!(site
+        .participant()
+        .unwrap()
+        .prepare(102, vec![entry], &[expect_absent])
+        .unwrap());
+    let vv = site.participant().unwrap().decide(102, true).unwrap();
     assert!(site.store().read(key, &vv).unwrap().is_some());
 }
 
@@ -97,15 +122,105 @@ fn decide_abort_releases_locks_and_installs_nothing() {
         key,
         row: dynamast_common::Row::new(vec![dynamast_common::Value::U64(1)]),
     };
-    assert!(site.prepare(7, vec![entry], &[]).unwrap());
+    assert!(site
+        .participant()
+        .unwrap()
+        .prepare(7, vec![entry], &[])
+        .unwrap());
     // Locked while prepared.
     assert!(site.store().locks().try_acquire(key).is_none());
-    site.decide(7, false).unwrap();
+    site.participant().unwrap().decide(7, false).unwrap();
     assert!(site.store().locks().try_acquire(key).is_some());
     assert!(!site.store().contains(key).unwrap());
     // Abort is idempotent; commit of an unknown txn is an error.
-    site.decide(7, false).unwrap();
-    assert!(site.decide(7, true).is_err());
+    site.participant().unwrap().decide(7, false).unwrap();
+    assert!(site.participant().unwrap().decide(7, true).is_err());
+}
+
+/// A staged one-key fragment of txn `txn_id` writing `value` to `record`.
+fn stage(site: &DataSite, txn_id: u64, record: u64, value: u64) -> Key {
+    let key = Key::new(TABLE, record);
+    let entry = WriteEntry {
+        key,
+        row: Row::new(vec![Value::U64(value)]),
+    };
+    let participant = site.participant().unwrap();
+    assert!(participant.prepare(txn_id, vec![entry], &[]).unwrap());
+    key
+}
+
+#[test]
+fn a_duplicate_commit_decision_replays_its_vector_and_installs_once() {
+    let d = deployment(2);
+    let site = &d.sites[0];
+    let key = stage(site, 9, 4, 1);
+    let participant = site.participant().unwrap();
+    let vv = participant.decide(9, true).unwrap();
+    assert_eq!(participant.decide(9, true).unwrap(), vv);
+    assert_eq!(site.commits.get(), 1);
+    assert_eq!(d.logs.log(site.id()).len(), 1, "one Commit record");
+    assert!(site.store().read(key, &vv).unwrap().is_some());
+}
+
+/// Eight copies of one `Decide(commit)` arrive at once (retransmissions
+/// racing the original): one commits, the others wait for its outcome.
+#[test]
+fn racing_duplicate_decisions_agree_and_none_errors() {
+    const COPIES: usize = 8;
+    let d = deployment(2);
+    let site = &d.sites[0];
+    stage(site, 11, 6, 1);
+    let start = Arc::new(Barrier::new(COPIES));
+    let racers: Vec<_> = (0..COPIES)
+        .map(|_| {
+            let (site, start) = (Arc::clone(site), Arc::clone(&start));
+            thread::spawn(move || {
+                start.wait();
+                site.participant().unwrap().decide(11, true)
+            })
+        })
+        .collect();
+    let mut answers: Vec<VersionVector> = racers
+        .into_iter()
+        .map(|r| r.join().unwrap().expect("no copy errors"))
+        .collect();
+    answers.dedup();
+    assert_eq!(answers.len(), 1, "racing duplicates must agree");
+    assert_eq!(site.commits.get(), 1);
+}
+
+/// A `Prepare` delayed past its decision answers the recorded outcome and
+/// stages nothing: the keys stay lockable.
+#[test]
+fn a_prepare_after_the_decision_answers_it_and_locks_nothing() {
+    let d = deployment(2);
+    let site = &d.sites[0];
+    let key = stage(site, 13, 2, 1);
+    let participant = site.participant().unwrap();
+    participant.decide(13, true).unwrap();
+    let entry = WriteEntry {
+        key,
+        row: Row::new(vec![Value::U64(2)]),
+    };
+    assert!(participant.prepare(13, vec![entry.clone()], &[]).unwrap());
+    assert!(site.store().locks().try_acquire(key).is_some());
+
+    participant.decide(14, false).unwrap();
+    assert!(!participant.prepare(14, vec![entry], &[]).unwrap());
+    assert!(site.store().locks().try_acquire(key).is_some());
+}
+
+#[test]
+fn the_decision_memory_stays_bounded() {
+    let d = deployment(2);
+    let participant = d.sites[0].participant().unwrap();
+    for txn_id in 1..=5_000 {
+        participant.decide(txn_id, false).unwrap();
+    }
+    let retained = participant.decisions_retained();
+    assert!(retained <= 4096, "decision memory unbounded: {retained}");
+    // The newest decisions are still answered from memory.
+    assert!(participant.decide(5_000, true).is_err(), "recorded abort");
 }
 
 #[test]
@@ -119,10 +234,13 @@ fn leap_ships_records_with_ownership() {
     )
     .unwrap();
 
-    let records = a.leap_release(&[pid(0)]).unwrap();
+    let records = a.participant().unwrap().leap_release(&[pid(0)]).unwrap();
     assert_eq!(records.len(), 1);
     assert!(!a.ownership().is_mastered(pid(0)));
-    b.leap_grant(&[pid(0)], records).unwrap();
+    b.participant()
+        .unwrap()
+        .leap_grant(&[pid(0)], records)
+        .unwrap();
     assert!(b.ownership().is_mastered(pid(0)));
     let (row, _) = b.store().read_latest(Key::new(TABLE, 10)).unwrap().unwrap();
     assert_eq!(
@@ -145,6 +263,8 @@ fn leap_grant_with_a_bad_record_installs_nothing() {
     };
     let unknown_table = Key::new(TableId::new(99), 11);
     let err = b
+        .participant()
+        .unwrap()
         .leap_grant(&[pid(0)], vec![record(valid, 1), record(unknown_table, 2)])
         .unwrap_err();
     assert_eq!(err, DynaError::NoSuchTable(99));
@@ -187,9 +307,14 @@ fn grant_blocks_until_releaser_state_arrives() {
     for i in 0..20u64 {
         a.run_update(0, &min, &write_call(&[i]), true).unwrap();
     }
-    let rel_vv = a.release_moves(&[(pid(0), 1)]).remove(0).unwrap();
+    let rel_vv = a
+        .remaster()
+        .release_moves(&[(pid(0), 1)])
+        .remove(0)
+        .unwrap();
     // The grant must wait for B to apply A's history, then B's vv dominates.
     let grant_vv = b
+        .remaster()
         .grant_moves(&[(pid(0), 1, rel_vv.clone())])
         .remove(0)
         .unwrap();

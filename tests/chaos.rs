@@ -1,6 +1,7 @@
-//! Chaos tests: full DynaMast deployments driven under a seeded fault plan —
-//! message drops, duplication, delay spikes, directed partitions, and a site
-//! crash/restart — while asserting the user-facing guarantees survive:
+//! Chaos tests: full DynaMast deployments (and one multi-master deployment)
+//! driven under a seeded fault plan — message drops, duplication, delay
+//! spikes, directed partitions, and a site crash/restart — while asserting
+//! the user-facing guarantees survive:
 //! conserved balances, snapshot-consistent reads, monotone sessions, and
 //! replica convergence after healing.
 //!
@@ -15,6 +16,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use dynamast::baselines::static_system::{StaticKind, StaticSystem};
 use dynamast::common::ids::{ClientId, Key};
 use dynamast::common::{codec, VersionVector};
 use dynamast::core::dynamast::{DynaMastConfig, DynaMastSystem};
@@ -312,6 +314,99 @@ fn ycsb_converges_after_partition_heals() {
         }
     }
     assert_audit_clean(&auditor, seed, "chaos ycsb");
+}
+
+/// Multi-master SmallBank under duplication alone. Fabric copies of
+/// `Prepare` and `Decide` reach the 2PC participants, which must answer each
+/// transaction once: a decision installed twice, or a fragment re-staged
+/// after its decision, would change the money total or strand locks.
+///
+/// Drops stay out: a lost `Prepare` or `Decide` strands its fragment's
+/// locks, because the client-side coordinator neither retries nor aborts on
+/// a timeout.
+#[test]
+fn multi_master_smallbank_conserves_money_under_duplication() {
+    const INITIAL: i64 = 10_000;
+    const CUSTOMERS: u64 = 1_200;
+    const SHARED: u64 = 800;
+    const TRANSFERS: u64 = 150;
+
+    let seed = chaos_seed() ^ 0x2FC0_0D1E;
+    let plan = Arc::new(FaultPlan::new(seed).with_duplication(0.05));
+    eprintln!("[chaos] multi-master smallbank seed={seed:#x} {plan:?}");
+
+    let workload = SmallBankWorkload::new(SmallBankConfig {
+        num_customers: CUSTOMERS,
+        initial_balance: INITIAL,
+        ..SmallBankConfig::default()
+    });
+    let owner = workload.static_owner(3);
+    let system = StaticSystem::build(
+        StaticKind::MultiMaster,
+        chaos_config(3),
+        workload.catalog(),
+        Arc::clone(&owner),
+        workload.static_tables(),
+        workload.executor(),
+        8,
+    );
+    let _watchdog = arm_watchdog(
+        seed,
+        format!("{plan:?}"),
+        60,
+        Some(Arc::clone(system.network())),
+    );
+    workload
+        .populate(&mut |key, row| system.load_row(key, row))
+        .unwrap();
+    system.network().set_faults(Some(Arc::clone(&plan)));
+
+    let handles: Vec<_> = (0..4u64)
+        .map(|t| {
+            let system = Arc::clone(&system);
+            thread::spawn(move || {
+                let mut session = ClientSession::new(ClientId::new(t as usize), 3);
+                let mut rng = Rng(seed ^ (t + 1).wrapping_mul(0xA076_1D64_78BD_642F));
+                let mut committed = 0u64;
+                for _ in 0..TRANSFERS {
+                    let from = rng.next() % SHARED;
+                    let to = (from + 1 + rng.next() % (SHARED - 1)) % SHARED;
+                    let amount = (rng.next() % 200) as i64 + 1;
+                    match system.update(&mut session, &transfer(from, to, amount)) {
+                        Ok(_) => committed += 1,
+                        Err(e) if tolerable(&e) => {}
+                        Err(e) => panic!("client {t}: unexpected error {e} (seed {seed:#x})"),
+                    }
+                }
+                committed
+            })
+        })
+        .collect();
+    let committed: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    assert!(committed > 0, "no transaction ever committed under chaos");
+    eprintln!("[chaos] multi-master smallbank committed={committed}");
+    system.network().set_faults(None);
+
+    // Every decision was awaited, so each owner holds its accounts' final
+    // balances.
+    let catalog = workload.catalog();
+    let total: i64 = (0..CUSTOMERS)
+        .map(|customer| {
+            let key = Key::new(smallbank::CHECKING, customer);
+            let site = owner(catalog.partition_of(key).unwrap());
+            let (row, _) = system.sites()[site.as_usize()]
+                .store()
+                .read_latest(key)
+                .unwrap()
+                .expect("populated account vanished");
+            row.cell(0).as_i64().unwrap()
+        })
+        .sum();
+    assert_eq!(
+        total,
+        CUSTOMERS as i64 * INITIAL,
+        "money not conserved (seed {seed:#x})"
+    );
 }
 
 /// The same seed must produce the same per-link fault schedule regardless of

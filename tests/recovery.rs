@@ -188,6 +188,7 @@ fn mid_remaster_crash_recovers_consistent_mastership() {
     // Release at A, then crash A before any grant is issued: the remaster
     // is cut down exactly between its two halves.
     let rel_vv = sites[a]
+        .remaster()
         .release_moves(&[(partition, 1_000_000)])
         .remove(0)
         .unwrap();
@@ -196,6 +197,7 @@ fn mid_remaster_crash_recovers_consistent_mastership() {
     // The grant still completes at B: the release record is durable in A's
     // log and B's replica catches up to `rel_vv` from it.
     let grant_vv = sites[b]
+        .remaster()
         .grant_moves(&[(partition, 1_000_000, rel_vv.clone())])
         .remove(0)
         .unwrap();
@@ -244,10 +246,12 @@ fn a_grant_orphaned_by_the_grantees_crash_stays_with_the_releaser() {
     let sites = system.sites();
 
     let rel_vv = sites[a]
+        .remaster()
         .release_moves(&[(partition, 1_000_000)])
         .remove(0)
         .unwrap();
     sites[b]
+        .remaster()
         .grant_moves(&[(partition, 1_000_000, rel_vv.clone())])
         .remove(0)
         .unwrap();
@@ -255,6 +259,7 @@ fn a_grant_orphaned_by_the_grantees_crash_stays_with_the_releaser() {
     // The executor's back-grant: the releaser takes the partition again at a
     // fresh epoch, and the selector's map names it.
     sites[a]
+        .remaster()
         .grant_moves(&[(partition, 1_000_001, rel_vv)])
         .remove(0)
         .unwrap();
@@ -417,11 +422,13 @@ fn durable_restart_recovers_from_checkpoint_and_retained_suffix() {
     // 1 is down. The two halves bypass the selector, so its map is told.
     let sites = system.sites();
     let rel_vv = sites[1]
+        .remaster()
         .release_moves(&[(moved, 1_000_000)])
         .remove(0)
         .unwrap();
     system.crash_site(1);
     sites[2]
+        .remaster()
         .grant_moves(&[(moved, 1_000_000, rel_vv.clone())])
         .remove(0)
         .unwrap();

@@ -62,11 +62,6 @@ fn assert_single_mastership(system: &DynaMastSystem, seed: u64, context: &str) {
     let mut claimants: HashMap<PartitionId, SiteId> = HashMap::new();
     for site in system.sites() {
         for p in site.ownership().mastered_partitions() {
-            // Skip the draining sentinel: a partition mid-release is
-            // transiently marked, not mastered.
-            if p.raw() & (1 << 63) != 0 {
-                continue;
-            }
             if let Some(other) = claimants.insert(p, site.id()) {
                 panic!(
                     "{context}: partition {p:?} mastered by both {other:?} and {:?} \
@@ -327,7 +322,7 @@ fn zombie_selector_grants_are_fenced_out() {
             site.ownership()
                 .mastered_partitions()
                 .into_iter()
-                .find(|p| p.raw() & (1 << 63) == 0)
+                .next()
                 .map(|p| (site.id(), p))
         })
         .expect("traffic placed at least one partition");
