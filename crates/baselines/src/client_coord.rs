@@ -171,6 +171,13 @@ impl TxnCtx for ClientCtx {
 /// fragment ones — matching the paper's observation that even single-row
 /// transactions suffer the uncertain phase in these architectures.
 ///
+/// Phase two always runs, so no staged fragment keeps its locks: a prepare
+/// whose request or vote is lost counts as a no vote, and a decide whose
+/// request or reply is lost is retransmitted under the network's retry
+/// policy. Both are safe to repeat: a participant answers a decided txn
+/// (a retransmitted decide, or a prepare that arrives late) from its
+/// record of the outcome.
+///
 /// `trace_id` is the flight-recorder trace id for the client transaction
 /// (0 = untraced), distinct from the wire-level 2PC `txn_id`.
 pub fn two_phase_commit(
@@ -201,6 +208,17 @@ pub fn two_phase_commit(
             );
         }
     };
+    let retry = network.config().retry;
+    let send = |owner: SiteId, req: Bytes| {
+        network.rpc_async(
+            EndpointId::Site(owner.raw()),
+            TrafficCategory::TwoPhaseCommit,
+            req,
+        )
+    };
+    // The first failure that is not a lost message: returned once phase
+    // two has run.
+    let mut failed: Option<DynaError> = None;
     // Phase one: parallel prepares.
     let mut pending = Vec::with_capacity(groups.len());
     for (owner, entries) in &groups {
@@ -219,24 +237,27 @@ pub fn two_phase_commit(
             expected,
         };
         trace(TraceKind::TwoPcPrepare, owner.raw(), true);
-        pending.push((
-            *owner,
-            network.rpc_async(
-                EndpointId::Site(owner.raw()),
-                TrafficCategory::TwoPhaseCommit,
-                Bytes::from(encode_to_vec(&req)),
-            )?,
-        ));
+        pending.push((*owner, send(*owner, Bytes::from(encode_to_vec(&req)))));
     }
     let mut votes_yes = true;
     for (owner, reply) in pending {
-        match expect_ok(&reply.wait()?)? {
-            SiteResponse::Voted { yes } => {
-                trace(TraceKind::TwoPcVote, owner.raw(), yes);
-                votes_yes &= yes;
+        let vote = reply
+            .and_then(|reply| reply.wait_timeout(retry.attempt_timeout))
+            .and_then(|payload| expect_ok(&payload));
+        let yes = match vote {
+            Ok(SiteResponse::Voted { yes }) => yes,
+            Ok(_) => {
+                failed.get_or_insert(DynaError::Internal("unexpected prepare response"));
+                false
             }
-            _ => return Err(DynaError::Internal("unexpected prepare response")),
-        }
+            Err(DynaError::Timeout { .. } | DynaError::Network(_)) => false,
+            Err(e) => {
+                failed.get_or_insert(e);
+                false
+            }
+        };
+        trace(TraceKind::TwoPcVote, owner.raw(), yes);
+        votes_yes &= yes;
     }
     // The decide originates at the client, not a site; u32::MAX marks the
     // client-side coordinator in the trace.
@@ -244,27 +265,41 @@ pub fn two_phase_commit(
 
     // Phase two: parallel decides (abort is sent to everyone; it is
     // idempotent for participants that never staged).
-    let mut decisions = Vec::with_capacity(groups.len());
-    for owner in groups.keys() {
-        let req = SiteRequest::Decide {
-            txn_id,
-            commit: votes_yes,
-        };
-        decisions.push(network.rpc_async(
-            EndpointId::Site(owner.raw()),
-            TrafficCategory::TwoPhaseCommit,
-            Bytes::from(encode_to_vec(&req)),
-        )?);
-    }
+    let decide = Bytes::from(encode_to_vec(&SiteRequest::Decide {
+        txn_id,
+        commit: votes_yes,
+    }));
+    let decisions: Vec<_> = groups
+        .keys()
+        .map(|&owner| (owner, send(owner, decide.clone())))
+        .collect();
     let mut commit_vv: Option<VersionVector> = None;
-    for reply in decisions {
-        match expect_ok(&reply.wait()?)? {
-            SiteResponse::Decided { site_vv } => match &mut commit_vv {
+    for (owner, pending) in decisions {
+        let reply = match pending.and_then(|reply| reply.wait_timeout(retry.attempt_timeout)) {
+            Err(DynaError::Timeout { .. } | DynaError::Network(_)) => network.rpc_with_retry(
+                &retry,
+                None,
+                EndpointId::Site(owner.raw()),
+                TrafficCategory::TwoPhaseCommit,
+                decide.clone(),
+            ),
+            settled => settled,
+        };
+        match reply.and_then(|payload| expect_ok(&payload)) {
+            Ok(SiteResponse::Decided { site_vv }) => match &mut commit_vv {
                 None => commit_vv = Some(site_vv),
                 Some(vv) => vv.merge_max(&site_vv),
             },
-            _ => return Err(DynaError::Internal("unexpected decide response")),
+            Ok(_) => {
+                failed.get_or_insert(DynaError::Internal("unexpected decide response"));
+            }
+            Err(e) => {
+                failed.get_or_insert(e);
+            }
         }
     }
-    Ok(if votes_yes { commit_vv } else { None })
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(if votes_yes { commit_vv } else { None }),
+    }
 }

@@ -1,5 +1,5 @@
-//! Commit-throughput microbenchmark: the shared [`CommitPipeline`] (narrow
-//! sequencing section, install/serialize outside any global lock,
+//! Commit-throughput microbenchmark: the shared [`CommitPipeline`] (a
+//! reserved log slot as the sequence, install/serialize outside any global lock,
 //! group-committed log, batched refresh apply) against a faithful replica of
 //! the pre-refactor path (one `commit_order` mutex held across sequence
 //! allocation, per-row clone-installs, record encoding, log append, and svv
@@ -77,7 +77,7 @@ trait Committer: Send + Sync {
 // ---------------------------------------------------------------------
 
 /// Faithful replica of the old `commit_local`: one `commit_order` mutex held
-/// across allocate → clone-install → encode+append → publish, and the old
+/// across sequence → clone-install → encode+append → publish, and the old
 /// per-record refresh apply that installs row clones under the replica's
 /// clock lock.
 struct MutexCommitter {
@@ -108,7 +108,9 @@ impl Committer for MutexCommitter {
     fn commit(&self, writes: Vec<WriteEntry>) {
         let begin = VersionVector::zero(2);
         let _commit_order = self.commit_order.lock();
-        let seq = self.clock.allocate();
+        // Under the mutex the next append lands at the log's length, and
+        // slot i holds sequence i + 1.
+        let seq = self.log.len() + 1;
         let stamp = VersionStamp::new(self.site, seq);
         for w in &writes {
             self.store.install(w.key, stamp, w.row.clone()).unwrap();
@@ -120,8 +122,9 @@ impl Committer for MutexCommitter {
             tvv,
             writes,
         };
-        self.log.append(&record);
-        self.clock.publish(seq).unwrap();
+        let offset = self.log.append(&record);
+        debug_assert_eq!(offset + 1, seq);
+        self.clock.publish_up_to(seq);
     }
 
     fn drain_into_replica(&self) -> u64 {
@@ -187,9 +190,9 @@ impl Committer for PipelineCommitter {
     fn commit(&self, writes: Vec<WriteEntry>) {
         let begin = VersionVector::zero(2);
         let ticket = self.pipeline.begin();
-        let stamp = VersionStamp::new(self.site, ticket.seq);
+        let stamp = VersionStamp::new(self.site, ticket.seq());
         let mut tvv = begin;
-        tvv.set(self.site, ticket.seq);
+        tvv.set(self.site, ticket.seq());
         let record = LogRecord::Commit {
             origin: self.site,
             tvv,
@@ -267,9 +270,9 @@ impl Committer for AuditedCommitter {
         let inner = &self.inner;
         let begin = VersionVector::zero(2);
         let ticket = inner.pipeline.begin();
-        let stamp = VersionStamp::new(inner.site, ticket.seq);
+        let stamp = VersionStamp::new(inner.site, ticket.seq());
         let mut tvv = begin;
-        tvv.set(inner.site, ticket.seq);
+        tvv.set(inner.site, ticket.seq());
         let record = LogRecord::Commit {
             origin: inner.site,
             tvv,
@@ -302,7 +305,7 @@ impl Committer for AuditedCommitter {
                     .ok()
                     .and_then(Visit::hit);
                 batch.write_effect(
-                    ticket.seq,
+                    ticket.seq(),
                     inner.site.raw(),
                     0,
                     w.key.table.raw(),
@@ -314,7 +317,7 @@ impl Committer for AuditedCommitter {
                         0
                     },
                     inner.site.raw(),
-                    ticket.seq,
+                    ticket.seq(),
                     0,
                     0,
                     false,
@@ -638,7 +641,7 @@ mod commit_mt {
         };
         let json = format!(
             "{{\n  \"benchmark\": \"commit_pipeline\",\n  \
-             \"description\": \"Commit throughput at 1/4/8 committer threads, measured end-to-end: each run commits {TXNS_PER_RUN} transactions ({WRITES_PER_TXN} writes of {row_bytes}-byte {ROW_FIELDS}-field rows each, pre-generated outside the timed window) and then drains the full log into a replica; the speedup is the median of paired back-to-back run ratios. pipeline = narrow sequencing section (sequence + reserved log slot under one tiny mutex), encode + version installs outside any global lock with rows moved (never cloned), group-committed log fill, and batched refresh apply on the consume side. mutex_baseline = faithful replica of the pre-refactor path: one commit_order mutex held across allocate, per-row clone-install, encode, append, and publish, with per-record clone-apply at the replica.\",\n  \
+             \"description\": \"Commit throughput at 1/4/8 committer threads, measured end-to-end: each run commits {TXNS_PER_RUN} transactions ({WRITES_PER_TXN} writes of {row_bytes}-byte {ROW_FIELDS}-field rows each, pre-generated outside the timed window) and then drains the full log into a replica; the speedup is the median of paired back-to-back run ratios. pipeline = a reserved log slot as the sequence (no sequencing mutex), encode + version installs outside any global lock with rows moved (never cloned), group-committed log fill, and batched refresh apply on the consume side. mutex_baseline = faithful replica of the pre-refactor path: one commit_order mutex held across sequencing, per-row clone-install, encode, append, and publish, with per-record clone-apply at the replica.\",\n  \
              \"note\": \"Measured on a {cpus}-CPU container: committer threads cannot run in parallel, so multi-thread speedups reflect per-transaction cost only — chiefly the two deep row clones per write the old path performs (into the origin version chain at commit, into the replica chain at apply; one allocation per row field each) that the pipeline replaces with moves, plus per-record log/clock lock round-trips replaced by one batched fill/publish. On multi-core hardware the pipeline additionally stops serializing committers behind one mutex for the encode+install work.\",\n  \
              \"host\": {{\"os\": \"{os}\", \"arch\": \"{arch}\", \"cpus\": {cpus}}},\n  \
              \"config\": {{\n    \"txns_per_run\": {TXNS_PER_RUN},\n    \"writes_per_txn\": {WRITES_PER_TXN},\n    \"row_fields\": {ROW_FIELDS},\n    \"row_payload_bytes\": {row_bytes},\n    \"paired_runs_per_point\": {PAIRS},\n    \"cpus\": {cpus}\n  }},\n  \

@@ -1,7 +1,8 @@
 //! Selector and site recovery glue (paper §V-C).
 //!
-//! The heavy lifting — replaying the durable logs and reconstructing
-//! mastership from grant/release records — lives in
+//! The heavy lifting lives elsewhere: replaying the durable logs through
+//! the refresh applier in `dynamast_site::pipeline`, and reconstructing
+//! mastership from grant/release records in
 //! `dynamast_replication::recovery`. This module overlays those primitives
 //! with DynaMast-specific policy, once: [`recover_site`] brings a site's
 //! state up from an optional checkpoint plus the retained log suffix, and
@@ -16,8 +17,9 @@ use dynamast_common::ids::{PartitionId, SiteId};
 use dynamast_common::{DynaError, Result, VersionVector};
 use dynamast_replication::checkpoint::{Checkpoint, Image};
 use dynamast_replication::record::LogRecord;
-use dynamast_replication::recovery::{replay, scan_mastership, ReplayedState};
+use dynamast_replication::recovery::scan_mastership;
 use dynamast_replication::LogSet;
+use dynamast_site::pipeline::{hosts_key, replay, ReplayedState};
 use dynamast_storage::{Catalog, ImageRecord, Store};
 
 /// Recovers the selector's full partition→master map — the initial placement
@@ -178,15 +180,11 @@ pub fn recover_site(
     // it also holds the rows of a copy that was mid-install (`Buffering`)
     // then: the snapshot installs before the partition is `Hosted`, and the
     // hosted set excludes such a copy. The hosted set is the cut's truth, so
-    // filter. A record that does not decode, or names an unknown table,
-    // fails the recovery.
+    // filter, with the predicate replay filters the suffix with. A record
+    // that does not decode, or names an unknown table, fails the recovery.
     for record in image.records() {
         let ImageRecord { key, stamp, row } = record?;
-        let hosts = match &hosted_set {
-            None => true,
-            Some(hosted) => hosted.contains(&store.catalog().partition_of(key)?),
-        };
-        if hosts {
+        if hosts_key(store.catalog(), hosted_set.as_ref(), key) {
             store.install(key, stamp, row)?;
         }
     }

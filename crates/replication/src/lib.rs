@@ -24,8 +24,9 @@
 //! * [`propagate::Propagator`] — a site's subscriptions to its peers' logs,
 //!   served by one feeder thread per origin log that decodes each published
 //!   run once and hands it to every subscriber's refresh applier.
-//! * [`recovery`] — replay recovery (full or from a checkpoint) and
-//!   mastership-map reconstruction from grant/release records.
+//! * [`recovery`] — mastership-map reconstruction from grant/release
+//!   records (replaying the logs' data is the site's refresh applier's job:
+//!   `dynamast_site::pipeline::replay`).
 
 pub mod checkpoint;
 pub mod log;

@@ -22,15 +22,16 @@ use crate::segment::SegmentLog;
 /// paper's Kafka deployment would carry; subscribers decode on read and the
 /// byte size is available for traffic accounting.
 ///
-/// **Reserve/fill.** A writer that must hold its slot in a globally agreed
-/// order (the commit pipeline: slot order = commit-sequence order) calls
-/// [`DurableLog::reserve`] inside its tiny sequencing section, does its
-/// expensive work (version installs, record serialization) outside any
-/// global lock, then calls [`DurableLog::fill`]. Filled slots become visible
-/// to readers only as a contiguous prefix: the fill that closes a gap
-/// publishes the whole contiguous run behind it in one step — a group
-/// commit — with a single wake-up for tail readers. Readers can therefore
-/// never observe a gap or a torn batch. [`DurableLog::append`] is the
+/// **Reserve/fill.** The log's slot order *is* its site's commit order: the
+/// commit pipeline takes a commit's sequence from its reserved slot (slot
+/// `i` holds sequence `i + 1`), so [`DurableLog::reserve`] is the whole
+/// sequencing step. The writer does its expensive work (version installs,
+/// record serialization) outside any global lock, then calls
+/// [`DurableLog::fill`]. Filled slots become visible to readers only as a
+/// contiguous prefix: the fill that closes a gap publishes the whole
+/// contiguous run behind it in one step — a group commit — with a single
+/// wake-up for tail readers. Readers can therefore never observe a gap or
+/// a torn batch. [`DurableLog::append`] is the
 /// one-shot convenience (reserve + fill) for writers with no ordering
 /// constraint of their own. A reservation whose committer dies is closed
 /// with [`DurableLog::abort`], which fills a [`LogRecord::Noop`] tombstone —
@@ -270,7 +271,7 @@ impl DurableLog {
 
     /// Closes a reserved slot whose committer died before filling it by
     /// filling a [`LogRecord::Noop`] tombstone carrying the abandoned
-    /// sequence (PR 5 invariant: slot `offset` holds sequence `offset + 1`).
+    /// sequence (slot `offset` holds sequence `offset + 1`).
     /// The tombstone publishes and propagates like any record — peers and
     /// recovery advance `svv[origin]` over it without installing anything —
     /// so the abandoned reservation can no longer wedge the visibility
@@ -408,13 +409,6 @@ impl DurableLog {
     pub(crate) fn set_tail(&self, feeder: Option<Thread>) {
         self.inner.lock().tail = feeder;
     }
-
-    /// Reads the single published record at `offset`, if present, decoded
-    /// after the log lock drops. Recovery's replay scheduler reads its
-    /// origins' heads this way.
-    pub fn get(&self, offset: u64) -> Result<Option<LogRecord>> {
-        Ok(self.read_range(offset, Some(offset + 1))?.0.pop())
-    }
 }
 
 /// The encoded records published in `[from, to)` (`to` capped at the
@@ -550,7 +544,7 @@ mod tests {
         log.fill(s2, &commit(0, 2));
         // Slot 2 is filled but slot 1 is not: nothing is visible.
         assert_eq!(log.len(), 0);
-        assert!(log.get(s2).unwrap().is_none());
+        assert!(log.read_range(s2, Some(s2 + 1)).unwrap().0.is_empty());
         assert_eq!(log.reserved_len(), 2);
         // Filling the gap publishes the whole contiguous run at once.
         log.fill(s1, &commit(0, 1));
@@ -772,7 +766,6 @@ mod tests {
         let (records, _) = log.read_from(base).unwrap();
         assert_eq!(records.len() as u64, 30 - base);
         assert!(log.read_from(0).is_err());
-        assert!(log.get(0).is_err());
         // Floors never regress.
         log.record_consumer_floor(1, 5).unwrap();
         assert_eq!(log.base(), base);

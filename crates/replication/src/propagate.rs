@@ -67,8 +67,8 @@ pub trait RefreshApplier: Send + Sync + 'static {
     ///
     /// `records` is one origin's run in log order, decoded once and shared
     /// by every subscriber of that origin: rows are cloned (a reference
-    /// count bump), never moved out. An error (the site shut down) ends the
-    /// subscription.
+    /// count bump), never moved out. An error (the site shut down, or a
+    /// corrupted record) ends the subscription.
     fn apply_batch(&self, records: &[LogRecord], wake: &Wake) -> Result<usize>;
 }
 

@@ -168,8 +168,9 @@ proptest! {
 
         // Each op finds exactly what it published; tombstones carry their
         // slot's sequence so downstream svv admission stays gap-free.
+        let (published, _) = log.read_from(0).unwrap();
         for (offset, expected) in &outcomes {
-            let record = log.get(*offset).unwrap().expect("published slot readable");
+            let record = published[*offset as usize].clone();
             match expected {
                 Expected::Value(v) => {
                     prop_assert_eq!(value_of(&record), Some(*v), "offset {}", offset);

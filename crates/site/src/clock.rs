@@ -2,9 +2,11 @@
 //!
 //! Wraps a site's `svv` with the waits the protocol needs:
 //!
-//! * **commit slots** — local commits draw strictly increasing sequence
-//!   numbers and publish them in order, so `svv[self]` is the site's commit
-//!   order (§III-A);
+//! * **commit publication** — `svv[self]` counts the site's commits
+//!   (§III-A). The clock does not number them: a commit's sequence is its
+//!   slot in the site's own durable log plus one, and the fill that closes
+//!   the log's visible gap publishes the whole run behind it
+//!   ([`SiteClock::publish_up_to`]);
 //! * **freshness waits** — transaction begin blocks until `svv` dominates the
 //!   session's required vector (SSSI, §III-A), and grant blocks until the
 //!   releaser's state has been applied (§III-B);
@@ -31,9 +33,6 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 struct ClockState {
     svv: VersionVector,
-    /// Next unallocated local commit sequence (`> svv[self]` while commits
-    /// are in flight).
-    next_seq: u64,
     shutting_down: bool,
     /// Refresh subscriptions waiting for the next advance.
     wakes: Vec<Wake>,
@@ -56,12 +55,10 @@ impl SiteClock {
 
     /// Restores a clock from a recovered svv (replay recovery, §V-C).
     pub fn from_recovered(site: SiteId, svv: VersionVector) -> Self {
-        let next_seq = svv.get(site) + 1;
         SiteClock {
             site,
             state: Mutex::new(ClockState {
                 svv,
-                next_seq,
                 shutting_down: false,
                 wakes: Vec::new(),
             }),
@@ -75,11 +72,6 @@ impl SiteClock {
     pub fn counting_parks(mut self, parks: Option<Arc<Counter>>) -> Self {
         self.parks = parks;
         self
-    }
-
-    /// This clock's site.
-    pub fn site(&self) -> SiteId {
-        self.site
     }
 
     /// Snapshot of the current svv.
@@ -134,43 +126,6 @@ impl SiteClock {
     /// returning the svv then (a remaster reply covers its own records).
     pub fn wait_published(&self, seq: u64) -> Result<VersionVector> {
         self.wait_for(|svv| svv.get(self.site) >= seq, None)
-    }
-
-    /// Allocates the next local commit sequence number. The caller must
-    /// later [`SiteClock::publish`] it (or the site wedges — the commit path
-    /// is infallible between the two calls).
-    pub fn allocate(&self) -> u64 {
-        let mut state = self.state.lock();
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        seq
-    }
-
-    /// Publishes local commit `seq`: blocks until all earlier local commits
-    /// have published (so versions become visible in commit order), then
-    /// sets `svv[self] = seq`.
-    ///
-    /// This is the pre-pipeline publication discipline — every committer
-    /// parks until its predecessor's turn completes. The commit pipeline
-    /// uses [`SiteClock::publish_up_to`] instead: the durable log's
-    /// gap-closing fill publishes a whole contiguous run without any
-    /// committer waiting. No production path calls it: its users are this
-    /// module's tests and the `commit_pipeline` bench's mutex baseline
-    /// (`crates/bench/benches/commit_pipeline.rs`).
-    pub fn publish(&self, seq: u64) -> Result<VersionVector> {
-        let mut state = self.state.lock();
-        loop {
-            if state.shutting_down {
-                return Err(DynaError::ShuttingDown);
-            }
-            if state.svv.get(self.site) + 1 == seq {
-                state.svv.set(self.site, seq);
-                let svv = state.svv.clone();
-                self.advanced(state);
-                return Ok(svv);
-            }
-            self.changed.wait(&mut state);
-        }
     }
 
     /// Advances `svv[self]` to `seq` if it is behind, never blocking. The
@@ -253,31 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn allocate_and_publish_advance_local_dimension() {
-        let c = clock();
-        let s1 = c.allocate();
-        let s2 = c.allocate();
-        assert_eq!((s1, s2), (1, 2));
-        c.publish(s1).unwrap();
-        let vv = c.publish(s2).unwrap();
-        assert_eq!(vv.get(SiteId::new(0)), 2);
-    }
-
-    #[test]
-    fn publish_enforces_commit_order() {
-        let c = clock();
-        let s1 = c.allocate();
-        let s2 = c.allocate();
-        let c2 = Arc::clone(&c);
-        let out_of_order = thread::spawn(move || c2.publish(s2));
-        thread::sleep(Duration::from_millis(20));
-        assert!(!out_of_order.is_finished(), "seq 2 must wait for seq 1");
-        c.publish(s1).unwrap();
-        out_of_order.join().unwrap().unwrap();
-        assert_eq!(c.current().get(SiteId::new(0)), 2);
-    }
-
-    #[test]
     fn wait_dominates_blocks_until_fresh() {
         let c = clock();
         let min = VersionVector::from_counts(vec![1, 0, 0]);
@@ -286,8 +216,7 @@ mod tests {
         let waiter = thread::spawn(move || c2.wait_dominates(&min2).unwrap());
         thread::sleep(Duration::from_millis(20));
         assert!(!waiter.is_finished());
-        let seq = c.allocate();
-        c.publish(seq).unwrap();
+        c.publish_up_to(1);
         let begin = waiter.join().unwrap();
         assert!(begin.dominates(&min));
     }
@@ -377,10 +306,6 @@ mod tests {
             assert!(!waiter.is_finished(), "the waiter is parked");
             waiter
         };
-        let w = parked_wait(vec![1, 0, 0]);
-        let seq = c.allocate();
-        c.publish(seq).unwrap();
-        assert!(w.join().unwrap().is_ok());
         let w = parked_wait(vec![2, 0, 0]);
         c.publish_up_to(2);
         assert!(w.join().unwrap().is_ok());
@@ -428,12 +353,5 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         c.shut_down();
         assert_eq!(waiter.join().unwrap().unwrap_err(), DynaError::ShuttingDown);
-    }
-
-    #[test]
-    fn recovered_clock_resumes_sequence() {
-        let svv = VersionVector::from_counts(vec![5, 3, 0]);
-        let c = SiteClock::from_recovered(SiteId::new(0), svv);
-        assert_eq!(c.allocate(), 6);
     }
 }

@@ -124,7 +124,7 @@ impl DataSite {
 
     /// Re-creates a crashed site from state replayed out of the durable
     /// logs (§V-C): the store and svv come from
-    /// `dynamast_replication::recovery::replay`, the mastered set from
+    /// [`crate::pipeline::replay`], the mastered set from
     /// the recovered grant/release history. Volatile state (prepared 2PC
     /// fragments, dedup caches) starts empty, exactly as a process restart
     /// would leave it.
@@ -405,13 +405,13 @@ impl DataSite {
     }
 
     /// Installs buffered writes as a local commit through the commit
-    /// pipeline: a tiny sequencing section (sequence + reserved log slot),
-    /// then record serialization and version installs outside any global
-    /// lock — concurrent with other committers — then the in-order
-    /// publication (group-committed log fill + svv advance). Readers can
-    /// never observe the sequence before the versions are readable, and the
-    /// commit record goes to the durable log for propagation and redo
-    /// (§V-A2).
+    /// pipeline: a reserved slot of the site's own log, which is the
+    /// commit's sequence, then record serialization and version installs
+    /// outside any global lock — concurrent with other committers — then
+    /// the in-order publication (group-committed log fill + svv advance).
+    /// Readers can never observe the sequence before the versions are
+    /// readable, and the commit record goes to the durable log for
+    /// propagation and redo (§V-A2).
     pub(crate) fn commit_local(
         &self,
         txn_id: u64,
@@ -424,14 +424,14 @@ impl DataSite {
         for w in &writes {
             self.store.catalog().table(w.key.table)?;
         }
-        // The guard backstops the infallible contract: if anything below
-        // panics (a poisoned executor, an injected crash point), the slot is
-        // tombstoned on unwind instead of wedging the commit order.
-        let guard = self.pipeline.begin_guarded();
-        let ticket = guard.ticket();
-        let stamp = VersionStamp::new(self.id, ticket.seq);
+        // The ticket backstops the infallible contract: if anything below
+        // panics (a poisoned executor, an injected crash point), dropping it
+        // on unwind tombstones the slot instead of wedging the commit order.
+        let ticket = self.pipeline.begin();
+        let seq = ticket.seq();
+        let stamp = VersionStamp::new(self.id, seq);
         let mut tvv = begin.clone();
-        tvv.set(self.id, ticket.seq);
+        tvv.set(self.id, seq);
         let commit_vv = tvv.clone();
         let record = LogRecord::Commit {
             origin: self.id,
@@ -476,7 +476,7 @@ impl DataSite {
                     prev,
                     signature(&w.row),
                     self.id.raw(),
-                    ticket.seq,
+                    seq,
                     *generation,
                     *epoch,
                     false,
@@ -489,7 +489,7 @@ impl DataSite {
         if let (Some(rec), Some((mut batch, _, _))) = (audit, effects) {
             batch.flush(rec);
         }
-        self.pipeline.commit_encoded(guard.defuse(), encoded);
+        self.pipeline.commit_encoded(ticket, encoded);
         // The transaction vector is the client's session vector; publication
         // of `svv[self] = seq` rides the group commit (the fill that closed
         // the log gap), so the committer itself never parks for it.
@@ -920,7 +920,7 @@ mod tests {
             !second.is_finished(),
             "began below the row's newest version"
         );
-        site.pipeline.abort(predecessor);
+        drop(predecessor);
         let (_, second_vv, _) = second.join().unwrap();
         let begin = site.clock.wait_dominates(&second_vv).unwrap();
         assert_eq!(

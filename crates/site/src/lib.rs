@@ -12,7 +12,8 @@
 //!   or latest-read transaction context;
 //! * the **replication manager** — appends commit (and release/grant)
 //!   records to the site's durable log and applies peers' records as refresh
-//!   transactions under the update application rule.
+//!   transactions under the update application rule — live, and again at
+//!   recovery ([`pipeline::replay`]), through one applier.
 //!
 //! The [`DataSite`] core is what every architecture runs: begin, execute,
 //! commit, refresh apply, checkpoint and the RPC dispatch. What only some

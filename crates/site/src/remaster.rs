@@ -205,17 +205,17 @@ impl Remaster<'_> {
         admitted: Vec<Result<Option<VersionVector>>>,
     ) -> Vec<Result<VersionVector>> {
         let site = self.site;
-        let tickets: Vec<_> = admitted
+        // Each move to log reserves its slot and is encoded before the
+        // fill, which holds the log lock.
+        let (seqs, fills): (Vec<_>, Vec<_>) = keys
             .iter()
-            .map(|a| matches!(a, Ok(None)).then(|| site.pipeline.begin()))
-            .collect();
-        // Encoded before the fill, which holds the log lock.
-        let fills: Vec<_> = keys
-            .iter()
-            .zip(&tickets)
-            .filter_map(|(&(partition, epoch), ticket)| {
-                let ticket = (*ticket)?;
-                let (origin, sequence) = (site.id, ticket.seq);
+            .zip(&admitted)
+            .map(|(&(partition, epoch), admitted)| {
+                if !matches!(admitted, Ok(None)) {
+                    return (None, None);
+                }
+                let ticket = site.pipeline.begin();
+                let (origin, sequence) = (site.id, ticket.seq());
                 let record = if granted {
                     LogRecord::Grant {
                         origin,
@@ -231,11 +231,12 @@ impl Remaster<'_> {
                         epoch,
                     }
                 };
-                Some((ticket, Bytes::from(encode_to_vec(&record))))
+                let encoded = Bytes::from(encode_to_vec(&record));
+                (Some(sequence), Some((ticket, encoded)))
             })
-            .collect();
-        site.pipeline.commit_all(fills);
-        let last = tickets.iter().flatten().map(|ticket| ticket.seq).max();
+            .unzip();
+        site.pipeline.commit_all(fills.into_iter().flatten());
+        let last = seqs.iter().flatten().max().copied();
         let visible = last.map(|seq| site.clock.wait_published(seq));
         let ledger = if granted {
             &self.state.granted
@@ -244,12 +245,12 @@ impl Remaster<'_> {
         };
         keys.into_iter()
             .zip(admitted)
-            .zip(tickets)
-            .map(|(((partition, epoch), admitted), ticket)| {
+            .zip(seqs)
+            .map(|(((partition, epoch), admitted), seq)| {
                 if let Some(replayed) = admitted? {
                     return Ok(replayed);
                 }
-                let seq = ticket.expect("an admitted move was logged").seq;
+                let seq = seq.expect("an admitted move was logged");
                 let vv = visible
                     .clone()
                     .expect("a logged move waited")

@@ -10,8 +10,8 @@ use std::collections::HashSet;
 use dynamast_common::ids::{Key, PartitionId, SiteId, TableId};
 use dynamast_common::{Row, Value, VersionVector};
 use dynamast_replication::record::{LogRecord, WriteEntry};
-use dynamast_replication::recovery::{replay, ReplayedState};
 use dynamast_replication::LogSet;
+use dynamast_site::pipeline::{replay, ReplayedState};
 use dynamast_storage::{Catalog, Store, VersionStamp};
 use proptest::prelude::*;
 

@@ -316,23 +316,22 @@ fn ycsb_converges_after_partition_heals() {
     assert_audit_clean(&auditor, seed, "chaos ycsb");
 }
 
-/// Multi-master SmallBank under duplication alone. Fabric copies of
+/// Multi-master SmallBank under drops and duplication. Fabric copies of
 /// `Prepare` and `Decide` reach the 2PC participants, which must answer each
 /// transaction once: a decision installed twice, or a fragment re-staged
-/// after its decision, would change the money total or strand locks.
-///
-/// Drops stay out: a lost `Prepare` or `Decide` strands its fragment's
-/// locks, because the client-side coordinator neither retries nor aborts on
-/// a timeout.
+/// after its decision, would change the money total or strand locks. A
+/// lost `Prepare` or vote must abort the transaction everywhere, and a lost
+/// `Decide` must be retransmitted: otherwise one participant commits its
+/// half of a transfer while the other keeps the staged half and its locks.
 #[test]
-fn multi_master_smallbank_conserves_money_under_duplication() {
+fn multi_master_smallbank_conserves_money_under_drops_and_duplication() {
     const INITIAL: i64 = 10_000;
     const CUSTOMERS: u64 = 1_200;
     const SHARED: u64 = 800;
     const TRANSFERS: u64 = 150;
 
     let seed = chaos_seed() ^ 0x2FC0_0D1E;
-    let plan = Arc::new(FaultPlan::new(seed).with_duplication(0.05));
+    let plan = Arc::new(FaultPlan::new(seed).with_drops(0.01).with_duplication(0.05));
     eprintln!("[chaos] multi-master smallbank seed={seed:#x} {plan:?}");
 
     let workload = SmallBankWorkload::new(SmallBankConfig {

@@ -350,10 +350,13 @@ fn recovered_clock_continues_the_sequence() {
         system.update(&mut session, &set(&[i * 100], i)).unwrap();
     }
     let recovered = recover_site(SiteId::new(0), system.logs(), None, catalog, 4).unwrap();
-    let clock =
-        dynamast::site::SiteClock::from_recovered(SiteId::new(0), recovered.state.svv.clone());
-    let next = clock.allocate();
-    assert_eq!(next, recovered.state.svv.get(SiteId::new(0)) + 1);
+    // The next commit's sequence is its log slot + 1: it continues the
+    // recovered commit order exactly when every reserved slot is recovered.
+    let own_log = system.logs().log(SiteId::new(0));
+    assert_eq!(
+        own_log.reserved_len(),
+        recovered.state.svv.get(SiteId::new(0))
+    );
 }
 
 /// `restart_site` on a disk-backed deployment whose logs were truncated:
